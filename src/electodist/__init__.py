@@ -20,7 +20,6 @@ from .metrics import (
     METRIC_KINDS,
     DistanceOutcome,
     bordawise_distance,
-    brute_force_iso_distance,
     distance,
     emd,
     iso_distance,
@@ -57,6 +56,7 @@ from .analysis import (
     enumerate_anecs,
     l1pos_intrinsic_path,
     majority_realizable_bruteforce,
+    matrix_correlation,
     recover_election,
 )
 

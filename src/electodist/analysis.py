@@ -23,6 +23,7 @@ from .elections import (
     majority_matrix,
     position_matrix,
 )
+from .mapping import DistanceMatrix, distance_matrix
 from .metrics import METRIC_KINDS, distance, positionwise_distance
 
 CENSUS_GUARD_M = 4
@@ -131,6 +132,24 @@ def _pearson(xs, ys) -> Optional[float]:
     return float(np.corrcoef(x, y)[0, 1])
 
 
+def matrix_correlation(dm_a: DistanceMatrix, dm_b: DistanceMatrix) -> CorrelationReport:
+    """Correlation between two distance matrices over the same labeled
+    elections, taken over the cells above the diagonal in
+    ``itertools.combinations`` order.
+
+    Equal labels imply equal shapes: a DistanceMatrix has one row per label.
+    """
+    if dm_a.labels != dm_b.labels:
+        raise ValueError("distance matrices have different labels")
+    if len(dm_a.labels) < 2:
+        raise ValueError("need at least two elections")
+    upper = np.triu_indices(len(dm_a.labels), k=1)
+    xs = dm_a.cells[upper]
+    ys = dm_b.cells[upper]
+    spearman = _pearson(rankdata(xs), rankdata(ys))
+    return CorrelationReport((dm_a.metric, dm_b.metric), _pearson(xs, ys), spearman, len(xs))
+
+
 def correlation(dataset: Sequence[Election], kind_a: str, kind_b: str) -> CorrelationReport:
     """Correlation between two metrics over all unordered pairs of distinct
     dataset elections."""
@@ -139,19 +158,9 @@ def correlation(dataset: Sequence[Election], kind_a: str, kind_b: str) -> Correl
             raise ValueError(f"unknown metric kind {kind!r}")
     if len(dataset) < 2:
         raise ValueError("need at least two elections")
-    shape = (dataset[0].m, dataset[0].n)
-    for e in dataset:
-        if (e.m, e.n) != shape:
-            raise ValueError(
-                f"elections differ in shape: {(e.m, e.n)} vs {shape}"
-            )
-    xs: list[float] = []
-    ys: list[float] = []
-    for i, j in itertools.combinations(range(len(dataset)), 2):
-        xs.append(float(distance(dataset[i], dataset[j], kind_a).value))
-        ys.append(float(distance(dataset[i], dataset[j], kind_b).value))
-    spearman = _pearson(rankdata(xs), rankdata(ys))
-    return CorrelationReport((kind_a, kind_b), _pearson(xs, ys), spearman, len(xs))
+    return matrix_correlation(
+        distance_matrix(dataset, kind_a), distance_matrix(dataset, kind_b)
+    )
 
 
 ExactOrBounds = Union[int, Fraction, tuple[Union[int, Fraction], Union[int, Fraction]]]

@@ -22,10 +22,10 @@ from .analysis import (
     borda_realizable,
     compass_distance_formula,
     count_equivalence_classes,
-    correlation,
     emdpos_intrinsic_path,
     l1pos_intrinsic_path,
     majority_realizable_bruteforce,
+    matrix_correlation,
     recover_election,
 )
 from .cultures import CultureSpec, sample_many
@@ -37,7 +37,7 @@ from .elections import (
     serialize_election,
 )
 from .mapping import EmbedConfig, distance_matrix, embed, export_map
-from .metrics import METRIC_KINDS, distance, positionwise_distance
+from .metrics import METRIC_KINDS, check_guard, distance, positionwise_distance
 
 CENSUS_HEADER = "m,n,anecs,positionwise,pairwise,bordawise"
 CORRELATION_HEADER = "kind_a,kind_b,pearson,spearman,pairs"
@@ -176,6 +176,7 @@ def parse_int_list(text: str) -> list[int]:
 
 
 def resolve_threads(args: argparse.Namespace) -> Optional[int]:
+    """The deprecated worker count: validated, then ignored by callers."""
     threads = getattr(args, "threads", None)
     if threads is None:
         env = os.environ.get("ELECTODIST_THREADS")
@@ -244,27 +245,37 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_correlate(args: argparse.Namespace) -> int:
     config = load_config(args)
+    for kind in config.metrics:
+        check_guard(kind, config.m)
     labels, elections, _ = build_dataset(config)
     if len(elections) < 2:
         raise ValueError("correlation needs at least two elections")
     if len(config.metrics) < 2:
         raise ValueError("correlation needs at least two metrics")
+    matrices = {}
+    for kind in config.metrics:
+        if kind not in matrices:
+            progress(f"{kind}: distance matrix on {len(elections)} elections")
+            matrices[kind] = distance_matrix(elections, kind, labels=labels)
     print(CORRELATION_HEADER)
     for kind_a, kind_b in itertools.combinations(config.metrics, 2):
         progress(f"correlating {kind_a} with {kind_b} on {len(elections)} elections")
-        print(correlation(elections, kind_a, kind_b).to_csv_row())
+        print(matrix_correlation(matrices[kind_a], matrices[kind_b]).to_csv_row())
     return 0
 
 
 def cmd_map(args: argparse.Namespace) -> int:
     config = load_config(args)
-    threads = resolve_threads(args)
+    resolve_threads(args)
+    # a guarded metric fails before any sampling or output
+    for kind in config.metrics:
+        check_guard(kind, config.m)
     outdir = Path(config.output)
     outdir.mkdir(parents=True, exist_ok=True)
     labels, elections, classes = build_dataset(config)
     for kind in config.metrics:
         progress(f"{kind}: distance matrix on {len(elections)} elections")
-        dm = distance_matrix(elections, kind, labels=labels, threads=threads)
+        dm = distance_matrix(elections, kind, labels=labels)
         matrix_path = outdir / f"distances-{kind}.csv"
         with matrix_path.open("w", encoding="utf-8") as fh:
             fh.write("id," + ",".join(labels) + "\n")
@@ -396,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: ELECTODIST_THREADS or sequential)",
+        help="deprecated, accepted and ignored (as is ELECTODIST_THREADS); "
+        "matrices are computed sequentially",
     )
     p.set_defaults(func=cmd_map)
 

@@ -126,17 +126,23 @@ def position_of(vote: Sequence[int], c: int) -> int:
     return tuple(vote).index(c) + 1
 
 
+def _positions(election: Election) -> np.ndarray:
+    # pos[v, c] = 0-based position of candidate c in vote v
+    arr = election.array
+    n, m = arr.shape
+    pos = np.empty((n, m), dtype=np.int64)
+    pos[np.arange(n)[:, None], arr] = np.arange(m)
+    return pos
+
+
 def position_matrix(election: Election) -> np.ndarray:
     """The m x m position matrix: cell [i, c] counts voters ranking c at i+1.
 
     Every row and every column sums to n.
     """
     m = election.m
-    counts = np.zeros((m, m), dtype=np.int64)
-    positions = np.arange(m)
-    for vote in election.votes:
-        counts[positions, vote] += 1
-    return counts
+    flat = (np.arange(m) * m + election.array).ravel()
+    return np.bincount(flat, minlength=m * m).reshape(m, m).astype(np.int64, copy=False)
 
 
 def majority_matrix(election: Election) -> np.ndarray:
@@ -145,24 +151,14 @@ def majority_matrix(election: Election) -> np.ndarray:
     The diagonal is zero by convention; off-diagonal cells satisfy
     cells[c, d] + cells[d, c] = n.
     """
-    m = election.m
-    wins = np.zeros((m, m), dtype=np.int64)
-    for vote in election.votes:
-        for i, c in enumerate(vote):
-            wins[c, vote[i + 1 :]] += 1
-    np.fill_diagonal(wins, 0)
-    return wins
+    pos = _positions(election)
+    return (pos[:, :, None] < pos[:, None, :]).sum(axis=0, dtype=np.int64)
 
 
 def borda_vector(election: Election) -> np.ndarray:
     """Borda scores: each vote gives m - 1 - i points to the candidate at
     0-based position i."""
-    m = election.m
-    scores = np.zeros(m, dtype=np.int64)
-    for vote in election.votes:
-        for i, c in enumerate(vote):
-            scores[c] += m - 1 - i
-    return scores
+    return (election.m - 1 - _positions(election)).sum(axis=0)
 
 
 def frequency_matrix(election: Election) -> np.ndarray:

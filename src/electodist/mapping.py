@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 from xml.sax.saxutils import escape
@@ -11,7 +9,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .elections import COMPASS_KINDS, Election
-from .metrics import METRIC_KINDS, distance
+from .metrics import METRIC_KINDS, distance_values
 
 __all__ = [
     "PALETTE",
@@ -89,7 +87,11 @@ def distance_matrix(
     labels: Optional[Sequence[str]] = None,
     threads: Optional[int] = None,
 ) -> DistanceMatrix:
-    """All unordered pairwise distances; deterministic for any thread count."""
+    """All unordered pairwise distances, by ``metrics.distance_values``.
+
+    ``threads`` is deprecated, accepted and ignored; matrices are computed
+    sequentially.
+    """
     if kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {kind!r}")
     if not dataset:
@@ -105,21 +107,11 @@ def distance_matrix(
         labels = [str(i) for i in range(k)]
     elif len(labels) != k:
         raise ValueError(f"{len(labels)} labels for {k} elections")
-    pairs = list(itertools.combinations(range(k), 2))
+    upper = np.triu_indices(k, k=1)
+    values = distance_values(dataset, kind)
     cells = np.zeros((k, k), dtype=float)
-
-    def evaluate(pair):
-        i, j = pair
-        return i, j, float(distance(dataset[i], dataset[j], kind).value)
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(evaluate, pairs))
-    else:
-        results = [evaluate(p) for p in pairs]
-    for i, j, value in results:
-        cells[i, j] = value
-        cells[j, i] = value
+    cells[upper] = values
+    cells[upper[::-1]] = values
     return DistanceMatrix(tuple(labels), cells, kind)
 
 

@@ -35,10 +35,18 @@ __all__ = [
     "pairwise_distance",
     "bordawise_distance",
     "distance",
-    "brute_force_iso_distance",
+    "GUARDS",
+    "check_guard",
+    "distance_values",
 ]
 
 METRIC_KINDS = ("swap", "discrete", "emdpos", "l1pos", "pairwise", "bordawise")
+
+# largest candidate count each exponential search accepts by default
+GUARDS = {"swap": 8, "pairwise": 10}
+
+# the pairwise search enumerates relabelings in blocks of at most 7! rows
+_PAIRWISE_BLOCK = 7
 
 Number = Union[int, float, Fraction]
 
@@ -212,6 +220,17 @@ def _perm_array(m: int) -> np.ndarray:
     return arr
 
 
+def _suffix_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    # for each matching tau of k rows, in lexicographic order: the flat
+    # indices of the cells (tau r, tau s) of a k x k matrix, r-major, and
+    # of the cells (r, tau r); rebuilt per call, since a cached copy would
+    # stay resident beside the swap search's tables
+    perms = _perm_array(k)
+    pair_cells = (perms[:, :, None] * k + perms[:, None, :]).reshape(len(perms), k * k)
+    row_cells = np.arange(k) * k + perms
+    return pair_cells, row_cells
+
+
 def _order_matrices(election: Election) -> np.ndarray:
     # O[v, a, b] = 1 iff voter v prefers a to b
     arr = election.array
@@ -220,6 +239,16 @@ def _order_matrices(election: Election) -> np.ndarray:
     rows = np.arange(n)[:, None]
     pos[rows, arr] = np.arange(m)[None, :]
     return (pos[:, :, None] < pos[:, None, :]).astype(np.int64)
+
+
+def check_guard(kind: str, m: int, guard: Optional[int] = None) -> None:
+    """Raise ValueError when m exceeds the candidate guard of a search metric.
+
+    guard defaults to ``GUARDS[kind]``; metrics without a guard accept any m.
+    """
+    guard = GUARDS.get(kind) if guard is None else guard
+    if guard is not None and m > guard:
+        raise ValueError(f"{kind} distance guarded at m <= {guard} (got m={m})")
 
 
 def _check_same_shape(a: Election, b: Election) -> None:
@@ -231,8 +260,7 @@ def _check_same_shape(a: Election, b: Election) -> None:
 
 def _iso_swap(a: Election, b: Election, guard: int) -> DistanceOutcome:
     m, n = a.m, a.n
-    if m > guard:
-        raise ValueError(f"swap distance guarded at m <= {guard} (got m={m})")
+    check_guard("swap", m, guard)
     ma = majority_matrix(a)
     mb = majority_matrix(b)
     perms = _perm_array(m)
@@ -316,7 +344,9 @@ def _iso_discrete(a: Election, b: Election) -> DistanceOutcome:
     return DistanceOutcome(n - best_overlap, best_sigma, tuple(rho))
 
 
-def iso_distance(a: Election, b: Election, kind: str, guard: int = 8) -> DistanceOutcome:
+def iso_distance(
+    a: Election, b: Election, kind: str, guard: int = GUARDS["swap"]
+) -> DistanceOutcome:
     """Exact isomorphic distance, minimizing over candidate and voter matchings.
 
     kind is "swap" (inversion counts per matched vote pair; m guarded,
@@ -330,10 +360,20 @@ def iso_distance(a: Election, b: Election, kind: str, guard: int = 8) -> Distanc
     raise ValueError(f"unknown isomorphic kind {kind!r}, expected 'swap' or 'discrete'")
 
 
+def _positionwise_aggregate(election: Election, variant: str) -> np.ndarray:
+    # the position matrix, cumulated down each column for EMD: the l1
+    # distance of two cumulated columns is the EMD of the columns
+    pos = position_matrix(election)
+    return np.cumsum(pos, axis=0) if variant == "EMD" else pos
+
+
+def _column_costs(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    # costs[..., c, d] = l1 distance between column c of x and column d of
+    # each matrix in ys
+    return np.abs(x[:, :, None] - ys[..., :, None, :]).sum(axis=-3)
+
+
 def _position_columns(x) -> list[list[Number]]:
-    if isinstance(x, Election):
-        mat = position_matrix(x)
-        return [[int(mat[i, c]) for i in range(x.m)] for c in range(x.m)]
     arr = np.asarray(x)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"position matrix must be square, got shape {arr.shape}")
@@ -354,6 +394,11 @@ def positionwise_distance(a, b, variant: str = "EMD") -> DistanceOutcome:
         raise ValueError(f"unknown variant {variant!r}, expected 'EMD' or 'L1'")
     if isinstance(a, Election) and isinstance(b, Election):
         _check_same_shape(a, b)
+        costs = _column_costs(
+            _positionwise_aggregate(a, v), _positionwise_aggregate(b, v)
+        )
+        matching, total = solve_assignment(costs)
+        return DistanceOutcome(total, matching, None)
     cols_a = _position_columns(a)
     cols_b = _position_columns(b)
     if len(cols_a) != len(cols_b):
@@ -392,12 +437,12 @@ def pairwise_cost_at(a, b, sigma: Sequence[int]) -> int:
     return int(np.abs(ma - mb[s[:, None], s[None, :]]).sum())
 
 
-def pairwise_distance(a, b, guard: int = 10) -> DistanceOutcome:
+def pairwise_distance(a, b, guard: int = GUARDS["pairwise"]) -> DistanceOutcome:
     """Exact pairwise distance: minimum of pairwise_cost_at over all matchings.
 
-    Branch and bound over candidate matchings built in lexicographic order.
-    The bound charges every unassigned candidate its cheapest possible
-    disagreement against the already-assigned ones, which never overcounts.
+    Enumerates every matching with numpy, in lexicographic order, in blocks
+    that fix all but the last (at most 7) candidates' images; the witness is
+    the lexicographically smallest optimal matching.
     """
     ma = _majority_of(a)
     mb = _majority_of(b)
@@ -406,50 +451,33 @@ def pairwise_distance(a, b, guard: int = 10) -> DistanceOutcome:
     if ma.shape != mb.shape:
         raise ValueError(f"matrices differ in shape: {ma.shape} vs {mb.shape}")
     m = ma.shape[0]
-    if m > guard:
-        raise ValueError(f"pairwise distance guarded at m <= {guard} (got m={m})")
+    check_guard("pairwise", m, guard)
 
-    identity = tuple(range(m))
-    best = pairwise_cost_at(ma, mb, identity)
-    best_sigma = identity
-
-    sigma = [0] * m
-    assigned: list[int] = []
-
-    def extension_cost(c: int, t: int) -> int:
-        total = 0
-        for d in assigned:
-            total += abs(int(ma[c, d]) - int(mb[t, sigma[d]]))
-            total += abs(int(ma[d, c]) - int(mb[sigma[d], t]))
-        return total
-
-    def lower_bound(free_cols: list[int], next_row: int) -> int:
-        total = 0
-        for c in range(next_row, m):
-            total += min(extension_cost(c, t) for t in free_cols)
-        return total
-
-    def search(row: int, partial: int, free_cols: list[int]) -> None:
-        nonlocal best, best_sigma
-        if row == m:
-            if partial < best:
-                best = partial
-                best_sigma = tuple(sigma)
-            return
-        for t in free_cols:
-            step = partial + extension_cost(row, t)
-            if step >= best:
-                continue
-            rest = [x for x in free_cols if x != t]
-            sigma[row] = t
-            assigned.append(row)
-            if rest and step + lower_bound(rest, row + 1) >= best:
-                assigned.pop()
-                continue
-            search(row + 1, step, rest)
-            assigned.pop()
-
-    search(0, 0, list(range(m)))
+    free = min(m, _PAIRWISE_BLOCK)
+    fixed = m - free
+    pair_cells, row_cells = _suffix_tables(free)
+    inner_free = ma[fixed:, fixed:].ravel()
+    inner_costs: dict[tuple[int, ...], np.ndarray] = {}
+    best = None
+    best_sigma: tuple[int, ...] = ()
+    for prefix in itertools.permutations(range(m), fixed):
+        rest = tuple(sorted(set(range(m)).difference(prefix)))
+        p, r = np.array(prefix, dtype=np.int64), np.array(rest, dtype=np.int64)
+        # disagreements among the free candidates depend only on which
+        # targets are left, not on the order of the prefix
+        inner = inner_costs.get(rest)
+        if inner is None:
+            inner = np.abs(inner_free - mb[np.ix_(r, r)].ravel()[pair_cells]).sum(axis=1)
+            inner_costs[rest] = inner
+        # cross[i, t]: free candidate fixed + i sent to rest[t], against the prefix
+        cross = np.abs(ma[fixed:, None, :fixed] - mb[np.ix_(r, p)][None]).sum(axis=2)
+        cross += np.abs(ma[:fixed, fixed:].T[:, None] - mb[np.ix_(p, r)].T[None]).sum(axis=2)
+        costs = inner + cross.ravel()[row_cells].sum(axis=1)
+        idx = int(np.argmin(costs))
+        value = int(np.abs(ma[:fixed, :fixed] - mb[np.ix_(p, p)]).sum() + costs[idx])
+        if best is None or value < best:
+            best = value
+            best_sigma = prefix + tuple(rest[t] for t in _perm_array(free)[idx])
     return DistanceOutcome(best, best_sigma, None)
 
 
@@ -476,24 +504,47 @@ def distance(a: Election, b: Election, kind: str) -> DistanceOutcome:
     raise ValueError(f"unknown metric kind {kind!r}, expected one of {METRIC_KINDS}")
 
 
-def brute_force_iso_distance(a: Election, b: Election, kind: str) -> int:
-    """Exhaustive minimum over all candidate and voter matchings; m, n <= 4."""
-    _check_same_shape(a, b)
-    if a.m > 4 or a.n > 4:
-        raise ValueError(f"brute force guarded at m <= 4, n <= 4 (got {a.m}, {a.n})")
-    if kind == "swap":
-        vote_dist = vote_swap_distance
-    elif kind == "discrete":
-        vote_dist = vote_discrete_distance
+def _assignment_value(costs: np.ndarray) -> int:
+    ri, ci = linear_sum_assignment(costs)
+    return int(costs[ri, ci].sum())
+
+
+def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
+    """Float distances of every pair i < j of same-shape elections, in
+    ``itertools.combinations`` order.
+
+    Equal to ``float(distance(dataset[i], dataset[j], kind).value)``.  The
+    positionwise and Bordawise metrics take each election's aggregates once
+    and compare one election with all later ones by broadcasting; the
+    positionwise metrics then solve one value-only assignment per pair.
+    Pairwise takes each majority matrix once; swap and discrete search
+    pair by pair.
+    """
+    if kind not in METRIC_KINDS:
+        raise ValueError(f"unknown metric kind {kind!r}, expected one of {METRIC_KINDS}")
+    k = len(dataset)
+    if k < 2:
+        return np.zeros(0)
+    if kind == "bordawise":
+        scores = np.sort(np.stack([borda_vector(e) for e in dataset]), axis=1)[:, ::-1]
+        prefix = np.cumsum(scores, axis=1)
+        rows = [np.abs(prefix[i + 1 :] - prefix[i]).sum(axis=1) for i in range(k - 1)]
+    elif kind in ("emdpos", "l1pos"):
+        variant = "EMD" if kind == "emdpos" else "L1"
+        agg = np.stack([_positionwise_aggregate(e, variant) for e in dataset])
+        rows = [
+            [_assignment_value(c) for c in _column_costs(agg[i], agg[i + 1 :])]
+            for i in range(k - 1)
+        ]
+    elif kind == "pairwise":
+        majority = [majority_matrix(e) for e in dataset]
+        rows = [
+            [pairwise_distance(majority[i], majority[j]).value for j in range(i + 1, k)]
+            for i in range(k - 1)
+        ]
     else:
-        raise ValueError(f"unknown isomorphic kind {kind!r}, expected 'swap' or 'discrete'")
-    best = None
-    for sigma in itertools.permutations(range(a.m)):
-        relabeled = [tuple(sigma[c] for c in u) for u in a.votes]
-        for rho in itertools.permutations(range(a.n)):
-            total = sum(
-                vote_dist(relabeled[i], b.votes[rho[i]]) for i in range(a.n)
-            )
-            if best is None or total < best:
-                best = total
-    return best
+        rows = [
+            [distance(dataset[i], dataset[j], kind).value for j in range(i + 1, k)]
+            for i in range(k - 1)
+        ]
+    return np.concatenate([np.asarray(row, dtype=float) for row in rows])

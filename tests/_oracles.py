@@ -4,21 +4,25 @@ Each oracle recomputes a quantity by a different route than the package:
 transport by greedy flow instead of prefix sums, assignments and matchings
 by exhaustive permutation search instead of the Hungarian-style solver,
 Borda scores as majority-matrix row sums instead of positional points.
+The loop oracles are the package's earlier per-vote and per-pair routines,
+kept to check the vectorized kernels that replaced them.
 """
 
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
 from scipy.stats import pearsonr
 
 from electodist import (
     Election,
+    distance,
     majority_matrix,
     pairwise_cost_at,
     position_matrix,
 )
-from electodist.metrics import l1, emd
+from electodist.metrics import l1, emd, vote_discrete_distance, vote_swap_distance
 
 
 def emd_flow(x, y):
@@ -90,3 +94,126 @@ def bordawise_census_pearson(reps, swap_values) -> float:
     ]
     borda_values = [emd_flow(x, y) for x, y in itertools.combinations(scores, 2)]
     return float(pearsonr(swap_values, borda_values)[0])
+
+
+def brute_force_iso_distance(a: Election, b: Election, kind: str) -> int:
+    """Exhaustive minimum over all candidate and voter matchings; m, n <= 4."""
+    if a.m != b.m or a.n != b.n:
+        raise ValueError(
+            f"elections differ in shape: ({a.m}, {a.n}) vs ({b.m}, {b.n})"
+        )
+    if a.m > 4 or a.n > 4:
+        raise ValueError(f"brute force guarded at m <= 4, n <= 4 (got {a.m}, {a.n})")
+    if kind == "swap":
+        vote_dist = vote_swap_distance
+    elif kind == "discrete":
+        vote_dist = vote_discrete_distance
+    else:
+        raise ValueError(f"unknown isomorphic kind {kind!r}, expected 'swap' or 'discrete'")
+    best = None
+    for sigma in itertools.permutations(range(a.m)):
+        relabeled = [tuple(sigma[c] for c in u) for u in a.votes]
+        for rho in itertools.permutations(range(a.n)):
+            total = sum(
+                vote_dist(relabeled[i], b.votes[rho[i]]) for i in range(a.n)
+            )
+            if best is None or total < best:
+                best = total
+    return best
+
+
+def loop_position_matrix(election: Election) -> np.ndarray:
+    """Position matrix counted vote by vote."""
+    m = election.m
+    counts = np.zeros((m, m), dtype=np.int64)
+    positions = np.arange(m)
+    for vote in election.votes:
+        counts[positions, vote] += 1
+    return counts
+
+
+def loop_majority_matrix(election: Election) -> np.ndarray:
+    """Weighted majority matrix counted vote by vote."""
+    m = election.m
+    wins = np.zeros((m, m), dtype=np.int64)
+    for vote in election.votes:
+        for i, c in enumerate(vote):
+            wins[c, vote[i + 1 :]] += 1
+    np.fill_diagonal(wins, 0)
+    return wins
+
+
+def loop_borda_vector(election: Election) -> np.ndarray:
+    """Borda scores summed vote by vote."""
+    m = election.m
+    scores = np.zeros(m, dtype=np.int64)
+    for vote in election.votes:
+        for i, c in enumerate(vote):
+            scores[c] += m - 1 - i
+    return scores
+
+
+def branch_and_bound_pairwise(ma, mb) -> tuple[int, tuple[int, ...]]:
+    """Pairwise distance and its lexicographically smallest optimal matching
+    between two majority matrices, by branch and bound.
+
+    Matchings are built row by row in lexicographic order and only strictly
+    better leaves replace the incumbent.  The bound charges every unassigned
+    candidate its cheapest possible disagreement against the assigned ones.
+    """
+    ma = np.asarray(ma, dtype=np.int64)
+    mb = np.asarray(mb, dtype=np.int64)
+    m = ma.shape[0]
+    identity = tuple(range(m))
+    best = pairwise_cost_at(ma, mb, identity)
+    best_sigma = identity
+
+    sigma = [0] * m
+    assigned: list[int] = []
+
+    def extension_cost(c: int, t: int) -> int:
+        total = 0
+        for d in assigned:
+            total += abs(int(ma[c, d]) - int(mb[t, sigma[d]]))
+            total += abs(int(ma[d, c]) - int(mb[sigma[d], t]))
+        return total
+
+    def lower_bound(free_cols: list[int], next_row: int) -> int:
+        total = 0
+        for c in range(next_row, m):
+            total += min(extension_cost(c, t) for t in free_cols)
+        return total
+
+    def search(row: int, partial: int, free_cols: list[int]) -> None:
+        nonlocal best, best_sigma
+        if row == m:
+            if partial < best:
+                best = partial
+                best_sigma = tuple(sigma)
+            return
+        for t in free_cols:
+            step = partial + extension_cost(row, t)
+            if step >= best:
+                continue
+            rest = [x for x in free_cols if x != t]
+            sigma[row] = t
+            assigned.append(row)
+            if rest and step + lower_bound(rest, row + 1) >= best:
+                assigned.pop()
+                continue
+            search(row + 1, step, rest)
+            assigned.pop()
+
+    search(0, 0, list(range(m)))
+    return best, best_sigma
+
+
+def pair_loop_distance_matrix(dataset, kind: str) -> np.ndarray:
+    """Distance matrix cells computed pair by pair with ``distance``."""
+    k = len(dataset)
+    cells = np.zeros((k, k), dtype=float)
+    for i, j in itertools.combinations(range(k), 2):
+        value = float(distance(dataset[i], dataset[j], kind).value)
+        cells[i, j] = value
+        cells[j, i] = value
+    return cells

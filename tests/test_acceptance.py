@@ -20,9 +20,7 @@ from electodist import (
     METRIC_KINDS,
     apply_matchings,
     borda_realizable,
-    brute_force_iso_distance,
     check_diameter,
-    correlation,
     distance,
     distance_matrix,
     embed,
@@ -32,6 +30,7 @@ from electodist import (
     export_map,
     iso_distance,
     l1pos_intrinsic_path,
+    matrix_correlation,
     pairwise_cost_at,
     position_matrix,
     positionwise_distance,
@@ -43,7 +42,7 @@ from electodist import (
 from electodist.cli import main as cli_main
 
 from conftest import SMALL_A, SMALL_B
-from _oracles import bordawise_census_pearson
+from _oracles import bordawise_census_pearson, brute_force_iso_distance
 
 EXPECTED_CENSUS_ROWS = [
     "3,3,10,10,8,8",
@@ -349,11 +348,13 @@ def test_criterion_09_census_correlations(capsys):
     reps33 = list(enumerate_anecs(3, 3))
     reps43 = list(enumerate_anecs(4, 3))
     chain = ["emdpos", "pairwise", "bordawise", "l1pos", "discrete"]
+    swap33 = distance_matrix(reps33, "swap")
+    swap43 = distance_matrix(reps43, "swap")
     pearson33 = {}
     pearson43 = {}
     for kind in chain:
-        pearson33[kind] = correlation(reps33, "swap", kind).pearson
-        pearson43[kind] = correlation(reps43, "swap", kind).pearson
+        pearson33[kind] = matrix_correlation(swap33, distance_matrix(reps33, kind)).pearson
+        pearson43[kind] = matrix_correlation(swap43, distance_matrix(reps43, kind)).pearson
     # The Bordawise figures follow from the metric's definition, recomputed
     # by an independent route: brute-force swap at 3x3; at 4x3 the package's
     # swap, which test_metrics checks against brute force on m <= 4 elections.
@@ -362,8 +363,7 @@ def test_criterion_09_census_correlations(capsys):
         [brute_force_iso_distance(a, b, "swap") for a, b in itertools.combinations(reps33, 2)],
     )
     oracle43 = bordawise_census_pearson(
-        reps43,
-        [distance(a, b, "swap").value for a, b in itertools.combinations(reps43, 2)],
+        reps43, swap43.cells[np.triu_indices(len(reps43), k=1)].tolist()
     )
     problems = []
     if abs(pearson33["emdpos"] - 0.942) > 0.02:

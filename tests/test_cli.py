@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
 
-from electodist import borda_vector, majority_matrix, parse_election, serialize_election
-from electodist.cli import main
+from electodist import (
+    borda_vector,
+    correlation,
+    majority_matrix,
+    parse_election,
+    serialize_election,
+)
+from electodist.cli import ExperimentConfig, build_dataset, main
 
 from conftest import SMALL_A, SMALL_B
 
@@ -188,7 +195,50 @@ def test_correlate_is_deterministic(tmp_path, capsys):
     assert first[1] == second[1]
 
 
+def test_correlate_rows_equal_library_correlation(tmp_path, capsys):
+    metrics = ["emdpos", "discrete", "bordawise", "discrete"]
+    cfg = write_config(tmp_path, metrics=metrics)
+    code, out, _ = run(capsys, ["correlate", "--config", str(cfg)])
+    assert code == 0
+    config = ExperimentConfig.from_json(json.loads(cfg.read_text(encoding="utf-8")))
+    _, elections, _ = build_dataset(config)
+    expected = [
+        correlation(elections, a, b).to_csv_row()
+        for a, b in itertools.combinations(metrics, 2)
+    ]
+    assert out.strip().splitlines()[1:] == expected
+
+
+def test_correlate_fails_fast_on_guarded_metric(tmp_path, capsys):
+    cfg = write_config(tmp_path, m=11, metrics=["emdpos", "pairwise"])
+    code, out, err = run(capsys, ["correlate", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: pairwise distance guarded at m <= 10 (got m=11)\n"
+
+
 # map
+
+def test_map_fails_fast_on_guarded_metric(tmp_path, capsys):
+    cfg = write_config(tmp_path, m=9, metrics=["emdpos", "swap"])
+    code, out, err = run(capsys, ["map", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: swap distance guarded at m <= 8 (got m=9)\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_map_rejects_nonpositive_threads(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, metrics=["emdpos"])
+    code, _, err = run(capsys, ["map", "--config", str(cfg), "--threads", "0"])
+    assert code == 2
+    assert "threads must be positive" in err
+    monkeypatch.setenv("ELECTODIST_THREADS", "-1")
+    code, _, err = run(capsys, ["map", "--config", str(cfg)])
+    assert code == 2
+    assert "threads must be positive" in err
+    assert not (tmp_path / "out").exists()
+
 
 def test_map_writes_three_files_per_metric(tmp_path, capsys):
     cfg = write_config(tmp_path, metrics=["emdpos"])

@@ -1,0 +1,138 @@
+"""Differential checks: each vectorized kernel against the loop it replaced."""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from electodist import (
+    METRIC_KINDS,
+    Election,
+    borda_vector,
+    distance,
+    distance_matrix,
+    majority_matrix,
+    pairwise_distance,
+    position_matrix,
+    positionwise_distance,
+)
+from electodist.metrics import distance_values
+
+from conftest import election_pairs, elections
+from _oracles import (
+    branch_and_bound_pairwise,
+    loop_borda_vector,
+    loop_majority_matrix,
+    loop_position_matrix,
+    pair_loop_distance_matrix,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(elections(min_m=1, max_m=7, max_n=9))
+def test_aggregates_equal_their_loop_versions(election):
+    for fast, slow in (
+        (position_matrix, loop_position_matrix),
+        (majority_matrix, loop_majority_matrix),
+        (borda_vector, loop_borda_vector),
+    ):
+        got, want = fast(election), slow(election)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(election_pairs(min_m=1, max_m=7, max_n=6))
+def test_pairwise_equals_branch_and_bound(pair):
+    a, b = pair
+    ma, mb = majority_matrix(a), majority_matrix(b)
+    value, sigma = branch_and_bound_pairwise(ma, mb)
+    for out in (pairwise_distance(a, b), pairwise_distance(ma, mb)):
+        assert out.value == value
+        assert out.candidate_matching == sigma
+
+
+def test_pairwise_equals_branch_and_bound_across_blocks():
+    # at m = 8 the enumeration runs in eight blocks of 7! matchings
+    rng = np.random.default_rng(8)
+    for _ in range(2):
+        a, b = (Election(8, [rng.permutation(8) for _ in range(5)]) for _ in range(2))
+        ma, mb = majority_matrix(a), majority_matrix(b)
+        out = pairwise_distance(ma, mb)
+        assert (out.value, out.candidate_matching) == branch_and_bound_pairwise(ma, mb)
+
+
+def test_pairwise_ties_resolve_to_smallest_matching_across_blocks():
+    # equal off-diagonal cells make all 8! matchings optimal, so the
+    # witness must be the identity, found in the first block
+    flat = np.full((8, 8), 2)
+    np.fill_diagonal(flat, 0)
+    out = pairwise_distance(flat, flat)
+    assert out.value == 0
+    assert out.candidate_matching == tuple(range(8))
+
+
+def test_pairwise_at_the_guard_allocates_no_full_table():
+    rng = np.random.default_rng(10)
+    a, b = (Election(10, [rng.permutation(10) for _ in range(4)]) for _ in range(2))
+    ma, mb = majority_matrix(a), majority_matrix(b)
+    tracemalloc.start()
+    try:
+        out = pairwise_distance(ma, mb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a table of all 10! matchings alone would take 290 MB
+    assert peak < 40e6
+    s = np.array(out.candidate_matching)
+    assert out.value == int(np.abs(ma - mb[s[:, None], s[None, :]]).sum())
+    assert sorted(out.candidate_matching) == list(range(10))
+
+
+@settings(max_examples=80, deadline=None)
+@given(election_pairs(min_m=1, max_m=6, max_n=6))
+def test_positionwise_on_elections_equals_matrix_path(pair):
+    a, b = pair
+    for variant in ("EMD", "L1"):
+        fast = positionwise_distance(a, b, variant)
+        slow = positionwise_distance(position_matrix(a), position_matrix(b), variant)
+        assert (fast.value, fast.candidate_matching) == (slow.value, slow.candidate_matching)
+
+
+@st.composite
+def datasets(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 6))
+    return [
+        Election(m, [draw(st.permutations(range(m))) for _ in range(n)])
+        for _ in range(k)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(datasets(), st.sampled_from(METRIC_KINDS), st.sampled_from([None, 0, 1, 2, 5]))
+def test_distance_matrix_equals_pair_loop(dataset, kind, threads):
+    dm = distance_matrix(dataset, kind, threads=threads)
+    want = pair_loop_distance_matrix(dataset, kind)
+    assert dm.cells.tobytes() == want.tobytes()
+
+
+def test_distance_values_follow_combinations_order():
+    rng = np.random.default_rng(3)
+    dataset = [Election(4, [rng.permutation(4) for _ in range(5)]) for _ in range(5)]
+    for kind in METRIC_KINDS:
+        got = distance_values(dataset, kind)
+        want = [
+            float(distance(dataset[i], dataset[j], kind).value)
+            for i in range(5)
+            for j in range(i + 1, 5)
+        ]
+        assert got.tolist() == want
+    assert distance_values(dataset[:1], "emdpos").shape == (0,)
+    with pytest.raises(ValueError):
+        distance_values(dataset, "kendall")

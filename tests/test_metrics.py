@@ -13,7 +13,6 @@ from electodist import (
     Election,
     apply_matchings,
     bordawise_distance,
-    brute_force_iso_distance,
     compass_election,
     distance,
     emd,
@@ -41,6 +40,7 @@ from conftest import (
 )
 from _oracles import (
     brute_force_assignment,
+    brute_force_iso_distance,
     brute_force_pairwise,
     brute_force_positionwise,
     emd_flow,
