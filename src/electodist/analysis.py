@@ -24,7 +24,7 @@ from .elections import (
     position_matrix,
 )
 from .mapping import DistanceMatrix, distance_matrix
-from .metrics import METRIC_KINDS, distance, positionwise_distance
+from .metrics import METRIC_KINDS, distance, distance_values, positionwise_distance
 
 CENSUS_GUARD_M = 4
 CENSUS_GUARD_N = 6
@@ -283,12 +283,13 @@ def check_diameter(dataset: Sequence[Election], kind: str):
     bound = distance(
         compass_election("ID", m, n), compass_election("UN", m, n), kind
     ).value
-    violations = []
-    for i, j in itertools.combinations(range(len(dataset)), 2):
-        value = distance(dataset[i], dataset[j], kind).value
-        if value > bound:
-            violations.append((i, j, value))
-    return violations
+    pairs = itertools.combinations(range(len(dataset)), 2)
+    # the float values decide; only violating pairs are recomputed exactly
+    return [
+        (i, j, distance(dataset[i], dataset[j], kind).value)
+        for (i, j), value in zip(pairs, distance_values(dataset, kind))
+        if value > bound
+    ]
 
 
 def recover_election(pos) -> Election:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -231,14 +233,117 @@ def _suffix_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     return pair_cells, row_cells
 
 
-def _order_matrices(election: Election) -> np.ndarray:
-    # O[v, a, b] = 1 iff voter v prefers a to b
+def _swap_aggregates(election: Election) -> tuple[np.ndarray, np.ndarray]:
+    # S[v, c * m + d] = +1 if voter v prefers c to d, -1 if d to c, 0 if
+    # c = d, in float32 for BLAS (dot products of m * m signs are exact),
+    # and its column sums, the majority margins 2 M - n
     arr = election.array
     n, m = arr.shape
-    pos = np.empty((n, m), dtype=np.int64)
-    rows = np.arange(n)[:, None]
-    pos[rows, arr] = np.arange(m)[None, :]
-    return (pos[:, :, None] < pos[:, None, :]).astype(np.int64)
+    pos = arr.argsort(axis=1)
+    signs = np.sign(pos[:, None, :] - pos[:, :, None]).reshape(n, m * m)
+    return signs.sum(axis=0), signs.astype(np.float32)
+
+
+@lru_cache(maxsize=None)
+def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    # the candidate pairs c < d of m candidates, as two index arrays
+    pairs = np.triu_indices(m, 1)
+    for arr in pairs:
+        arr.setflags(write=False)
+    return pairs
+
+
+def _upper_cells(perms: np.ndarray, m: int) -> np.ndarray:
+    # for each relabeling tau in perms: the flat indices of the cells
+    # (tau c, tau d), c < d, of an m x m matrix
+    first, second = _upper_pairs(m)
+    return perms.take(first, axis=1) * m + perms.take(second, axis=1)
+
+
+# a swap search chunk holds at most this many float32 gathered signs and
+# voter costs, 512 KB
+_SWAP_CHUNK_ENTRIES = 1 << 17
+
+
+def _swap_search(
+    margins_a: np.ndarray, signs_a: np.ndarray, margins_b: np.ndarray, signs_b: np.ndarray
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    # exact swap distance between elections given by _swap_aggregates, with
+    # the lexicographically smallest optimal relabeling sigma (candidate c
+    # of a to sigma[c] of b) and the solver's voter matching for it.
+    # Relabelings are visited best-first by their majority bound, in chunks
+    # whose voter cost matrices are built at once and whose bounds are
+    # tightened before any assignment is solved.  Only the cells c < d are
+    # compared: the cells d > c mirror them.
+    n = signs_a.shape[0]
+    m = math.isqrt(signs_a.shape[1])
+    perms = _perm_array(m)
+    total = len(perms)
+    first, second = _upper_pairs(m)
+    upper = first * m + second
+    pairs = len(upper)
+    signs_upper_a = signs_a.take(upper, axis=1)
+    margins_upper_a = margins_a.take(upper)
+    chunk = max(1, _SWAP_CHUNK_ENTRIES // (n * (pairs + n)))
+
+    def majority_bounds(cells):
+        # half the l1 distance of the majority matrices, since every
+        # disagreeing voter pair forces an inversion: half the l1 distance
+        # of the margins over the cells c < d is the same number
+        return np.abs(margins_b.take(cells) - margins_upper_a).sum(axis=1) // 2
+
+    if total <= chunk:
+        # one chunk in index order, whose cells serve its bounds too
+        cells = _upper_cells(perms, m)
+        bounds = majority_bounds(cells)
+        order = np.arange(total)
+    else:
+        cells = None
+        bounds = np.concatenate([
+            majority_bounds(_upper_cells(perms[s : s + chunk], m))
+            for s in range(0, total, chunk)
+        ])
+        order = np.argsort(bounds, kind="stable")
+    # (value, index) of the incumbent: the smaller pair wins, so among
+    # optimal relabelings the lexicographically smallest does
+    best = (pairs * n + 1, total)
+    best_rho = None
+    for start in range(0, total, chunk):
+        ids = order[start : start + chunk]
+        lb = bounds[ids]
+        if best_rho is not None:
+            # (bound, index) ascends along order: the relabelings that can
+            # still beat the incumbent form a prefix, empty for all later chunks
+            open_ = (lb < best[0]) | ((lb == best[0]) & (ids < best[1]))
+            stop = len(ids) if open_.all() else int(open_.argmin())
+            if stop == 0:
+                break
+            ids, lb = ids[:stop], lb[:stop]
+        chunk_cells = _upper_cells(perms[ids], m) if cells is None else cells
+        gathered = signs_b.take(chunk_cells, axis=1).reshape(n * len(ids), pairs)
+        # costs[l, i, j]: inversions between voter i of a relabeled by
+        # sigma_l and voter j of b, (pairs - sign agreement) / 2
+        costs = gathered @ signs_upper_a.T
+        np.subtract(pairs, costs, out=costs)
+        costs *= 0.5
+        costs = costs.reshape(n, len(ids), n).transpose(1, 2, 0)
+        # no voter matching beats its row minima or its column minima
+        relaxed = np.maximum(
+            np.add.reduce(np.minimum.reduce(costs, axis=2), axis=1),
+            np.add.reduce(np.minimum.reduce(costs, axis=1), axis=1),
+        )
+        tight = np.maximum(lb, relaxed.astype(np.int64))
+        visit = np.lexsort((ids, tight)).tolist()
+        tight, ids = tight.tolist(), ids.tolist()
+        for t in visit:
+            if (tight[t], ids[t]) >= best:
+                break
+            ri, ci = linear_sum_assignment(costs[t])
+            value = int(costs[t][ri, ci].sum())
+            if (value, ids[t]) < best:
+                best = (value, ids[t])
+                best_rho = ci
+    return best[0], tuple(perms[best[1]].tolist()), tuple(best_rho.tolist())
 
 
 def check_guard(kind: str, m: int, guard: Optional[int] = None) -> None:
@@ -259,89 +364,52 @@ def _check_same_shape(a: Election, b: Election) -> None:
 
 
 def _iso_swap(a: Election, b: Election, guard: int) -> DistanceOutcome:
-    m, n = a.m, a.n
-    check_guard("swap", m, guard)
-    ma = majority_matrix(a)
-    mb = majority_matrix(b)
-    perms = _perm_array(m)
-    # lower bound per relabeling: half the l1 distance of majority matrices,
-    # since every disagreeing voter pair forces at least one inversion
-    mb_perm = mb[perms[:, :, None], perms[:, None, :]]
-    lbs = np.abs(mb_perm - ma[None, :, :]).sum(axis=(1, 2)) // 2
-    suffix_min = np.minimum.accumulate(lbs[::-1])[::-1]
-
-    oa = _order_matrices(a)
-    ob_flat = _order_matrices(b).reshape(n, m * m)
-    k_total = m * (m - 1) // 2
-    inv = np.empty(m, dtype=np.int64)
-
-    best = None
-    best_sigma: tuple[int, ...] = ()
-    best_rho: tuple[int, ...] = ()
-    orders = all_orders(m)
-    for idx in range(len(orders)):
-        if best is not None:
-            if best <= suffix_min[idx]:
-                break
-            if lbs[idx] >= best:
-                continue
-        sigma = orders[idx]
-        inv[np.array(sigma)] = np.arange(m)
-        oa_sigma = oa[:, inv][:, :, inv].reshape(n, m * m)
-        cost = k_total - oa_sigma @ ob_flat.T
-        ri, ci = linear_sum_assignment(cost)
-        value = int(cost[ri, ci].sum())
-        if best is None or value < best:
-            best = value
-            best_sigma = sigma
-            rho = [0] * n
-            for r, c in zip(ri, ci):
-                rho[r] = int(c)
-            best_rho = tuple(rho)
-    return DistanceOutcome(best, best_sigma, best_rho)
+    check_guard("swap", a.m, guard)
+    value, sigma, rho = _swap_search(*_swap_aggregates(a), *_swap_aggregates(b))
+    return DistanceOutcome(value, sigma, rho)
 
 
 def _iso_discrete(a: Election, b: Election) -> DistanceOutcome:
     m, n = a.m, a.n
-    counts_b: dict[tuple[int, ...], int] = {}
-    for w in b.votes:
-        counts_b[w] = counts_b.get(w, 0) + 1
-    # any relabeling with a shared vote maps some vote of a onto some vote
-    # of b exactly, which determines it completely
-    candidates = set()
-    for u in set(a.votes):
-        for w in counts_b:
-            sigma = [0] * m
-            for uc, wc in zip(u, w):
-                sigma[uc] = wc
-            candidates.add(tuple(sigma))
-    best_overlap = 0
-    best_sigma = tuple(range(m))
-    for sigma in sorted(candidates):
-        counts_a: dict[tuple[int, ...], int] = {}
-        for u in a.votes:
-            t = tuple(sigma[c] for c in u)
-            counts_a[t] = counts_a.get(t, 0) + 1
-        overlap = sum(min(cnt, counts_b.get(t, 0)) for t, cnt in counts_a.items())
-        if overlap > best_overlap:
-            best_overlap = overlap
-            best_sigma = sigma
+    # votes and relabelings as integer codes: a sequence's base-m digits are
+    # its entries, so codes order like the sequences
+    place = [m ** (m - 1 - k) for k in range(m)]
+    codes_a = [sum(map(operator.mul, v, place)) for v in a.votes]
+    codes_b = [sum(map(operator.mul, v, place)) for v in b.votes]
+    counts_a, counts_b = Counter(codes_a), Counter(codes_b)
+    votes_a, votes_b = dict(zip(codes_a, a.votes)), dict(zip(codes_b, b.votes))
+    # the relabeling that maps vote u of a onto vote w of b sends u[k] to
+    # w[k], so its code is the sum of w[k] * place[u[k]].  A relabeling maps
+    # u onto w exactly when it is that one, and u onto at most one w, so its
+    # overlap sums min(count u, count w) over the pairs (u, w) that give it
+    overlap: dict[int, int] = {}
+    for cu, u in votes_a.items():
+        weights = [place[c] for c in u]
+        for cw, w in votes_b.items():
+            code = sum(map(operator.mul, w, weights))
+            overlap[code] = overlap.get(code, 0) + min(counts_a[cu], counts_b[cw])
+    most = max(overlap.values())
+    # the smallest code is the lexicographically smallest relabeling
+    best = min(code for code, o in overlap.items() if o == most)
+    sigma = tuple(best // p % m for p in place)
 
-    relabeled = [tuple(best_sigma[c] for c in u) for u in a.votes]
-    free_b: dict[tuple[int, ...], list[int]] = {}
+    # match voters greedily by ascending index: voter i of a takes the
+    # smallest free voter of b with its relabeled vote, the rest pair up
+    # in order
+    image = {cu: sum(sigma[c] * p for c, p in zip(u, place)) for cu, u in votes_a.items()}
+    free_b: dict[int, list[int]] = {}
     for j in range(n - 1, -1, -1):
-        free_b.setdefault(b.votes[j], []).append(j)
+        free_b.setdefault(codes_b[j], []).append(j)
     rho = [-1] * n
-    for i, t in enumerate(relabeled):
-        stack = free_b.get(t)
+    for i, cu in enumerate(codes_a):
+        stack = free_b.get(image[cu])
         if stack:
             rho[i] = stack.pop()
-    leftover_b = sorted(j for stack in free_b.values() for j in stack)
-    it = iter(leftover_b)
+    leftover_b = iter(sorted(j for stack in free_b.values() for j in stack))
     for i in range(n):
         if rho[i] < 0:
-            rho[i] = next(it)
-    return DistanceOutcome(n - best_overlap, best_sigma, tuple(rho))
+            rho[i] = next(leftover_b)
+    return DistanceOutcome(n - most, sigma, tuple(rho))
 
 
 def iso_distance(
@@ -517,8 +585,8 @@ def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
     positionwise and Bordawise metrics take each election's aggregates once
     and compare one election with all later ones by broadcasting; the
     positionwise metrics then solve one value-only assignment per pair.
-    Pairwise takes each majority matrix once; swap and discrete search
-    pair by pair.
+    Pairwise takes each majority matrix once and swap each election's
+    majority margins and order signs once; discrete searches pair by pair.
     """
     if kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {kind!r}, expected one of {METRIC_KINDS}")
@@ -540,6 +608,13 @@ def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
         majority = [majority_matrix(e) for e in dataset]
         rows = [
             [pairwise_distance(majority[i], majority[j]).value for j in range(i + 1, k)]
+            for i in range(k - 1)
+        ]
+    elif kind == "swap":
+        check_guard("swap", dataset[0].m)
+        aggregates = [_swap_aggregates(e) for e in dataset]
+        rows = [
+            [_swap_search(*aggregates[i], *aggregates[j])[0] for j in range(i + 1, k)]
             for i in range(k - 1)
         ]
     else:

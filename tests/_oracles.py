@@ -13,10 +13,13 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 from scipy.stats import pearsonr
 
 from electodist import (
+    DistanceOutcome,
     Election,
+    all_orders,
     distance,
     majority_matrix,
     pairwise_cost_at,
@@ -217,3 +220,106 @@ def pair_loop_distance_matrix(dataset, kind: str) -> np.ndarray:
         cells[i, j] = value
         cells[j, i] = value
     return cells
+
+
+def lexicographic_swap_search(a: Election, b: Election) -> DistanceOutcome:
+    """Swap distance by one assignment solve per relabeling, in lexicographic
+    order, skipping relabelings whose majority-matrix bound cannot beat the
+    incumbent.
+
+    The witness is the lexicographically smallest optimal relabeling and the
+    solver's voter matching on its integer cost matrix.
+    """
+    m, n = a.m, a.n
+    ma = majority_matrix(a)
+    mb = majority_matrix(b)
+    perms = np.array(all_orders(m), dtype=np.int64)
+    # lower bound per relabeling: half the l1 distance of majority matrices,
+    # since every disagreeing voter pair forces at least one inversion
+    mb_perm = mb[perms[:, :, None], perms[:, None, :]]
+    lbs = np.abs(mb_perm - ma[None, :, :]).sum(axis=(1, 2)) // 2
+    suffix_min = np.minimum.accumulate(lbs[::-1])[::-1]
+
+    def order_matrices(election):
+        # O[v, x, y] = 1 iff voter v prefers x to y
+        pos = np.empty((n, m), dtype=np.int64)
+        pos[np.arange(n)[:, None], election.array] = np.arange(m)[None, :]
+        return (pos[:, :, None] < pos[:, None, :]).astype(np.int64)
+
+    oa = order_matrices(a)
+    ob_flat = order_matrices(b).reshape(n, m * m)
+    k_total = m * (m - 1) // 2
+    inv = np.empty(m, dtype=np.int64)
+
+    best = None
+    best_sigma: tuple[int, ...] = ()
+    best_rho: tuple[int, ...] = ()
+    orders = all_orders(m)
+    for idx in range(len(orders)):
+        if best is not None:
+            if best <= suffix_min[idx]:
+                break
+            if lbs[idx] >= best:
+                continue
+        sigma = orders[idx]
+        inv[np.array(sigma)] = np.arange(m)
+        oa_sigma = oa[:, inv][:, :, inv].reshape(n, m * m)
+        cost = k_total - oa_sigma @ ob_flat.T
+        ri, ci = linear_sum_assignment(cost)
+        value = int(cost[ri, ci].sum())
+        if best is None or value < best:
+            best = value
+            best_sigma = sigma
+            rho = [0] * n
+            for r, c in zip(ri, ci):
+                rho[r] = int(c)
+            best_rho = tuple(rho)
+    return DistanceOutcome(best, best_sigma, best_rho)
+
+
+def dict_discrete_search(a: Election, b: Election) -> DistanceOutcome:
+    """Discrete distance by counting relabeled votes in dicts keyed by vote
+    tuples, one relabeling at a time.
+
+    Only relabelings that map some vote of a onto some vote of b can share
+    a vote; the witness is the lexicographically smallest one of maximum
+    overlap, and voters are matched greedily by ascending index.
+    """
+    m, n = a.m, a.n
+    counts_b: dict[tuple[int, ...], int] = {}
+    for w in b.votes:
+        counts_b[w] = counts_b.get(w, 0) + 1
+    candidates = set()
+    for u in set(a.votes):
+        for w in counts_b:
+            sigma = [0] * m
+            for uc, wc in zip(u, w):
+                sigma[uc] = wc
+            candidates.add(tuple(sigma))
+    best_overlap = 0
+    best_sigma = tuple(range(m))
+    for sigma in sorted(candidates):
+        counts_a: dict[tuple[int, ...], int] = {}
+        for u in a.votes:
+            t = tuple(sigma[c] for c in u)
+            counts_a[t] = counts_a.get(t, 0) + 1
+        overlap = sum(min(cnt, counts_b.get(t, 0)) for t, cnt in counts_a.items())
+        if overlap > best_overlap:
+            best_overlap = overlap
+            best_sigma = sigma
+
+    relabeled = [tuple(best_sigma[c] for c in u) for u in a.votes]
+    free_b: dict[tuple[int, ...], list[int]] = {}
+    for j in range(n - 1, -1, -1):
+        free_b.setdefault(b.votes[j], []).append(j)
+    rho = [-1] * n
+    for i, t in enumerate(relabeled):
+        stack = free_b.get(t)
+        if stack:
+            rho[i] = stack.pop()
+    leftover_b = sorted(j for stack in free_b.values() for j in stack)
+    it = iter(leftover_b)
+    for i in range(n):
+        if rho[i] < 0:
+            rho[i] = next(it)
+    return DistanceOutcome(n - best_overlap, best_sigma, tuple(rho))

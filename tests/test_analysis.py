@@ -275,6 +275,31 @@ def test_bordawise_elections_lie_on_the_diameter():
         assert total == span
 
 
+def test_diameter_violations_equal_a_per_pair_loop(monkeypatch):
+    # with UN replaced by ID the bound is 0, so every pair at a positive
+    # distance is reported, with its exact value
+    import electodist.analysis as analysis
+
+    identity = analysis.compass_election
+    monkeypatch.setattr(
+        analysis, "compass_election", lambda kind, m, n: identity("ID", m, n)
+    )
+    rng = np.random.default_rng(7)
+    # the repeated election makes one pair at distance 0, which is not reported
+    dataset = [random_election(rng, 3, 4) for _ in range(6)]
+    dataset.append(dataset[0])
+    for kind in METRIC_KINDS:
+        loop = []
+        for i, j in itertools.combinations(range(len(dataset)), 2):
+            value = distance(dataset[i], dataset[j], kind).value
+            if value > 0:
+                loop.append((i, j, value))
+        got = check_diameter(dataset, kind)
+        assert got == loop
+        assert len(got) < 21
+        assert all(type(v) is type(w) for (_, _, v), (_, _, w) in zip(got, loop))
+
+
 def test_diameter_edge_cases():
     assert check_diameter([], "swap") == []
     with pytest.raises(ValueError):

@@ -294,6 +294,13 @@ def test_verify_compass_skips_invalid_shapes(capsys):
     assert all(line.endswith(",skip") for line in lines[1:])
 
 
+def test_verify_compass_checks_guards_before_output(capsys):
+    code, out, err = run(capsys, ["verify-compass", "--m", "10", "--n", "2"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: swap distance guarded at m <= 8 (got m=10)\n"
+
+
 # path
 
 def test_path_listing(pair_files, capsys):

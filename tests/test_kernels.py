@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,16 +16,21 @@ from electodist import (
     borda_vector,
     distance,
     distance_matrix,
+    iso_distance,
     majority_matrix,
     pairwise_distance,
     position_matrix,
     positionwise_distance,
 )
-from electodist.metrics import distance_values
+from electodist import metrics
+from electodist.cultures import sample_euclidean, sample_ic, sample_mallows
+from electodist.metrics import distance_values, vote_swap_distance
 
 from conftest import election_pairs, elections
 from _oracles import (
     branch_and_bound_pairwise,
+    dict_discrete_search,
+    lexicographic_swap_search,
     loop_borda_vector,
     loop_majority_matrix,
     loop_position_matrix,
@@ -91,6 +97,94 @@ def test_pairwise_at_the_guard_allocates_no_full_table():
     s = np.array(out.candidate_matching)
     assert out.value == int(np.abs(ma - mb[s[:, None], s[None, :]]).sum())
     assert sorted(out.candidate_matching) == list(range(10))
+
+
+@st.composite
+def pooled_pairs(draw, max_m=6, max_n=8):
+    # both elections draw their votes from two or three orders, so many
+    # relabelings tie for the optimum
+    m = draw(st.integers(1, max_m))
+    n = draw(st.integers(1, max_n))
+    vote = st.sampled_from(draw(st.lists(st.permutations(range(m)), min_size=2, max_size=3)))
+    return tuple(Election(m, [draw(vote) for _ in range(n)]) for _ in range(2))
+
+
+def assert_same_outcome(got, want):
+    assert (got.value, got.candidate_matching, got.voter_matching) == (
+        want.value,
+        want.candidate_matching,
+        want.voter_matching,
+    )
+
+
+# chunk sizes, in gathered signs, from one relabeling per chunk to the default
+CHUNK_ENTRIES = (1, 200, metrics._SWAP_CHUNK_ENTRIES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(pooled_pairs(), election_pairs(min_m=1, max_m=6, max_n=8)),
+    st.sampled_from(CHUNK_ENTRIES),
+)
+def test_isomorphic_searches_equal_their_loop_versions(pair, entries):
+    a, b = pair
+    with mock.patch.object(metrics, "_SWAP_CHUNK_ENTRIES", entries):
+        assert_same_outcome(iso_distance(a, b, "swap"), lexicographic_swap_search(a, b))
+    assert_same_outcome(iso_distance(a, b, "discrete"), dict_discrete_search(a, b))
+
+
+TIED_PAIRS = [
+    # three optimal relabelings; the lexicographically smallest has a
+    # larger majority bound than another, so the search meets it later
+    (
+        Election(5, [(1, 2, 0, 4, 3)] + [(1, 3, 0, 4, 2)] * 3),
+        Election(5, [(0, 3, 1, 2, 4)] * 2 + [(1, 2, 0, 4, 3), (1, 3, 0, 4, 2)]),
+    ),
+    # several relabelings, the identity among them, share the tightened
+    # bound of the optimum, so a chunk must visit them by index
+    (
+        Election(5, [(4, 1, 3, 2, 0), (2, 0, 1, 3, 4), (4, 1, 3, 2, 0), (3, 4, 1, 0, 2), (2, 0, 1, 3, 4)]),
+        Election(5, [(3, 4, 1, 0, 2)] * 2 + [(2, 0, 1, 3, 4), (4, 1, 3, 2, 0), (3, 4, 1, 0, 2)]),
+    ),
+]
+
+
+@pytest.mark.parametrize("entries", CHUNK_ENTRIES)
+@pytest.mark.parametrize("a, b", TIED_PAIRS)
+def test_swap_ties_resolve_to_smallest_relabeling(a, b, entries):
+    with mock.patch.object(metrics, "_SWAP_CHUNK_ENTRIES", entries):
+        assert_same_outcome(iso_distance(a, b, "swap"), lexicographic_swap_search(a, b))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # far: the search builds the cost matrices of several chunks
+        (sample_ic(8, 8, 81), sample_euclidean(8, 8, 82, "disc_2d")),
+        # close: the optimum is met in the first chunk
+        (sample_mallows(8, 8, 83, 0.3), sample_mallows(8, 8, 84, 0.3)),
+    ],
+    ids=["far", "close"],
+)
+def test_swap_search_equals_loop_version_at_the_guard(a, b):
+    assert_same_outcome(iso_distance(a, b, "swap"), lexicographic_swap_search(a, b))
+
+
+def test_swap_search_allocates_no_full_table():
+    a, b = sample_ic(8, 20, 85), sample_euclidean(8, 20, 86, "disc_2d")
+    tracemalloc.start()
+    try:
+        out = iso_distance(a, b, "swap")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the majority matrices of all 8! relabelings alone would take 20 MB
+    assert peak < 16e6
+    sigma, rho = out.candidate_matching, out.voter_matching
+    relabeled = [[sigma[c] for c in vote] for vote in a.votes]
+    assert out.value == sum(
+        vote_swap_distance(relabeled[i], b.votes[rho[i]]) for i in range(a.n)
+    )
 
 
 @settings(max_examples=80, deadline=None)
