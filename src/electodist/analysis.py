@@ -16,11 +16,9 @@ from scipy.stats import rankdata
 from .elections import (
     COMPASS_KINDS,
     Election,
-    _relabel_tables,
+    _order_table,
     all_orders,
-    borda_vector,
     compass_election,
-    majority_matrix,
     position_matrix,
 )
 from .mapping import DistanceMatrix, distance_matrix
@@ -84,12 +82,8 @@ class IntrinsicPath:
         return [recover_election(p) for p in self.steps]
 
 
-def enumerate_anecs(m: int, n: int) -> Iterator[Election]:
-    """Yield one representative per anonymous-neutral equivalence class.
-
-    Vote multisets are enumerated in lexicographic order and kept when no
-    candidate relabeling produces a lexicographically smaller multiset.
-    """
+def check_census_guard(m: int, n: int) -> None:
+    """Raise ValueError unless 1 <= m <= CENSUS_GUARD_M and 1 <= n <= CENSUS_GUARD_N."""
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     if m > CENSUS_GUARD_M or n > CENSUS_GUARD_N:
@@ -97,31 +91,85 @@ def enumerate_anecs(m: int, n: int) -> Iterator[Election]:
             f"census guard: need m <= {CENSUS_GUARD_M} and n <= {CENSUS_GUARD_N}, "
             f"got m={m}, n={n}"
         )
-    orders = all_orders(m)
-    tables = _relabel_tables(m)[1:]  # the identity relabeling never rejects
-    for combo in itertools.combinations_with_replacement(range(len(orders)), n):
-        if all(tuple(sorted(t[i] for i in combo)) >= combo for t in tables):
-            yield Election(m, tuple(orders[i] for i in combo))
+
+
+def _anec_rows(m: int, n: int) -> np.ndarray:
+    # one row per ANEC, in lexicographic order: the representative's votes
+    # as nondecreasing indices into _order_table(m).
+    #
+    # The smallest relabeled multiset of a class contains the identity
+    # order, index 0, so every representative starts with it.  A relabeling
+    # keeps index 0 first only if it sends some vote u to the identity, so
+    # the inverses of the row's own votes are the only relabelings that can
+    # produce a smaller multiset: n - 1 checks per row instead of m! - 1.
+    check_census_guard(m, n)
+    table = _order_table(m)
+    k = len(table)
+    rows = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(n - 1):
+        # extend each row by every index from its last one up to k - 1
+        last = rows[:, -1]
+        counts = k - last
+        offsets = np.repeat(last - np.cumsum(counts) + counts, counts)
+        rows = np.column_stack(
+            (np.repeat(rows, counts, axis=0), np.arange(counts.sum()) + offsets)
+        )
+    # a vote's base-m code orders like the vote.  Relabeling c to
+    # inverse[u, c] turns vote v into a vote with code inverse[u] . weights[v]
+    # (int32 holds the codes of m <= 9 candidates)
+    place = m ** np.arange(m - 1, -1, -1, dtype=np.int32)
+    inverse = table.argsort(axis=1).astype(np.int32)
+    weights = place[inverse]
+    own = (table @ place)[rows]
+    relabeled = np.sort(inverse[rows[:, 1:]] @ weights[rows].transpose(0, 2, 1), axis=2)
+    # keep the rows that no anchored relabeling makes lexicographically smaller
+    diff = relabeled - own[:, None, :]
+    first = (diff != 0).argmax(axis=2)
+    lead = np.take_along_axis(diff, first[..., None], axis=2)
+    return rows[(lead >= 0).all(axis=(1, 2))]
+
+
+def enumerate_anecs(m: int, n: int) -> Iterator[Election]:
+    """Yield one representative per anonymous-neutral equivalence class.
+
+    The representative is the lexicographically smallest vote multiset of
+    its class; they are yielded in lexicographic order.
+    """
+    table = _order_table(m)
+    for row in _anec_rows(m, n).tolist():
+        yield Election(m, table[row].tolist())
 
 
 def count_equivalence_classes(m: int, n: int) -> CensusReport:
     """Census of ANECs and of the coarser positionwise, pairwise, and
     Bordawise equivalence classes."""
-    perms = list(itertools.permutations(range(m)))
-    anecs = 0
-    pos_keys = set()
-    pair_keys = set()
-    borda_keys = set()
-    for e in enumerate_anecs(m, n):
-        anecs += 1
-        p = position_matrix(e)
-        pos_keys.add(tuple(sorted(map(tuple, p.T.tolist()))))
-        mm = majority_matrix(e).tolist()
-        pair_keys.add(
-            min(tuple(mm[i][j] for i in pi for j in pi) for pi in perms)
-        )
-        borda_keys.add(tuple(sorted(borda_vector(e).tolist())))
-    return CensusReport(m, n, anecs, len(pos_keys), len(pair_keys), len(borda_keys))
+    rows = _anec_rows(m, n)
+    table = _order_table(m)
+    positions = table.argsort(axis=1)
+    # per-order tables summed over each row's votes: each vote adds
+    # (n+1)**position to a candidate's column code (its position counts as
+    # base-(n+1) digits), the indicator of c above d to the majority matrix
+    # and m - 1 - position to the Borda scores
+    columns = ((n + 1) ** positions)[rows].sum(axis=1)
+    majority = (positions[:, :, None] < positions[:, None, :]).reshape(len(table), m * m)
+    majority = majority[rows].sum(axis=1)
+    borda = (m - 1 - positions)[rows].sum(axis=1)
+    # the cells c < d fix a majority matrix, as cells[c, d] + cells[d, c]
+    # = n; their base-(n+1) code, minimized over relabelings, names its
+    # class.  digits[s] weighs the cells (s c, s d) of relabeling s
+    first, second = np.triu_indices(m, 1)
+    digits = np.zeros((len(table), m * m), dtype=np.int64)
+    np.put_along_axis(
+        digits, table[:, first] * m + table[:, second], (n + 1) ** np.arange(len(first)), axis=1
+    )
+    pair_keys = (majority @ digits.T).min(axis=1)
+
+    def distinct(keys: np.ndarray) -> int:
+        return len(set(map(tuple, np.sort(keys, axis=1).tolist())))
+
+    return CensusReport(
+        m, n, len(rows), distinct(columns), len(set(pair_keys.tolist())), distinct(borda)
+    )
 
 
 def _pearson(xs, ys) -> Optional[float]:

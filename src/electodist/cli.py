@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 from .analysis import (
     borda_realizable,
+    check_census_guard,
     compass_distance_formula,
     count_equivalence_classes,
     emdpos_intrinsic_path,
@@ -235,6 +236,9 @@ def cmd_census(args: argparse.Namespace) -> int:
     ns = parse_int_list(args.n)
     if not ms or not ns:
         raise ValueError("census needs at least one m and one n")
+    for m in ms:
+        for n in ns:
+            check_census_guard(m, n)
     print(CENSUS_HEADER)
     for m in ms:
         for n in ns:

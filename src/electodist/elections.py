@@ -103,20 +103,19 @@ def all_orders(m: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _order_index(m: int) -> dict[tuple[int, ...], int]:
-    return {v: i for i, v in enumerate(all_orders(m))}
-
-
-@lru_cache(maxsize=None)
-def _relabel_tables(m: int) -> tuple[tuple[int, ...], ...]:
-    # tables[s][v] = index of sigma_s applied to order v; both indices are
-    # positions in the lexicographic order list, so index order == vote order
-    orders = all_orders(m)
-    index = _order_index(m)
-    tables = []
-    for sigma in orders:
-        tables.append(tuple(index[tuple(sigma[c] for c in vote)] for vote in orders))
-    return tuple(tables)
+def _order_table(m: int) -> np.ndarray:
+    # all_orders(m) as a read-only (m!, m) int64 array, built prefix by
+    # prefix: the orders of k candidates are each first candidate f
+    # followed by the orders of k - 1 candidates with every one >= f moved
+    # up by one, which keeps them lexicographic
+    table = np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, m + 1):
+        first = np.repeat(np.arange(k), len(table))
+        rest = np.tile(table, (k, 1))
+        rest += rest >= first[:, None]
+        table = np.column_stack((first, rest))
+    table.setflags(write=False)
+    return table
 
 
 def position_of(vote: Sequence[int], c: int) -> int:
@@ -268,20 +267,25 @@ def canonical_anec_key(election: Election, guard: int = 8) -> bytes:
     Two elections get the same key exactly when one is the other with
     candidates renamed and voters reordered.  Computed as the lexicographic
     minimum, over all m! candidate relabelings, of the sorted vote multiset.
-    Cost is m! * n log n, so m is guarded (default 8).
+    That minimum contains the identity order, the smallest of all, so only
+    the relabelings sending some vote to the identity can reach it: the
+    inverses of the d <= n distinct votes.  Cost is d * n * (m + log n);
+    m is guarded (default 8).
     """
     m = election.m
     if m > guard:
         raise ValueError(f"canonical key guarded at m <= {guard} (got m={m})")
-    index = _order_index(m)
-    votes = sorted(index[v] for v in election.votes)
-    best = votes
-    for table in _relabel_tables(m)[1:]:
-        mapped = sorted(table[v] for v in votes)
-        if mapped < best:
-            best = mapped
-    orders = all_orders(m)
-    body = b"".join(bytes(orders[v]) for v in best)
+    votes = election.array
+    # inverse[j, c] = position of candidate c in distinct vote j, the
+    # relabeling that sends vote j to the identity
+    inverse = np.unique(votes, axis=0).argsort(axis=1)
+    relabeled = inverse[:, votes]
+    # base-m codes order like the votes
+    codes = relabeled @ (m ** np.arange(m - 1, -1, -1))
+    order = codes.argsort(axis=1)
+    multisets = np.take_along_axis(codes, order, axis=1).tolist()
+    best = multisets.index(min(multisets))
+    body = relabeled[best, order[best]].astype(np.uint8).tobytes()
     return bytes([m]) + election.n.to_bytes(4, "big") + body
 
 

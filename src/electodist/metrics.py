@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .elections import Election, all_orders, majority_matrix, borda_vector, position_matrix
+from .elections import Election, _order_table, majority_matrix, borda_vector, position_matrix
 
 __all__ = [
     "METRIC_KINDS",
@@ -215,19 +215,12 @@ def solve_assignment(costs, lexmin: bool = True) -> tuple[tuple[int, ...], Numbe
     return tuple(fixed), best_total
 
 
-@lru_cache(maxsize=None)
-def _perm_array(m: int) -> np.ndarray:
-    arr = np.array(all_orders(m), dtype=np.int64)
-    arr.setflags(write=False)
-    return arr
-
-
 def _suffix_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     # for each matching tau of k rows, in lexicographic order: the flat
     # indices of the cells (tau r, tau s) of a k x k matrix, r-major, and
     # of the cells (r, tau r); rebuilt per call, since a cached copy would
     # stay resident beside the swap search's tables
-    perms = _perm_array(k)
+    perms = _order_table(k)
     pair_cells = (perms[:, :, None] * k + perms[:, None, :]).reshape(len(perms), k * k)
     row_cells = np.arange(k) * k + perms
     return pair_cells, row_cells
@@ -277,7 +270,7 @@ def _swap_search(
     # compared: the cells d > c mirror them.
     n = signs_a.shape[0]
     m = math.isqrt(signs_a.shape[1])
-    perms = _perm_array(m)
+    perms = _order_table(m)
     total = len(perms)
     first, second = _upper_pairs(m)
     upper = first * m + second
@@ -545,7 +538,7 @@ def pairwise_distance(a, b, guard: int = GUARDS["pairwise"]) -> DistanceOutcome:
         value = int(np.abs(ma[:fixed, :fixed] - mb[np.ix_(p, p)]).sum() + costs[idx])
         if best is None or value < best:
             best = value
-            best_sigma = prefix + tuple(rest[t] for t in _perm_array(free)[idx])
+            best_sigma = prefix + tuple(rest[t] for t in _order_table(free)[idx])
     return DistanceOutcome(best, best_sigma, None)
 
 

@@ -11,20 +11,24 @@ kept to check the vectorized kernels that replaced them.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import pearsonr
 
 from electodist import (
+    CensusReport,
     DistanceOutcome,
     Election,
     all_orders,
+    borda_vector,
     distance,
     majority_matrix,
     pairwise_cost_at,
     position_matrix,
 )
+from electodist.analysis import check_census_guard
 from electodist.metrics import l1, emd, vote_discrete_distance, vote_swap_distance
 
 
@@ -323,3 +327,55 @@ def dict_discrete_search(a: Election, b: Election) -> DistanceOutcome:
         if rho[i] < 0:
             rho[i] = next(it)
     return DistanceOutcome(n - best_overlap, best_sigma, tuple(rho))
+
+
+@lru_cache(maxsize=None)
+def relabel_tables(m: int) -> tuple[tuple[int, ...], ...]:
+    """tables[s][v] = index of relabeling s applied to order v, both indices
+    into ``all_orders(m)``, so index order is vote order; m! x m! entries."""
+    orders = all_orders(m)
+    index = {v: i for i, v in enumerate(orders)}
+    return tuple(
+        tuple(index[tuple(sigma[c] for c in vote)] for vote in orders) for sigma in orders
+    )
+
+
+def relabel_canonical_anec_key(election: Election) -> bytes:
+    """Canonical ANEC key as the lexicographic minimum, over all m!
+    relabelings, of the sorted vote multiset."""
+    m = election.m
+    orders = all_orders(m)
+    index = {v: i for i, v in enumerate(orders)}
+    votes = sorted(index[v] for v in election.votes)
+    best = min(sorted(table[v] for v in votes) for table in relabel_tables(m))
+    body = b"".join(bytes(orders[v]) for v in best)
+    return bytes([m]) + election.n.to_bytes(4, "big") + body
+
+
+def loop_enumerate_anecs(m: int, n: int):
+    """ANEC representatives: every vote multiset in lexicographic order that
+    no candidate relabeling makes lexicographically smaller."""
+    check_census_guard(m, n)
+    orders = all_orders(m)
+    tables = relabel_tables(m)[1:]  # the identity relabeling never rejects
+    for combo in itertools.combinations_with_replacement(range(len(orders)), n):
+        if all(tuple(sorted(t[i] for i in combo)) >= combo for t in tables):
+            yield Election(m, tuple(orders[i] for i in combo))
+
+
+def loop_count_equivalence_classes(m: int, n: int) -> CensusReport:
+    """Census from per-representative aggregates and tuple keys; the
+    pairwise key is the smallest relabeled majority matrix."""
+    perms = list(itertools.permutations(range(m)))
+    anecs = 0
+    pos_keys = set()
+    pair_keys = set()
+    borda_keys = set()
+    for e in loop_enumerate_anecs(m, n):
+        anecs += 1
+        p = position_matrix(e)
+        pos_keys.add(tuple(sorted(map(tuple, p.T.tolist()))))
+        mm = majority_matrix(e).tolist()
+        pair_keys.add(min(tuple(mm[i][j] for i in pi for j in pi) for pi in perms))
+        borda_keys.add(tuple(sorted(borda_vector(e).tolist())))
+    return CensusReport(m, n, anecs, len(pos_keys), len(pair_keys), len(borda_keys))

@@ -50,6 +50,9 @@ KNOWN_CENSUS = {
     (3, 4): (24, 23, 17, 13),
     (3, 5): (42, 40, 25, 18),
     (4, 3): (111, 93, 50, 37),
+    (4, 4): (762, 465, 200, 76),
+    (4, 5): (4095, 1746, 513, 131),
+    (4, 6): (19941, 5741, 1338, 213),
 }
 
 

@@ -110,6 +110,13 @@ def test_census_guard(capsys):
     assert "guard" in err
 
 
+def test_census_checks_every_shape_before_output(capsys):
+    code, out, err = run(capsys, ["census", "--m", "3,5", "--n", "3"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: census guard: need m <= 4 and n <= 6, got m=5, n=3\n"
+
+
 # generate
 
 def test_generate_writes_files_and_manifest(tmp_path, capsys):

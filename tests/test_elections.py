@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,8 @@ from electodist import (
     position_of,
     serialize_election,
 )
+
+from electodist.elections import _order_table
 
 from conftest import ALL_ORDERS_3, CYCLIC_DOUBLED, SMALL_A, SPLIT_REVERSED, elections
 
@@ -139,6 +142,15 @@ def test_all_orders_lexicographic():
     assert len(orders) == 6
     assert orders[0] == (0, 1, 2)
     assert list(orders) == sorted(orders)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_order_table_lists_permutations_in_order(m):
+    table = _order_table(m)
+    assert table.dtype == np.int64
+    assert table.tolist() == [list(p) for p in itertools.permutations(range(m))]
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
 
 
 def test_compass_id():

@@ -13,9 +13,13 @@ import hypothesis.strategies as st
 from electodist import (
     METRIC_KINDS,
     Election,
+    apply_matchings,
     borda_vector,
+    canonical_anec_key,
+    count_equivalence_classes,
     distance,
     distance_matrix,
+    enumerate_anecs,
     iso_distance,
     majority_matrix,
     pairwise_distance,
@@ -32,9 +36,12 @@ from _oracles import (
     dict_discrete_search,
     lexicographic_swap_search,
     loop_borda_vector,
+    loop_count_equivalence_classes,
+    loop_enumerate_anecs,
     loop_majority_matrix,
     loop_position_matrix,
     pair_loop_distance_matrix,
+    relabel_canonical_anec_key,
 )
 
 
@@ -230,3 +237,40 @@ def test_distance_values_follow_combinations_order():
     assert distance_values(dataset[:1], "emdpos").shape == (0,)
     with pytest.raises(ValueError):
         distance_values(dataset, "kendall")
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_census_equals_loop_version(m):
+    for n in range(1, 6):
+        assert [e.votes for e in enumerate_anecs(m, n)] == [
+            e.votes for e in loop_enumerate_anecs(m, n)
+        ]
+        assert count_equivalence_classes(m, n) == loop_count_equivalence_classes(m, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        pooled_pairs(max_m=5, max_n=6).map(lambda pair: pair[0]),
+        elections(min_m=1, max_m=5, max_n=6),
+    )
+)
+def test_canonical_key_equals_loop_version(election):
+    assert canonical_anec_key(election) == relabel_canonical_anec_key(election)
+
+
+def test_canonical_key_at_the_guard_allocates_no_full_table():
+    rng = np.random.default_rng(12)
+    election = sample_mallows(8, 100, 87, 0.5)
+    tracemalloc.start()
+    try:
+        key = canonical_anec_key(election)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the former table of all 8! x 8! relabeled orders needed about 14 GB
+    assert peak < 16e6
+    for _ in range(3):
+        moved = apply_matchings(election, rng.permutation(8), rng.permutation(100))
+        assert canonical_anec_key(moved) == key
+    assert canonical_anec_key(sample_mallows(8, 100, 88, 0.5)) != key
