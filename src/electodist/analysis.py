@@ -22,7 +22,7 @@ from .elections import (
     position_matrix,
 )
 from .mapping import DistanceMatrix, distance_matrix
-from .metrics import METRIC_KINDS, distance, distance_values, positionwise_distance
+from .metrics import METRIC_KINDS, distance_values, positionwise_distance
 
 CENSUS_GUARD_M = 4
 CENSUS_GUARD_N = 6
@@ -317,8 +317,9 @@ def compass_distance_formula(
 def check_diameter(dataset: Sequence[Election], kind: str):
     """Pairs of dataset elections whose distance exceeds d(ID, UN).
 
-    Returns a list of (i, j, value) triples; an empty list means the
-    diameter bound held for every pair.
+    Returns a list of (i, j, value) triples, value an int taken from
+    ``distance_values``; an empty list means the diameter bound held for
+    every pair.
     """
     if not dataset:
         return []
@@ -328,13 +329,12 @@ def check_diameter(dataset: Sequence[Election], kind: str):
             raise ValueError(
                 f"elections differ in shape: {(e.m, e.n)} vs {(m, n)}"
             )
-    bound = distance(
-        compass_election("ID", m, n), compass_election("UN", m, n), kind
-    ).value
+    bound = int(
+        distance_values([compass_election("ID", m, n), compass_election("UN", m, n)], kind)[0]
+    )
     pairs = itertools.combinations(range(len(dataset)), 2)
-    # the float values decide; only violating pairs are recomputed exactly
     return [
-        (i, j, distance(dataset[i], dataset[j], kind).value)
+        (i, j, int(value))
         for (i, j), value in zip(pairs, distance_values(dataset, kind))
         if value > bound
     ]

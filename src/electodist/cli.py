@@ -298,6 +298,8 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 def cmd_verify_compass(args: argparse.Namespace) -> int:
     m, n = args.m, args.n
+    if m < 1 or n < 1:
+        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     # compass formulas exist only for even m, so only then is any row computed
     if m % 2 == 0:
         for kind in METRIC_KINDS:

@@ -173,7 +173,10 @@ def _descent_tail(
         resid = np.zeros((k, k))
         resid[iu] = scale * e - t
         resid = resid + resid.T
-        grad = 2.0 * scale * ((resid / dists)[:, :, None] * diffs).sum(axis=1)
+        # coincident points pull on each other in no direction, as SMACOF's
+        # b_ij = 0 where d_ij = 0
+        ratio = np.divide(resid, dists, out=np.zeros((k, k)), where=dists > 0)
+        grad = 2.0 * scale * (ratio[:, :, None] * diffs).sum(axis=1)
         improved = False
         trial_step = step
         for _ in range(8):

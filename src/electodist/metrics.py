@@ -4,7 +4,11 @@ Two isomorphic metrics (swap, discrete) optimize over candidate and voter
 matchings jointly; two positionwise metrics (EMD, l1) and the pairwise
 metric optimize over candidate matchings only; the Bordawise metric needs
 no matching at all.  Every routine returns exact values: integer inputs
-give integer distances, Fraction inputs give Fraction distances.
+give integer distances, Fraction inputs give Fraction distances, and
+``distance_values`` gives a dataset's distances as int64.  Positionwise
+inputs (elections, position or frequency matrices) share one cost kernel
+and reach one exact ``solve_assignment``, whose witness is the
+lexicographically smallest optimal matching.
 """
 
 from __future__ import annotations
@@ -59,14 +63,12 @@ class DistanceOutcome:
 
     ``candidate_matching`` maps candidates of the first election to
     candidates of the second; ``voter_matching`` maps voter i of the first
-    to a voter of the second (isomorphic metrics only).  ``exact`` is False
-    only if a search was truncated, which no current algorithm does.
+    to a voter of the second (isomorphic metrics only).
     """
 
     value: Number
     candidate_matching: Optional[tuple[int, ...]] = None
     voter_matching: Optional[tuple[int, ...]] = None
-    exact: bool = True
 
 
 def vote_swap_distance(u: Sequence[int], v: Sequence[int]) -> int:
@@ -129,90 +131,62 @@ def emd(x: Sequence[Number], y: Sequence[Number]) -> Number:
     return total
 
 
-def _exact_total(costs: Sequence[Sequence[Number]], matching: Sequence[int]) -> Number:
-    total = 0
-    for i, c in enumerate(matching):
-        total += costs[i][c]
-    return total
-
-
-def _numeric_matrix(costs) -> tuple[np.ndarray, list[list[Number]]]:
-    # returns (float array for the solver, python-number rows for exact sums)
-    arr = np.asarray(costs)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"cost matrix must be square, got shape {arr.shape}")
-    rows = [list(r) for r in (costs.tolist() if hasattr(costs, "tolist") else costs)]
-    if arr.dtype == object:
-        flat = [v for row in rows for v in row]
-        if any(isinstance(v, float) for v in flat):
-            num = arr.astype(float)
-        else:
-            # Fractions and ints: scale by the lcm of denominators so the
-            # float solve is exact (values must stay below 2**53)
-            denoms = [v.denominator for v in flat if isinstance(v, Fraction)]
-            scale = math.lcm(*denoms) if denoms else 1
-            scaled = [[int(v * scale) for v in row] for row in rows]
-            peak = max((abs(v) for row in scaled for v in row), default=0)
-            if peak * max(arr.shape[0], 1) >= 2**53:
-                raise ValueError("cost matrix values too large for exact solving")
-            num = np.array(scaled, dtype=float)
+def _exact_costs(arr: np.ndarray) -> Optional[np.ndarray]:
+    # integer and Fraction costs as int64, scaled by the lcm of their
+    # denominators; None for float costs
+    if arr.dtype.kind in "biu":
+        scaled = arr
+    elif arr.dtype == object and all(hasattr(v, "denominator") for v in arr.flat):
+        scaled = arr * math.lcm(*(v.denominator for v in arr.flat))
     else:
-        num = arr.astype(float)
-    if not np.all(np.isfinite(num)):
-        raise ValueError("cost matrix entries must be finite")
-    return num, rows
-
-
-def _values_equal(a: Number, b: Number) -> bool:
-    if isinstance(a, float) or isinstance(b, float):
-        return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
-    return a == b
+        return None
+    # a tie-broken solve adds less than k' to k' times each cost, so its
+    # total stays below (peak + 1) * k**2, which must be exact in float64
+    peak = max(int(scaled.max()), -int(scaled.min()))
+    if (peak + 1) * len(arr) ** 2 >= 2**53:
+        raise ValueError("cost matrix values too large for exact solving")
+    return scaled.astype(np.int64)
 
 
 def solve_assignment(costs, lexmin: bool = True) -> tuple[tuple[int, ...], Number]:
     """Minimum-cost perfect matching on a square cost matrix.
 
     Returns (matching, total) where matching[i] is the column assigned to
-    row i.  With lexmin=True the matching is the lexicographically smallest
-    among all optimal ones; the refinement re-solves reduced problems, so
-    skip it in inner loops that only need the value.
+    row i, and total sums the given costs along it.  Integer and Fraction
+    costs are solved exactly, as integers scaled by the lcm of the
+    denominators; ValueError if (peak + 1) * k**2 reaches 2**53.  With
+    lexmin=True their matching is the lexicographically smallest optimal
+    one, found by k - 1 solves: with rows 0..i-1 fixed, the remaining
+    problem is solved with its costs times k', the number of columns left,
+    plus on row i the rank of each column among them.  The rank is below
+    k', so each solve stays optimal and gives row i its smallest column
+    among optimal completions.  Float costs have no exact path: they get
+    one solve and the solver's matching, whatever lexmin says.
     """
-    num, rows = _numeric_matrix(costs)
-    k = num.shape[0]
+    arr = np.asarray(costs)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"cost matrix must be square, got shape {arr.shape}")
+    k = arr.shape[0]
     if k == 0:
         return (), 0
-    ri, ci = linear_sum_assignment(num)
-    matching = [0] * k
-    for r, c in zip(ri, ci):
-        matching[r] = int(c)
-    best_total = _exact_total(rows, matching)
-    if not lexmin:
-        return tuple(matching), best_total
-
-    cols_left = list(range(k))
-    fixed: list[int] = []
-    fixed_cost: Number = 0
-    for i in range(k):
-        rest_rows = list(range(i + 1, k))
-        for c in cols_left:
-            rest_cols = [x for x in cols_left if x != c]
-            if rest_rows:
-                sub = num[np.ix_(rest_rows, rest_cols)]
-                sri, sci = linear_sum_assignment(sub)
-                sub_total = _exact_total(
-                    [[rows[r][rest_cols[x]] for x in range(len(rest_cols))] for r in rest_rows],
-                    [int(x) for x in sci[np.argsort(sri)]],
-                )
-            else:
-                sub_total = 0
-            if _values_equal(fixed_cost + rows[i][c] + sub_total, best_total):
-                fixed.append(c)
-                fixed_cost = fixed_cost + rows[i][c]
-                cols_left.remove(c)
-                break
-        else:
-            raise RuntimeError("lexmin refinement failed to place a row")
-    return tuple(fixed), best_total
+    scaled = _exact_costs(arr)
+    if scaled is None:
+        num = arr.astype(float)
+        if not np.all(np.isfinite(num)):
+            raise ValueError("cost matrix entries must be finite")
+        matching = linear_sum_assignment(num)[1].tolist()
+    elif lexmin:
+        matching = []
+        cols = list(range(k))
+        for i in range(k - 1):
+            sub = scaled[i:, cols] * len(cols)
+            sub[0] += np.arange(len(cols))
+            # square problems come back with rows in order, so [1][0] is row i
+            matching.append(cols.pop(int(linear_sum_assignment(sub)[1][0])))
+        matching.append(cols[0])
+    else:
+        matching = linear_sum_assignment(scaled)[1].tolist()
+    return tuple(matching), sum(row[c] for row, c in zip(arr.tolist(), matching))
 
 
 def _suffix_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -421,11 +395,18 @@ def iso_distance(
     raise ValueError(f"unknown isomorphic kind {kind!r}, expected 'swap' or 'discrete'")
 
 
-def _positionwise_aggregate(election: Election, variant: str) -> np.ndarray:
-    # the position matrix, cumulated down each column for EMD: the l1
-    # distance of two cumulated columns is the EMD of the columns
-    pos = position_matrix(election)
-    return np.cumsum(pos, axis=0) if variant == "EMD" else pos
+def _positionwise_aggregate(x, variant: str) -> np.ndarray:
+    # the position matrix of an election, or a given square position or
+    # frequency matrix (Fractions stay an object array), cumulated down each
+    # column for EMD: the l1 distance of two cumulated columns is their EMD
+    pos = position_matrix(x) if isinstance(x, Election) else np.asarray(x)
+    if pos.ndim != 2 or pos.shape[0] != pos.shape[1]:
+        raise ValueError(f"position matrix must be square, got shape {pos.shape}")
+    if variant == "L1":
+        return pos
+    if (pos < 0).any():
+        raise ValueError("EMD needs nonnegative position matrices")
+    return np.cumsum(pos, axis=0)
 
 
 def _column_costs(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -434,62 +415,52 @@ def _column_costs(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.abs(x[:, :, None] - ys[..., :, None, :]).sum(axis=-3)
 
 
-def _position_columns(x) -> list[list[Number]]:
-    arr = np.asarray(x)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"position matrix must be square, got shape {arr.shape}")
-    rows = arr.tolist()
-    m = arr.shape[0]
-    return [[rows[i][c] for i in range(m)] for c in range(m)]
-
-
 def positionwise_distance(a, b, variant: str = "EMD") -> DistanceOutcome:
     """Positionwise distance between elections or position/frequency matrices.
 
     Each candidate contributes the EMD (or l1, per variant) between its two
     position distributions; the reported value is the minimum total over all
-    candidate matchings.
+    candidate matchings, and the witness the lexicographically smallest
+    optimal matching.  Integer inputs give an int, Fraction inputs a
+    Fraction.
     """
     v = variant.upper()
     if v not in ("EMD", "L1"):
         raise ValueError(f"unknown variant {variant!r}, expected 'EMD' or 'L1'")
     if isinstance(a, Election) and isinstance(b, Election):
         _check_same_shape(a, b)
-        costs = _column_costs(
-            _positionwise_aggregate(a, v), _positionwise_aggregate(b, v)
-        )
-        matching, total = solve_assignment(costs)
-        return DistanceOutcome(total, matching, None)
-    cols_a = _position_columns(a)
-    cols_b = _position_columns(b)
-    if len(cols_a) != len(cols_b):
-        raise ValueError(
-            f"matrices differ in size: {len(cols_a)} vs {len(cols_b)}"
-        )
-    dist = emd if v == "EMD" else l1
-    m = len(cols_a)
-    costs = [[dist(cols_a[c], cols_b[d]) for d in range(m)] for c in range(m)]
-    matching, total = solve_assignment(np.array(costs, dtype=object))
-    return DistanceOutcome(total, matching, None)
+    xa, xb = _positionwise_aggregate(a, v), _positionwise_aggregate(b, v)
+    if xa.shape != xb.shape:
+        raise ValueError(f"matrices differ in size: {len(xa)} vs {len(xb)}")
+    if v == "EMD":
+        # the last cumulated row holds the column sums, which EMD needs equal
+        sums = np.concatenate([xa[-1:], xb[-1:]]).ravel().tolist()
+        if not all(_sums_match(s, sums[0]) for s in sums):
+            raise ValueError(f"EMD inputs have different column sums {sums}")
+    matching, total = solve_assignment(_column_costs(xa, xb))
+    return DistanceOutcome(total, matching)
 
 
-def _majority_of(x) -> np.ndarray:
-    if isinstance(x, Election):
-        return majority_matrix(x)
-    arr = np.asarray(x, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"majority matrix must be square, got shape {arr.shape}")
-    return arr
+def _majority_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    # the majority matrices of two same-shape elections, or two given
+    # square matrices of one size
+    if isinstance(a, Election) and isinstance(b, Election):
+        _check_same_shape(a, b)
+    ma, mb = (
+        majority_matrix(x) if isinstance(x, Election) else np.asarray(x, dtype=np.int64)
+        for x in (a, b)
+    )
+    for x in (ma, mb):
+        if x.ndim != 2 or x.shape[0] != x.shape[1]:
+            raise ValueError(f"majority matrix must be square, got shape {x.shape}")
+    if ma.shape != mb.shape:
+        raise ValueError(f"matrices differ in shape: {ma.shape} vs {mb.shape}")
+    return ma, mb
 
 
 def pairwise_cost_at(a, b, sigma: Sequence[int]) -> int:
     """Sum over ordered candidate pairs of |M_a(c,d) - M_b(sigma c, sigma d)|."""
-    ma = _majority_of(a)
-    mb = _majority_of(b)
-    if isinstance(a, Election) and isinstance(b, Election):
-        _check_same_shape(a, b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"matrices differ in shape: {ma.shape} vs {mb.shape}")
+    ma, mb = _majority_pair(a, b)
     m = ma.shape[0]
     sigma = tuple(int(s) for s in sigma)
     if sorted(sigma) != list(range(m)):
@@ -505,12 +476,7 @@ def pairwise_distance(a, b, guard: int = GUARDS["pairwise"]) -> DistanceOutcome:
     that fix all but the last (at most 7) candidates' images; the witness is
     the lexicographically smallest optimal matching.
     """
-    ma = _majority_of(a)
-    mb = _majority_of(b)
-    if isinstance(a, Election) and isinstance(b, Election):
-        _check_same_shape(a, b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"matrices differ in shape: {ma.shape} vs {mb.shape}")
+    ma, mb = _majority_pair(a, b)
     m = ma.shape[0]
     check_guard("pairwise", m, guard)
 
@@ -542,12 +508,17 @@ def pairwise_distance(a, b, guard: int = GUARDS["pairwise"]) -> DistanceOutcome:
     return DistanceOutcome(best, best_sigma, None)
 
 
+def _sorted_borda_prefix(election: Election) -> np.ndarray:
+    # prefix sums of the nonincreasingly sorted Borda vector: the l1
+    # distance of two of them is the EMD of the sorted vectors
+    return np.cumsum(np.sort(borda_vector(election))[::-1])
+
+
 def bordawise_distance(a: Election, b: Election) -> DistanceOutcome:
     """EMD between the nonincreasingly sorted Borda score vectors."""
     _check_same_shape(a, b)
-    sa = sorted((int(v) for v in borda_vector(a)), reverse=True)
-    sb = sorted((int(v) for v in borda_vector(b)), reverse=True)
-    return DistanceOutcome(emd(sa, sb), None, None)
+    gap = np.abs(_sorted_borda_prefix(a) - _sorted_borda_prefix(b))
+    return DistanceOutcome(int(gap.sum()))
 
 
 def distance(a: Election, b: Election, kind: str) -> DistanceOutcome:
@@ -571,10 +542,10 @@ def _assignment_value(costs: np.ndarray) -> int:
 
 
 def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
-    """Float distances of every pair i < j of same-shape elections, in
+    """Exact int64 distances of every pair i < j of same-shape elections, in
     ``itertools.combinations`` order.
 
-    Equal to ``float(distance(dataset[i], dataset[j], kind).value)``.  The
+    Equal to ``distance(dataset[i], dataset[j], kind).value``.  The
     positionwise and Bordawise metrics take each election's aggregates once
     and compare one election with all later ones by broadcasting; the
     positionwise metrics then solve one value-only assignment per pair.
@@ -585,10 +556,9 @@ def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
         raise ValueError(f"unknown metric kind {kind!r}, expected one of {METRIC_KINDS}")
     k = len(dataset)
     if k < 2:
-        return np.zeros(0)
+        return np.zeros(0, dtype=np.int64)
     if kind == "bordawise":
-        scores = np.sort(np.stack([borda_vector(e) for e in dataset]), axis=1)[:, ::-1]
-        prefix = np.cumsum(scores, axis=1)
+        prefix = np.stack([_sorted_borda_prefix(e) for e in dataset])
         rows = [np.abs(prefix[i + 1 :] - prefix[i]).sum(axis=1) for i in range(k - 1)]
     elif kind in ("emdpos", "l1pos"):
         variant = "EMD" if kind == "emdpos" else "L1"
@@ -615,4 +585,4 @@ def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
             [distance(dataset[i], dataset[j], kind).value for j in range(i + 1, k)]
             for i in range(k - 1)
         ]
-    return np.concatenate([np.asarray(row, dtype=float) for row in rows])
+    return np.concatenate([np.asarray(row, dtype=np.int64) for row in rows])

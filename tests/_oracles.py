@@ -11,6 +11,8 @@ kept to check the vectorized kernels that replaced them.
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -63,6 +65,82 @@ def brute_force_assignment(costs):
             best = total
             best_perm = perm
     return best_perm, best
+
+
+def refinement_solve_assignment(costs, lexmin: bool = True):
+    """Minimum-cost matching by one solve, then, for lexmin, a refinement
+    that tries every column for each row in turn and keeps the first whose
+    best completion still reaches the optimum (up to k**2 more solves).
+
+    Floats go to the solver as they are and are compared with a tolerance;
+    integers and Fractions are scaled to integers by the lcm of the
+    denominators and compared exactly.
+    """
+    arr = np.asarray(costs)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"cost matrix must be square, got shape {arr.shape}")
+    rows = arr.tolist()
+    flat = [v for row in rows for v in row]
+    if any(isinstance(v, float) for v in flat):
+        num = arr.astype(float)
+    else:
+        denoms = [v.denominator for v in flat if isinstance(v, Fraction)]
+        scale = math.lcm(*denoms) if denoms else 1
+        num = np.array([[int(v * scale) for v in row] for row in rows], dtype=float)
+    k = num.shape[0]
+    if k == 0:
+        return (), 0
+
+    def exact_total(sub_rows, matching):
+        return sum(sub_rows[i][c] for i, c in enumerate(matching))
+
+    def equal(x, y):
+        if isinstance(x, float) or isinstance(y, float):
+            return math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
+        return x == y
+
+    ri, ci = linear_sum_assignment(num)
+    best_total = exact_total(rows, [int(c) for c in ci[np.argsort(ri)]])
+    if not lexmin:
+        return tuple(int(c) for c in ci[np.argsort(ri)]), best_total
+    cols_left = list(range(k))
+    fixed: list[int] = []
+    fixed_cost = 0
+    for i in range(k):
+        rest_rows = list(range(i + 1, k))
+        for c in cols_left:
+            rest_cols = [x for x in cols_left if x != c]
+            sub_total = 0
+            if rest_rows:
+                sri, sci = linear_sum_assignment(num[np.ix_(rest_rows, rest_cols)])
+                sub_total = exact_total(
+                    [[rows[r][x] for x in rest_cols] for r in rest_rows],
+                    [int(x) for x in sci[np.argsort(sri)]],
+                )
+            if equal(fixed_cost + rows[i][c] + sub_total, best_total):
+                fixed.append(c)
+                fixed_cost = fixed_cost + rows[i][c]
+                cols_left.remove(c)
+                break
+        else:
+            raise RuntimeError("lexmin refinement failed to place a row")
+    return tuple(fixed), best_total
+
+
+def loop_positionwise_distance(pa, pb, variant: str = "EMD") -> DistanceOutcome:
+    """Positionwise distance between two position or frequency matrices:
+    per-column-pair ``emd`` or ``l1`` in Python, then the refinement solve."""
+    rows_a, rows_b = np.asarray(pa).tolist(), np.asarray(pb).tolist()
+    m = len(rows_a)
+    cols_a = [[rows_a[i][c] for i in range(m)] for c in range(m)]
+    cols_b = [[rows_b[i][c] for i in range(m)] for c in range(m)]
+    dist = emd if variant == "EMD" else l1
+    costs = np.empty((m, m), dtype=object)
+    for c in range(m):
+        for d in range(m):
+            costs[c, d] = dist(cols_a[c], cols_b[d])
+    matching, total = refinement_solve_assignment(costs)
+    return DistanceOutcome(total, matching)
 
 
 def brute_force_positionwise(a: Election, b: Election, dist) -> int:

@@ -308,6 +308,17 @@ def test_verify_compass_checks_guards_before_output(capsys):
     assert err == "error: swap distance guarded at m <= 8 (got m=10)\n"
 
 
+@pytest.mark.parametrize(
+    "m, n, message",
+    [("0", "2", "m=0, n=2"), ("4", "-24", "m=4, n=-24")],
+)
+def test_verify_compass_rejects_nonpositive_shapes(capsys, m, n, message):
+    code, out, err = run(capsys, ["verify-compass", "--m", m, "--n", n])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: need m >= 1 and n >= 1, got {message}\n"
+
+
 # path
 
 def test_path_listing(pair_files, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -16,17 +17,20 @@ from electodist import (
     apply_matchings,
     borda_vector,
     canonical_anec_key,
+    check_diameter,
     count_equivalence_classes,
     distance,
     distance_matrix,
     enumerate_anecs,
+    frequency_matrix,
     iso_distance,
     majority_matrix,
     pairwise_distance,
     position_matrix,
     positionwise_distance,
+    solve_assignment,
 )
-from electodist import metrics
+from electodist import analysis, metrics
 from electodist.cultures import sample_euclidean, sample_ic, sample_mallows
 from electodist.metrics import distance_values, vote_swap_distance
 
@@ -40,7 +44,9 @@ from _oracles import (
     loop_enumerate_anecs,
     loop_majority_matrix,
     loop_position_matrix,
+    loop_positionwise_distance,
     pair_loop_distance_matrix,
+    refinement_solve_assignment,
     relabel_canonical_anec_key,
 )
 
@@ -194,14 +200,103 @@ def test_swap_search_allocates_no_full_table():
     )
 
 
+@st.composite
+def square_costs(draw, min_k=0, max_k=6, entries=st.integers(0, 3), dtype=np.int64):
+    # few distinct entries, so many matchings tie for the optimum
+    k = draw(st.integers(min_k, max_k))
+    return np.array([draw(entries) for _ in range(k * k)], dtype=dtype).reshape(k, k)
+
+
+fractions = st.builds(Fraction, st.integers(0, 6), st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(square_costs(), square_costs(max_k=4, entries=fractions, dtype=object))
+)
+def test_lexmin_assignment_equals_refinement(costs):
+    matching, total = solve_assignment(costs)
+    want_matching, want_total = refinement_solve_assignment(costs)
+    assert (matching, total) == (want_matching, want_total)
+    assert type(total) is type(want_total)
+    assert solve_assignment(costs, lexmin=False)[1] == want_total
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_costs(max_k=10))
+def test_lexmin_assignment_makes_at_most_k_minus_one_solves(costs):
+    k = len(costs)
+    with mock.patch.object(
+        metrics, "linear_sum_assignment", wraps=metrics.linear_sum_assignment
+    ) as lsa:
+        solve_assignment(costs)
+    assert lsa.call_count <= max(k - 1, 0)
+
+
+def assert_same_positionwise(got, want):
+    assert_same_outcome(got, want)
+    assert type(got.value) is type(want.value)
+
+
 @settings(max_examples=80, deadline=None)
 @given(election_pairs(min_m=1, max_m=6, max_n=6))
 def test_positionwise_on_elections_equals_matrix_path(pair):
+    # elections, their position matrices and their Fraction frequency
+    # matrices, against the per-column loop with the refinement solve
     a, b = pair
     for variant in ("EMD", "L1"):
-        fast = positionwise_distance(a, b, variant)
-        slow = positionwise_distance(position_matrix(a), position_matrix(b), variant)
-        assert (fast.value, fast.candidate_matching) == (slow.value, slow.candidate_matching)
+        want = loop_positionwise_distance(position_matrix(a), position_matrix(b), variant)
+        assert_same_positionwise(positionwise_distance(a, b, variant), want)
+        assert_same_positionwise(
+            positionwise_distance(position_matrix(a), position_matrix(b), variant), want
+        )
+        assert_same_positionwise(
+            positionwise_distance(frequency_matrix(a), frequency_matrix(b), variant),
+            loop_positionwise_distance(frequency_matrix(a), frequency_matrix(b), variant),
+        )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda m: st.tuples(*[square_costs(m, m)] * 2)))
+def test_positionwise_on_integer_matrices_equals_loop(pair):
+    # arbitrary nonnegative matrices: l1 needs no common column sum
+    xa, xb = pair
+    assert_same_positionwise(
+        positionwise_distance(xa, xb, "L1"), loop_positionwise_distance(xa, xb, "L1")
+    )
+
+
+def test_positionwise_witness_makes_at_most_m_minus_one_solves():
+    a, b = sample_mallows(10, 100, 89, 0.5), sample_ic(10, 100, 90)
+    with mock.patch.object(
+        metrics, "linear_sum_assignment", wraps=metrics.linear_sum_assignment
+    ) as lsa:
+        out = positionwise_distance(a, b, "EMD")
+    assert lsa.call_count <= 9
+    want = loop_positionwise_distance(position_matrix(a), position_matrix(b), "EMD")
+    assert_same_positionwise(out, want)
+
+
+def test_check_diameter_recomputes_no_pair(monkeypatch):
+    # with UN replaced by ID the bound is 0, so every pair at a positive
+    # distance violates it; its value must come from distance_values
+    identity = analysis.compass_election
+    monkeypatch.setattr(
+        analysis, "compass_election", lambda kind, m, n: identity("ID", m, n)
+    )
+    rng = np.random.default_rng(5)
+    dataset = [Election(4, [rng.permutation(4) for _ in range(5)]) for _ in range(5)]
+    for kind in METRIC_KINDS:
+        calls = mock.Mock(wraps=metrics.distance)
+        with mock.patch.object(metrics, "distance", calls), mock.patch.object(
+            analysis, "distance", calls, create=True
+        ):
+            violations = check_diameter(dataset, kind)
+        assert violations
+        assert all(type(v) is int for _, _, v in violations)
+        # only discrete's batch kernel calls distance(): once for each of the
+        # 10 pairs and once for the bound's pair
+        assert calls.call_count == (10 + 1 if kind == "discrete" else 0)
 
 
 @st.composite
@@ -229,11 +324,13 @@ def test_distance_values_follow_combinations_order():
     for kind in METRIC_KINDS:
         got = distance_values(dataset, kind)
         want = [
-            float(distance(dataset[i], dataset[j], kind).value)
+            distance(dataset[i], dataset[j], kind).value
             for i in range(5)
             for j in range(i + 1, 5)
         ]
+        assert got.dtype == np.int64
         assert got.tolist() == want
+    assert distance_values(dataset[:1], "emdpos").dtype == np.int64
     assert distance_values(dataset[:1], "emdpos").shape == (0,)
     with pytest.raises(ValueError):
         distance_values(dataset, "kendall")

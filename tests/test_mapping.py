@@ -1,12 +1,19 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from electodist import COMPASS_KINDS, compass_distance_formula, compass_election
+from electodist import (
+    COMPASS_KINDS,
+    DEFAULT_CULTURES,
+    compass_distance_formula,
+    compass_election,
+    sample_many,
+)
 from electodist.mapping import (
     PALETTE,
     DistanceMatrix,
@@ -154,6 +161,23 @@ def test_mds_method_fits_euclidean_data():
     dm = DistanceMatrix(tuple(map(str, range(12))), cells, "swap")
     emb = embed(dm, EmbedConfig(method="mds"))
     assert emb.stress <= 0.01
+
+
+def test_mds_tail_moves_points_that_coincide():
+    # duplicated elections sit at distance 0, and classical MDS puts each
+    # copy on its original's point
+    dataset = [
+        e for seed, spec in enumerate(DEFAULT_CULTURES[:6]) for e in sample_many(spec, 5, 8, seed, 3)
+    ]
+    dataset += dataset[:4]
+    dm = distance_matrix(dataset, "emdpos")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        emb = embed(dm, EmbedConfig(method="mds"))
+    tail = np.array(emb.tail_stress)
+    assert np.all(np.isfinite(tail))
+    assert np.all(tail[1:] <= tail[:-1])
+    assert tail[-1] < tail[0]
 
 
 def test_embed_config_errors():

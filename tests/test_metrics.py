@@ -153,6 +153,7 @@ def test_solve_assignment_fraction_costs_exact():
 
 
 def test_solve_assignment_float_costs():
+    # float costs get one solve: only the total and a permutation are pinned
     rng = np.random.default_rng(13)
     costs = rng.random((6, 6))
     matching, total = solve_assignment(costs)
@@ -168,11 +169,28 @@ def test_solve_assignment_rejects_bad_input():
         solve_assignment([[np.inf, 1], [1, 0]])
 
 
+@pytest.mark.parametrize("as_array", [True, False], ids=["int64", "list"])
+def test_solve_assignment_rejects_costs_beyond_float_precision(as_array):
+    # in float64 2**53 + 1 rounds to 2**53, so the solver would see a tie
+    # and could return the total 2**53 + 1 instead of the optimum 2**53
+    costs = [[2**53 + 1, 2**53], [0, 0]]
+    with pytest.raises(ValueError, match="too large"):
+        solve_assignment(np.array(costs, dtype=np.int64) if as_array else costs)
+
+
+def test_solve_assignment_guard_counts_the_tie_broken_solves():
+    # a 3x3 solve scales costs by up to 3 and adds ranks below 3, over 3
+    # rows, so it must keep (peak + 1) * 9 below 2**53
+    peak = -(-(2**53) // 9) - 1
+    with pytest.raises(ValueError, match="too large"):
+        solve_assignment([[peak, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert solve_assignment([[peak - 1, 0, 0], [0, 0, 0], [0, 0, 0]]) == ((1, 0, 2), 0)
+
+
 def test_iso_discrete_known_pair():
     out = iso_distance(SMALL_A, SMALL_B, "discrete")
     assert out.value == 1
     assert out.candidate_matching == (0, 1, 2)
-    assert out.exact
 
 
 def test_iso_swap_known_pair():
