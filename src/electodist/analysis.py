@@ -323,21 +323,13 @@ def check_diameter(dataset: Sequence[Election], kind: str):
     """
     if not dataset:
         return []
+    values = distance_values(dataset, kind)
     m, n = dataset[0].m, dataset[0].n
-    for e in dataset:
-        if (e.m, e.n) != (m, n):
-            raise ValueError(
-                f"elections differ in shape: {(e.m, e.n)} vs {(m, n)}"
-            )
     bound = int(
         distance_values([compass_election("ID", m, n), compass_election("UN", m, n)], kind)[0]
     )
     pairs = itertools.combinations(range(len(dataset)), 2)
-    return [
-        (i, j, int(value))
-        for (i, j), value in zip(pairs, distance_values(dataset, kind))
-        if value > bound
-    ]
+    return [(i, j, int(value)) for (i, j), value in zip(pairs, values) if value > bound]
 
 
 def recover_election(pos) -> Election:
@@ -409,11 +401,20 @@ def borda_realizable(x: Sequence[int], n: int) -> Optional[Election]:
     if sum(scores) != n * m * (m - 1) // 2:
         return None
     orders = all_orders(m)
-    k = len(orders)
     contrib = [tuple(m - 1 - v.index(c) for c in range(m)) for v in orders]
-    suff_min = [[0] * m for _ in range(k)]
-    suff_max = [[0] * m for _ in range(k)]
-    for c in range(m):
+    return _realize_by_counts(orders, contrib, scores, n)
+
+
+def _realize_by_counts(
+    orders: Sequence[tuple[int, ...]], contrib: Sequence[tuple[int, ...]], target: list[int], n: int
+) -> Optional[Election]:
+    # n votes from orders whose nonnegative contributions (one tuple per
+    # order) sum to target, or None; counts are tried largest first, so the
+    # multiset found is the lexicographically first one
+    k, d = len(orders), len(target)
+    suff_min = [[0] * d for _ in range(k)]
+    suff_max = [[0] * d for _ in range(k)]
+    for c in range(d):
         lo = hi = contrib[k - 1][c]
         suff_min[k - 1][c] = lo
         suff_max[k - 1][c] = hi
@@ -425,32 +426,32 @@ def borda_realizable(x: Sequence[int], n: int) -> Optional[Election]:
 
     def dfs(i: int, remaining: int, cur: list[int]) -> Optional[list[tuple[int, int]]]:
         if remaining == 0:
-            return [] if cur == scores else None
+            return [] if cur == target else None
         if i == k - 1:
             if all(
-                cur[c] + remaining * contrib[i][c] == scores[c] for c in range(m)
+                cur[c] + remaining * contrib[i][c] == target[c] for c in range(d)
             ):
                 return [(i, remaining)]
             return None
-        for c in range(m):
-            need = scores[c] - cur[c]
+        for c in range(d):
+            need = target[c] - cur[c]
             if need < remaining * suff_min[i][c] or need > remaining * suff_max[i][c]:
                 return None
         for cnt in range(remaining, -1, -1):
-            nxt = [cur[c] + cnt * contrib[i][c] for c in range(m)]
-            if all(nxt[c] <= scores[c] for c in range(m)):
+            nxt = [cur[c] + cnt * contrib[i][c] for c in range(d)]
+            if all(nxt[c] <= target[c] for c in range(d)):
                 rest = dfs(i + 1, remaining - cnt, nxt)
                 if rest is not None:
                     return ([(i, cnt)] if cnt else []) + rest
         return None
 
-    found = dfs(0, n, [0] * m)
+    found = dfs(0, n, [0] * d)
     if found is None:
         return None
     votes: list[tuple[int, ...]] = []
     for i, cnt in found:
         votes.extend([orders[i]] * cnt)
-    return Election(m, votes)
+    return Election(len(orders[0]), votes)
 
 
 MAJORITY_GUARD_M = 4
@@ -460,7 +461,9 @@ MAJORITY_GUARD_N = 4
 def majority_realizable_bruteforce(M, n: int) -> Optional[Election]:
     """An n-voter election whose majority matrix equals M, or None.
 
-    Enumerates vote multisets exhaustively, so it is guarded to tiny shapes.
+    The depth-first search of ``borda_realizable`` on the cells c < d,
+    guarded to tiny shapes; the witness is the lexicographically first
+    vote multiset.
     """
     arr = np.asarray(M)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -485,20 +488,11 @@ def majority_realizable_bruteforce(M, n: int) -> Optional[Election]:
     off = ~np.eye(m, dtype=bool)
     if np.any((target + target.T)[off] != n) or np.any(target < 0):
         return None
+    # with M + M^T = n off the diagonal, the cells c < d fix the matrix
+    pairs = list(itertools.combinations(range(m), 2))
     orders = all_orders(m)
-    wins = []
-    for v in orders:
-        w = np.zeros((m, m), dtype=np.int64)
-        for i, c in enumerate(v):
-            w[c, list(v[i + 1:])] = 1
-        wins.append(w)
-    for combo in itertools.combinations_with_replacement(range(len(orders)), n):
-        total = wins[combo[0]].copy()
-        for i in combo[1:]:
-            total += wins[i]
-        if np.array_equal(total, target):
-            return Election(m, tuple(orders[i] for i in combo))
-    return None
+    contrib = [tuple(int(v.index(c) < v.index(d)) for c, d in pairs) for v in orders]
+    return _realize_by_counts(orders, contrib, [int(target[c, d]) for c, d in pairs], n)
 
 
 def _matched_position_matrices(a: Election, b: Election, variant: str):

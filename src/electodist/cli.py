@@ -194,9 +194,9 @@ def progress(message: str) -> None:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     config = load_config(args)
+    labels, elections, classes = build_dataset(config)
     outdir = Path(config.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    labels, elections, classes = build_dataset(config)
     entries = []
     for label, election in zip(labels, elections):
         filename = f"{label}.soc"
@@ -249,13 +249,13 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_correlate(args: argparse.Namespace) -> int:
     config = load_config(args)
+    if len(config.metrics) < 2:
+        raise ValueError("correlation needs at least two metrics")
     for kind in config.metrics:
         check_guard(kind, config.m)
     labels, elections, _ = build_dataset(config)
     if len(elections) < 2:
         raise ValueError("correlation needs at least two elections")
-    if len(config.metrics) < 2:
-        raise ValueError("correlation needs at least two metrics")
     matrices = {}
     for kind in config.metrics:
         if kind not in matrices:
@@ -271,12 +271,12 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 def cmd_map(args: argparse.Namespace) -> int:
     config = load_config(args)
     resolve_threads(args)
-    # a guarded metric fails before any sampling or output
+    # a guarded metric fails before any sampling, and sampling before any output
     for kind in config.metrics:
         check_guard(kind, config.m)
+    labels, elections, classes = build_dataset(config)
     outdir = Path(config.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    labels, elections, classes = build_dataset(config)
     for kind in config.metrics:
         progress(f"{kind}: distance matrix on {len(elections)} elections")
         dm = distance_matrix(elections, kind, labels=labels)

@@ -9,7 +9,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .elections import COMPASS_KINDS, Election
-from .metrics import METRIC_KINDS, distance_values
+from .metrics import distance_values
 
 __all__ = [
     "PALETTE",
@@ -87,21 +87,14 @@ def distance_matrix(
     labels: Optional[Sequence[str]] = None,
     threads: Optional[int] = None,
 ) -> DistanceMatrix:
-    """All unordered pairwise distances, by ``metrics.distance_values``.
+    """All unordered pairwise distances, by ``metrics.distance_values``,
+    which checks the kind, the shapes and the guard.
 
     ``threads`` is deprecated, accepted and ignored; matrices are computed
     sequentially.
     """
-    if kind not in METRIC_KINDS:
-        raise ValueError(f"unknown metric kind {kind!r}")
     if not dataset:
         raise ValueError("need at least one election")
-    shape = (dataset[0].m, dataset[0].n)
-    for e in dataset:
-        if (e.m, e.n) != shape:
-            raise ValueError(
-                f"elections differ in shape: {(e.m, e.n)} vs {shape}"
-            )
     k = len(dataset)
     if labels is None:
         labels = [str(i) for i in range(k)]

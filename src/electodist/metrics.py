@@ -233,7 +233,7 @@ _SWAP_CHUNK_ENTRIES = 1 << 17
 
 
 def _swap_search(
-    margins_a: np.ndarray, signs_a: np.ndarray, margins_b: np.ndarray, signs_b: np.ndarray
+    a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     # exact swap distance between elections given by _swap_aggregates, with
     # the lexicographically smallest optimal relabeling sigma (candidate c
@@ -242,6 +242,7 @@ def _swap_search(
     # whose voter cost matrices are built at once and whose bounds are
     # tightened before any assignment is solved.  Only the cells c < d are
     # compared: the cells d > c mirror them.
+    (margins_a, signs_a), (margins_b, signs_b) = a, b
     n = signs_a.shape[0]
     m = math.isqrt(signs_a.shape[1])
     perms = _order_table(m)
@@ -330,25 +331,25 @@ def _check_same_shape(a: Election, b: Election) -> None:
         )
 
 
-def _iso_swap(a: Election, b: Election, guard: int) -> DistanceOutcome:
-    check_guard("swap", a.m, guard)
-    value, sigma, rho = _swap_search(*_swap_aggregates(a), *_swap_aggregates(b))
-    return DistanceOutcome(value, sigma, rho)
-
-
-def _iso_discrete(a: Election, b: Election) -> DistanceOutcome:
-    m, n = a.m, a.n
-    # votes and relabelings as integer codes: a sequence's base-m digits are
-    # its entries, so codes order like the sequences
+def _discrete_aggregate(election: Election) -> tuple[list[int], list[int], Counter, dict]:
+    # the place values of base-m digits, each voter's vote code, the count
+    # of each code and the vote behind each code: a sequence's base-m digits
+    # are its entries, so codes order like the sequences
+    m = election.m
     place = [m ** (m - 1 - k) for k in range(m)]
-    codes_a = [sum(map(operator.mul, v, place)) for v in a.votes]
-    codes_b = [sum(map(operator.mul, v, place)) for v in b.votes]
-    counts_a, counts_b = Counter(codes_a), Counter(codes_b)
-    votes_a, votes_b = dict(zip(codes_a, a.votes)), dict(zip(codes_b, b.votes))
-    # the relabeling that maps vote u of a onto vote w of b sends u[k] to
+    codes = [sum(map(operator.mul, v, place)) for v in election.votes]
+    return place, codes, Counter(codes), dict(zip(codes, election.votes))
+
+
+def _discrete_search(a: tuple, b: tuple) -> tuple[int, int]:
+    # exact discrete distance between elections given by _discrete_aggregate,
+    # with the code of the lexicographically smallest optimal relabeling.
+    # The relabeling that maps vote u of a onto vote w of b sends u[k] to
     # w[k], so its code is the sum of w[k] * place[u[k]].  A relabeling maps
-    # u onto w exactly when it is that one, and u onto at most one w, so its
-    # overlap sums min(count u, count w) over the pairs (u, w) that give it
+    # u onto at most one w, so its overlap sums min(count u, count w) over
+    # the pairs (u, w) that give it
+    place, codes_a, counts_a, votes_a = a
+    _, _, counts_b, votes_b = b
     overlap: dict[int, int] = {}
     for cu, u in votes_a.items():
         weights = [place[c] for c in u]
@@ -356,8 +357,15 @@ def _iso_discrete(a: Election, b: Election) -> DistanceOutcome:
             code = sum(map(operator.mul, w, weights))
             overlap[code] = overlap.get(code, 0) + min(counts_a[cu], counts_b[cw])
     most = max(overlap.values())
-    # the smallest code is the lexicographically smallest relabeling
-    best = min(code for code, o in overlap.items() if o == most)
+    return len(codes_a) - most, min(code for code, o in overlap.items() if o == most)
+
+
+def _iso_discrete(a: Election, b: Election) -> DistanceOutcome:
+    m, n = a.m, a.n
+    agg_a, agg_b = _discrete_aggregate(a), _discrete_aggregate(b)
+    value, best = _discrete_search(agg_a, agg_b)
+    place, codes_a, _, votes_a = agg_a
+    codes_b = agg_b[1]
     sigma = tuple(best // p % m for p in place)
 
     # match voters greedily by ascending index: voter i of a takes the
@@ -376,7 +384,7 @@ def _iso_discrete(a: Election, b: Election) -> DistanceOutcome:
     for i in range(n):
         if rho[i] < 0:
             rho[i] = next(leftover_b)
-    return DistanceOutcome(n - most, sigma, tuple(rho))
+    return DistanceOutcome(value, sigma, tuple(rho))
 
 
 def iso_distance(
@@ -389,7 +397,8 @@ def iso_distance(
     """
     _check_same_shape(a, b)
     if kind == "swap":
-        return _iso_swap(a, b, guard)
+        check_guard("swap", a.m, guard)
+        return DistanceOutcome(*_swap_search(_swap_aggregates(a), _swap_aggregates(b)))
     if kind == "discrete":
         return _iso_discrete(a, b)
     raise ValueError(f"unknown isomorphic kind {kind!r}, expected 'swap' or 'discrete'")
@@ -477,9 +486,13 @@ def pairwise_distance(a, b, guard: int = GUARDS["pairwise"]) -> DistanceOutcome:
     the lexicographically smallest optimal matching.
     """
     ma, mb = _majority_pair(a, b)
-    m = ma.shape[0]
-    check_guard("pairwise", m, guard)
+    check_guard("pairwise", ma.shape[0], guard)
+    return DistanceOutcome(*_pairwise_search(ma, mb))
 
+
+def _pairwise_search(ma: np.ndarray, mb: np.ndarray) -> tuple[int, tuple[int, ...]]:
+    # the search of pairwise_distance on two same-size majority matrices
+    m = ma.shape[0]
     free = min(m, _PAIRWISE_BLOCK)
     fixed = m - free
     pair_cells, row_cells = _suffix_tables(free)
@@ -505,7 +518,7 @@ def pairwise_distance(a, b, guard: int = GUARDS["pairwise"]) -> DistanceOutcome:
         if best is None or value < best:
             best = value
             best_sigma = prefix + tuple(rest[t] for t in _order_table(free)[idx])
-    return DistanceOutcome(best, best_sigma, None)
+    return best, best_sigma
 
 
 def _sorted_borda_prefix(election: Election) -> np.ndarray:
@@ -545,15 +558,19 @@ def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
     """Exact int64 distances of every pair i < j of same-shape elections, in
     ``itertools.combinations`` order.
 
-    Equal to ``distance(dataset[i], dataset[j], kind).value``.  The
-    positionwise and Bordawise metrics take each election's aggregates once
-    and compare one election with all later ones by broadcasting; the
-    positionwise metrics then solve one value-only assignment per pair.
-    Pairwise takes each majority matrix once and swap each election's
-    majority margins and order signs once; discrete searches pair by pair.
+    Equal to ``distance(dataset[i], dataset[j], kind).value``.  The kind,
+    the shapes and the candidate guard are checked up front, with the errors
+    of ``distance``.  All six metrics take each election's aggregates once.
+    Positionwise and Bordawise compare one election with all later ones by
+    broadcasting, positionwise then solving one value-only assignment per
+    pair; swap, discrete and pairwise run one search per pair.
     """
     if kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {kind!r}, expected one of {METRIC_KINDS}")
+    if dataset:
+        for e in dataset[1:]:
+            _check_same_shape(dataset[0], e)
+        check_guard(kind, dataset[0].m)
     k = len(dataset)
     if k < 2:
         return np.zeros(0, dtype=np.int64)
@@ -567,22 +584,12 @@ def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
             [_assignment_value(c) for c in _column_costs(agg[i], agg[i + 1 :])]
             for i in range(k - 1)
         ]
-    elif kind == "pairwise":
-        majority = [majority_matrix(e) for e in dataset]
-        rows = [
-            [pairwise_distance(majority[i], majority[j]).value for j in range(i + 1, k)]
-            for i in range(k - 1)
-        ]
-    elif kind == "swap":
-        check_guard("swap", dataset[0].m)
-        aggregates = [_swap_aggregates(e) for e in dataset]
-        rows = [
-            [_swap_search(*aggregates[i], *aggregates[j])[0] for j in range(i + 1, k)]
-            for i in range(k - 1)
-        ]
     else:
-        rows = [
-            [distance(dataset[i], dataset[j], kind).value for j in range(i + 1, k)]
-            for i in range(k - 1)
-        ]
+        aggregate, search = {
+            "swap": (_swap_aggregates, _swap_search),
+            "discrete": (_discrete_aggregate, _discrete_search),
+            "pairwise": (majority_matrix, _pairwise_search),
+        }[kind]
+        aggs = [aggregate(e) for e in dataset]
+        rows = [[search(aggs[i], aggs[j])[0] for j in range(i + 1, k)] for i in range(k - 1)]
     return np.concatenate([np.asarray(row, dtype=np.int64) for row in rows])

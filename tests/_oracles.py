@@ -14,6 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -405,6 +406,29 @@ def dict_discrete_search(a: Election, b: Election) -> DistanceOutcome:
         if rho[i] < 0:
             rho[i] = next(it)
     return DistanceOutcome(n - best_overlap, best_sigma, tuple(rho))
+
+
+def bruteforce_majority_realizable(M, n: int) -> Optional[Election]:
+    """An n-voter election whose majority matrix equals M, or None, by
+    trying every vote multiset in ``combinations_with_replacement`` order;
+    the first match is the lexicographically first multiset.
+    """
+    target = np.asarray(M, dtype=np.int64)
+    m = target.shape[0]
+    orders = all_orders(m)
+    wins = []
+    for v in orders:
+        w = np.zeros((m, m), dtype=np.int64)
+        for i, c in enumerate(v):
+            w[c, list(v[i + 1:])] = 1
+        wins.append(w)
+    for combo in itertools.combinations_with_replacement(range(len(orders)), n):
+        total = wins[combo[0]].copy()
+        for i in combo[1:]:
+            total += wins[i]
+        if np.array_equal(total, target):
+            return Election(m, tuple(orders[i] for i in combo))
+    return None
 
 
 @lru_cache(maxsize=None)

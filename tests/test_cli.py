@@ -224,6 +224,25 @@ def test_correlate_fails_fast_on_guarded_metric(tmp_path, capsys):
     assert err == "error: pairwise distance guarded at m <= 10 (got m=11)\n"
 
 
+def test_correlate_rejects_one_metric_before_sampling(tmp_path, capsys):
+    # the Urn entry cannot be sampled, so only an up-front check names the metrics
+    cfg = write_config(tmp_path, dataset=[{"model": "Urn", "count": 2}], metrics=["emdpos"])
+    code, out, err = run(capsys, ["correlate", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: correlation needs at least two metrics\n"
+
+
+@pytest.mark.parametrize("command", ["generate", "map", "correlate"])
+def test_sampling_errors_leave_no_output(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, dataset=[{"model": "Urn", "count": 2}])
+    code, out, err = run(capsys, [command, "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: Urn requires parameter 'alpha'\n"
+    assert not (tmp_path / "out").exists()
+
+
 # map
 
 def test_map_fails_fast_on_guarded_metric(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -14,6 +15,7 @@ import hypothesis.strategies as st
 from electodist import (
     METRIC_KINDS,
     Election,
+    all_orders,
     apply_matchings,
     borda_vector,
     canonical_anec_key,
@@ -25,6 +27,7 @@ from electodist import (
     frequency_matrix,
     iso_distance,
     majority_matrix,
+    majority_realizable_bruteforce,
     pairwise_distance,
     position_matrix,
     positionwise_distance,
@@ -37,6 +40,7 @@ from electodist.metrics import distance_values, vote_swap_distance
 from conftest import election_pairs, elections
 from _oracles import (
     branch_and_bound_pairwise,
+    bruteforce_majority_realizable,
     dict_discrete_search,
     lexicographic_swap_search,
     loop_borda_vector,
@@ -294,9 +298,7 @@ def test_check_diameter_recomputes_no_pair(monkeypatch):
             violations = check_diameter(dataset, kind)
         assert violations
         assert all(type(v) is int for _, _, v in violations)
-        # only discrete's batch kernel calls distance(): once for each of the
-        # 10 pairs and once for the bound's pair
-        assert calls.call_count == (10 + 1 if kind == "discrete" else 0)
+        assert calls.call_count == 0
 
 
 @st.composite
@@ -336,6 +338,31 @@ def test_distance_values_follow_combinations_order():
         distance_values(dataset, "kendall")
 
 
+def test_distance_values_make_no_distance_call():
+    rng = np.random.default_rng(4)
+    dataset = [Election(4, [rng.permutation(4) for _ in range(5)]) for _ in range(5)]
+    for kind in METRIC_KINDS:
+        calls = mock.Mock(wraps=metrics.distance)
+        with mock.patch.object(metrics, "distance", calls):
+            distance_values(dataset, kind)
+        assert calls.call_count == 0
+
+
+@pytest.mark.parametrize("kind", METRIC_KINDS)
+def test_distance_values_reject_mixed_shapes_first(kind):
+    a = Election(3, [(0, 1, 2), (2, 1, 0), (1, 0, 2)])
+    # differing n, then differing m: at m = 11 the guards of swap and
+    # pairwise would fail too, so the shape check must come first
+    for other in (
+        Election(3, [(0, 1, 2)] * 5),
+        Election(11, [tuple(range(11))] * 3),
+    ):
+        with pytest.raises(ValueError, match="elections differ in shape"):
+            distance_values([a, a, other], kind)
+        with pytest.raises(ValueError, match="elections differ in shape"):
+            distance_values([other, a], kind)
+
+
 @pytest.mark.parametrize("m", range(1, 5))
 def test_census_equals_loop_version(m):
     for n in range(1, 6):
@@ -371,3 +398,28 @@ def test_canonical_key_at_the_guard_allocates_no_full_table():
         moved = apply_matchings(election, rng.permutation(8), rng.permutation(100))
         assert canonical_anec_key(moved) == key
     assert canonical_anec_key(sample_mallows(8, 100, 88, 0.5)) != key
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_majority_search_equals_bruteforce(m):
+    # for each n <= 4: about 15 realizable matrices, spread over all of
+    # them, and random matrices with M + M^T = n, mostly unrealizable
+    orders = all_orders(m)
+    rng = np.random.default_rng(m)
+    for n in range(1, 5):
+        realizable = {}
+        for combo in itertools.combinations_with_replacement(orders, n):
+            target = majority_matrix(Election(m, combo))
+            realizable.setdefault(target.tobytes(), target)
+        targets = list(realizable.values())
+        targets = targets[:: max(1, len(targets) // 15)]
+        for _ in range(4):
+            upper = np.triu(rng.integers(0, n + 1, size=(m, m)), 1)
+            targets.append(upper + np.tril(n - upper.T, -1))
+        for target in targets:
+            got = majority_realizable_bruteforce(target, n)
+            want = bruteforce_majority_realizable(target, n)
+            if want is None:
+                assert got is None
+            else:
+                assert got.votes == want.votes
