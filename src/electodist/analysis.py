@@ -498,13 +498,10 @@ def majority_realizable_bruteforce(M, n: int) -> Optional[Election]:
 def _matched_position_matrices(a: Election, b: Election, variant: str):
     if not isinstance(a, Election) or not isinstance(b, Election):
         raise ValueError("intrinsic paths take two elections")
-    if (a.m, a.n) != (b.m, b.n):
-        raise ValueError(
-            f"elections differ in shape: {(a.m, a.n)} vs {(b.m, b.n)}"
-        )
+    # positionwise_distance rejects elections of differing shapes
     outcome = positionwise_distance(a, b, variant)
-    x = position_matrix(a).astype(np.int64)
-    y = position_matrix(b).astype(np.int64)[:, list(outcome.candidate_matching)]
+    x = position_matrix(a)
+    y = position_matrix(b)[:, list(outcome.candidate_matching)]
     return x, y
 
 

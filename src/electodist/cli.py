@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,7 +96,8 @@ class ExperimentConfig:
             n=n,
             dataset=tuple(dataset),
             compass=compass,
-            metrics=metrics,
+            # a repeated metric is computed once, in order of first mention
+            metrics=tuple(dict.fromkeys(metrics)),
             seed=int(obj.get("seed", 0)),
             output=str(obj.get("output", "electodist-out")),
         )
@@ -176,18 +176,6 @@ def parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-def resolve_threads(args: argparse.Namespace) -> Optional[int]:
-    """The deprecated worker count: validated, then ignored by callers."""
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        env = os.environ.get("ELECTODIST_THREADS")
-        if env:
-            threads = int(env)
-    if threads is not None and threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
-    return threads
-
-
 def progress(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -251,16 +239,15 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     config = load_config(args)
     if len(config.metrics) < 2:
         raise ValueError("correlation needs at least two metrics")
+    if sum(count for _, count in config.dataset) + len(config.compass) < 2:
+        raise ValueError("correlation needs at least two elections")
     for kind in config.metrics:
         check_guard(kind, config.m)
     labels, elections, _ = build_dataset(config)
-    if len(elections) < 2:
-        raise ValueError("correlation needs at least two elections")
     matrices = {}
     for kind in config.metrics:
-        if kind not in matrices:
-            progress(f"{kind}: distance matrix on {len(elections)} elections")
-            matrices[kind] = distance_matrix(elections, kind, labels=labels)
+        progress(f"{kind}: distance matrix on {len(elections)} elections")
+        matrices[kind] = distance_matrix(elections, kind, labels=labels)
     print(CORRELATION_HEADER)
     for kind_a, kind_b in itertools.combinations(config.metrics, 2):
         progress(f"correlating {kind_a} with {kind_b} on {len(elections)} elections")
@@ -270,7 +257,8 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 
 def cmd_map(args: argparse.Namespace) -> int:
     config = load_config(args)
-    resolve_threads(args)
+    if args.threads is not None and args.threads < 1:
+        raise ValueError(f"threads must be positive, got {args.threads}")
     # a guarded metric fails before any sampling, and sampling before any output
     for kind in config.metrics:
         check_guard(kind, config.m)
@@ -417,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="deprecated, accepted and ignored (as is ELECTODIST_THREADS); "
+        help="deprecated, accepted and ignored if positive; "
         "matrices are computed sequentially",
     )
     p.set_defaults(func=cmd_map)

@@ -165,10 +165,10 @@ def mallows_phi_from_norm(norm_phi: float, m: int) -> float:
     return (lo + hi) / 2.0
 
 
-def sample_mallows(m: int, n: int, seed: SeedLike, phi, central: Sequence[int] | None = None) -> Election:
-    """Mallows model via repeated insertion: candidate i of the central
-    order goes to position j in {1..i} with probability proportional to
-    phi^(i-j).
+def sample_mallows(m: int, n: int, seed: SeedLike, phi) -> Election:
+    """Mallows model around the identity order via repeated insertion:
+    candidate i - 1 goes to position j in {1..i} with probability
+    proportional to phi^(i-j).
 
     phi="norm-uniform" draws norm-phi ~ Uniform[0,1] once per election and
     converts it through mallows_phi_from_norm.
@@ -179,16 +179,13 @@ def sample_mallows(m: int, n: int, seed: SeedLike, phi, central: Sequence[int] |
     phi = float(phi)
     if not 0.0 <= phi <= 1.0:
         raise ValueError(f"mallows phi must lie in [0, 1], got {phi}")
-    if central is None:
-        central = tuple(range(m))
-    central = tuple(int(c) for c in central)
     votes = []
     for _ in range(n):
         vote: list[int] = []
         for i in range(1, m + 1):
             weights = np.array([phi ** (i - j) for j in range(1, i + 1)])
             j = int(rng.choice(i, p=weights / weights.sum()))
-            vote.insert(j, central[i - 1])
+            vote.insert(j, i - 1)
         votes.append(tuple(vote))
     return Election(m, votes)
 

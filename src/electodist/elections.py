@@ -261,7 +261,7 @@ def compass_matrix(kind: str, m: int) -> np.ndarray:
     return out
 
 
-def canonical_anec_key(election: Election, guard: int = 8) -> bytes:
+def canonical_anec_key(election: Election) -> bytes:
     """Canonical byte key of the anonymous-neutral equivalence class.
 
     Two elections get the same key exactly when one is the other with
@@ -270,11 +270,11 @@ def canonical_anec_key(election: Election, guard: int = 8) -> bytes:
     That minimum contains the identity order, the smallest of all, so only
     the relabelings sending some vote to the identity can reach it: the
     inverses of the d <= n distinct votes.  Cost is d * n * (m + log n);
-    m is guarded (default 8).
+    m is guarded at 8.
     """
     m = election.m
-    if m > guard:
-        raise ValueError(f"canonical key guarded at m <= {guard} (got m={m})")
+    if m > 8:
+        raise ValueError(f"canonical key guarded at m <= 8 (got m={m})")
     votes = election.array
     # inverse[j, c] = position of candidate c in distinct vote j, the
     # relabeling that sends vote j to the identity

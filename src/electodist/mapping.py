@@ -85,14 +85,9 @@ def distance_matrix(
     dataset: Sequence[Election],
     kind: str,
     labels: Optional[Sequence[str]] = None,
-    threads: Optional[int] = None,
 ) -> DistanceMatrix:
     """All unordered pairwise distances, by ``metrics.distance_values``,
-    which checks the kind, the shapes and the guard.
-
-    ``threads`` is deprecated, accepted and ignored; matrices are computed
-    sequentially.
-    """
+    which checks the kind, the shapes and the guard."""
     if not dataset:
         raise ValueError("need at least one election")
     k = len(dataset)

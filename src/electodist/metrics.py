@@ -48,7 +48,7 @@ __all__ = [
 
 METRIC_KINDS = ("swap", "discrete", "emdpos", "l1pos", "pairwise", "bordawise")
 
-# largest candidate count each exponential search accepts by default
+# largest candidate count each exponential search accepts
 GUARDS = {"swap": 8, "pairwise": 10}
 
 # the pairwise search enumerates relabelings in blocks of at most 7! rows
@@ -148,20 +148,20 @@ def _exact_costs(arr: np.ndarray) -> Optional[np.ndarray]:
     return scaled.astype(np.int64)
 
 
-def solve_assignment(costs, lexmin: bool = True) -> tuple[tuple[int, ...], Number]:
+def solve_assignment(costs) -> tuple[tuple[int, ...], Number]:
     """Minimum-cost perfect matching on a square cost matrix.
 
     Returns (matching, total) where matching[i] is the column assigned to
     row i, and total sums the given costs along it.  Integer and Fraction
     costs are solved exactly, as integers scaled by the lcm of the
-    denominators; ValueError if (peak + 1) * k**2 reaches 2**53.  With
-    lexmin=True their matching is the lexicographically smallest optimal
-    one, found by k - 1 solves: with rows 0..i-1 fixed, the remaining
-    problem is solved with its costs times k', the number of columns left,
-    plus on row i the rank of each column among them.  The rank is below
-    k', so each solve stays optimal and gives row i its smallest column
-    among optimal completions.  Float costs have no exact path: they get
-    one solve and the solver's matching, whatever lexmin says.
+    denominators; ValueError if (peak + 1) * k**2 reaches 2**53.  Their
+    matching is the lexicographically smallest optimal one, found by k - 1
+    solves: with rows 0..i-1 fixed, the remaining problem is solved with
+    its costs times k', the number of columns left, plus on row i the rank
+    of each column among them.  The rank is below k', so each solve stays
+    optimal and gives row i its smallest column among optimal completions.
+    Float costs have no exact path: they get one solve and the solver's
+    matching.
     """
     arr = np.asarray(costs)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -175,7 +175,7 @@ def solve_assignment(costs, lexmin: bool = True) -> tuple[tuple[int, ...], Numbe
         if not np.all(np.isfinite(num)):
             raise ValueError("cost matrix entries must be finite")
         matching = linear_sum_assignment(num)[1].tolist()
-    elif lexmin:
+    else:
         matching = []
         cols = list(range(k))
         for i in range(k - 1):
@@ -184,8 +184,6 @@ def solve_assignment(costs, lexmin: bool = True) -> tuple[tuple[int, ...], Numbe
             # square problems come back with rows in order, so [1][0] is row i
             matching.append(cols.pop(int(linear_sum_assignment(sub)[1][0])))
         matching.append(cols[0])
-    else:
-        matching = linear_sum_assignment(scaled)[1].tolist()
     return tuple(matching), sum(row[c] for row, c in zip(arr.tolist(), matching))
 
 
@@ -314,12 +312,10 @@ def _swap_search(
     return best[0], tuple(perms[best[1]].tolist()), tuple(best_rho.tolist())
 
 
-def check_guard(kind: str, m: int, guard: Optional[int] = None) -> None:
-    """Raise ValueError when m exceeds the candidate guard of a search metric.
-
-    guard defaults to ``GUARDS[kind]``; metrics without a guard accept any m.
-    """
-    guard = GUARDS.get(kind) if guard is None else guard
+def check_guard(kind: str, m: int) -> None:
+    """Raise ValueError when m exceeds ``GUARDS[kind]``, the candidate guard
+    of a search metric; metrics without a guard accept any m."""
+    guard = GUARDS.get(kind)
     if guard is not None and m > guard:
         raise ValueError(f"{kind} distance guarded at m <= {guard} (got m={m})")
 
@@ -387,17 +383,15 @@ def _iso_discrete(a: Election, b: Election) -> DistanceOutcome:
     return DistanceOutcome(value, sigma, tuple(rho))
 
 
-def iso_distance(
-    a: Election, b: Election, kind: str, guard: int = GUARDS["swap"]
-) -> DistanceOutcome:
+def iso_distance(a: Election, b: Election, kind: str) -> DistanceOutcome:
     """Exact isomorphic distance, minimizing over candidate and voter matchings.
 
-    kind is "swap" (inversion counts per matched vote pair; m guarded,
-    default 8) or "discrete" (count of unmatched votes; polynomial).
+    kind is "swap" (inversion counts per matched vote pair; m guarded by
+    ``GUARDS["swap"]``) or "discrete" (count of unmatched votes; polynomial).
     """
     _check_same_shape(a, b)
     if kind == "swap":
-        check_guard("swap", a.m, guard)
+        check_guard("swap", a.m)
         return DistanceOutcome(*_swap_search(_swap_aggregates(a), _swap_aggregates(b)))
     if kind == "discrete":
         return _iso_discrete(a, b)
@@ -478,15 +472,16 @@ def pairwise_cost_at(a, b, sigma: Sequence[int]) -> int:
     return int(np.abs(ma - mb[s[:, None], s[None, :]]).sum())
 
 
-def pairwise_distance(a, b, guard: int = GUARDS["pairwise"]) -> DistanceOutcome:
+def pairwise_distance(a, b) -> DistanceOutcome:
     """Exact pairwise distance: minimum of pairwise_cost_at over all matchings.
 
     Enumerates every matching with numpy, in lexicographic order, in blocks
     that fix all but the last (at most 7) candidates' images; the witness is
-    the lexicographically smallest optimal matching.
+    the lexicographically smallest optimal matching.  m is guarded by
+    ``GUARDS["pairwise"]``.
     """
     ma, mb = _majority_pair(a, b)
-    check_guard("pairwise", ma.shape[0], guard)
+    check_guard("pairwise", ma.shape[0])
     return DistanceOutcome(*_pairwise_search(ma, mb))
 
 

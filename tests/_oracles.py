@@ -68,10 +68,11 @@ def brute_force_assignment(costs):
     return best_perm, best
 
 
-def refinement_solve_assignment(costs, lexmin: bool = True):
-    """Minimum-cost matching by one solve, then, for lexmin, a refinement
-    that tries every column for each row in turn and keeps the first whose
-    best completion still reaches the optimum (up to k**2 more solves).
+def refinement_solve_assignment(costs):
+    """Lexicographically smallest minimum-cost matching: one solve for the
+    optimum, then a refinement that tries every column for each row in turn
+    and keeps the first whose best completion still reaches the optimum (up
+    to k**2 more solves).
 
     Floats go to the solver as they are and are compared with a tolerance;
     integers and Fractions are scaled to integers by the lcm of the
@@ -102,8 +103,6 @@ def refinement_solve_assignment(costs, lexmin: bool = True):
 
     ri, ci = linear_sum_assignment(num)
     best_total = exact_total(rows, [int(c) for c in ci[np.argsort(ri)]])
-    if not lexmin:
-        return tuple(int(c) for c in ci[np.argsort(ri)]), best_total
     cols_left = list(range(k))
     fixed: list[int] = []
     fixed_cost = 0

@@ -230,7 +230,7 @@ def test_criterion_06_oracle_equivalence(capsys):
     perms = list(itertools.permutations(range(6)))
     for _ in range(500):
         costs = rng.integers(0, 100, size=(6, 6))
-        _, total = solve_assignment(costs, lexmin=False)
+        _, total = solve_assignment(costs)
         brute = min(sum(costs[i, p[i]] for i in range(6)) for p in perms)
         if total != brute:
             problems.append(f"assignment {total} != brute {brute}")

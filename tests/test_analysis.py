@@ -543,6 +543,11 @@ def test_path_input_validation():
         l1pos_intrinsic_path(SMALL_A, Election(3, [(0, 1, 2)]))
     with pytest.raises(ValueError):
         emdpos_intrinsic_path(position_matrix(SMALL_A), SMALL_B)
+    a = Election(3, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+    b = Election(3, [(0, 1, 2)] * 5)
+    for builder in (l1pos_intrinsic_path, emdpos_intrinsic_path):
+        with pytest.raises(ValueError, match=r"elections differ in shape: \(3, 3\) vs \(3, 5\)"):
+            builder(a, b)
 
 
 @settings(deadline=None)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from unittest import mock
 
 import pytest
 
@@ -12,6 +13,7 @@ from electodist import (
     parse_election,
     serialize_election,
 )
+from electodist import cli, mapping
 from electodist.cli import ExperimentConfig, build_dataset, main
 
 from conftest import SMALL_A, SMALL_B
@@ -203,17 +205,38 @@ def test_correlate_is_deterministic(tmp_path, capsys):
 
 
 def test_correlate_rows_equal_library_correlation(tmp_path, capsys):
-    metrics = ["emdpos", "discrete", "bordawise", "discrete"]
-    cfg = write_config(tmp_path, metrics=metrics)
+    # the repeated discrete is computed and correlated once
+    cfg = write_config(tmp_path, metrics=["emdpos", "discrete", "bordawise", "discrete"])
     code, out, _ = run(capsys, ["correlate", "--config", str(cfg)])
     assert code == 0
     config = ExperimentConfig.from_json(json.loads(cfg.read_text(encoding="utf-8")))
     _, elections, _ = build_dataset(config)
     expected = [
         correlation(elections, a, b).to_csv_row()
-        for a, b in itertools.combinations(metrics, 2)
+        for a, b in itertools.combinations(["emdpos", "discrete", "bordawise"], 2)
     ]
     assert out.strip().splitlines()[1:] == expected
+
+
+def test_correlate_prints_one_row_for_a_repeated_metric(tmp_path, capsys):
+    cfg = write_config(tmp_path, metrics=["emdpos", "swap", "emdpos"])
+    code, out, _ = run(capsys, ["correlate", "--config", str(cfg)])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("emdpos,swap,")
+
+
+def test_correlate_rejects_one_election_before_sampling(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, dataset=[{"model": "IC", "count": 1}], compass=[], metrics=["emdpos", "swap"]
+    )
+    with mock.patch.object(cli, "build_dataset", wraps=cli.build_dataset) as sampled:
+        code, out, err = run(capsys, ["correlate", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: correlation needs at least two elections\n"
+    assert sampled.call_count == 0
 
 
 def test_correlate_fails_fast_on_guarded_metric(tmp_path, capsys):
@@ -226,11 +249,12 @@ def test_correlate_fails_fast_on_guarded_metric(tmp_path, capsys):
 
 def test_correlate_rejects_one_metric_before_sampling(tmp_path, capsys):
     # the Urn entry cannot be sampled, so only an up-front check names the metrics
-    cfg = write_config(tmp_path, dataset=[{"model": "Urn", "count": 2}], metrics=["emdpos"])
-    code, out, err = run(capsys, ["correlate", "--config", str(cfg)])
-    assert code == 2
-    assert out == ""
-    assert err == "error: correlation needs at least two metrics\n"
+    for metrics in (["emdpos"], ["emdpos", "emdpos"]):
+        cfg = write_config(tmp_path, dataset=[{"model": "Urn", "count": 2}], metrics=metrics)
+        code, out, err = run(capsys, ["correlate", "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: correlation needs at least two metrics\n"
 
 
 @pytest.mark.parametrize("command", ["generate", "map", "correlate"])
@@ -254,15 +278,12 @@ def test_map_fails_fast_on_guarded_metric(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_map_rejects_nonpositive_threads(tmp_path, capsys, monkeypatch):
+def test_map_rejects_nonpositive_threads(tmp_path, capsys):
     cfg = write_config(tmp_path, metrics=["emdpos"])
-    code, _, err = run(capsys, ["map", "--config", str(cfg), "--threads", "0"])
+    code, out, err = run(capsys, ["map", "--config", str(cfg), "--threads", "0"])
     assert code == 2
-    assert "threads must be positive" in err
-    monkeypatch.setenv("ELECTODIST_THREADS", "-1")
-    code, _, err = run(capsys, ["map", "--config", str(cfg)])
-    assert code == 2
-    assert "threads must be positive" in err
+    assert out == ""
+    assert err == "error: threads must be positive, got 0\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -279,14 +300,10 @@ def test_map_writes_three_files_per_metric(tmp_path, capsys):
     assert len(lines) == 8
 
 
-def test_map_threads_do_not_change_output(tmp_path, capsys, monkeypatch):
+def test_map_threads_do_not_change_output(tmp_path, capsys):
     cfg = write_config(tmp_path, metrics=["emdpos"])
 
-    def snapshot(dirname, argv_extra, env=None):
-        if env:
-            monkeypatch.setenv("ELECTODIST_THREADS", env)
-        else:
-            monkeypatch.delenv("ELECTODIST_THREADS", raising=False)
+    def snapshot(dirname, argv_extra):
         outdir = tmp_path / dirname
         code, _, _ = run(
             capsys,
@@ -296,9 +313,23 @@ def test_map_threads_do_not_change_output(tmp_path, capsys, monkeypatch):
         return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
 
     sequential = snapshot("seq", [])
-    threaded = snapshot("par", ["--threads", "3"])
-    from_env = snapshot("env", [], env="2")
-    assert sequential == threaded == from_env
+    assert snapshot("two", ["--threads", "2"]) == sequential
+    assert snapshot("three", ["--threads", "3"]) == sequential
+
+
+def test_map_computes_a_repeated_metric_once(tmp_path, capsys):
+    cfg = write_config(tmp_path, metrics=["emdpos", "emdpos"])
+    with mock.patch.object(
+        mapping, "distance_values", wraps=mapping.distance_values
+    ) as values:
+        code, out, _ = run(capsys, ["map", "--config", str(cfg)])
+    assert code == 0
+    outdir = tmp_path / "out"
+    assert out.splitlines() == [
+        str(outdir / name)
+        for name in ("distances-emdpos.csv", "map-emdpos.csv", "map-emdpos.svg")
+    ]
+    assert values.call_count == 1
 
 
 # verify-compass

@@ -223,7 +223,6 @@ def test_lexmin_assignment_equals_refinement(costs):
     want_matching, want_total = refinement_solve_assignment(costs)
     assert (matching, total) == (want_matching, want_total)
     assert type(total) is type(want_total)
-    assert solve_assignment(costs, lexmin=False)[1] == want_total
 
 
 @settings(max_examples=100, deadline=None)
@@ -313,9 +312,9 @@ def datasets(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(datasets(), st.sampled_from(METRIC_KINDS), st.sampled_from([None, 0, 1, 2, 5]))
-def test_distance_matrix_equals_pair_loop(dataset, kind, threads):
-    dm = distance_matrix(dataset, kind, threads=threads)
+@given(datasets(), st.sampled_from(METRIC_KINDS))
+def test_distance_matrix_equals_pair_loop(dataset, kind):
+    dm = distance_matrix(dataset, kind)
     want = pair_loop_distance_matrix(dataset, kind)
     assert dm.cells.tobytes() == want.tobytes()
 

@@ -69,13 +69,6 @@ def test_compass_matrix_matches_closed_forms():
         assert dm.cells[i, j] == expected
 
 
-def test_threaded_matrix_identical_to_sequential():
-    dataset = [compass_election(k, 4, 24) for k in COMPASS_KINDS]
-    seq = distance_matrix(dataset, "emdpos")
-    par = distance_matrix(dataset, "emdpos", threads=4)
-    assert np.array_equal(seq.cells, par.cells)
-
-
 def test_matrix_respects_dataset_reordering():
     dataset = [compass_election(k, 4, 24) for k in COMPASS_KINDS]
     perm = [2, 0, 3, 1]

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from electodist import metrics
+from electodist.cli import main
 from electodist import (
     METRIC_KINDS,
     Election,
@@ -252,10 +256,32 @@ def test_iso_distance_validates():
     assert iso_distance(big, big, "discrete").value == 0
 
 
-def test_iso_swap_guard_is_configurable():
-    e = Election(5, [tuple(range(5))] * 2)
-    with pytest.raises(ValueError):
-        iso_distance(e, e, "swap", guard=4)
+def test_guards_dict_is_the_only_guard(tmp_path, capsys):
+    e = Election(5, [tuple(range(5)), (4, 3, 2, 1, 0)])
+    small = Election(4, [tuple(range(4))] * 2)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "m": 5, "n": 2, "compass": ["ID", "AN"], "metrics": ["emdpos", "pairwise"],
+        "output": str(tmp_path / "out"),
+    }), encoding="utf-8")
+    with mock.patch.dict(metrics.GUARDS, {"swap": 4, "pairwise": 4}):
+        for kind, call in (
+            ("swap", lambda: iso_distance(e, e, "swap")),
+            ("pairwise", lambda: pairwise_distance(e, e)),
+            ("swap", lambda: metrics.distance_values([e, e], "swap")),
+            ("pairwise", lambda: metrics.distance_values([e, e], "pairwise")),
+        ):
+            with pytest.raises(ValueError, match=rf"^{kind} distance guarded at m <= 4 \(got m=5\)$"):
+                call()
+        assert iso_distance(small, small, "swap").value == 0
+        assert pairwise_distance(small, small).value == 0
+        assert main(["map", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: pairwise distance guarded at m <= 4 (got m=5)\n"
+        assert not (tmp_path / "out").exists()
+    assert iso_distance(e, e, "swap").value == 0
+    assert pairwise_distance(e, e).value == 0
 
 
 def test_positionwise_known_pair():
