@@ -11,7 +11,6 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.stats import rankdata
 
 from .elections import (
     COMPASS_KINDS,
@@ -172,6 +171,22 @@ def count_equivalence_classes(m: int, n: int) -> CensusReport:
     )
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks in float64, tied values sharing the mean of their
+    ranks, as ``scipy.stats.rankdata`` gives them.
+
+    A tie group holding sorted places start..end - 1 gets
+    (start + 1 + end) / 2, an exact half.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2, ends - starts)
+    return ranks
+
+
 def _pearson(xs, ys) -> Optional[float]:
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
@@ -194,7 +209,7 @@ def matrix_correlation(dm_a: DistanceMatrix, dm_b: DistanceMatrix) -> Correlatio
     upper = np.triu_indices(len(dm_a.labels), k=1)
     xs = dm_a.cells[upper]
     ys = dm_b.cells[upper]
-    spearman = _pearson(rankdata(xs), rankdata(ys))
+    spearman = _pearson(_average_ranks(xs), _average_ranks(ys))
     return CorrelationReport((dm_a.metric, dm_b.metric), _pearson(xs, ys), spearman, len(xs))
 
 

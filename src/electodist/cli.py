@@ -9,6 +9,7 @@ Exit code 0 means no errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -95,8 +96,9 @@ class ExperimentConfig:
             m=m,
             n=n,
             dataset=tuple(dataset),
-            compass=compass,
-            # a repeated metric is computed once, in order of first mention
+            # a repeated compass kind or metric counts once, in order of
+            # first mention
+            compass=tuple(dict.fromkeys(compass)),
             metrics=tuple(dict.fromkeys(metrics)),
             seed=int(obj.get("seed", 0)),
             output=str(obj.get("output", "electodist-out")),
@@ -381,23 +383,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="sample elections to files plus a manifest")
     add_config(p)
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("distance", help="distance between two election files")
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--metric", required=True, choices=METRIC_KINDS)
     p.add_argument("--witness", action="store_true", help="also print matchings")
-    p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("census", help="equivalence-class counts as CSV")
     p.add_argument("--m", required=True, help="comma-separated candidate counts")
     p.add_argument("--n", required=True, help="comma-separated voter counts")
-    p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("correlate", help="metric correlations on a sampled dataset")
     add_config(p)
-    p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("map", help="distance matrices and 2-D maps for a dataset")
     add_config(p)
@@ -408,36 +406,40 @@ def build_parser() -> argparse.ArgumentParser:
         help="deprecated, accepted and ignored if positive; "
         "matrices are computed sequentially",
     )
-    p.set_defaults(func=cmd_map)
 
     p = sub.add_parser(
         "verify-compass", help="check computed compass distances against formulas"
     )
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_verify_compass)
 
     p = sub.add_parser("path", help="intrinsic unit path between two elections")
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--metric", required=True, choices=("l1pos", "emdpos"))
-    p.set_defaults(func=cmd_path)
 
     p = sub.add_parser("realizable", help="find an election with given statistics")
     p.add_argument("representation", choices=("borda", "majority", "position"))
     p.add_argument("--scores", default=None, help="comma-separated Borda scores")
     p.add_argument("--file", default=None, help="matrix file (integer rows)")
     p.add_argument("--n", type=int, default=None, help="voter count")
-    p.set_defaults(func=cmd_realizable)
 
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main call and reused by every later one
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, not bound into the cached tree, so a cmd_*
+    # function patched after the first call is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

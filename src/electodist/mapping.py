@@ -103,21 +103,21 @@ def distance_matrix(
     return DistanceMatrix(tuple(labels), cells, kind)
 
 
-def _condensed(points: np.ndarray) -> np.ndarray:
-    diffs = points[:, None, :] - points[None, :, :]
-    dists = np.sqrt((diffs**2).sum(axis=2))
-    iu = np.triu_indices(points.shape[0], k=1)
-    return dists[iu]
-
-
 def embedding_stress(points: np.ndarray, targets: np.ndarray) -> float:
     """Normalized squared error between optimally scaled embedded distances
     and target distances; 0 for an all-zero target matrix."""
-    t = np.asarray(targets, dtype=float)[np.triu_indices(len(points), k=1)]
+    iu = np.triu_indices(len(points), k=1)
+    t = np.asarray(targets, dtype=float)[iu]
     denom = float((t**2).sum())
     if denom == 0.0:
         return 0.0
-    e = _condensed(np.asarray(points, dtype=float))
+    return _stress(np.asarray(points, dtype=float), iu, t, denom)
+
+
+def _stress(points: np.ndarray, iu: tuple, t: np.ndarray, denom: float) -> float:
+    # iu: the cells above the diagonal; t: the targets there; denom: (t**2).sum()
+    diffs = points[:, None, :] - points[None, :, :]
+    e = np.sqrt((diffs**2).sum(axis=2))[iu]
     ee = float((e**2).sum())
     scale = float(e @ t) / ee if ee > 0 else 0.0
     return float(((scale * e - t) ** 2).sum() / denom)
@@ -145,11 +145,16 @@ def _spring_phase(
 def _descent_tail(
     points: np.ndarray, targets: np.ndarray, iterations: int
 ) -> list[float]:
+    """Gradient steps on the stress with a backtracking line search.
+
+    targets must have a nonzero cell above the diagonal.
+    """
     trace = []
-    current = embedding_stress(points, targets)
     k = points.shape[0]
     iu = np.triu_indices(k, k=1)
     t = targets[iu]
+    denom = float((t**2).sum())
+    current = _stress(points, iu, t, denom)
     step = 0.1
     for _ in range(iterations):
         diffs = points[:, None, :] - points[None, :, :]
@@ -169,7 +174,7 @@ def _descent_tail(
         trial_step = step
         for _ in range(8):
             candidate = points - trial_step * grad
-            value = embedding_stress(candidate, targets)
+            value = _stress(candidate, iu, t, denom)
             if value < current:
                 points[:] = candidate
                 current = value

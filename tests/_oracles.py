@@ -480,3 +480,60 @@ def loop_count_equivalence_classes(m: int, n: int) -> CensusReport:
         pair_keys.add(min(tuple(mm[i][j] for i in pi for j in pi) for pi in perms))
         borda_keys.add(tuple(sorted(borda_vector(e).tolist())))
     return CensusReport(m, n, anecs, len(pos_keys), len(pair_keys), len(borda_keys))
+
+
+def indexing_embedding_stress(points: np.ndarray, targets: np.ndarray) -> float:
+    """``mapping.embedding_stress`` as it was, rebuilding the upper-triangle
+    indices for the targets and again for the embedded distances."""
+    t = np.asarray(targets, dtype=float)[np.triu_indices(len(points), k=1)]
+    denom = float((t**2).sum())
+    if denom == 0.0:
+        return 0.0
+    pts = np.asarray(points, dtype=float)
+    diffs = pts[:, None, :] - pts[None, :, :]
+    dists = np.sqrt((diffs**2).sum(axis=2))
+    e = dists[np.triu_indices(pts.shape[0], k=1)]
+    ee = float((e**2).sum())
+    scale = float(e @ t) / ee if ee > 0 else 0.0
+    return float(((scale * e - t) ** 2).sum() / denom)
+
+
+def indexing_descent_tail(
+    points: np.ndarray, targets: np.ndarray, iterations: int
+) -> list[float]:
+    """``mapping._descent_tail`` as it was: every trial step recomputes the
+    stress from scratch, index tables and target norm included."""
+    trace = []
+    current = indexing_embedding_stress(points, targets)
+    k = points.shape[0]
+    iu = np.triu_indices(k, k=1)
+    t = targets[iu]
+    step = 0.1
+    for _ in range(iterations):
+        diffs = points[:, None, :] - points[None, :, :]
+        dists = np.sqrt((diffs**2).sum(axis=2))
+        np.fill_diagonal(dists, 1.0)
+        e = dists[iu]
+        ee = float((e**2).sum())
+        scale = float(e @ t) / ee if ee > 0 else 0.0
+        resid = np.zeros((k, k))
+        resid[iu] = scale * e - t
+        resid = resid + resid.T
+        ratio = np.divide(resid, dists, out=np.zeros((k, k)), where=dists > 0)
+        grad = 2.0 * scale * (ratio[:, :, None] * diffs).sum(axis=1)
+        improved = False
+        trial_step = step
+        for _ in range(8):
+            candidate = points - trial_step * grad
+            value = indexing_embedding_stress(candidate, targets)
+            if value < current:
+                points[:] = candidate
+                current = value
+                step = trial_step * 1.5
+                improved = True
+                break
+            trial_step /= 2.0
+        if not improved:
+            step = trial_step
+        trace.append(current)
+    return trace

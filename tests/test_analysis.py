@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+from scipy.stats import rankdata
 
 from electodist import (
     COMPASS_KINDS,
@@ -34,6 +35,8 @@ from electodist import (
     positionwise_distance,
     recover_election,
 )
+
+from electodist.analysis import _average_ranks
 
 from conftest import SMALL_A, SMALL_B, elections, election_pairs
 from _paths import discrete_unit_path, swap_unit_path
@@ -171,6 +174,28 @@ def test_correlation_errors():
         correlation(census[:1], "swap", "emdpos")
     with pytest.raises(ValueError):
         correlation([SMALL_A, Election(3, [(0, 1, 2)])], "swap", "emdpos")
+
+
+@st.composite
+def tie_heavy_arrays(draw):
+    # values drawn from a pool of at most five, so most of them tie
+    if draw(st.booleans()):
+        pool = st.integers(-3, 4)
+        dtype = np.int64
+    else:
+        pool = st.floats(-1e3, 1e3, allow_nan=False)
+        dtype = float
+    values = draw(st.lists(pool, min_size=1, max_size=5, unique=True))
+    return np.array(draw(st.lists(st.sampled_from(values), min_size=1, max_size=40)), dtype=dtype)
+
+
+@settings(max_examples=300)
+@given(tie_heavy_arrays())
+def test_average_ranks_equal_rankdata(values):
+    ours = _average_ranks(values)
+    theirs = rankdata(values)
+    assert ours.dtype == theirs.dtype
+    assert ours.tobytes() == theirs.tobytes()
 
 
 # compass closed forms

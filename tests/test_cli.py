@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import electodist
 from electodist import (
     borda_vector,
     correlation,
@@ -51,6 +56,39 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# start-up
+
+def test_import_loads_scipy_optimize_and_not_scipy_stats():
+    # scipy.stats alone took about 0.7 s to import; the CLI needs none of it
+    probe = (
+        "import sys, electodist, electodist.cli; "
+        "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])"
+    )
+    src = str(Path(electodist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['scipy.optimize']\n"
+
+
+def test_main_builds_the_parser_once(pair_files, capsys):
+    a, b = pair_files
+    cli._parser.cache_clear()
+    with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as built:
+        first = run(capsys, ["distance", a, b, "--metric", "bordawise"])
+        second = run(capsys, ["distance", a, b, "--metric", "swap", "--witness"])
+    assert built.call_count == 1
+    assert first == (0, "1\n", "")
+    assert second[0] == 0
+    assert [line.split()[0] for line in second[1].splitlines()] == ["1", "candidates", "voters"]
+    # the cached parser names commands; main looks the function up per call
+    with mock.patch.object(cli, "cmd_census", return_value=0) as census:
+        assert main(["census", "--m", "3", "--n", "3"]) == 0
+    assert census.call_count == 1
 
 
 # distance
@@ -228,15 +266,15 @@ def test_correlate_prints_one_row_for_a_repeated_metric(tmp_path, capsys):
 
 
 def test_correlate_rejects_one_election_before_sampling(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path, dataset=[{"model": "IC", "count": 1}], compass=[], metrics=["emdpos", "swap"]
-    )
-    with mock.patch.object(cli, "build_dataset", wraps=cli.build_dataset) as sampled:
-        code, out, err = run(capsys, ["correlate", "--config", str(cfg)])
-    assert code == 2
-    assert out == ""
-    assert err == "error: correlation needs at least two elections\n"
-    assert sampled.call_count == 0
+    # a compass kind named twice is one election
+    for dataset, compass in (([{"model": "IC", "count": 1}], []), ([], ["ID", "ID"])):
+        cfg = write_config(tmp_path, dataset=dataset, compass=compass, metrics=["emdpos", "swap"])
+        with mock.patch.object(cli, "build_dataset", wraps=cli.build_dataset) as sampled:
+            code, out, err = run(capsys, ["correlate", "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: correlation needs at least two elections\n"
+        assert sampled.call_count == 0
 
 
 def test_correlate_fails_fast_on_guarded_metric(tmp_path, capsys):
@@ -330,6 +368,21 @@ def test_map_computes_a_repeated_metric_once(tmp_path, capsys):
         for name in ("distances-emdpos.csv", "map-emdpos.csv", "map-emdpos.svg")
     ]
     assert values.call_count == 1
+
+
+def test_map_writes_a_repeated_compass_kind_once(tmp_path, capsys):
+    cfg = write_config(tmp_path, compass=["ID", "ID", "AN"], metrics=["emdpos"])
+    code, _, _ = run(capsys, ["map", "--config", str(cfg)])
+    assert code == 0
+    outdir = tmp_path / "out"
+    matrix = (outdir / "distances-emdpos.csv").read_text(encoding="utf-8").splitlines()
+    assert matrix[0].split(",")[-2:] == ["ID", "AN"]
+    assert [row.split(",")[0] for row in matrix[1:]][-2:] == ["ID", "AN"]
+    assert len(matrix) == 7
+    points = (outdir / "map-emdpos.csv").read_text(encoding="utf-8").splitlines()
+    assert [row.split(",")[0] for row in points].count("ID") == 1
+    svg = (outdir / "map-emdpos.svg").read_text(encoding="utf-8")
+    assert svg.count("<title>ID (ID)</title>") == 1
 
 
 # verify-compass

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import warnings
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from electodist import (
     compass_election,
     sample_many,
 )
+from electodist import mapping
 from electodist.mapping import (
     PALETTE,
     DistanceMatrix,
@@ -24,6 +26,7 @@ from electodist.mapping import (
     export_map,
 )
 
+from _oracles import indexing_descent_tail, indexing_embedding_stress
 from conftest import SMALL_A, SMALL_B
 
 
@@ -171,6 +174,42 @@ def test_mds_tail_moves_points_that_coincide():
     assert np.all(np.isfinite(tail))
     assert np.all(tail[1:] <= tail[:-1])
     assert tail[-1] < tail[0]
+
+
+def random_distance_matrix(rng, k):
+    # integer distances with a duplicated election: its row and column
+    # repeat the original's, and the two sit at distance 0
+    cells = rng.integers(1, 9, (k, k)).astype(float)
+    cells = np.triu(cells, 1)
+    cells = cells + cells.T
+    if k >= 3:
+        cells[k - 1] = cells[0]
+        cells[:, k - 1] = cells[:, 0]
+        cells[0, k - 1] = cells[k - 1, 0] = cells[k - 1, k - 1] = 0.0
+    return DistanceMatrix(tuple(map(str, range(k))), cells, "swap")
+
+
+@pytest.mark.parametrize("method", ["spring", "mds"])
+def test_embed_equals_indexing_tail(method):
+    rng = np.random.default_rng(5)
+    for trial, k in enumerate([2, 2, 3, 5, 8, 13, 21]):
+        dm = random_distance_matrix(rng, k)
+        config = EmbedConfig(iterations=60, seed=trial, method=method)
+        fast = embed(dm, config)
+        with mock.patch.object(mapping, "_descent_tail", indexing_descent_tail):
+            slow = embed(dm, config)
+        assert fast.points.tobytes() == slow.points.tobytes()
+        assert fast.stress == slow.stress
+        assert fast.tail_stress == slow.tail_stress
+
+
+def test_embedding_stress_equals_indexing_stress():
+    rng = np.random.default_rng(6)
+    for k in (1, 2, 3, 7, 12):
+        targets = random_distance_matrix(rng, k).cells
+        for points in (rng.random((k, 2)), np.zeros((k, 2)), np.repeat(rng.random((1, 2)), k, 0)):
+            assert embedding_stress(points, targets) == indexing_embedding_stress(points, targets)
+    assert embedding_stress(np.zeros((3, 2)), np.zeros((3, 3))) == 0.0
 
 
 def test_embed_config_errors():
