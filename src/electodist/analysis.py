@@ -21,7 +21,7 @@ from .elections import (
     position_matrix,
 )
 from .mapping import DistanceMatrix, distance_matrix
-from .metrics import METRIC_KINDS, distance_values, positionwise_distance
+from .metrics import METRIC_KINDS, _upper_cells, distance_values, positionwise_distance
 
 CENSUS_GUARD_M = 4
 CENSUS_GUARD_N = 6
@@ -156,11 +156,9 @@ def count_equivalence_classes(m: int, n: int) -> CensusReport:
     # the cells c < d fix a majority matrix, as cells[c, d] + cells[d, c]
     # = n; their base-(n+1) code, minimized over relabelings, names its
     # class.  digits[s] weighs the cells (s c, s d) of relabeling s
-    first, second = np.triu_indices(m, 1)
+    relabeled = _upper_cells(table, m)
     digits = np.zeros((len(table), m * m), dtype=np.int64)
-    np.put_along_axis(
-        digits, table[:, first] * m + table[:, second], (n + 1) ** np.arange(len(first)), axis=1
-    )
+    np.put_along_axis(digits, relabeled, (n + 1) ** np.arange(relabeled.shape[1]), axis=1)
     pair_keys = (majority @ digits.T).min(axis=1)
 
     def distinct(keys: np.ndarray) -> int:

@@ -29,7 +29,7 @@ from .analysis import (
     matrix_correlation,
     recover_election,
 )
-from .cultures import CultureSpec, sample_many
+from .cultures import CultureSpec, check_spec, sample_many
 from .elections import (
     COMPASS_KINDS,
     Election,
@@ -61,22 +61,26 @@ class ExperimentConfig:
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise ValueError("config must be a JSON object")
-        try:
-            m = int(obj["m"])
-            n = int(obj["n"])
-        except KeyError as exc:
-            raise ValueError(f"config is missing required field {exc.args[0]!r}")
+        for key in ("m", "n"):
+            if key not in obj:
+                raise ValueError(f"config is missing required field {key!r}")
+        m = _typed(obj["m"], int, "m", "an integer")
+        n = _typed(obj["n"], int, "n", "an integer")
         if m < 1 or n < 1:
             raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
         dataset = []
-        for entry in obj.get("dataset", []):
+        for entry in _typed(obj.get("dataset", []), list, "dataset", "a list"):
+            _typed(entry, dict, "dataset entry", "an object")
             if "model" not in entry:
                 raise ValueError(f"dataset entry {entry!r} has no model")
-            count = int(entry.get("count", 1))
+            params = _typed(entry.get("params", {}), dict, "dataset entry params", "an object")
+            for key, value in params.items():
+                _typed(value, (int, float, str), f"parameter {key!r}", "a number or a string")
+            count = _typed(entry.get("count", 1), int, "dataset entry count", "an integer")
             if count < 1:
                 raise ValueError(f"dataset entry count must be positive, got {count}")
             dataset.append((CultureSpec.from_json(entry), count))
-        compass = tuple(obj.get("compass", []))
+        compass = _typed(obj.get("compass", []), list, "compass", "a list")
         for kind in compass:
             if kind not in COMPASS_KINDS:
                 raise ValueError(
@@ -84,7 +88,7 @@ class ExperimentConfig:
                 )
         if not dataset and not compass:
             raise ValueError("config needs a dataset or compass inclusions")
-        metrics = tuple(obj.get("metrics", ["emdpos"]))
+        metrics = _typed(obj.get("metrics", ["emdpos"]), list, "metrics", "a list")
         for kind in metrics:
             if kind not in METRIC_KINDS:
                 raise ValueError(
@@ -100,9 +104,16 @@ class ExperimentConfig:
             # first mention
             compass=tuple(dict.fromkeys(compass)),
             metrics=tuple(dict.fromkeys(metrics)),
-            seed=int(obj.get("seed", 0)),
-            output=str(obj.get("output", "electodist-out")),
+            seed=_typed(obj.get("seed", 0), int, "seed", "an integer"),
+            output=_typed(obj.get("output", "electodist-out"), str, "output", "a string"),
         )
+
+
+def _typed(value, types, name: str, expected: str):
+    # JSON true and false load as bool, which Python counts as an int
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    return value
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -123,6 +134,11 @@ def build_dataset(config: ExperimentConfig) -> tuple[list[str], list[Election], 
     Returns (labels, elections, classes) where classes maps each label to
     its culture label or compass kind, for map coloring and manifests.
     """
+    # every entry is checked, and every compass election built, before the
+    # first draw
+    for spec, _ in config.dataset:
+        check_spec(spec)
+    compass = [compass_election(kind, config.m, config.n) for kind in config.compass]
     labels: list[str] = []
     elections: list[Election] = []
     classes: dict[str, str] = {}
@@ -135,9 +151,9 @@ def build_dataset(config: ExperimentConfig) -> tuple[list[str], list[Election], 
             elections.append(e)
             classes[label] = spec.label()
         offset += count
-    for kind in config.compass:
+    for kind, election in zip(config.compass, compass):
         labels.append(kind)
-        elections.append(compass_election(kind, config.m, config.n))
+        elections.append(election)
         classes[kind] = kind
     return labels, elections, classes
 

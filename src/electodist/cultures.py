@@ -27,6 +27,7 @@ __all__ = [
     "DEFAULT_CULTURES",
     "EUCLIDEAN_SHAPES",
     "GROUP_SEPARABLE_TREES",
+    "check_spec",
     "sample",
     "sample_many",
     "sample_ic",
@@ -351,43 +352,41 @@ def sample_group_separable(m: int, n: int, seed: SeedLike, tree: str) -> Electio
     return Election(m, votes)
 
 
+# each model's sampler and the parameters it takes, in order
+_SAMPLERS = {
+    "IC": (sample_ic, ()),
+    "Urn": (sample_urn, ("alpha",)),
+    "Mallows": (sample_mallows, ("phi",)),
+    "SPWalsh": (sample_sp_walsh, ()),
+    "SPConitzer": (sample_sp_conitzer, ()),
+    "SPOC": (sample_spoc, ()),
+    "SingleCrossing": (sample_single_crossing, ()),
+    "Euclidean": (sample_euclidean, ("shape",)),
+    "GroupSeparable": (sample_group_separable, ("tree",)),
+}
+
+
+def check_spec(spec: CultureSpec) -> None:
+    """Raise ValueError unless the spec names a known model and exactly the
+    parameters it takes; draws nothing."""
+    if spec.model not in _SAMPLERS:
+        raise ValueError(f"unknown culture model {spec.model!r}")
+    names = _SAMPLERS[spec.model][1]
+    for key in names:
+        if key not in spec.params:
+            raise ValueError(f"{spec.model} requires parameter {key!r}")
+    unexpected = set(spec.params) - set(names)
+    if unexpected:
+        raise ValueError(f"unexpected parameters for {spec.model}: {sorted(unexpected)}")
+
+
 def sample(spec: CultureSpec, m: int, n: int, seed: SeedLike) -> Election:
     """Draw one election from the given culture; deterministic in the seed."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    model = spec.model
-    params = dict(spec.params)
-
-    def take(key, default=None):
-        if key in params:
-            return params.pop(key)
-        if default is None:
-            raise ValueError(f"{model} requires parameter {key!r}")
-        return default
-
-    if model == "IC":
-        result = sample_ic(m, n, seed)
-    elif model == "Urn":
-        result = sample_urn(m, n, seed, take("alpha"))
-    elif model == "Mallows":
-        result = sample_mallows(m, n, seed, take("phi"))
-    elif model == "SPWalsh":
-        result = sample_sp_walsh(m, n, seed)
-    elif model == "SPConitzer":
-        result = sample_sp_conitzer(m, n, seed)
-    elif model == "SPOC":
-        result = sample_spoc(m, n, seed)
-    elif model == "SingleCrossing":
-        result = sample_single_crossing(m, n, seed)
-    elif model == "Euclidean":
-        result = sample_euclidean(m, n, seed, str(take("shape")))
-    elif model == "GroupSeparable":
-        result = sample_group_separable(m, n, seed, str(take("tree")))
-    else:
-        raise ValueError(f"unknown culture model {spec.model!r}")
-    if params:
-        raise ValueError(f"unexpected parameters for {model}: {sorted(params)}")
-    return result
+    check_spec(spec)
+    sampler, names = _SAMPLERS[spec.model]
+    return sampler(m, n, seed, *(spec.params[key] for key in names))
 
 
 def sample_many(

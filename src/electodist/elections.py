@@ -11,6 +11,7 @@ because the downstream diameter identities must hold exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -218,8 +219,9 @@ def compass_election(kind: str, m: int, n: int) -> Election:
         _require_divisible(n, 2, "2 | n")
         half = n // 2
         return Election(m, [canonical] * half + [canonical[::-1]] * half)
+    # the divisors are checked before any of the m! or ((m/2)!)^2 orders is built
     if kind == "UN":
-        fact = len(all_orders(m))
+        fact = math.factorial(m)
         _require_divisible(n, fact, f"m! = {fact} divides n")
         copies = n // fact
         return Election(m, [v for v in all_orders(m) for _ in range(copies)])
@@ -227,15 +229,14 @@ def compass_election(kind: str, m: int, n: int) -> Election:
     if m % 2 != 0:
         raise ValueError("ST compass election requires even m")
     half_m = m // 2
-    block_a = list(range(half_m))
-    block_b = list(range(half_m, m))
+    blocks = math.factorial(half_m) ** 2
+    _require_divisible(n, blocks, f"((m/2)!)^2 = {blocks} divides n")
+    copies = n // blocks
     orders = [
         tuple(pa) + tuple(pb)
-        for pa in itertools.permutations(block_a)
-        for pb in itertools.permutations(block_b)
+        for pa in itertools.permutations(range(half_m))
+        for pb in itertools.permutations(range(half_m, m))
     ]
-    _require_divisible(n, len(orders), f"((m/2)!)^2 = {len(orders)} divides n")
-    copies = n // len(orders)
     return Election(m, [v for v in orders for _ in range(copies)])
 
 

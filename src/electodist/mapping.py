@@ -111,29 +111,33 @@ def embedding_stress(points: np.ndarray, targets: np.ndarray) -> float:
     denom = float((t**2).sum())
     if denom == 0.0:
         return 0.0
-    return _stress(np.asarray(points, dtype=float), iu, t, denom)
+    return _measure(np.asarray(points, dtype=float), iu, t, denom)[3]
 
 
-def _stress(points: np.ndarray, iu: tuple, t: np.ndarray, denom: float) -> float:
-    # iu: the cells above the diagonal; t: the targets there; denom: (t**2).sum()
+def _measure(
+    points: np.ndarray, iu: tuple, t: np.ndarray, denom: float
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    # the pair differences, the pair distances, the scale that best fits
+    # them to the targets and the stress at that scale.  iu: the cells
+    # above the diagonal; t: the targets there; denom: (t**2).sum()
     diffs = points[:, None, :] - points[None, :, :]
-    e = np.sqrt((diffs**2).sum(axis=2))[iu]
+    dists = np.sqrt((diffs**2).sum(axis=2))
+    e = dists[iu]
     ee = float((e**2).sum())
     scale = float(e @ t) / ee if ee > 0 else 0.0
-    return float(((scale * e - t) ** 2).sum() / denom)
+    return diffs, dists, scale, float(((scale * e - t) ** 2).sum() / denom)
 
 
 def _spring_phase(
     points: np.ndarray, ideal: np.ndarray, iterations: int, temperature: float
 ) -> None:
-    k = points.shape[0]
     for it in range(iterations):
         diffs = points[:, None, :] - points[None, :, :]
         dists = np.sqrt((diffs**2).sum(axis=2))
         np.fill_diagonal(dists, 1.0)
-        # spring force toward the ideal length for every pair
+        # spring force toward the ideal length for every pair; a point's
+        # own term, -1 times a +0.0 difference, is -0.0 and changes no sum
         coeff = (ideal - dists) / dists
-        np.fill_diagonal(coeff, 0.0)
         force = (coeff[:, :, None] * diffs).sum(axis=1)
         norms = np.sqrt((force**2).sum(axis=1, keepdims=True))
         norms[norms == 0] = 1.0
@@ -154,51 +158,42 @@ def _descent_tail(
     iu = np.triu_indices(k, k=1)
     t = targets[iu]
     denom = float((t**2).sum())
-    current = _stress(points, iu, t, denom)
+    # the measurement of the point set last accepted, or started from
+    diffs, dists, scale, current = _measure(points, iu, t, denom)
     step = 0.1
     for _ in range(iterations):
-        diffs = points[:, None, :] - points[None, :, :]
-        dists = np.sqrt((diffs**2).sum(axis=2))
-        np.fill_diagonal(dists, 1.0)
-        e = dists[iu]
-        ee = float((e**2).sum())
-        scale = float(e @ t) / ee if ee > 0 else 0.0
         resid = np.zeros((k, k))
-        resid[iu] = scale * e - t
+        resid[iu] = scale * dists[iu] - t
         resid = resid + resid.T
         # coincident points pull on each other in no direction, as SMACOF's
         # b_ij = 0 where d_ij = 0
         ratio = np.divide(resid, dists, out=np.zeros((k, k)), where=dists > 0)
         grad = 2.0 * scale * (ratio[:, :, None] * diffs).sum(axis=1)
-        improved = False
         trial_step = step
         for _ in range(8):
             candidate = points - trial_step * grad
-            value = _stress(candidate, iu, t, denom)
-            if value < current:
+            measured = _measure(candidate, iu, t, denom)
+            if measured[3] < current:
                 points[:] = candidate
-                current = value
+                diffs, dists, scale, current = measured
                 step = trial_step * 1.5
-                improved = True
                 break
             trial_step /= 2.0
-        if not improved:
+        else:
             step = trial_step
         trace.append(current)
     return trace
 
 
 def _classical_mds(targets: np.ndarray) -> np.ndarray:
+    # needs k >= 2, so that two eigenvalues are taken
     d2 = targets**2
     k = targets.shape[0]
     j = np.eye(k) - np.full((k, k), 1.0 / k)
     gram = -0.5 * j @ d2 @ j
     vals, vecs = np.linalg.eigh(gram)
     order = np.argsort(vals)[::-1][:2]
-    coords = vecs[:, order] * np.sqrt(np.maximum(vals[order], 0.0))
-    if coords.shape[1] < 2:
-        coords = np.hstack([coords, np.zeros((k, 1))])
-    return coords
+    return vecs[:, order] * np.sqrt(np.maximum(vals[order], 0.0))
 
 
 def _normalize_unit_square(points: np.ndarray) -> np.ndarray:
@@ -226,9 +221,7 @@ def embed(dm: DistanceMatrix, config: EmbedConfig = EmbedConfig()) -> Embedding:
     rng = np.random.default_rng(config.seed)
     points = rng.random((k, 2))
     tail_iterations = max(1, config.iterations // 10)
-    if k == 1:
-        final = np.array([[0.5, 0.5]])
-        return Embedding(dm.labels, final, config, 0.0, (0.0,) * tail_iterations)
+    # a single election's matrix is all zero too
     if targets.max() == 0:
         final = _normalize_unit_square(points)
         return Embedding(dm.labels, final, config, 0.0, (0.0,) * tail_iterations)

@@ -537,3 +537,22 @@ def indexing_descent_tail(
             step = trial_step
         trace.append(current)
     return trace
+
+
+def diagonal_zeroing_spring_phase(
+    points: np.ndarray, ideal: np.ndarray, iterations: int, temperature: float
+) -> None:
+    """``mapping._spring_phase`` as it was: it zeroes each point's force
+    coefficient on itself before summing the pair forces."""
+    for it in range(iterations):
+        diffs = points[:, None, :] - points[None, :, :]
+        dists = np.sqrt((diffs**2).sum(axis=2))
+        np.fill_diagonal(dists, 1.0)
+        coeff = (ideal - dists) / dists
+        np.fill_diagonal(coeff, 0.0)
+        force = (coeff[:, :, None] * diffs).sum(axis=1)
+        norms = np.sqrt((force**2).sum(axis=1, keepdims=True))
+        norms[norms == 0] = 1.0
+        temp = temperature * (1.0 - it / iterations) + 1e-4
+        step = force / norms * np.minimum(norms, temp)
+        points += step

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +19,7 @@ from electodist import (
     parse_election,
     serialize_election,
 )
-from electodist import cli, mapping
+from electodist import cli, cultures, mapping
 from electodist.cli import ExperimentConfig, build_dataset, main
 
 from conftest import SMALL_A, SMALL_B
@@ -219,6 +220,66 @@ def test_config_validation_errors(tmp_path, capsys):
         code, _, err = run(capsys, ["generate", "--config", str(cfg)])
         assert code == 2
         assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"dataset": [5]}, "dataset entry must be an object, got 5"),
+        ({"m": None}, "m must be an integer, got None"),
+        ({"n": 6.0}, "n must be an integer, got 6.0"),
+        ({"seed": "11"}, "seed must be an integer, got '11'"),
+        ({"dataset": {"model": "IC"}}, "dataset must be a list, got {'model': 'IC'}"),
+        ({"dataset": [{"model": "IC", "params": [1]}]}, "dataset entry params must be an object, got [1]"),
+        ({"dataset": [{"model": "IC", "count": True}]}, "dataset entry count must be an integer, got True"),
+        (
+            {"dataset": [{"model": "Mallows", "params": {"phi": [1]}}]},
+            "parameter 'phi' must be a number or a string, got [1]",
+        ),
+        ({"compass": 5}, "compass must be a list, got 5"),
+        ({"metrics": 5}, "metrics must be a list, got 5"),
+        ({"output": None}, "output must be a string, got None"),
+    ],
+    ids=[
+        "entry", "m", "n", "seed", "dataset", "params", "count", "param-value", "compass",
+        "metrics", "output",
+    ],
+)
+def test_config_json_types_are_checked(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, **overrides)
+    code, out, err = run(capsys, ["map", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"dataset": [{"model": "IC", "count": 2}, {"model": "Urn", "params": {"alpha": 1, "beta": 2}}]},
+            "unexpected parameters for Urn: ['beta']",
+        ),
+        ({"n": 4}, "compass election requires m! = 6 divides n (got n=4)"),
+    ],
+    ids=["culture", "compass"],
+)
+def test_build_dataset_checks_every_entry_before_the_first_draw(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, **overrides)
+    with mock.patch.object(cultures, "sample") as sample:
+        code, out, err = run(capsys, ["map", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert sample.call_count == 0
+    assert not (tmp_path / "out").exists()
+
+
+def test_format_value():
+    assert cli.format_value(Fraction(3, 2)) == "3/2"
+    assert cli.format_value(Fraction(4, 2)) == "2"
+    assert cli.format_value(7) == "7"
 
 
 # correlate

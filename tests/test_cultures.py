@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from electodist import Election, all_orders
+from electodist import Election, all_orders, cultures
 from electodist.cultures import (
     DEFAULT_CULTURES,
     CultureSpec,
@@ -280,11 +281,21 @@ def test_culture_spec_json_round_trip():
 
 
 def test_sample_rejects_bad_specs():
-    with pytest.raises(ValueError):
-        sample(CultureSpec("Borda"), 3, 3, 0)
-    with pytest.raises(ValueError):
-        sample(CultureSpec("Urn"), 3, 3, 0)
-    with pytest.raises(ValueError):
-        sample(CultureSpec("IC", {"alpha": 1}), 3, 3, 0)
-    with pytest.raises(ValueError):
-        sample(CultureSpec("IC"), 0, 3, 0)
+    cases = [
+        (CultureSpec("Borda"), 3, "unknown culture model 'Borda'"),
+        (CultureSpec("Urn"), 3, "Urn requires parameter 'alpha'"),
+        (CultureSpec("IC", {"alpha": 1}), 3, "unexpected parameters for IC: ['alpha']"),
+        (
+            CultureSpec("Euclidean", {"shape": "disc_2d", "tree": "balanced"}),
+            3,
+            "unexpected parameters for Euclidean: ['tree']",
+        ),
+        (CultureSpec("IC"), 0, "m and n must be positive"),
+    ]
+    for spec, m, message in cases:
+        # every sampler draws from a generator made by _rng, so none is made
+        with mock.patch.object(cultures, "_rng", wraps=cultures._rng) as rng:
+            with pytest.raises(ValueError) as exc:
+                sample(spec, m, 3, 0)
+        assert str(exc.value) == message
+        assert rng.call_count == 0

@@ -26,7 +26,11 @@ from electodist.mapping import (
     export_map,
 )
 
-from _oracles import indexing_descent_tail, indexing_embedding_stress
+from _oracles import (
+    diagonal_zeroing_spring_phase,
+    indexing_descent_tail,
+    indexing_embedding_stress,
+)
 from conftest import SMALL_A, SMALL_B
 
 
@@ -201,6 +205,37 @@ def test_embed_equals_indexing_tail(method):
         assert fast.points.tobytes() == slow.points.tobytes()
         assert fast.stress == slow.stress
         assert fast.tail_stress == slow.tail_stress
+
+
+@pytest.mark.parametrize("method", ["spring", "mds"])
+def test_embed_equals_spring_and_tail_oracles(method):
+    # sampled elections with duplicates at distance 0; k = 1 and the all-zero
+    # matrix take the zero-target branch, k = 1 its zero-extent case
+    pool = [sample_many(spec, 4, 6, 3, 1)[0] for spec in DEFAULT_CULTURES]
+    datasets = [
+        pool[:1],
+        pool[:2],
+        [pool[0], pool[1], pool[0]],
+        pool[:6] + [pool[2], pool[5]],
+        pool + pool[:8],
+        [pool[4]] * 3,
+    ]
+    for trial, dataset in enumerate(datasets):
+        dm = distance_matrix(dataset, "emdpos")
+        config = EmbedConfig(iterations=60, seed=trial, method=method)
+        fast = embed(dm, config)
+        with (
+            mock.patch.object(mapping, "_spring_phase", diagonal_zeroing_spring_phase),
+            mock.patch.object(mapping, "_descent_tail", indexing_descent_tail),
+        ):
+            slow = embed(dm, config)
+        assert fast.points.tobytes() == slow.points.tobytes()
+        assert fast.stress == slow.stress
+        assert fast.tail_stress == slow.tail_stress
+        if len(dataset) == 1:
+            assert fast.points.tolist() == [[0.5, 0.5]]
+            assert fast.stress == 0.0
+            assert fast.tail_stress == (0.0,) * 6
 
 
 def test_embedding_stress_equals_indexing_stress():

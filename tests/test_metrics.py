@@ -321,6 +321,21 @@ def test_positionwise_accepts_matrices():
     assert out.value * SMALL_A.n == 2
 
 
+def test_positionwise_float_matrices_with_rounded_column_sums():
+    # each column holds 0.1, 0.2 and 0.7, whose float sums are 1.0 or
+    # 0.9999999999999999 by the order they are added in
+    pa = np.array([[0.1, 0.7, 0.2], [0.2, 0.2, 0.7], [0.7, 0.1, 0.1]])
+    pb = np.array([[0.7, 0.1, 0.2], [0.2, 0.7, 0.1], [0.1, 0.2, 0.7]])
+    assert len(set(np.cumsum(pa, axis=0)[-1]) | set(np.cumsum(pb, axis=0)[-1])) == 2
+    best = min(
+        sum(emd(pa[:, c].tolist(), pb[:, sigma[c]].tolist()) for c in range(3))
+        for sigma in itertools.permutations(range(3))
+    )
+    assert positionwise_distance(pa, pb, "EMD").value == pytest.approx(best, abs=1e-12)
+    with pytest.raises(ValueError, match="different column sums"):
+        positionwise_distance(pa, pb * 1.1, "EMD")
+
+
 def test_positionwise_identical_matrices_are_at_zero():
     pa = position_matrix(SMALL_A)
     for variant in ("EMD", "L1"):
