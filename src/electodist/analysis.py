@@ -7,7 +7,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -15,13 +15,15 @@ from scipy.optimize import linear_sum_assignment
 from .elections import (
     COMPASS_KINDS,
     Election,
+    _compass_divisor,
     _order_table,
+    _square_matrix,
     all_orders,
     compass_election,
     position_matrix,
 )
 from .mapping import DistanceMatrix, distance_matrix
-from .metrics import METRIC_KINDS, _upper_cells, distance_values, positionwise_distance
+from .metrics import _upper_cells, check_kind, distance_values, positionwise_distance
 
 CENSUS_GUARD_M = 4
 CENSUS_GUARD_N = 6
@@ -214,9 +216,8 @@ def matrix_correlation(dm_a: DistanceMatrix, dm_b: DistanceMatrix) -> Correlatio
 def correlation(dataset: Sequence[Election], kind_a: str, kind_b: str) -> CorrelationReport:
     """Correlation between two metrics over all unordered pairs of distinct
     dataset elections."""
-    for kind in (kind_a, kind_b):
-        if kind not in METRIC_KINDS:
-            raise ValueError(f"unknown metric kind {kind!r}")
+    check_kind(kind_a)
+    check_kind(kind_b)
     if len(dataset) < 2:
         raise ValueError("need at least two elections")
     return matrix_correlation(
@@ -282,16 +283,6 @@ def _as_exact(v: Fraction) -> Union[int, Fraction]:
     return int(v) if v.denominator == 1 else v
 
 
-def _compass_divisor(kind: str, m: int) -> int:
-    if kind == "ID":
-        return 1
-    if kind == "AN":
-        return 2
-    if kind == "UN":
-        return math.factorial(m)
-    return math.factorial(m // 2) ** 2
-
-
 def compass_distance_formula(
     kind: str, pair: Sequence[str], m: int, n: int
 ) -> ExactOrBounds:
@@ -302,8 +293,7 @@ def compass_distance_formula(
     formulas are verified against direct metric computation on the compass
     elections in the test suite.
     """
-    if kind not in METRIC_KINDS:
-        raise ValueError(f"unknown metric kind {kind!r}")
+    check_kind(kind)
     a, b = pair
     for k in (a, b):
         if k not in COMPASS_KINDS:
@@ -345,6 +335,21 @@ def check_diameter(dataset: Sequence[Election], kind: str):
     return [(i, j, int(value)) for (i, j), value in zip(pairs, values) if value > bound]
 
 
+def _integers(values: Iterable, what: str, nonnegative: bool = False) -> list[int]:
+    # the values as ints; ValueError names the first one that is not an
+    # integer, or with nonnegative not >= 0.  Matrices pass tolist() of
+    # their raveled entries, so the named entry is a Python scalar
+    out = []
+    for v in values:
+        iv = int(v)
+        if iv != v:
+            raise ValueError(f"{what} must be integers, got {v!r}")
+        if nonnegative and iv < 0:
+            raise ValueError(f"{what} must be nonnegative, got {v!r}")
+        out.append(iv)
+    return out
+
+
 def recover_election(pos) -> Election:
     """An election whose position matrix equals the given matrix.
 
@@ -352,19 +357,10 @@ def recover_election(pos) -> Election:
     strictly positive cells and subtract its minimum entry as that many
     identical votes.
     """
-    arr = np.asarray(pos)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"position matrix must be square, got shape {arr.shape}")
+    arr = _square_matrix(pos, "position matrix")
     m = arr.shape[0]
-    work = np.zeros((m, m), dtype=np.int64)
-    for i, row in enumerate(arr.tolist()):
-        for j, v in enumerate(row):
-            iv = int(v)
-            if iv != v:
-                raise ValueError(f"position matrix entries must be integers, got {v!r}")
-            if iv < 0:
-                raise ValueError(f"position matrix entries must be nonnegative, got {v!r}")
-            work[i, j] = iv
+    entries = _integers(arr.ravel().tolist(), "position matrix entries", nonnegative=True)
+    work = np.array(entries, dtype=np.int64).reshape(m, m)
     n = int(work[0].sum())
     row_sums = work.sum(axis=1)
     col_sums = work.sum(axis=0)
@@ -398,12 +394,7 @@ def borda_realizable(x: Sequence[int], n: int) -> Optional[Election]:
     Exhaustive depth-first search over counts of each of the m! vote types,
     pruning branches whose remaining votes cannot reach the target scores.
     """
-    scores = []
-    for v in x:
-        iv = int(v)
-        if iv != v:
-            raise ValueError(f"Borda scores must be integers, got {v!r}")
-        scores.append(iv)
+    scores = _integers(x, "Borda scores")
     m = len(scores)
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
@@ -425,27 +416,17 @@ def _realize_by_counts(
     # order) sum to target, or None; counts are tried largest first, so the
     # multiset found is the lexicographically first one
     k, d = len(orders), len(target)
-    suff_min = [[0] * d for _ in range(k)]
-    suff_max = [[0] * d for _ in range(k)]
-    for c in range(d):
-        lo = hi = contrib[k - 1][c]
-        suff_min[k - 1][c] = lo
-        suff_max[k - 1][c] = hi
-        for i in range(k - 2, -1, -1):
-            lo = min(lo, contrib[i][c])
-            hi = max(hi, contrib[i][c])
-            suff_min[i][c] = lo
-            suff_max[i][c] = hi
+    # the least and the greatest contribution to each entry among orders i..k-1
+    suff_min, suff_max = [None] * k, [None] * k
+    lo = hi = contrib[k - 1]
+    for i in range(k - 1, -1, -1):
+        lo = suff_min[i] = list(map(min, lo, contrib[i]))
+        hi = suff_max[i] = list(map(max, hi, contrib[i]))
 
     def dfs(i: int, remaining: int, cur: list[int]) -> Optional[list[tuple[int, int]]]:
         if remaining == 0:
             return [] if cur == target else None
-        if i == k - 1:
-            if all(
-                cur[c] + remaining * contrib[i][c] == target[c] for c in range(d)
-            ):
-                return [(i, remaining)]
-            return None
+        # at the last order the bounds below admit only its count = remaining
         for c in range(d):
             need = target[c] - cur[c]
             if need < remaining * suff_min[i][c] or need > remaining * suff_max[i][c]:
@@ -478,9 +459,7 @@ def majority_realizable_bruteforce(M, n: int) -> Optional[Election]:
     guarded to tiny shapes; the witness is the lexicographically first
     vote multiset.
     """
-    arr = np.asarray(M)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"majority matrix must be square, got shape {arr.shape}")
+    arr = _square_matrix(M, "majority matrix")
     m = arr.shape[0]
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
@@ -489,13 +468,8 @@ def majority_realizable_bruteforce(M, n: int) -> Optional[Election]:
             f"realizability guard: need m <= {MAJORITY_GUARD_M} and "
             f"n <= {MAJORITY_GUARD_N}, got m={m}, n={n}"
         )
-    target = np.zeros((m, m), dtype=np.int64)
-    for i, row in enumerate(arr.tolist()):
-        for j, v in enumerate(row):
-            iv = int(v)
-            if iv != v:
-                raise ValueError(f"majority matrix entries must be integers, got {v!r}")
-            target[i, j] = iv
+    entries = _integers(arr.ravel().tolist(), "majority matrix entries")
+    target = np.array(entries, dtype=np.int64).reshape(m, m)
     if np.any(np.diag(target) != 0):
         return None
     off = ~np.eye(m, dtype=bool)
@@ -522,6 +496,33 @@ def _column_multiset(x: np.ndarray):
     return tuple(sorted(map(tuple, x.T.tolist())))
 
 
+def _shift(x: np.ndarray, c: int, cp: int, r: int, rp: int) -> None:
+    # one unit moves from row r to row rp in column c, and back in column cp
+    x[r, c] -= 1
+    x[rp, c] += 1
+    x[rp, cp] -= 1
+    x[r, cp] += 1
+
+
+def _walk(x: np.ndarray, y: np.ndarray, advance, step_distance: int) -> IntrinsicPath:
+    # the path from x to y that advance(x, y, record) walks, changing x in
+    # place and calling record() after each change
+    steps = [x.copy()]
+
+    def record() -> None:
+        # a change that only permutes columns leaves the election unchanged,
+        # so it extends the working matrix without adding a step
+        if _column_multiset(x) != _column_multiset(steps[-1]):
+            steps.append(x.copy())
+
+    while not np.array_equal(x, y):
+        advance(x, y, record)
+    # the last step holds y's columns, perhaps in another order
+    if not np.array_equal(steps[-1], x):
+        steps[-1] = x.copy()
+    return IntrinsicPath(tuple(steps), step_distance, step_distance * (len(steps) - 1))
+
+
 def _l1_cell_choices(x: np.ndarray, y: np.ndarray):
     m = x.shape[0]
     for c in range(m):
@@ -533,41 +534,28 @@ def _l1_cell_choices(x: np.ndarray, y: np.ndarray):
                     if x[rp, c] < y[rp, c]:
                         for cp in range(m):
                             if cp != c and x[rp, cp] > y[rp, cp]:
-                                yield c, r, rp, cp
+                                yield c, cp, r, rp
 
 
 def l1pos_intrinsic_path(a: Election, b: Election) -> IntrinsicPath:
     """A chain of position matrices from A to (column-matched) B in which
     every step is a valid position matrix at l1-positionwise distance 4."""
-    x, y = _matched_position_matrices(a, b, "L1")
-    steps = [x.copy()]
-    while not np.array_equal(x, y):
+
+    def advance(x: np.ndarray, y: np.ndarray, record) -> None:
         chosen = None
-        for c, r, rp, cp in _l1_cell_choices(x, y):
-            if chosen is None:
-                chosen = (c, r, rp, cp)
+        for choice in _l1_cell_choices(x, y):
             trial = x.copy()
-            trial[r, c] -= 1
-            trial[rp, c] += 1
-            trial[rp, cp] -= 1
-            trial[r, cp] += 1
+            _shift(trial, *choice)
             # a shift can collide with an existing equal column, making the
             # matched distance smaller than 4; prefer a collision-free shift
             if positionwise_distance(x, trial, "L1").value == 4:
-                chosen = (c, r, rp, cp)
+                chosen = choice
                 break
-        c, r, rp, cp = chosen
-        x[r, c] -= 1
-        x[rp, c] += 1
-        x[rp, cp] -= 1
-        x[r, cp] += 1
-        # a shift that only permutes columns leaves the election unchanged,
-        # so it extends the working matrix without adding a step
-        if _column_multiset(x) != _column_multiset(steps[-1]):
-            steps.append(x.copy())
-    if not np.array_equal(steps[-1], x):
-        steps[-1] = x.copy()
-    return IntrinsicPath(tuple(steps), 4, 4 * (len(steps) - 1))
+            chosen = chosen or choice
+        _shift(x, *chosen)
+        record()
+
+    return _walk(*_matched_position_matrices(a, b, "L1"), advance, 4)
 
 
 def _emd_cell_choice(x: np.ndarray, y: np.ndarray):
@@ -595,40 +583,31 @@ def _emd_cell_choice(x: np.ndarray, y: np.ndarray):
 def emdpos_intrinsic_path(a: Election, b: Election) -> IntrinsicPath:
     """A chain of position matrices from A to (column-matched) B in which
     every step is a valid position matrix at EMD-positionwise distance 2."""
-    x, y = _matched_position_matrices(a, b, "EMD")
-    steps = [x.copy()]
 
-    def apply_link(ca: int, cb: int, hi: int, lo: int) -> None:
-        # one unit moves up in column ca and down in column cb
-        x[hi, ca] -= 1
-        x[lo, ca] += 1
-        x[lo, cb] -= 1
-        x[hi, cb] += 1
-        # a link that only permutes columns leaves the election unchanged,
-        # so it extends the working matrix without adding a step
-        if _column_multiset(x) != _column_multiset(steps[-1]):
-            steps.append(x.copy())
+    def advance(x: np.ndarray, y: np.ndarray, record) -> None:
+        def link(ca: int, cb: int, r: int) -> None:
+            # one unit moves up from row r in column ca and down in column cb
+            _shift(x, ca, cb, r, r - 1)
+            record()
 
-    def chain(c: int, cp: int, r: int, rp: int) -> None:
-        # realize the four-cell shift between rows r > rp as unit-row links
-        if r - rp == 1:
-            apply_link(c, cp, r, rp)
-            return
-        if x[r - 1, c] >= 1:
-            mid = c
-        elif x[r - 1, cp] >= 1:
-            mid = cp
-        else:
-            mid = int(np.flatnonzero(x[r - 1] >= 1)[0])
-        if mid != c:
-            apply_link(c, mid, r, r - 1)
-        chain(c, cp, r - 1, rp)
-        if mid != cp:
-            apply_link(mid, cp, r, r - 1)
+        def chain(c: int, cp: int, r: int, rp: int) -> None:
+            # realize the four-cell shift between rows r > rp as unit-row links
+            if r - rp == 1:
+                link(c, cp, r)
+                return
+            if x[r - 1, c] >= 1:
+                mid = c
+            elif x[r - 1, cp] >= 1:
+                mid = cp
+            else:
+                mid = int(np.flatnonzero(x[r - 1] >= 1)[0])
+            if mid != c:
+                link(c, mid, r)
+            chain(c, cp, r - 1, rp)
+            if mid != cp:
+                link(mid, cp, r)
 
-    while not np.array_equal(x, y):
         c, r, rp, cp = _emd_cell_choice(x, y)
         chain(c, cp, r, rp)
-    if not np.array_equal(steps[-1], x):
-        steps[-1] = x.copy()
-    return IntrinsicPath(tuple(steps), 2, 2 * (len(steps) - 1))
+
+    return _walk(*_matched_position_matrices(a, b, "EMD"), advance, 2)

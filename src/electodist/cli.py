@@ -38,7 +38,7 @@ from .elections import (
     serialize_election,
 )
 from .mapping import EmbedConfig, distance_matrix, embed, export_map
-from .metrics import METRIC_KINDS, check_guard, distance, positionwise_distance
+from .metrics import METRIC_KINDS, check_guard, check_kind, distance, positionwise_distance
 
 CENSUS_HEADER = "m,n,anecs,positionwise,pairwise,bordawise"
 CORRELATION_HEADER = "kind_a,kind_b,pearson,spearman,pairs"
@@ -90,10 +90,7 @@ class ExperimentConfig:
             raise ValueError("config needs a dataset or compass inclusions")
         metrics = _typed(obj.get("metrics", ["emdpos"]), list, "metrics", "a list")
         for kind in metrics:
-            if kind not in METRIC_KINDS:
-                raise ValueError(
-                    f"unknown metric kind {kind!r}, expected one of {METRIC_KINDS}"
-                )
+            check_kind(kind)
         if not metrics:
             raise ValueError("config needs at least one metric")
         return cls(

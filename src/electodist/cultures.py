@@ -13,13 +13,13 @@ restricted-domain samplers advertise.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .elections import Election
+from .elections import Election, _check_permutation
 from .metrics import vote_swap_distance
 
 __all__ = [
@@ -114,18 +114,25 @@ def sample_ic(m: int, n: int, seed: SeedLike) -> Election:
     return Election(m, _fresh_votes(_rng(seed), m, n))
 
 
+def _check_alpha(alpha):
+    # "gamma", or a fixed urn alpha as a float >= 0
+    if alpha != "gamma":
+        alpha = float(alpha)
+        if alpha < 0:
+            raise ValueError(f"urn alpha must be nonnegative, got {alpha}")
+    return alpha
+
+
 def sample_urn(m: int, n: int, seed: SeedLike, alpha) -> Election:
     """Polya urn: vote k copies a uniform earlier vote with probability
     (k-1)*alpha / (1 + (k-1)*alpha), else is fresh uniform.
 
     alpha="gamma" draws alpha ~ Gamma(shape 0.8, scale 10) once per election.
     """
+    alpha = _check_alpha(alpha)
     rng = _rng(seed)
     if alpha == "gamma":
         alpha = float(rng.gamma(0.8, 10.0))
-    alpha = float(alpha)
-    if alpha < 0:
-        raise ValueError(f"urn alpha must be nonnegative, got {alpha}")
     votes: list[tuple[int, ...]] = []
     for k in range(1, n + 1):
         weight = (k - 1) * alpha
@@ -166,6 +173,15 @@ def mallows_phi_from_norm(norm_phi: float, m: int) -> float:
     return (lo + hi) / 2.0
 
 
+def _check_phi(phi):
+    # "norm-uniform", or a fixed Mallows phi as a float in [0, 1]
+    if phi != "norm-uniform":
+        phi = float(phi)
+        if not 0.0 <= phi <= 1.0:
+            raise ValueError(f"mallows phi must lie in [0, 1], got {phi}")
+    return phi
+
+
 def sample_mallows(m: int, n: int, seed: SeedLike, phi) -> Election:
     """Mallows model around the identity order via repeated insertion:
     candidate i - 1 goes to position j in {1..i} with probability
@@ -174,12 +190,10 @@ def sample_mallows(m: int, n: int, seed: SeedLike, phi) -> Election:
     phi="norm-uniform" draws norm-phi ~ Uniform[0,1] once per election and
     converts it through mallows_phi_from_norm.
     """
+    phi = _check_phi(phi)
     rng = _rng(seed)
     if phi == "norm-uniform":
         phi = mallows_phi_from_norm(float(rng.uniform(0.0, 1.0)), m)
-    phi = float(phi)
-    if not 0.0 <= phi <= 1.0:
-        raise ValueError(f"mallows phi must lie in [0, 1], got {phi}")
     votes = []
     for _ in range(n):
         vote: list[int] = []
@@ -278,6 +292,15 @@ def sample_single_crossing(m: int, n: int, seed: SeedLike) -> Election:
     return Election(m, [path[int(p)] for p in picks])
 
 
+def _check_choice(value, what: str, options: tuple[str, ...]) -> None:
+    if value not in options:
+        raise ValueError(f"unknown {what} {value!r}, expected one of {options}")
+
+
+_check_shape = functools.partial(_check_choice, what="shape", options=EUCLIDEAN_SHAPES)
+_check_tree = functools.partial(_check_choice, what="tree", options=GROUP_SEPARABLE_TREES)
+
+
 def _euclidean_points(rng: np.random.Generator, count: int, shape: str) -> np.ndarray:
     if shape == "interval_1d":
         return rng.random((count, 1))
@@ -288,14 +311,14 @@ def _euclidean_points(rng: np.random.Generator, count: int, shape: str) -> np.nd
     if shape == "sphere_2d":
         raw = rng.normal(size=(count, 3))
         return raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    if shape == "cube_3d":
-        return rng.random((count, 3))
-    raise ValueError(f"unknown shape {shape!r}, expected one of {EUCLIDEAN_SHAPES}")
+    # cube_3d
+    return rng.random((count, 3))
 
 
 def sample_euclidean(m: int, n: int, seed: SeedLike, shape: str) -> Election:
     """Candidates and voters drawn uniformly from the shape; each voter
     ranks candidates by increasing distance, ties broken by index."""
+    _check_shape(shape)
     rng = _rng(seed)
     candidates = _euclidean_points(rng, m, shape)
     voters = _euclidean_points(rng, n, shape)
@@ -335,14 +358,9 @@ def sample_group_separable(m: int, n: int, seed: SeedLike, tree: str) -> Electio
     """Group-separable votes from an ordered binary tree over the
     candidates: each internal node swaps its children with probability 1/2,
     and the vote reads the leaves left to right."""
-    if tree == "balanced":
-        root = _balanced_tree(tuple(range(m)))
-    elif tree == "caterpillar":
-        root = _caterpillar_tree(tuple(range(m)))
-    else:
-        raise ValueError(
-            f"unknown tree {tree!r}, expected one of {GROUP_SEPARABLE_TREES}"
-        )
+    _check_tree(tree)
+    build = _balanced_tree if tree == "balanced" else _caterpillar_tree
+    root = build(tuple(range(m)))
     rng = _rng(seed)
     votes = []
     for _ in range(n):
@@ -352,32 +370,35 @@ def sample_group_separable(m: int, n: int, seed: SeedLike, tree: str) -> Electio
     return Election(m, votes)
 
 
-# each model's sampler and the parameters it takes, in order
+# each model's sampler and the parameters it takes, in order, each with the
+# check of its values that the sampler calls too
 _SAMPLERS = {
-    "IC": (sample_ic, ()),
-    "Urn": (sample_urn, ("alpha",)),
-    "Mallows": (sample_mallows, ("phi",)),
-    "SPWalsh": (sample_sp_walsh, ()),
-    "SPConitzer": (sample_sp_conitzer, ()),
-    "SPOC": (sample_spoc, ()),
-    "SingleCrossing": (sample_single_crossing, ()),
-    "Euclidean": (sample_euclidean, ("shape",)),
-    "GroupSeparable": (sample_group_separable, ("tree",)),
+    "IC": (sample_ic, {}),
+    "Urn": (sample_urn, {"alpha": _check_alpha}),
+    "Mallows": (sample_mallows, {"phi": _check_phi}),
+    "SPWalsh": (sample_sp_walsh, {}),
+    "SPConitzer": (sample_sp_conitzer, {}),
+    "SPOC": (sample_spoc, {}),
+    "SingleCrossing": (sample_single_crossing, {}),
+    "Euclidean": (sample_euclidean, {"shape": _check_shape}),
+    "GroupSeparable": (sample_group_separable, {"tree": _check_tree}),
 }
 
 
 def check_spec(spec: CultureSpec) -> None:
     """Raise ValueError unless the spec names a known model and exactly the
-    parameters it takes; draws nothing."""
+    parameters it takes, each with a value in its domain; draws nothing."""
     if spec.model not in _SAMPLERS:
         raise ValueError(f"unknown culture model {spec.model!r}")
-    names = _SAMPLERS[spec.model][1]
-    for key in names:
+    checks = _SAMPLERS[spec.model][1]
+    for key in checks:
         if key not in spec.params:
             raise ValueError(f"{spec.model} requires parameter {key!r}")
-    unexpected = set(spec.params) - set(names)
+    unexpected = set(spec.params) - set(checks)
     if unexpected:
         raise ValueError(f"unexpected parameters for {spec.model}: {sorted(unexpected)}")
+    for key, check in checks.items():
+        check(spec.params[key])
 
 
 def sample(spec: CultureSpec, m: int, n: int, seed: SeedLike) -> Election:
@@ -400,47 +421,34 @@ def sample_many(
     ]
 
 
-def _check_axis(axis: Sequence[int], m: int) -> tuple[int, ...]:
-    axis = tuple(int(a) for a in axis)
-    if sorted(axis) != list(range(m)):
-        raise ValueError(f"axis must be a permutation of 0..{m - 1}")
-    return axis
-
-
-def is_single_peaked(election: Election, axis: Sequence[int]) -> bool:
-    """True when every vote's top-k candidates form an interval of the axis
-    for all k, which is the single-peakedness condition."""
-    axis = _check_axis(axis, election.m)
-    place = {c: i for i, c in enumerate(axis)}
-    for vote in election.votes:
+def _prefixes_contiguous(votes, axis: Sequence[int], m: int, span: int) -> bool:
+    # True when every top-k prefix of every vote holds consecutive places of
+    # the axis, a permutation of 0..m-1, counted modulo span: m on a circle,
+    # m + 1 on a line, whose place m is empty, so no prefix wraps round
+    place = {c: i for i, c in enumerate(_check_permutation(axis, m, "axis"))}
+    for vote in votes:
         lo = hi = place[vote[0]]
         for c in vote[1:]:
             p = place[c]
-            if p == lo - 1:
+            if p == (lo - 1) % span:
                 lo = p
-            elif p == hi + 1:
+            elif p == (hi + 1) % span:
                 hi = p
             else:
                 return False
     return True
 
 
+def is_single_peaked(election: Election, axis: Sequence[int]) -> bool:
+    """True when every vote's top-k candidates form an interval of the axis
+    for all k, which is the single-peakedness condition."""
+    return _prefixes_contiguous(election.votes, axis, election.m, election.m + 1)
+
+
 def is_spoc_vote(vote: Sequence[int], circle: Sequence[int]) -> bool:
     """True when every top-k prefix of the vote is a contiguous arc of the
     circle."""
-    m = len(vote)
-    circle = _check_axis(circle, m)
-    place = {c: i for i, c in enumerate(circle)}
-    lo = hi = place[vote[0]]
-    for c in vote[1:]:
-        p = place[c]
-        if p == (lo - 1) % m:
-            lo = p
-        elif p == (hi + 1) % m:
-            hi = p
-        else:
-            return False
-    return True
+    return _prefixes_contiguous([vote], circle, len(vote), len(vote))
 
 
 def is_single_crossing(election: Election) -> bool:

@@ -179,6 +179,13 @@ def _check_permutation(perm: Sequence[int], size: int, what: str) -> tuple[int, 
     return perm
 
 
+def _square_matrix(x, what: str, dtype=None) -> np.ndarray:
+    arr = np.asarray(x, dtype=dtype)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {arr.shape}")
+    return arr
+
+
 def apply_matchings(
     election: Election, sigma: Sequence[int], rho: Sequence[int]
 ) -> Election:
@@ -195,9 +202,15 @@ def apply_matchings(
     return Election(election.m, votes)
 
 
-def _require_divisible(n: int, divisor: int, condition: str) -> None:
-    if n % divisor != 0:
-        raise ValueError(f"compass election requires {condition} (got n={n})")
+def _compass_divisor(kind: str, m: int) -> int:
+    # the voter counts n of a compass election are the multiples of this
+    if kind == "ID":
+        return 1
+    if kind == "AN":
+        return 2
+    if kind == "UN":
+        return math.factorial(m)
+    return math.factorial(m // 2) ** 2
 
 
 def compass_election(kind: str, m: int, n: int) -> Election:
@@ -212,32 +225,29 @@ def compass_election(kind: str, m: int, n: int) -> Election:
         raise ValueError(f"unknown compass kind {kind!r}, expected one of {COMPASS_KINDS}")
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
+    if kind == "ST" and m % 2 != 0:
+        raise ValueError("ST compass election requires even m")
+    # the divisor is checked before any of the m! or ((m/2)!)^2 orders is built
+    divisor = _compass_divisor(kind, m)
+    if n % divisor != 0:
+        rule = {"AN": "2 | n", "UN": "m! = {} divides n", "ST": "((m/2)!)^2 = {} divides n"}
+        raise ValueError(f"compass election requires {rule[kind].format(divisor)} (got n={n})")
+    # each of the divisor's orders, n / divisor times
     canonical = tuple(range(m))
     if kind == "ID":
-        return Election(m, [canonical] * n)
-    if kind == "AN":
-        _require_divisible(n, 2, "2 | n")
-        half = n // 2
-        return Election(m, [canonical] * half + [canonical[::-1]] * half)
-    # the divisors are checked before any of the m! or ((m/2)!)^2 orders is built
-    if kind == "UN":
-        fact = math.factorial(m)
-        _require_divisible(n, fact, f"m! = {fact} divides n")
-        copies = n // fact
-        return Election(m, [v for v in all_orders(m) for _ in range(copies)])
-    # ST
-    if m % 2 != 0:
-        raise ValueError("ST compass election requires even m")
-    half_m = m // 2
-    blocks = math.factorial(half_m) ** 2
-    _require_divisible(n, blocks, f"((m/2)!)^2 = {blocks} divides n")
-    copies = n // blocks
-    orders = [
-        tuple(pa) + tuple(pb)
-        for pa in itertools.permutations(range(half_m))
-        for pb in itertools.permutations(range(half_m, m))
-    ]
-    return Election(m, [v for v in orders for _ in range(copies)])
+        orders = [canonical]
+    elif kind == "AN":
+        orders = [canonical, canonical[::-1]]
+    elif kind == "UN":
+        orders = all_orders(m)
+    else:  # ST
+        half_m = m // 2
+        orders = [
+            tuple(pa) + tuple(pb)
+            for pa in itertools.permutations(range(half_m))
+            for pb in itertools.permutations(range(half_m, m))
+        ]
+    return Election(m, [v for v in orders for _ in range(n // divisor)])
 
 
 def compass_matrix(kind: str, m: int) -> np.ndarray:

@@ -8,7 +8,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .elections import COMPASS_KINDS, Election
+from .elections import COMPASS_KINDS, Election, _square_matrix
 from .metrics import distance_values
 
 __all__ = [
@@ -39,9 +39,7 @@ class DistanceMatrix:
     metric: str
 
     def __post_init__(self):
-        arr = np.asarray(self.cells, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"cells must be square, got shape {arr.shape}")
+        arr = _square_matrix(self.cells, "cells", float)
         if arr.shape[0] != len(self.labels):
             raise ValueError(
                 f"{len(self.labels)} labels for {arr.shape[0]} rows"

@@ -25,7 +25,15 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .elections import Election, _order_table, majority_matrix, borda_vector, position_matrix
+from .elections import (
+    Election,
+    _check_permutation,
+    _order_table,
+    _square_matrix,
+    borda_vector,
+    majority_matrix,
+    position_matrix,
+)
 
 __all__ = [
     "METRIC_KINDS",
@@ -43,6 +51,7 @@ __all__ = [
     "distance",
     "GUARDS",
     "check_guard",
+    "check_kind",
     "distance_values",
 ]
 
@@ -163,9 +172,7 @@ def solve_assignment(costs) -> tuple[tuple[int, ...], Number]:
     Float costs have no exact path: they get one solve and the solver's
     matching.
     """
-    arr = np.asarray(costs)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"cost matrix must be square, got shape {arr.shape}")
+    arr = _square_matrix(costs, "cost matrix")
     k = arr.shape[0]
     if k == 0:
         return (), 0
@@ -312,6 +319,12 @@ def _swap_search(
     return best[0], tuple(perms[best[1]].tolist()), tuple(best_rho.tolist())
 
 
+def check_kind(kind: str) -> None:
+    """Raise ValueError unless kind is one of ``METRIC_KINDS``."""
+    if kind not in METRIC_KINDS:
+        raise ValueError(f"unknown metric kind {kind!r}, expected one of {METRIC_KINDS}")
+
+
 def check_guard(kind: str, m: int) -> None:
     """Raise ValueError when m exceeds ``GUARDS[kind]``, the candidate guard
     of a search metric; metrics without a guard accept any m."""
@@ -402,9 +415,7 @@ def _positionwise_aggregate(x, variant: str) -> np.ndarray:
     # the position matrix of an election, or a given square position or
     # frequency matrix (Fractions stay an object array), cumulated down each
     # column for EMD: the l1 distance of two cumulated columns is their EMD
-    pos = position_matrix(x) if isinstance(x, Election) else np.asarray(x)
-    if pos.ndim != 2 or pos.shape[0] != pos.shape[1]:
-        raise ValueError(f"position matrix must be square, got shape {pos.shape}")
+    pos = position_matrix(x) if isinstance(x, Election) else _square_matrix(x, "position matrix")
     if variant == "L1":
         return pos
     if (pos < 0).any():
@@ -450,12 +461,11 @@ def _majority_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(a, Election) and isinstance(b, Election):
         _check_same_shape(a, b)
     ma, mb = (
-        majority_matrix(x) if isinstance(x, Election) else np.asarray(x, dtype=np.int64)
+        majority_matrix(x)
+        if isinstance(x, Election)
+        else _square_matrix(x, "majority matrix", np.int64)
         for x in (a, b)
     )
-    for x in (ma, mb):
-        if x.ndim != 2 or x.shape[0] != x.shape[1]:
-            raise ValueError(f"majority matrix must be square, got shape {x.shape}")
     if ma.shape != mb.shape:
         raise ValueError(f"matrices differ in shape: {ma.shape} vs {mb.shape}")
     return ma, mb
@@ -464,11 +474,7 @@ def _majority_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 def pairwise_cost_at(a, b, sigma: Sequence[int]) -> int:
     """Sum over ordered candidate pairs of |M_a(c,d) - M_b(sigma c, sigma d)|."""
     ma, mb = _majority_pair(a, b)
-    m = ma.shape[0]
-    sigma = tuple(int(s) for s in sigma)
-    if sorted(sigma) != list(range(m)):
-        raise ValueError(f"matching must be a permutation of 0..{m - 1}")
-    s = np.array(sigma)
+    s = np.array(_check_permutation(sigma, ma.shape[0], "matching"))
     return int(np.abs(ma - mb[s[:, None], s[None, :]]).sum())
 
 
@@ -531,6 +537,7 @@ def bordawise_distance(a: Election, b: Election) -> DistanceOutcome:
 
 def distance(a: Election, b: Election, kind: str) -> DistanceOutcome:
     """Dispatch to one of the six metrics by name."""
+    check_kind(kind)
     if kind == "swap" or kind == "discrete":
         return iso_distance(a, b, kind)
     if kind == "emdpos":
@@ -539,9 +546,8 @@ def distance(a: Election, b: Election, kind: str) -> DistanceOutcome:
         return positionwise_distance(a, b, "L1")
     if kind == "pairwise":
         return pairwise_distance(a, b)
-    if kind == "bordawise":
-        return bordawise_distance(a, b)
-    raise ValueError(f"unknown metric kind {kind!r}, expected one of {METRIC_KINDS}")
+    # bordawise
+    return bordawise_distance(a, b)
 
 
 def _assignment_value(costs: np.ndarray) -> int:
@@ -560,8 +566,7 @@ def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
     broadcasting, positionwise then solving one value-only assignment per
     pair; swap, discrete and pairwise run one search per pair.
     """
-    if kind not in METRIC_KINDS:
-        raise ValueError(f"unknown metric kind {kind!r}, expected one of {METRIC_KINDS}")
+    check_kind(kind)
     if dataset:
         for e in dataset[1:]:
             _check_same_shape(dataset[0], e)

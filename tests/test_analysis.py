@@ -531,6 +531,21 @@ def test_emd_path_hand_example():
         assert positionwise_distance(prev, cur, "EMD").value == 2
 
 
+def test_l1_path_ends_on_the_matched_target():
+    # the working matrix reaches a column permutation of the last recorded
+    # step, which the path then replaces by the matched target itself
+    a = Election(4, [(0, 2, 1, 3), (0, 3, 1, 2)])
+    b = Election(4, [(0, 1, 2, 3), (3, 0, 1, 2)])
+    outcome = positionwise_distance(a, b, "L1")
+    path = l1pos_intrinsic_path(a, b)
+    assert len(path.steps) == 3
+    assert path.total == 8
+    for prev, cur in zip(path.steps, path.steps[1:]):
+        assert positionwise_distance(prev, cur, "L1").value == 4
+    matched_target = position_matrix(b)[:, list(outcome.candidate_matching)]
+    assert np.array_equal(path.steps[-1], matched_target)
+
+
 def test_paths_at_the_smallest_nonzero_distance_have_two_steps():
     a = Election(3, [(0, 1, 2), (0, 1, 2)])
     b = Election(3, [(0, 1, 2), (1, 0, 2)])

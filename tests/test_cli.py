@@ -262,8 +262,25 @@ def test_config_json_types_are_checked(tmp_path, capsys, overrides, message):
             "unexpected parameters for Urn: ['beta']",
         ),
         ({"n": 4}, "compass election requires m! = 6 divides n (got n=4)"),
+        (
+            {"dataset": [{"model": "IC", "count": 2}, {"model": "Urn", "params": {"alpha": -1}}]},
+            "urn alpha must be nonnegative, got -1.0",
+        ),
+        (
+            {"dataset": [{"model": "IC", "count": 2}, {"model": "Mallows", "params": {"phi": 1.5}}]},
+            "mallows phi must lie in [0, 1], got 1.5",
+        ),
+        (
+            {"dataset": [{"model": "IC", "count": 2}, {"model": "Euclidean", "params": {"shape": "cube_4d"}}]},
+            "unknown shape 'cube_4d', expected one of "
+            "('interval_1d', 'sphere_2d', 'disc_2d', 'cube_3d')",
+        ),
+        (
+            {"dataset": [{"model": "IC", "count": 2}, {"model": "GroupSeparable", "params": {"tree": "tall"}}]},
+            "unknown tree 'tall', expected one of ('balanced', 'caterpillar')",
+        ),
     ],
-    ids=["culture", "compass"],
+    ids=["culture", "compass", "urn-alpha", "mallows-phi", "euclidean-shape", "group-separable-tree"],
 )
 def test_build_dataset_checks_every_entry_before_the_first_draw(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **overrides)

@@ -250,6 +250,8 @@ def test_is_single_peaked_hand_cases():
     assert is_single_peaked(Election(3, [(0, 1, 2)]), axis)
     assert is_single_peaked(Election(3, [(1, 0, 2)]), axis)
     assert not is_single_peaked(Election(3, [(0, 2, 1)]), axis)
+    # arcs of the circle that wrap round past either end of the axis
+    assert not is_single_peaked(Election(3, [(2, 0, 1)]), axis)
     with pytest.raises(ValueError):
         is_single_peaked(Election(3, [(0, 1, 2)]), (0, 1, 1))
 
@@ -291,6 +293,20 @@ def test_sample_rejects_bad_specs():
             "unexpected parameters for Euclidean: ['tree']",
         ),
         (CultureSpec("IC"), 0, "m and n must be positive"),
+        (CultureSpec("Urn", {"alpha": -1}), 3, "urn alpha must be nonnegative, got -1.0"),
+        (CultureSpec("Urn", {"alpha": "many"}), 3, "could not convert string to float: 'many'"),
+        (CultureSpec("Mallows", {"phi": 1.5}), 3, "mallows phi must lie in [0, 1], got 1.5"),
+        (
+            CultureSpec("Euclidean", {"shape": "cube_4d"}),
+            3,
+            "unknown shape 'cube_4d', expected one of "
+            "('interval_1d', 'sphere_2d', 'disc_2d', 'cube_3d')",
+        ),
+        (
+            CultureSpec("GroupSeparable", {"tree": "tall"}),
+            3,
+            "unknown tree 'tall', expected one of ('balanced', 'caterpillar')",
+        ),
     ]
     for spec, m, message in cases:
         # every sampler draws from a generator made by _rng, so none is made

@@ -1,0 +1,242 @@
+"""The exact message of every input rule, at every entry point that applies it.
+
+Each rule (candidate and voter permutations, square matrices, integer
+entries, metric kinds, compass divisors, culture parameter domains) is
+written once; these cases pin what each caller reports through it, and the
+neighbouring raises of the same callers.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from electodist import (
+    DistanceMatrix,
+    apply_matchings,
+    borda_realizable,
+    compass_distance_formula,
+    compass_election,
+    compass_matrix,
+    correlation,
+    distance,
+    is_single_peaked,
+    is_spoc_vote,
+    majority_realizable_bruteforce,
+    mallows_phi_from_norm,
+    matrix_correlation,
+    pairwise_cost_at,
+    pairwise_distance,
+    positionwise_distance,
+    recover_election,
+    solve_assignment,
+)
+from electodist.cli import ExperimentConfig
+from electodist.cultures import (
+    sample_euclidean,
+    sample_group_separable,
+    sample_mallows,
+    sample_urn,
+)
+from electodist.metrics import distance_values
+
+from conftest import SMALL_A, SMALL_B
+
+KINDS = "('swap', 'discrete', 'emdpos', 'l1pos', 'pairwise', 'bordawise')"
+
+TWO_BY_THREE = np.zeros((2, 3), dtype=np.int64)
+LABELED = DistanceMatrix(("a", "b"), np.array([[0, 1], [1, 0]]), "emdpos")
+RELABELED = DistanceMatrix(("a", "c"), np.array([[0, 1], [1, 0]]), "emdpos")
+SINGLE = DistanceMatrix(("a",), np.zeros((1, 1)), "emdpos")
+
+CASES = {
+    # candidate and voter permutations
+    "apply-candidates": (
+        lambda: apply_matchings(SMALL_A, (0, 0, 1), (0, 1, 2)),
+        "candidate matching must be a permutation of 0..2",
+    ),
+    "apply-voters": (
+        lambda: apply_matchings(SMALL_A, (0, 1, 2), (0, 1)),
+        "voter matching must be a permutation of 0..2",
+    ),
+    "single-peaked-axis": (
+        lambda: is_single_peaked(SMALL_A, (0, 1, 1)),
+        "axis must be a permutation of 0..2",
+    ),
+    "spoc-circle": (
+        lambda: is_spoc_vote((0, 1, 2), (0, 1)),
+        "axis must be a permutation of 0..2",
+    ),
+    "pairwise-cost-matching": (
+        lambda: pairwise_cost_at(SMALL_A, SMALL_B, (0, 1)),
+        "matching must be a permutation of 0..2",
+    ),
+    # square matrices, and the size checks beside them
+    "assignment-square": (
+        lambda: solve_assignment(TWO_BY_THREE),
+        "cost matrix must be square, got shape (2, 3)",
+    ),
+    "positionwise-square": (
+        lambda: positionwise_distance(TWO_BY_THREE, np.zeros((3, 3))),
+        "position matrix must be square, got shape (2, 3)",
+    ),
+    "positionwise-negative-emd": (
+        lambda: positionwise_distance(np.array([[2, -1], [-1, 2]]), np.eye(2)),
+        "EMD needs nonnegative position matrices",
+    ),
+    "positionwise-sizes": (
+        lambda: positionwise_distance(np.eye(2, dtype=int), np.eye(3, dtype=int), "L1"),
+        "matrices differ in size: 2 vs 3",
+    ),
+    "pairwise-square": (
+        lambda: pairwise_distance(np.zeros((3, 3)), TWO_BY_THREE),
+        "majority matrix must be square, got shape (2, 3)",
+    ),
+    "pairwise-shapes": (
+        lambda: pairwise_distance(np.zeros((2, 2)), np.zeros((3, 3))),
+        "matrices differ in shape: (2, 2) vs (3, 3)",
+    ),
+    "pairwise-cost-square": (
+        lambda: pairwise_cost_at(TWO_BY_THREE, np.zeros((3, 3)), (0, 1, 2)),
+        "majority matrix must be square, got shape (2, 3)",
+    ),
+    "recover-square": (
+        lambda: recover_election(TWO_BY_THREE),
+        "position matrix must be square, got shape (2, 3)",
+    ),
+    "majority-realizable-square": (
+        lambda: majority_realizable_bruteforce(TWO_BY_THREE, 2),
+        "majority matrix must be square, got shape (2, 3)",
+    ),
+    "majority-realizable-m": (
+        lambda: majority_realizable_bruteforce(np.zeros((0, 0)), 2),
+        "need m >= 1 and n >= 1, got m=0, n=2",
+    ),
+    "majority-realizable-n": (
+        lambda: majority_realizable_bruteforce(np.zeros((2, 2)), 0),
+        "need m >= 1 and n >= 1, got m=2, n=0",
+    ),
+    "distance-matrix-square": (
+        lambda: DistanceMatrix(("a", "b"), TWO_BY_THREE, "emdpos"),
+        "cells must be square, got shape (2, 3)",
+    ),
+    # integer entries, named as Python scalars in row-major order
+    "recover-integers": (
+        lambda: recover_election(np.array([[1.0, 0.5], [0.5, 1.0]])),
+        "position matrix entries must be integers, got 0.5",
+    ),
+    "recover-nonnegative": (
+        lambda: recover_election([[2, -1], [-1, 2]]),
+        "position matrix entries must be nonnegative, got -1",
+    ),
+    "recover-first-entry-wins": (
+        lambda: recover_election([[1, -1], [0.5, 2]]),
+        "position matrix entries must be nonnegative, got -1.0",
+    ),
+    "recover-fraction": (
+        lambda: recover_election(np.array([[Fraction(1, 2), 1], [1, 1]], dtype=object)),
+        "position matrix entries must be integers, got Fraction(1, 2)",
+    ),
+    "majority-realizable-integers": (
+        lambda: majority_realizable_bruteforce(np.array([[0.0, 0.5], [0.5, 0.0]]), 1),
+        "majority matrix entries must be integers, got 0.5",
+    ),
+    "borda-integers": (
+        lambda: borda_realizable([1, 1.5, 0.5], 1),
+        "Borda scores must be integers, got 1.5",
+    ),
+    # metric kinds
+    "distance-kind": (
+        lambda: distance(SMALL_A, SMALL_B, "foo"),
+        f"unknown metric kind 'foo', expected one of {KINDS}",
+    ),
+    "distance-values-kind": (
+        lambda: distance_values([SMALL_A, SMALL_B], "foo"),
+        f"unknown metric kind 'foo', expected one of {KINDS}",
+    ),
+    "correlation-kind": (
+        lambda: correlation([SMALL_A, SMALL_B], "emdpos", "foo"),
+        f"unknown metric kind 'foo', expected one of {KINDS}",
+    ),
+    "compass-formula-kind": (
+        lambda: compass_distance_formula("foo", ("ID", "AN"), 4, 4),
+        f"unknown metric kind 'foo', expected one of {KINDS}",
+    ),
+    "config-kind": (
+        lambda: ExperimentConfig.from_json({"m": 3, "n": 6, "compass": ["ID"], "metrics": ["foo"]}),
+        f"unknown metric kind 'foo', expected one of {KINDS}",
+    ),
+    "correlation-labels": (
+        lambda: matrix_correlation(LABELED, RELABELED),
+        "distance matrices have different labels",
+    ),
+    "correlation-one-election": (
+        lambda: matrix_correlation(SINGLE, SINGLE),
+        "need at least two elections",
+    ),
+    # compass kinds and divisors
+    "compass-an": (
+        lambda: compass_election("AN", 3, 3),
+        "compass election requires 2 | n (got n=3)",
+    ),
+    "compass-un": (
+        lambda: compass_election("UN", 3, 4),
+        "compass election requires m! = 6 divides n (got n=4)",
+    ),
+    "compass-st": (
+        lambda: compass_election("ST", 4, 2),
+        "compass election requires ((m/2)!)^2 = 4 divides n (got n=2)",
+    ),
+    "compass-st-odd": (
+        lambda: compass_election("ST", 3, 4),
+        "ST compass election requires even m",
+    ),
+    "compass-positive": (
+        lambda: compass_election("ID", 0, 2),
+        "m and n must be positive",
+    ),
+    "compass-matrix-kind": (
+        lambda: compass_matrix("XX", 4),
+        "unknown compass kind 'XX', expected one of ('ID', 'AN', 'UN', 'ST')",
+    ),
+    "compass-formula-divisor": (
+        lambda: compass_distance_formula("emdpos", ("ID", "UN"), 4, 6),
+        "UN with m=4 needs 24 | n, got n=6",
+    ),
+    # culture parameter domains
+    "urn-alpha": (
+        lambda: sample_urn(3, 3, 0, -1),
+        "urn alpha must be nonnegative, got -1.0",
+    ),
+    "urn-alpha-text": (
+        lambda: sample_urn(3, 3, 0, "many"),
+        "could not convert string to float: 'many'",
+    ),
+    "mallows-phi": (
+        lambda: sample_mallows(3, 3, 0, 1.5),
+        "mallows phi must lie in [0, 1], got 1.5",
+    ),
+    "mallows-norm-phi": (
+        lambda: mallows_phi_from_norm(1.5, 4),
+        "norm-phi must lie in [0, 1], got 1.5",
+    ),
+    "euclidean-shape": (
+        lambda: sample_euclidean(3, 3, 0, "cube_4d"),
+        "unknown shape 'cube_4d', expected one of "
+        "('interval_1d', 'sphere_2d', 'disc_2d', 'cube_3d')",
+    ),
+    "group-separable-tree": (
+        lambda: sample_group_separable(3, 3, 0, "tall"),
+        "unknown tree 'tall', expected one of ('balanced', 'caterpillar')",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", CASES.values(), ids=CASES.keys())
+def test_input_check_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
