@@ -15,7 +15,8 @@ from scipy.optimize import linear_sum_assignment
 from .elections import (
     COMPASS_KINDS,
     Election,
-    _compass_divisor,
+    _check_compass,
+    _check_positive,
     _order_table,
     _square_matrix,
     all_orders,
@@ -85,8 +86,7 @@ class IntrinsicPath:
 
 def check_census_guard(m: int, n: int) -> None:
     """Raise ValueError unless 1 <= m <= CENSUS_GUARD_M and 1 <= n <= CENSUS_GUARD_N."""
-    if m < 1 or n < 1:
-        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    _check_positive(m, n)
     if m > CENSUS_GUARD_M or n > CENSUS_GUARD_N:
         raise ValueError(
             f"census guard: need m <= {CENSUS_GUARD_M} and n <= {CENSUS_GUARD_N}, "
@@ -296,18 +296,15 @@ def compass_distance_formula(
     check_kind(kind)
     a, b = pair
     for k in (a, b):
-        if k not in COMPASS_KINDS:
-            raise ValueError(f"unknown compass kind {k!r}")
+        _check_compass(k)
     if m < 2 or m % 2:
         raise ValueError(f"compass formulas need an even m >= 2, got m={m}")
     if "ST" in (a, b) and m < 4:
         raise ValueError(
             "stratification formulas need m >= 4; at m=2 ST coincides with ID"
         )
-    for k in {a, b}:
-        div = _compass_divisor(k, m)
-        if n % div:
-            raise ValueError(f"{k} with m={m} needs {div} | n, got n={n}")
+    for k in (a, b):
+        _check_compass(k, m, n)
     if a == b:
         return 0
     canon = tuple(sorted((a, b), key=COMPASS_KINDS.index))
@@ -336,9 +333,11 @@ def check_diameter(dataset: Sequence[Election], kind: str):
 
 
 def _integers(values: Iterable, what: str, nonnegative: bool = False) -> list[int]:
-    # the values as ints; ValueError names the first one that is not an
-    # integer, or with nonnegative not >= 0.  Matrices pass tolist() of
-    # their raveled entries, so the named entry is a Python scalar
+    # the values as ints, an array's in row-major order; ValueError names
+    # the first one that is not an integer, or with nonnegative not >= 0,
+    # as a Python scalar
+    if isinstance(values, np.ndarray):
+        values = values.ravel().tolist()
     out = []
     for v in values:
         iv = int(v)
@@ -359,7 +358,7 @@ def recover_election(pos) -> Election:
     """
     arr = _square_matrix(pos, "position matrix")
     m = arr.shape[0]
-    entries = _integers(arr.ravel().tolist(), "position matrix entries", nonnegative=True)
+    entries = _integers(arr, "position matrix entries", nonnegative=True)
     work = np.array(entries, dtype=np.int64).reshape(m, m)
     n = int(work[0].sum())
     row_sums = work.sum(axis=1)
@@ -396,8 +395,7 @@ def borda_realizable(x: Sequence[int], n: int) -> Optional[Election]:
     """
     scores = _integers(x, "Borda scores")
     m = len(scores)
-    if m < 1 or n < 1:
-        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    _check_positive(m, n)
     if m > BORDA_GUARD_M:
         raise ValueError(f"realizability guard: need m <= {BORDA_GUARD_M}, got m={m}")
     if any(v < 0 for v in scores):
@@ -461,14 +459,13 @@ def majority_realizable_bruteforce(M, n: int) -> Optional[Election]:
     """
     arr = _square_matrix(M, "majority matrix")
     m = arr.shape[0]
-    if m < 1 or n < 1:
-        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    _check_positive(m, n)
     if m > MAJORITY_GUARD_M or n > MAJORITY_GUARD_N:
         raise ValueError(
             f"realizability guard: need m <= {MAJORITY_GUARD_M} and "
             f"n <= {MAJORITY_GUARD_N}, got m={m}, n={n}"
         )
-    entries = _integers(arr.ravel().tolist(), "majority matrix entries")
+    entries = _integers(arr, "majority matrix entries")
     target = np.array(entries, dtype=np.int64).reshape(m, m)
     if np.any(np.diag(target) != 0):
         return None

@@ -33,6 +33,9 @@ from .cultures import CultureSpec, check_spec, sample_many
 from .elections import (
     COMPASS_KINDS,
     Election,
+    _check_compass,
+    _check_positive,
+    _content_lines,
     compass_election,
     parse_election,
     serialize_election,
@@ -66,8 +69,7 @@ class ExperimentConfig:
                 raise ValueError(f"config is missing required field {key!r}")
         m = _typed(obj["m"], int, "m", "an integer")
         n = _typed(obj["n"], int, "n", "an integer")
-        if m < 1 or n < 1:
-            raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+        _check_positive(m, n)
         dataset = []
         for entry in _typed(obj.get("dataset", []), list, "dataset", "a list"):
             _typed(entry, dict, "dataset entry", "an object")
@@ -82,10 +84,7 @@ class ExperimentConfig:
             dataset.append((CultureSpec.from_json(entry), count))
         compass = _typed(obj.get("compass", []), list, "compass", "a list")
         for kind in compass:
-            if kind not in COMPASS_KINDS:
-                raise ValueError(
-                    f"unknown compass kind {kind!r}, expected one of {COMPASS_KINDS}"
-                )
+            _check_compass(kind)
         if not dataset and not compass:
             raise ValueError("config needs a dataset or compass inclusions")
         metrics = _typed(obj.get("metrics", ["emdpos"]), list, "metrics", "a list")
@@ -176,12 +175,8 @@ def read_election_file(path: str) -> Election:
 
 def parse_matrix_file(path: str) -> list[list[int]]:
     """Whitespace-separated integer rows; '#' comments and blanks ignored."""
-    rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append([int(tok) for tok in line.split()])
+    text = Path(path).read_text(encoding="utf-8")
+    rows = [[int(tok) for tok in line.split()] for line in _content_lines(text)]
     if not rows:
         raise ValueError(f"no matrix rows found in {path}")
     return rows
@@ -301,8 +296,7 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 def cmd_verify_compass(args: argparse.Namespace) -> int:
     m, n = args.m, args.n
-    if m < 1 or n < 1:
-        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    _check_positive(m, n)
     # compass formulas exist only for even m, so only then is any row computed
     if m % 2 == 0:
         for kind in METRIC_KINDS:

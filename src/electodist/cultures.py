@@ -19,7 +19,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .elections import Election, _check_permutation
+from .elections import Election, _check_permutation, _check_positive
 from .metrics import vote_swap_distance
 
 __all__ = [
@@ -226,46 +226,38 @@ def sample_sp_walsh(m: int, n: int, seed: SeedLike) -> Election:
     return Election(m, votes)
 
 
-def sample_sp_conitzer(m: int, n: int, seed: SeedLike) -> Election:
-    """Single-peaked votes with a uniform peak, grown by extending the
-    current axis interval left or right with probability 1/2 each."""
+def _grown_votes(m: int, n: int, seed: SeedLike, circle: bool) -> Election:
+    # each vote grows from a uniform top candidate by the next candidate left
+    # or right of the arc so far, with probability 1/2; on a line, once one
+    # side has reached an end, the other is taken without a draw
     rng = _rng(seed)
     votes = []
     for _ in range(n):
-        peak = int(rng.integers(0, m))
-        lo = hi = peak
-        vote = [peak]
+        top = int(rng.integers(0, m))
+        left, right = top - 1, top + 1
+        vote = [top]
         while len(vote) < m:
-            extend_left = lo > 0 and (hi == m - 1 or rng.random() < 0.5)
-            if extend_left:
-                lo -= 1
-                vote.append(lo)
+            open_left, open_right = circle or left >= 0, circle or right < m
+            if open_left and (not open_right or rng.random() < 0.5):
+                vote.append(left % m)
+                left -= 1
             else:
-                hi += 1
-                vote.append(hi)
+                vote.append(right % m)
+                right += 1
         votes.append(tuple(vote))
     return Election(m, votes)
+
+
+def sample_sp_conitzer(m: int, n: int, seed: SeedLike) -> Election:
+    """Single-peaked votes with a uniform peak, grown by extending the
+    current axis interval left or right with probability 1/2 each."""
+    return _grown_votes(m, n, seed, circle=False)
 
 
 def sample_spoc(m: int, n: int, seed: SeedLike) -> Election:
     """Single-peaked-on-a-circle votes: uniform top candidate, then extend
     the preferred arc clockwise or counterclockwise with probability 1/2."""
-    rng = _rng(seed)
-    votes = []
-    for _ in range(n):
-        top = int(rng.integers(0, m))
-        left = (top - 1) % m
-        right = (top + 1) % m
-        vote = [top]
-        while len(vote) < m:
-            if rng.random() < 0.5:
-                vote.append(left)
-                left = (left - 1) % m
-            else:
-                vote.append(right)
-                right = (right + 1) % m
-        votes.append(tuple(vote))
-    return Election(m, votes)
+    return _grown_votes(m, n, seed, circle=True)
 
 
 def sample_single_crossing(m: int, n: int, seed: SeedLike) -> Election:
@@ -403,8 +395,7 @@ def check_spec(spec: CultureSpec) -> None:
 
 def sample(spec: CultureSpec, m: int, n: int, seed: SeedLike) -> Election:
     """Draw one election from the given culture; deterministic in the seed."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
+    _check_positive(m, n)
     check_spec(spec)
     sampler, names = _SAMPLERS[spec.model]
     return sampler(m, n, seed, *(spec.params[key] for key in names))
@@ -448,6 +439,7 @@ def is_single_peaked(election: Election, axis: Sequence[int]) -> bool:
 def is_spoc_vote(vote: Sequence[int], circle: Sequence[int]) -> bool:
     """True when every top-k prefix of the vote is a contiguous arc of the
     circle."""
+    vote = _check_permutation(vote, len(vote), "vote")
     return _prefixes_contiguous([vote], circle, len(vote), len(vote))
 
 

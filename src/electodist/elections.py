@@ -14,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -180,7 +180,14 @@ def _check_permutation(perm: Sequence[int], size: int, what: str) -> tuple[int, 
 
 
 def _square_matrix(x, what: str, dtype=None) -> np.ndarray:
-    arr = np.asarray(x, dtype=dtype)
+    try:
+        arr = np.asarray(x, dtype=dtype)
+    except ValueError:
+        # numpy refuses rows of different lengths; any other fault keeps its message
+        lengths = [len(row) for row in x if hasattr(row, "__len__")]
+        if len(set(lengths)) < 2:
+            raise
+        raise ValueError(f"{what} must be square, got rows of lengths {lengths}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{what} must be square, got shape {arr.shape}")
     return arr
@@ -202,6 +209,11 @@ def apply_matchings(
     return Election(election.m, votes)
 
 
+def _check_positive(m: int, n: int) -> None:
+    if m < 1 or n < 1:
+        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+
+
 def _compass_divisor(kind: str, m: int) -> int:
     # the voter counts n of a compass election are the multiples of this
     if kind == "ID":
@@ -213,6 +225,22 @@ def _compass_divisor(kind: str, m: int) -> int:
     return math.factorial(m // 2) ** 2
 
 
+def _check_compass(kind: str, m: Optional[int] = None, n: Optional[int] = None) -> None:
+    # the rules for a compass election to exist, in this order: the kind, and
+    # with m or n given, positive m and n, an even m for ST, the divisor of n
+    if kind not in COMPASS_KINDS:
+        raise ValueError(f"unknown compass kind {kind!r}, expected one of {COMPASS_KINDS}")
+    if n is not None:
+        _check_positive(m, n)
+    if m is not None and kind == "ST" and m % 2 != 0:
+        raise ValueError("ST compass election requires even m")
+    if n is not None:
+        divisor = _compass_divisor(kind, m)
+        if n % divisor != 0:
+            rule = {"AN": "2 | n", "UN": "m! = {} divides n", "ST": "((m/2)!)^2 = {} divides n"}
+            raise ValueError(f"compass election requires {rule[kind].format(divisor)} (got n={n})")
+
+
 def compass_election(kind: str, m: int, n: int) -> Election:
     """One of the four reference elections ID, AN, UN, ST.
 
@@ -221,18 +249,8 @@ def compass_election(kind: str, m: int, n: int) -> Election:
     ranking the first m/2 candidates wholly above the rest, equally often
     (even m, ((m/2)!)^2 | n).
     """
-    if kind not in COMPASS_KINDS:
-        raise ValueError(f"unknown compass kind {kind!r}, expected one of {COMPASS_KINDS}")
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
-    if kind == "ST" and m % 2 != 0:
-        raise ValueError("ST compass election requires even m")
     # the divisor is checked before any of the m! or ((m/2)!)^2 orders is built
-    divisor = _compass_divisor(kind, m)
-    if n % divisor != 0:
-        rule = {"AN": "2 | n", "UN": "m! = {} divides n", "ST": "((m/2)!)^2 = {} divides n"}
-        raise ValueError(f"compass election requires {rule[kind].format(divisor)} (got n={n})")
-    # each of the divisor's orders, n / divisor times
+    _check_compass(kind, m, n)
     canonical = tuple(range(m))
     if kind == "ID":
         orders = [canonical]
@@ -247,15 +265,13 @@ def compass_election(kind: str, m: int, n: int) -> Election:
             for pa in itertools.permutations(range(half_m))
             for pb in itertools.permutations(range(half_m, m))
         ]
-    return Election(m, [v for v in orders for _ in range(n // divisor)])
+    # the kind's divisor of n is its number of orders; each comes n / divisor times
+    return Election(m, [v for v in orders for _ in range(n // len(orders))])
 
 
 def compass_matrix(kind: str, m: int) -> np.ndarray:
     """Exact frequency matrix of a compass election, independent of n."""
-    if kind not in COMPASS_KINDS:
-        raise ValueError(f"unknown compass kind {kind!r}, expected one of {COMPASS_KINDS}")
-    if kind == "ST" and m % 2 != 0:
-        raise ValueError("ST compass matrix requires even m")
+    _check_compass(kind, m)
     zero, one, half = Fraction(0), Fraction(1), Fraction(1, 2)
     out = np.empty((m, m), dtype=object)
     for i in range(m):
@@ -300,6 +316,12 @@ def canonical_anec_key(election: Election) -> bytes:
     return bytes([m]) + election.n.to_bytes(4, "big") + body
 
 
+def _content_lines(text: str) -> list[str]:
+    # the stripped lines of text, without blank lines and '#' comments
+    stripped = (line.strip() for line in text.splitlines())
+    return [line for line in stripped if line and not line.startswith("#")]
+
+
 def parse_election(text: str) -> Election:
     """Parse the plain election file format.
 
@@ -307,11 +329,7 @@ def parse_election(text: str) -> Election:
     space-separated 0-based candidate indices, most-preferred first.  Lines
     starting with '#' and blank lines are ignored.
     """
-    lines = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    lines = _content_lines(text)
     if not lines:
         raise ValueError("empty election file")
     header = lines[0].split()

@@ -411,6 +411,17 @@ def iso_distance(a: Election, b: Election, kind: str) -> DistanceOutcome:
     raise ValueError(f"unknown isomorphic kind {kind!r}, expected 'swap' or 'discrete'")
 
 
+def _aggregate_pair(a, b, aggregate) -> tuple[np.ndarray, np.ndarray]:
+    # the aggregates of two same-shape elections, or of two given matrices,
+    # which must come out of one shape
+    if isinstance(a, Election) and isinstance(b, Election):
+        _check_same_shape(a, b)
+    xa, xb = aggregate(a), aggregate(b)
+    if xa.shape != xb.shape:
+        raise ValueError(f"matrices differ in shape: {xa.shape} vs {xb.shape}")
+    return xa, xb
+
+
 def _positionwise_aggregate(x, variant: str) -> np.ndarray:
     # the position matrix of an election, or a given square position or
     # frequency matrix (Fractions stay an object array), cumulated down each
@@ -441,11 +452,7 @@ def positionwise_distance(a, b, variant: str = "EMD") -> DistanceOutcome:
     v = variant.upper()
     if v not in ("EMD", "L1"):
         raise ValueError(f"unknown variant {variant!r}, expected 'EMD' or 'L1'")
-    if isinstance(a, Election) and isinstance(b, Election):
-        _check_same_shape(a, b)
-    xa, xb = _positionwise_aggregate(a, v), _positionwise_aggregate(b, v)
-    if xa.shape != xb.shape:
-        raise ValueError(f"matrices differ in size: {len(xa)} vs {len(xb)}")
+    xa, xb = _aggregate_pair(a, b, lambda x: _positionwise_aggregate(x, v))
     if v == "EMD":
         # the last cumulated row holds the column sums, which EMD needs equal
         sums = np.concatenate([xa[-1:], xb[-1:]]).ravel().tolist()
@@ -455,25 +462,16 @@ def positionwise_distance(a, b, variant: str = "EMD") -> DistanceOutcome:
     return DistanceOutcome(total, matching)
 
 
-def _majority_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    # the majority matrices of two same-shape elections, or two given
-    # square matrices of one size
-    if isinstance(a, Election) and isinstance(b, Election):
-        _check_same_shape(a, b)
-    ma, mb = (
-        majority_matrix(x)
-        if isinstance(x, Election)
-        else _square_matrix(x, "majority matrix", np.int64)
-        for x in (a, b)
-    )
-    if ma.shape != mb.shape:
-        raise ValueError(f"matrices differ in shape: {ma.shape} vs {mb.shape}")
-    return ma, mb
+def _majority_aggregate(x) -> np.ndarray:
+    # the majority matrix of an election, or a given square majority matrix
+    if isinstance(x, Election):
+        return majority_matrix(x)
+    return _square_matrix(x, "majority matrix", np.int64)
 
 
 def pairwise_cost_at(a, b, sigma: Sequence[int]) -> int:
     """Sum over ordered candidate pairs of |M_a(c,d) - M_b(sigma c, sigma d)|."""
-    ma, mb = _majority_pair(a, b)
+    ma, mb = _aggregate_pair(a, b, _majority_aggregate)
     s = np.array(_check_permutation(sigma, ma.shape[0], "matching"))
     return int(np.abs(ma - mb[s[:, None], s[None, :]]).sum())
 
@@ -486,7 +484,7 @@ def pairwise_distance(a, b) -> DistanceOutcome:
     the lexicographically smallest optimal matching.  m is guarded by
     ``GUARDS["pairwise"]``.
     """
-    ma, mb = _majority_pair(a, b)
+    ma, mb = _aggregate_pair(a, b, _majority_aggregate)
     check_guard("pairwise", ma.shape[0])
     return DistanceOutcome(*_pairwise_search(ma, mb))
 

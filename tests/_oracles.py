@@ -32,6 +32,7 @@ from electodist import (
     position_matrix,
 )
 from electodist.analysis import check_census_guard
+from electodist.cultures import _rng
 from electodist.metrics import l1, emd, vote_discrete_distance, vote_swap_distance
 
 
@@ -556,3 +557,45 @@ def diagonal_zeroing_spring_phase(
         temp = temperature * (1.0 - it / iterations) + 1e-4
         step = force / norms * np.minimum(norms, temp)
         points += step
+
+
+def loop_sample_sp_conitzer(m: int, n: int, seed) -> Election:
+    """``cultures.sample_sp_conitzer`` as it was: its own growth loop on a
+    line, before it shared one with SPOC."""
+    rng = _rng(seed)
+    votes = []
+    for _ in range(n):
+        peak = int(rng.integers(0, m))
+        lo = hi = peak
+        vote = [peak]
+        while len(vote) < m:
+            extend_left = lo > 0 and (hi == m - 1 or rng.random() < 0.5)
+            if extend_left:
+                lo -= 1
+                vote.append(lo)
+            else:
+                hi += 1
+                vote.append(hi)
+        votes.append(tuple(vote))
+    return Election(m, votes)
+
+
+def loop_sample_spoc(m: int, n: int, seed) -> Election:
+    """``cultures.sample_spoc`` as it was: its own growth loop on a circle,
+    before it shared one with SPConitzer."""
+    rng = _rng(seed)
+    votes = []
+    for _ in range(n):
+        top = int(rng.integers(0, m))
+        left = (top - 1) % m
+        right = (top + 1) % m
+        vote = [top]
+        while len(vote) < m:
+            if rng.random() < 0.5:
+                vote.append(left)
+                left = (left - 1) % m
+            else:
+                vote.append(right)
+                right = (right + 1) % m
+        votes.append(tuple(vote))
+    return Election(m, votes)

@@ -254,6 +254,79 @@ def test_config_json_types_are_checked(tmp_path, capsys, overrides, message):
     assert not (tmp_path / "out").exists()
 
 
+def write_text(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def config_without_m(tmp_path):
+    cfg = write_config(tmp_path)
+    obj = json.loads(cfg.read_text(encoding="utf-8"))
+    del obj["m"]
+    return write_text(tmp_path, "config.json", json.dumps(obj))
+
+
+# each error branch of the CLI's input checks: (argv given tmp_path, message)
+ERROR_BRANCHES = {
+    "config-list": (
+        lambda t: ["map", "--config", write_text(t, "config.json", "[]")],
+        "config must be a JSON object",
+    ),
+    "config-no-m": (
+        lambda t: ["map", "--config", config_without_m(t)],
+        "config is missing required field 'm'",
+    ),
+    "config-m-zero": (
+        lambda t: ["map", "--config", str(write_config(t, m=0))],
+        "need m >= 1 and n >= 1, got m=0, n=6",
+    ),
+    "config-entry-no-model": (
+        lambda t: ["map", "--config", str(write_config(t, dataset=[{"count": 2}]))],
+        "dataset entry {'count': 2} has no model",
+    ),
+    "config-no-metrics": (
+        lambda t: ["map", "--config", str(write_config(t, metrics=[]))],
+        "config needs at least one metric",
+    ),
+    "empty-matrix-file": (
+        lambda t: ["realizable", "position", "--file", write_text(t, "pos.txt", "# none\n\n")],
+        "no matrix rows found in {tmp}/pos.txt",
+    ),
+    "position-ragged-rows": (
+        lambda t: ["realizable", "position", "--file", write_text(t, "pos.txt", "1 0\n0\n")],
+        "position matrix must be square, got rows of lengths [2, 1]",
+    ),
+    "majority-ragged-rows": (
+        lambda t: [
+            "realizable", "majority", "--n", "1", "--file", write_text(t, "maj.txt", "0 1\n0\n")
+        ],
+        "majority matrix must be square, got rows of lengths [2, 1]",
+    ),
+    "census-no-m": (
+        lambda t: ["census", "--m", ",", "--n", "3"],
+        "census needs at least one m and one n",
+    ),
+    "majority-no-file": (
+        lambda t: ["realizable", "majority", "--n", "3"],
+        "majority needs --file and --n",
+    ),
+    "position-no-file": (
+        lambda t: ["realizable", "position"],
+        "position needs --file",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", ERROR_BRANCHES.values(), ids=ERROR_BRANCHES.keys())
+def test_error_branches_print_one_line(tmp_path, capsys, argv, message):
+    code, out, err = run(capsys, argv(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message.replace('{tmp}', str(tmp_path))}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -480,6 +553,16 @@ def test_verify_compass_skips_invalid_shapes(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert all(line.endswith(",skip") for line in lines[1:])
+
+
+def test_verify_compass_reports_a_wrong_formula(capsys):
+    with mock.patch.object(cli, "compass_distance_formula", return_value=-1):
+        code, out, _ = run(capsys, ["verify-compass", "--m", "2", "--n", "2"])
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert len(lines) == 37
+    assert "emdpos,ID-AN,-1,2,FAIL" in lines
+    assert all(line.endswith(",FAIL") for line in lines[1:])
 
 
 def test_verify_compass_checks_guards_before_output(capsys):

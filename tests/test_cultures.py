@@ -30,6 +30,8 @@ from electodist.cultures import (
 from electodist.cultures import _mallows_expected_swaps
 from electodist.metrics import vote_swap_distance
 
+from _oracles import loop_sample_sp_conitzer, loop_sample_spoc
+
 
 @pytest.mark.parametrize("spec", DEFAULT_CULTURES, ids=lambda s: s.label())
 def test_sampling_is_deterministic(spec):
@@ -155,6 +157,19 @@ def test_spoc_votes_lie_on_the_circle():
     e = sample_spoc(6, 400, 15)
     circle = tuple(range(6))
     assert all(is_spoc_vote(v, circle) for v in e.votes)
+
+
+@pytest.mark.parametrize(
+    "sampler, oracle",
+    [(sample_sp_conitzer, loop_sample_sp_conitzer), (sample_spoc, loop_sample_spoc)],
+    ids=["sp-conitzer", "spoc"],
+)
+def test_grown_votes_equal_the_old_loops(sampler, oracle):
+    # 3,000 seeds run through every (m, n) with m in 1..9 and n in 1..13,
+    # since 9 and 13 are coprime
+    for seed in range(3000):
+        m, n = 1 + seed % 9, 1 + seed % 13
+        assert sampler(m, n, seed) == oracle(m, n, seed), (m, n, seed)
 
 
 def test_spoc_uniform_at_m3():
@@ -292,7 +307,7 @@ def test_sample_rejects_bad_specs():
             3,
             "unexpected parameters for Euclidean: ['tree']",
         ),
-        (CultureSpec("IC"), 0, "m and n must be positive"),
+        (CultureSpec("IC"), 0, "need m >= 1 and n >= 1, got m=0, n=3"),
         (CultureSpec("Urn", {"alpha": -1}), 3, "urn alpha must be nonnegative, got -1.0"),
         (CultureSpec("Urn", {"alpha": "many"}), 3, "could not convert string to float: 'many'"),
         (CultureSpec("Mallows", {"phi": 1.5}), 3, "mallows phi must lie in [0, 1], got 1.5"),

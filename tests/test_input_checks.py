@@ -1,9 +1,9 @@
 """The exact message of every input rule, at every entry point that applies it.
 
 Each rule (candidate and voter permutations, square matrices, integer
-entries, metric kinds, compass divisors, culture parameter domains) is
-written once; these cases pin what each caller reports through it, and the
-neighbouring raises of the same callers.
+entries, metric kinds, positive shapes, compass kinds and divisors, culture
+parameter domains) is written once; these cases pin what each caller
+reports through it, and the neighbouring raises of the same callers.
 """
 
 from __future__ import annotations
@@ -69,6 +69,14 @@ CASES = {
         lambda: is_spoc_vote((0, 1, 2), (0, 1)),
         "axis must be a permutation of 0..2",
     ),
+    "spoc-vote-off-circle": (
+        lambda: is_spoc_vote((0, 5, 1), (0, 1, 2)),
+        "vote must be a permutation of 0..2",
+    ),
+    "spoc-vote-repeat": (
+        lambda: is_spoc_vote((0, 0, 1), (0, 1, 2)),
+        "vote must be a permutation of 0..2",
+    ),
     "pairwise-cost-matching": (
         lambda: pairwise_cost_at(SMALL_A, SMALL_B, (0, 1)),
         "matching must be a permutation of 0..2",
@@ -88,7 +96,7 @@ CASES = {
     ),
     "positionwise-sizes": (
         lambda: positionwise_distance(np.eye(2, dtype=int), np.eye(3, dtype=int), "L1"),
-        "matrices differ in size: 2 vs 3",
+        "matrices differ in shape: (2, 2) vs (3, 3)",
     ),
     "pairwise-square": (
         lambda: pairwise_distance(np.zeros((3, 3)), TWO_BY_THREE),
@@ -122,6 +130,14 @@ CASES = {
         lambda: DistanceMatrix(("a", "b"), TWO_BY_THREE, "emdpos"),
         "cells must be square, got shape (2, 3)",
     ),
+    "recover-ragged": (
+        lambda: recover_election([[1, 0], [0]]),
+        "position matrix must be square, got rows of lengths [2, 1]",
+    ),
+    "majority-realizable-ragged": (
+        lambda: majority_realizable_bruteforce([[0, 1], [0]], 1),
+        "majority matrix must be square, got rows of lengths [2, 1]",
+    ),
     # integer entries, named as Python scalars in row-major order
     "recover-integers": (
         lambda: recover_election(np.array([[1.0, 0.5], [0.5, 1.0]])),
@@ -147,6 +163,10 @@ CASES = {
         lambda: borda_realizable([1, 1.5, 0.5], 1),
         "Borda scores must be integers, got 1.5",
     ),
+    "borda-integers-ndarray": (
+        lambda: borda_realizable(np.array([1.0, 1.5, 0.5]), 1),
+        "Borda scores must be integers, got 1.5",
+    ),
     # metric kinds
     "distance-kind": (
         lambda: distance(SMALL_A, SMALL_B, "foo"),
@@ -163,6 +183,10 @@ CASES = {
     "compass-formula-kind": (
         lambda: compass_distance_formula("foo", ("ID", "AN"), 4, 4),
         f"unknown metric kind 'foo', expected one of {KINDS}",
+    ),
+    "config-not-object": (
+        lambda: ExperimentConfig.from_json([]),
+        "config must be a JSON object",
     ),
     "config-kind": (
         lambda: ExperimentConfig.from_json({"m": 3, "n": 6, "compass": ["ID"], "metrics": ["foo"]}),
@@ -195,15 +219,36 @@ CASES = {
     ),
     "compass-positive": (
         lambda: compass_election("ID", 0, 2),
-        "m and n must be positive",
+        "need m >= 1 and n >= 1, got m=0, n=2",
     ),
     "compass-matrix-kind": (
         lambda: compass_matrix("XX", 4),
         "unknown compass kind 'XX', expected one of ('ID', 'AN', 'UN', 'ST')",
     ),
+    "compass-matrix-st-odd": (
+        lambda: compass_matrix("ST", 5),
+        "ST compass election requires even m",
+    ),
+    "compass-formula-compass-kind": (
+        lambda: compass_distance_formula("emdpos", ("ID", "XX"), 4, 4),
+        "unknown compass kind 'XX', expected one of ('ID', 'AN', 'UN', 'ST')",
+    ),
     "compass-formula-divisor": (
         lambda: compass_distance_formula("emdpos", ("ID", "UN"), 4, 6),
-        "UN with m=4 needs 24 | n, got n=6",
+        "compass election requires m! = 24 divides n (got n=6)",
+    ),
+    "compass-formula-first-side": (
+        # both sides fail their divisor; the pair's first side is reported
+        lambda: compass_distance_formula("emdpos", ("ST", "AN"), 4, 3),
+        "compass election requires ((m/2)!)^2 = 4 divides n (got n=3)",
+    ),
+    "compass-formula-negative-n": (
+        lambda: compass_distance_formula("emdpos", ("ID", "AN"), 4, -24),
+        "need m >= 1 and n >= 1, got m=4, n=-24",
+    ),
+    "compass-formula-negative-n-bounds": (
+        lambda: compass_distance_formula("swap", ("AN", "UN"), 4, -24),
+        "need m >= 1 and n >= 1, got m=4, n=-24",
     ),
     # culture parameter domains
     "urn-alpha": (
