@@ -19,10 +19,8 @@ from .elections import (
 from .metrics import (
     METRIC_KINDS,
     DistanceOutcome,
-    bordawise_distance,
     distance,
     emd,
-    iso_distance,
     l1,
     pairwise_cost_at,
     pairwise_distance,

@@ -24,7 +24,13 @@ from .elections import (
     position_matrix,
 )
 from .mapping import DistanceMatrix, distance_matrix
-from .metrics import _upper_cells, check_kind, distance_values, positionwise_distance
+from .metrics import (
+    _check_elections,
+    _upper_cells,
+    check_kind,
+    distance_values,
+    positionwise_distance,
+)
 
 CENSUS_GUARD_M = 4
 CENSUS_GUARD_N = 6
@@ -215,11 +221,14 @@ def matrix_correlation(dm_a: DistanceMatrix, dm_b: DistanceMatrix) -> Correlatio
 
 def correlation(dataset: Sequence[Election], kind_a: str, kind_b: str) -> CorrelationReport:
     """Correlation between two metrics over all unordered pairs of distinct
-    dataset elections."""
+    dataset elections.  Both kinds, the inputs and both guards are checked
+    before the first distance."""
     check_kind(kind_a)
     check_kind(kind_b)
     if len(dataset) < 2:
         raise ValueError("need at least two elections")
+    for kind in (kind_a, kind_b):
+        _check_elections(dataset, kind)
     return matrix_correlation(
         distance_matrix(dataset, kind_a), distance_matrix(dataset, kind_b)
     )
@@ -319,15 +328,16 @@ def check_diameter(dataset: Sequence[Election], kind: str):
 
     Returns a list of (i, j, value) triples, value an int taken from
     ``distance_values``; an empty list means the diameter bound held for
-    every pair.
+    every pair.  The kind, the inputs, the guard and the compass divisors
+    of n are checked before the first distance.
     """
     if not dataset:
         return []
-    values = distance_values(dataset, kind)
+    _check_elections(dataset, kind)
     m, n = dataset[0].m, dataset[0].n
-    bound = int(
-        distance_values([compass_election("ID", m, n), compass_election("UN", m, n)], kind)[0]
-    )
+    compass = [compass_election("ID", m, n), compass_election("UN", m, n)]
+    values = distance_values(dataset, kind)
+    bound = int(distance_values(compass, kind)[0])
     pairs = itertools.combinations(range(len(dataset)), 2)
     return [(i, j, int(value)) for (i, j), value in zip(pairs, values) if value > bound]
 

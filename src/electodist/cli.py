@@ -36,6 +36,7 @@ from .elections import (
     _check_compass,
     _check_positive,
     _content_lines,
+    _integer_tokens,
     compass_election,
     parse_election,
     serialize_election,
@@ -176,14 +177,17 @@ def read_election_file(path: str) -> Election:
 def parse_matrix_file(path: str) -> list[list[int]]:
     """Whitespace-separated integer rows; '#' comments and blanks ignored."""
     text = Path(path).read_text(encoding="utf-8")
-    rows = [[int(tok) for tok in line.split()] for line in _content_lines(text)]
+    rows = [
+        _integer_tokens(line.split(), f"matrix line {line!r}") for line in _content_lines(text)
+    ]
     if not rows:
         raise ValueError(f"no matrix rows found in {path}")
     return rows
 
 
 def parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    tokens = [tok for tok in text.split(",") if tok.strip() != ""]
+    return _integer_tokens(tokens, f"list {text!r}")
 
 
 def progress(message: str) -> None:
@@ -447,7 +451,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -183,8 +183,9 @@ def _square_matrix(x, what: str, dtype=None) -> np.ndarray:
     try:
         arr = np.asarray(x, dtype=dtype)
     except ValueError:
-        # numpy refuses rows of different lengths; any other fault keeps its message
-        lengths = [len(row) for row in x if hasattr(row, "__len__")]
+        # numpy refuses rows of different lengths, a row without a length
+        # (None) among them; any other fault keeps its message
+        lengths = [len(row) if hasattr(row, "__len__") else None for row in x]
         if len(set(lengths)) < 2:
             raise
         raise ValueError(f"{what} must be square, got rows of lengths {lengths}") from None
@@ -343,13 +344,16 @@ def parse_election(text: str) -> Election:
         raise ValueError(f"header requires positive m and n, got {m} {n}")
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} vote lines, found {len(lines) - 1}")
-    votes = []
-    for line in lines[1:]:
-        try:
-            votes.append([int(tok) for tok in line.split()])
-        except ValueError:
-            raise ValueError(f"non-integer token in vote line {line!r}") from None
+    votes = [_integer_tokens(line.split(), f"vote line {line!r}") for line in lines[1:]]
     return Election(m, votes)
+
+
+def _integer_tokens(tokens: Sequence[str], where: str) -> list[int]:
+    # the tokens as ints; ValueError says where a non-integer one came from
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise ValueError(f"non-integer token in {where}") from None
 
 
 def serialize_election(election: Election) -> str:

@@ -85,7 +85,7 @@ def distance_matrix(
     labels: Optional[Sequence[str]] = None,
 ) -> DistanceMatrix:
     """All unordered pairwise distances, by ``metrics.distance_values``,
-    which checks the kind, the shapes and the guard."""
+    which checks the kind, the inputs, their shapes and the guard."""
     if not dataset:
         raise ValueError("need at least one election")
     k = len(dataset)

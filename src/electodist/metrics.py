@@ -43,11 +43,9 @@ __all__ = [
     "l1",
     "emd",
     "solve_assignment",
-    "iso_distance",
     "positionwise_distance",
     "pairwise_cost_at",
     "pairwise_distance",
-    "bordawise_distance",
     "distance",
     "GUARDS",
     "check_guard",
@@ -340,6 +338,20 @@ def _check_same_shape(a: Election, b: Election) -> None:
         )
 
 
+def _check_elections(elections: Sequence[Election], kind: str) -> None:
+    # the checks every entry point that takes elections makes before its
+    # first aggregate, in this order: the kind, that each input is an
+    # Election, that all share the first one's shape, and the kind's guard
+    check_kind(kind)
+    for e in elections:
+        if not isinstance(e, Election):
+            raise ValueError(f"expected elections, got {type(e).__name__}")
+    if elections:
+        for e in elections[1:]:
+            _check_same_shape(elections[0], e)
+        check_guard(kind, elections[0].m)
+
+
 def _discrete_aggregate(election: Election) -> tuple[list[int], list[int], Counter, dict]:
     # the place values of base-m digits, each voter's vote code, the count
     # of each code and the vote behind each code: a sequence's base-m digits
@@ -394,21 +406,6 @@ def _iso_discrete(a: Election, b: Election) -> DistanceOutcome:
         if rho[i] < 0:
             rho[i] = next(leftover_b)
     return DistanceOutcome(value, sigma, tuple(rho))
-
-
-def iso_distance(a: Election, b: Election, kind: str) -> DistanceOutcome:
-    """Exact isomorphic distance, minimizing over candidate and voter matchings.
-
-    kind is "swap" (inversion counts per matched vote pair; m guarded by
-    ``GUARDS["swap"]``) or "discrete" (count of unmatched votes; polynomial).
-    """
-    _check_same_shape(a, b)
-    if kind == "swap":
-        check_guard("swap", a.m)
-        return DistanceOutcome(*_swap_search(_swap_aggregates(a), _swap_aggregates(b)))
-    if kind == "discrete":
-        return _iso_discrete(a, b)
-    raise ValueError(f"unknown isomorphic kind {kind!r}, expected 'swap' or 'discrete'")
 
 
 def _aggregate_pair(a, b, aggregate) -> tuple[np.ndarray, np.ndarray]:
@@ -526,26 +523,29 @@ def _sorted_borda_prefix(election: Election) -> np.ndarray:
     return np.cumsum(np.sort(borda_vector(election))[::-1])
 
 
-def bordawise_distance(a: Election, b: Election) -> DistanceOutcome:
-    """EMD between the nonincreasingly sorted Borda score vectors."""
-    _check_same_shape(a, b)
-    gap = np.abs(_sorted_borda_prefix(a) - _sorted_borda_prefix(b))
-    return DistanceOutcome(int(gap.sum()))
-
-
 def distance(a: Election, b: Election, kind: str) -> DistanceOutcome:
-    """Dispatch to one of the six metrics by name."""
-    check_kind(kind)
-    if kind == "swap" or kind == "discrete":
-        return iso_distance(a, b, kind)
+    """Distance between two same-shape elections by one of the six metrics,
+    with its witness matchings.
+
+    The kind, the inputs and the candidate guard are checked first, with
+    the errors of ``distance_values``.  Swap and discrete minimize over
+    candidate and voter matchings jointly; the positionwise metrics and
+    pairwise over candidate matchings; Bordawise needs no matching.
+    """
+    _check_elections((a, b), kind)
+    if kind == "swap":
+        return DistanceOutcome(*_swap_search(_swap_aggregates(a), _swap_aggregates(b)))
+    if kind == "discrete":
+        return _iso_discrete(a, b)
     if kind == "emdpos":
         return positionwise_distance(a, b, "EMD")
     if kind == "l1pos":
         return positionwise_distance(a, b, "L1")
     if kind == "pairwise":
-        return pairwise_distance(a, b)
+        return DistanceOutcome(*_pairwise_search(majority_matrix(a), majority_matrix(b)))
     # bordawise
-    return bordawise_distance(a, b)
+    gap = np.abs(_sorted_borda_prefix(a) - _sorted_borda_prefix(b))
+    return DistanceOutcome(int(gap.sum()))
 
 
 def _assignment_value(costs: np.ndarray) -> int:
@@ -558,17 +558,13 @@ def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
     ``itertools.combinations`` order.
 
     Equal to ``distance(dataset[i], dataset[j], kind).value``.  The kind,
-    the shapes and the candidate guard are checked up front, with the errors
-    of ``distance``.  All six metrics take each election's aggregates once.
+    the inputs and the candidate guard are checked up front, by the check
+    ``distance`` makes.  All six metrics take each election's aggregates once.
     Positionwise and Bordawise compare one election with all later ones by
     broadcasting, positionwise then solving one value-only assignment per
     pair; swap, discrete and pairwise run one search per pair.
     """
-    check_kind(kind)
-    if dataset:
-        for e in dataset[1:]:
-            _check_same_shape(dataset[0], e)
-        check_guard(kind, dataset[0].m)
+    _check_elections(dataset, kind)
     k = len(dataset)
     if k < 2:
         return np.zeros(0, dtype=np.int64)

@@ -9,7 +9,7 @@ inequality then forces every consecutive distance to be exactly 1.
 
 from __future__ import annotations
 
-from electodist import Election, apply_matchings, iso_distance
+from electodist import Election, apply_matchings, distance
 
 
 def _inverse(p):
@@ -20,7 +20,7 @@ def _inverse(p):
 
 
 def _aligned_target(a: Election, b: Election, kind: str) -> Election:
-    out = iso_distance(a, b, kind)
+    out = distance(a, b, kind)
     return apply_matchings(b, _inverse(out.candidate_matching), out.voter_matching)
 
 

@@ -28,7 +28,6 @@ from electodist import (
     emdpos_intrinsic_path,
     enumerate_anecs,
     export_map,
-    iso_distance,
     l1pos_intrinsic_path,
     matrix_correlation,
     pairwise_cost_at,
@@ -78,7 +77,7 @@ def test_criterion_01_census_table(capsys):
 
 def test_criterion_02_worked_example_pair(capsys):
     problems = []
-    swap_out = iso_distance(SMALL_A, SMALL_B, "swap")
+    swap_out = distance(SMALL_A, SMALL_B, "swap")
     if swap_out.value != 1:
         problems.append(f"swap minimum {swap_out.value} != 1")
     # the printed value 2 is the cost when candidates keep their names
@@ -91,7 +90,7 @@ def test_criterion_02_worked_example_pair(capsys):
     )
     if swap_at_identity != 2:
         problems.append(f"swap at identity {swap_at_identity} != 2")
-    if iso_distance(SMALL_A, SMALL_B, "discrete").value != 1:
+    if distance(SMALL_A, SMALL_B, "discrete").value != 1:
         problems.append("discrete != 1")
 
     emd_out = positionwise_distance(SMALL_A, SMALL_B, "EMD")
@@ -222,7 +221,7 @@ def test_criterion_06_oracle_equivalence(capsys):
     reps = list(enumerate_anecs(3, 3))
     for a, b in itertools.combinations_with_replacement(reps, 2):
         for kind in ("swap", "discrete"):
-            fast = iso_distance(a, b, kind).value
+            fast = distance(a, b, kind).value
             brute = brute_force_iso_distance(a, b, kind)
             if fast != brute:
                 problems.append(f"{kind} {fast} != brute {brute}")

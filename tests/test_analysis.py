@@ -27,7 +27,6 @@ from electodist import (
     emd,
     emdpos_intrinsic_path,
     enumerate_anecs,
-    iso_distance,
     l1pos_intrinsic_path,
     majority_matrix,
     majority_realizable_bruteforce,
@@ -632,15 +631,15 @@ def test_swap_unit_path_small_pair():
     steps = swap_unit_path(SMALL_A, SMALL_B)
     assert len(steps) == 2
     assert steps[0] == SMALL_A
-    assert iso_distance(steps[0], steps[1], "swap").value == 1
-    assert iso_distance(steps[-1], SMALL_B, "swap").value == 0
+    assert distance(steps[0], steps[1], "swap").value == 1
+    assert distance(steps[-1], SMALL_B, "swap").value == 0
 
 
 def test_discrete_unit_path_small_pair():
     steps = discrete_unit_path(SMALL_A, SMALL_B)
     assert len(steps) == 2
-    assert iso_distance(steps[0], steps[1], "discrete").value == 1
-    assert iso_distance(steps[-1], SMALL_B, "discrete").value == 0
+    assert distance(steps[0], steps[1], "discrete").value == 1
+    assert distance(steps[-1], SMALL_B, "discrete").value == 0
 
 
 def test_unit_step_paths_realize_the_distance_exactly():
@@ -650,10 +649,10 @@ def test_unit_step_paths_realize_the_distance_exactly():
         a = random_election(rng, 3, 3)
         b = random_election(rng, 3, 3)
         for kind, builder in builders.items():
-            d = iso_distance(a, b, kind).value
+            d = distance(a, b, kind).value
             steps = builder(a, b)
             assert len(steps) - 1 == d
             assert steps[0] == a
-            assert iso_distance(steps[-1], b, kind).value == 0
+            assert distance(steps[-1], b, kind).value == 0
             for prev, cur in zip(steps, steps[1:]):
-                assert iso_distance(prev, cur, kind).value == 1
+                assert distance(prev, cur, kind).value == 1

@@ -307,6 +307,18 @@ ERROR_BRANCHES = {
         lambda t: ["census", "--m", ",", "--n", "3"],
         "census needs at least one m and one n",
     ),
+    "position-non-integer": (
+        lambda t: ["realizable", "position", "--file", write_text(t, "pos.txt", "1 x\n0 1\n")],
+        "non-integer token in matrix line '1 x'",
+    ),
+    "borda-non-integer": (
+        lambda t: ["realizable", "borda", "--scores", "1,x", "--n", "2"],
+        "non-integer token in list '1,x'",
+    ),
+    "census-non-integer": (
+        lambda t: ["census", "--m", "3,x", "--n", "3"],
+        "non-integer token in list '3,x'",
+    ),
     "majority-no-file": (
         lambda t: ["realizable", "majority", "--n", "3"],
         "majority needs --file and --n",

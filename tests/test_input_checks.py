@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from electodist import (
+    METRIC_KINDS,
     DistanceMatrix,
     apply_matchings,
     borda_realizable,
+    check_diameter,
     compass_distance_formula,
     compass_election,
     compass_matrix,
@@ -29,11 +31,12 @@ from electodist import (
     matrix_correlation,
     pairwise_cost_at,
     pairwise_distance,
+    position_matrix,
     positionwise_distance,
     recover_election,
     solve_assignment,
 )
-from electodist.cli import ExperimentConfig
+from electodist.cli import ExperimentConfig, parse_int_list
 from electodist.cultures import (
     sample_euclidean,
     sample_group_separable,
@@ -138,6 +141,14 @@ CASES = {
         lambda: majority_realizable_bruteforce([[0, 1], [0]], 1),
         "majority matrix must be square, got rows of lengths [2, 1]",
     ),
+    "recover-scalar-row": (
+        lambda: recover_election([[1, 0], 5]),
+        "position matrix must be square, got rows of lengths [2, None]",
+    ),
+    "majority-realizable-scalar-row": (
+        lambda: majority_realizable_bruteforce([0, [0, 1]], 1),
+        "majority matrix must be square, got rows of lengths [None, 2]",
+    ),
     # integer entries, named as Python scalars in row-major order
     "recover-integers": (
         lambda: recover_election(np.array([[1.0, 0.5], [0.5, 1.0]])),
@@ -167,6 +178,10 @@ CASES = {
         lambda: borda_realizable(np.array([1.0, 1.5, 0.5]), 1),
         "Borda scores must be integers, got 1.5",
     ),
+    "int-list-token": (
+        lambda: parse_int_list("1,x"),
+        "non-integer token in list '1,x'",
+    ),
     # metric kinds
     "distance-kind": (
         lambda: distance(SMALL_A, SMALL_B, "foo"),
@@ -179,6 +194,11 @@ CASES = {
     "correlation-kind": (
         lambda: correlation([SMALL_A, SMALL_B], "emdpos", "foo"),
         f"unknown metric kind 'foo', expected one of {KINDS}",
+    ),
+    "diameter-guard-before-divisor": (
+        # n = 10 fails UN's divisor too, but the guard is reported first
+        lambda: check_diameter([compass_election("ID", 9, 10)] * 2, "swap"),
+        "swap distance guarded at m <= 8 (got m=9)",
     ),
     "compass-formula-kind": (
         lambda: compass_distance_formula("foo", ("ID", "AN"), 4, 4),
@@ -277,6 +297,23 @@ CASES = {
         "unknown tree 'tall', expected one of ('balanced', 'caterpillar')",
     ),
 }
+
+# non-elections: a position matrix beside an election, either way round, for
+# every kind at both entry points
+POSITIONS = position_matrix(SMALL_A)
+for kind in METRIC_KINDS:
+    for order, pair in (
+        ("election-matrix", (SMALL_A, POSITIONS)),
+        ("matrix-election", (POSITIONS, SMALL_A)),
+    ):
+        CASES[f"distance-{kind}-{order}"] = (
+            lambda pair=pair, kind=kind: distance(*pair, kind),
+            "expected elections, got ndarray",
+        )
+        CASES[f"distance-values-{kind}-{order}"] = (
+            lambda pair=pair, kind=kind: distance_values(list(pair), kind),
+            "expected elections, got ndarray",
+        )
 
 
 @pytest.mark.parametrize("call, message", CASES.values(), ids=CASES.keys())

@@ -20,12 +20,12 @@ from electodist import (
     borda_vector,
     canonical_anec_key,
     check_diameter,
+    correlation,
     count_equivalence_classes,
     distance,
     distance_matrix,
     enumerate_anecs,
     frequency_matrix,
-    iso_distance,
     majority_matrix,
     majority_realizable_bruteforce,
     pairwise_distance,
@@ -146,8 +146,8 @@ CHUNK_ENTRIES = (1, 200, metrics._SWAP_CHUNK_ENTRIES)
 def test_isomorphic_searches_equal_their_loop_versions(pair, entries):
     a, b = pair
     with mock.patch.object(metrics, "_SWAP_CHUNK_ENTRIES", entries):
-        assert_same_outcome(iso_distance(a, b, "swap"), lexicographic_swap_search(a, b))
-    assert_same_outcome(iso_distance(a, b, "discrete"), dict_discrete_search(a, b))
+        assert_same_outcome(distance(a, b, "swap"), lexicographic_swap_search(a, b))
+    assert_same_outcome(distance(a, b, "discrete"), dict_discrete_search(a, b))
 
 
 TIED_PAIRS = [
@@ -170,7 +170,7 @@ TIED_PAIRS = [
 @pytest.mark.parametrize("a, b", TIED_PAIRS)
 def test_swap_ties_resolve_to_smallest_relabeling(a, b, entries):
     with mock.patch.object(metrics, "_SWAP_CHUNK_ENTRIES", entries):
-        assert_same_outcome(iso_distance(a, b, "swap"), lexicographic_swap_search(a, b))
+        assert_same_outcome(distance(a, b, "swap"), lexicographic_swap_search(a, b))
 
 
 @pytest.mark.parametrize(
@@ -184,14 +184,14 @@ def test_swap_ties_resolve_to_smallest_relabeling(a, b, entries):
     ids=["far", "close"],
 )
 def test_swap_search_equals_loop_version_at_the_guard(a, b):
-    assert_same_outcome(iso_distance(a, b, "swap"), lexicographic_swap_search(a, b))
+    assert_same_outcome(distance(a, b, "swap"), lexicographic_swap_search(a, b))
 
 
 def test_swap_search_allocates_no_full_table():
     a, b = sample_ic(8, 20, 85), sample_euclidean(8, 20, 86, "disc_2d")
     tracemalloc.start()
     try:
-        out = iso_distance(a, b, "swap")
+        out = distance(a, b, "swap")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -298,6 +298,28 @@ def test_check_diameter_recomputes_no_pair(monkeypatch):
         assert violations
         assert all(type(v) is int for _, _, v in violations)
         assert calls.call_count == 0
+
+
+def test_correlation_checks_both_guards_before_any_distance(monkeypatch):
+    # at m = 9 the pairwise search runs, but swap is guarded at m <= 8
+    calls = mock.Mock(wraps=metrics._pairwise_search)
+    monkeypatch.setattr(metrics, "_pairwise_search", calls)
+    dataset = [sample_ic(9, 3, seed) for seed in range(3)]
+    with pytest.raises(ValueError, match=r"^swap distance guarded at m <= 8 \(got m=9\)$"):
+        correlation(dataset, "pairwise", "swap")
+    assert calls.call_count == 0
+
+
+def test_check_diameter_checks_the_compass_divisor_before_any_distance(monkeypatch):
+    # n = 10 is no multiple of 7!, so UN, and with it the bound, cannot be built
+    calls = mock.Mock(wraps=metrics._swap_search)
+    monkeypatch.setattr(metrics, "_swap_search", calls)
+    dataset = [sample_ic(7, 10, seed) for seed in range(3)]
+    with pytest.raises(
+        ValueError, match=r"^compass election requires m! = 5040 divides n \(got n=10\)$"
+    ):
+        check_diameter(dataset, "swap")
+    assert calls.call_count == 0
 
 
 @st.composite

@@ -16,12 +16,10 @@ from electodist import (
     METRIC_KINDS,
     Election,
     apply_matchings,
-    bordawise_distance,
     compass_election,
     distance,
     emd,
     frequency_matrix,
-    iso_distance,
     l1,
     pairwise_cost_at,
     pairwise_distance,
@@ -192,14 +190,14 @@ def test_solve_assignment_guard_counts_the_tie_broken_solves():
 
 
 def test_iso_discrete_known_pair():
-    out = iso_distance(SMALL_A, SMALL_B, "discrete")
+    out = distance(SMALL_A, SMALL_B, "discrete")
     assert out.value == 1
     assert out.candidate_matching == (0, 1, 2)
 
 
 def test_iso_swap_known_pair():
     # the identity matching costs 2, but relabeling 0<->1 reaches 1
-    out = iso_distance(SMALL_A, SMALL_B, "swap")
+    out = distance(SMALL_A, SMALL_B, "swap")
     assert out.value == 1
     assert out.candidate_matching == (1, 0, 2)
     at_identity = min(
@@ -215,7 +213,7 @@ def test_iso_swap_known_pair():
 
 def test_iso_witnesses_reproduce_value():
     for kind in ("swap", "discrete"):
-        out = iso_distance(SMALL_A, SMALL_B, kind)
+        out = distance(SMALL_A, SMALL_B, kind)
         sigma, rho = out.candidate_matching, out.voter_matching
         vote_dist = vote_swap_distance if kind == "swap" else vote_discrete_distance
         replayed = sum(
@@ -232,7 +230,7 @@ def test_iso_witnesses_reproduce_value():
 def test_iso_distance_matches_brute_force(pair):
     a, b = pair
     for kind in ("swap", "discrete"):
-        assert iso_distance(a, b, kind).value == brute_force_iso_distance(a, b, kind)
+        assert distance(a, b, kind).value == brute_force_iso_distance(a, b, kind)
 
 
 @given(elections(max_m=4, max_n=4), st.data())
@@ -247,13 +245,13 @@ def test_isomorphic_elections_are_at_distance_zero(election, data):
 
 def test_iso_distance_validates():
     with pytest.raises(ValueError):
-        iso_distance(SMALL_A, Election(3, [(0, 1, 2)]), "swap")
+        distance(SMALL_A, Election(3, [(0, 1, 2)]), "swap")
     with pytest.raises(ValueError):
-        iso_distance(SMALL_A, SMALL_B, "hamming")
+        distance(SMALL_A, SMALL_B, "hamming")
     big = Election(9, [tuple(range(9))])
     with pytest.raises(ValueError):
-        iso_distance(big, big, "swap")
-    assert iso_distance(big, big, "discrete").value == 0
+        distance(big, big, "swap")
+    assert distance(big, big, "discrete").value == 0
 
 
 def test_guards_dict_is_the_only_guard(tmp_path, capsys):
@@ -266,21 +264,21 @@ def test_guards_dict_is_the_only_guard(tmp_path, capsys):
     }), encoding="utf-8")
     with mock.patch.dict(metrics.GUARDS, {"swap": 4, "pairwise": 4}):
         for kind, call in (
-            ("swap", lambda: iso_distance(e, e, "swap")),
+            ("swap", lambda: distance(e, e, "swap")),
             ("pairwise", lambda: pairwise_distance(e, e)),
             ("swap", lambda: metrics.distance_values([e, e], "swap")),
             ("pairwise", lambda: metrics.distance_values([e, e], "pairwise")),
         ):
             with pytest.raises(ValueError, match=rf"^{kind} distance guarded at m <= 4 \(got m=5\)$"):
                 call()
-        assert iso_distance(small, small, "swap").value == 0
+        assert distance(small, small, "swap").value == 0
         assert pairwise_distance(small, small).value == 0
         assert main(["map", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: pairwise distance guarded at m <= 4 (got m=5)\n"
         assert not (tmp_path / "out").exists()
-    assert iso_distance(e, e, "swap").value == 0
+    assert distance(e, e, "swap").value == 0
     assert pairwise_distance(e, e).value == 0
 
 
@@ -386,14 +384,14 @@ def test_pairwise_guard():
 
 
 def test_bordawise_known_pair():
-    assert bordawise_distance(SMALL_A, SMALL_B).value == 1
-    assert bordawise_distance(SMALL_A, SMALL_A).value == 0
+    assert distance(SMALL_A, SMALL_B, "bordawise").value == 1
+    assert distance(SMALL_A, SMALL_A, "bordawise").value == 0
 
 
 def test_bordawise_antagonism_equals_uniformity():
     an = compass_election("AN", 3, 12)
     un = compass_election("UN", 3, 12)
-    assert bordawise_distance(an, un).value == 0
+    assert distance(an, un, "bordawise").value == 0
     assert pairwise_distance(an, un).value == 0
 
 
@@ -443,7 +441,7 @@ def test_brute_force_guard():
 
 def test_ties_resolve_to_smallest_matching():
     un = compass_election("UN", 3, 6)
-    assert iso_distance(un, un, "swap").candidate_matching == (0, 1, 2)
-    assert iso_distance(un, un, "discrete").candidate_matching == (0, 1, 2)
+    assert distance(un, un, "swap").candidate_matching == (0, 1, 2)
+    assert distance(un, un, "discrete").candidate_matching == (0, 1, 2)
     assert pairwise_distance(un, un).candidate_matching == (0, 1, 2)
     assert positionwise_distance(un, un, "EMD").candidate_matching == (0, 1, 2)
