@@ -9,10 +9,19 @@ give integer distances, Fraction inputs give Fraction distances, and
 inputs (elections, position or frequency matrices) share one cost kernel
 and reach one exact ``solve_assignment``, whose witness is the
 lexicographically smallest optimal matching.
+
+The two exponential searches keep the lexicographically smallest optimal
+candidate matching as witness.  Swap visits relabelings best-first by a
+majority-matrix bound, building voter cost matrices a chunk at a time.
+Pairwise scans all m! matchings with numpy up to 7 candidates and runs a
+best-first branch and bound over candidate prefixes from 8 on.  When
+``distance_values`` compares one election with all later ones at small m,
+both searches take a stack of later elections at once.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import operator
@@ -56,10 +65,7 @@ __all__ = [
 METRIC_KINDS = ("swap", "discrete", "emdpos", "l1pos", "pairwise", "bordawise")
 
 # largest candidate count each exponential search accepts
-GUARDS = {"swap": 8, "pairwise": 10}
-
-# the pairwise search enumerates relabelings in blocks of at most 7! rows
-_PAIRWISE_BLOCK = 7
+GUARDS = {"swap": 8, "pairwise": 12}
 
 Number = Union[int, float, Fraction]
 
@@ -192,17 +198,6 @@ def solve_assignment(costs) -> tuple[tuple[int, ...], Number]:
     return tuple(matching), sum(row[c] for row, c in zip(arr.tolist(), matching))
 
 
-def _suffix_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    # for each matching tau of k rows, in lexicographic order: the flat
-    # indices of the cells (tau r, tau s) of a k x k matrix, r-major, and
-    # of the cells (r, tau r); rebuilt per call, since a cached copy would
-    # stay resident beside the swap search's tables
-    perms = _order_table(k)
-    pair_cells = (perms[:, :, None] * k + perms[:, None, :]).reshape(len(perms), k * k)
-    row_cells = np.arange(k) * k + perms
-    return pair_cells, row_cells
-
-
 def _swap_aggregates(election: Election) -> tuple[np.ndarray, np.ndarray]:
     # S[v, c * m + d] = +1 if voter v prefers c to d, -1 if d to c, 0 if
     # c = d, in float32 for BLAS (dot products of m * m signs are exact),
@@ -231,21 +226,23 @@ def _upper_cells(perms: np.ndarray, m: int) -> np.ndarray:
 
 
 # a swap search chunk holds at most this many float32 gathered signs and
-# voter costs, 512 KB
+# voter costs, 512 KB; the majority bound pass and the small-m pairwise scan
+# take this many cells at a time
 _SWAP_CHUNK_ENTRIES = 1 << 17
 
 
 def _swap_search(
-    a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    # exact swap distance between elections given by _swap_aggregates, with
-    # the lexicographically smallest optimal relabeling sigma (candidate c
-    # of a to sigma[c] of b) and the solver's voter matching for it.
-    # Relabelings are visited best-first by their majority bound, in chunks
-    # whose voter cost matrices are built at once and whose bounds are
-    # tightened before any assignment is solved.  Only the cells c < d are
-    # compared: the cells d > c mirror them.
-    (margins_a, signs_a), (margins_b, signs_b) = a, b
+    a: tuple[np.ndarray, np.ndarray], bs: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    # exact swap distance between the election of aggregates a (from
+    # _swap_aggregates) and each election of aggregates bs, with the
+    # lexicographically smallest optimal relabeling sigma (candidate c of a
+    # to sigma[c] of b) and the solver's voter matching for it.  Relabelings
+    # are visited best-first by their majority bound, in chunks whose voter
+    # cost matrices are built at once and whose bounds are tightened before
+    # any assignment is solved.  Only the cells c < d are compared: the
+    # cells d > c mirror them.
+    margins_a, signs_a = a
     n = signs_a.shape[0]
     m = math.isqrt(signs_a.shape[1])
     perms = _order_table(m)
@@ -257,56 +254,37 @@ def _swap_search(
     margins_upper_a = margins_a.take(upper)
     chunk = max(1, _SWAP_CHUNK_ENTRIES // (n * (pairs + n)))
 
-    def majority_bounds(cells):
+    def majority_bounds(margins_b, cells):
         # half the l1 distance of the majority matrices, since every
         # disagreeing voter pair forces an inversion: half the l1 distance
         # of the margins over the cells c < d is the same number
-        return np.abs(margins_b.take(cells) - margins_upper_a).sum(axis=1) // 2
+        return np.abs(margins_b.take(cells, axis=-1) - margins_upper_a).sum(axis=-1) // 2
 
-    if total <= chunk:
-        # one chunk in index order, whose cells serve its bounds too
-        cells = _upper_cells(perms, m)
-        bounds = majority_bounds(cells)
-        order = np.arange(total)
-    else:
-        cells = None
-        bounds = np.concatenate([
-            majority_bounds(_upper_cells(perms[s : s + chunk], m))
-            for s in range(0, total, chunk)
-        ])
-        order = np.argsort(bounds, kind="stable")
-    # (value, index) of the incumbent: the smaller pair wins, so among
-    # optimal relabelings the lexicographically smallest does
-    best = (pairs * n + 1, total)
-    best_rho = None
-    for start in range(0, total, chunk):
-        ids = order[start : start + chunk]
-        lb = bounds[ids]
-        if best_rho is not None:
-            # (bound, index) ascends along order: the relabelings that can
-            # still beat the incumbent form a prefix, empty for all later chunks
-            open_ = (lb < best[0]) | ((lb == best[0]) & (ids < best[1]))
-            stop = len(ids) if open_.all() else int(open_.argmin())
-            if stop == 0:
-                break
-            ids, lb = ids[:stop], lb[:stop]
-        chunk_cells = _upper_cells(perms[ids], m) if cells is None else cells
-        gathered = signs_b.take(chunk_cells, axis=1).reshape(n * len(ids), pairs)
-        # costs[l, i, j]: inversions between voter i of a relabeled by
-        # sigma_l and voter j of b, (pairs - sign agreement) / 2
-        costs = gathered @ signs_upper_a.T
+    def voter_costs(signs_b, cells):
+        # costs[..., l, i, j]: inversions between voter i of a relabeled by
+        # the l-th relabeling of cells and voter j of b, (pairs - sign
+        # agreement) / 2, for signs_b of one or a stack of elections; and
+        # the bounds of their row minima and column minima, which no voter
+        # matching beats
+        gathered = signs_b.take(cells, axis=-1)
+        lead = gathered.shape[:-1]
+        costs = gathered.reshape(math.prod(lead), pairs) @ signs_upper_a.T
         np.subtract(pairs, costs, out=costs)
         costs *= 0.5
-        costs = costs.reshape(n, len(ids), n).transpose(1, 2, 0)
-        # no voter matching beats its row minima or its column minima
+        costs = np.moveaxis(costs.reshape(lead + (n,)), -3, -1)
         relaxed = np.maximum(
-            np.add.reduce(np.minimum.reduce(costs, axis=2), axis=1),
-            np.add.reduce(np.minimum.reduce(costs, axis=1), axis=1),
+            np.add.reduce(np.minimum.reduce(costs, axis=-1), axis=-1),
+            np.add.reduce(np.minimum.reduce(costs, axis=-2), axis=-1),
         )
-        tight = np.maximum(lb, relaxed.astype(np.int64))
-        visit = np.lexsort((ids, tight)).tolist()
+        return costs, relaxed.astype(np.int64)
+
+    def visit(costs, tight, ids, best, best_rho):
+        # solve the chunk's assignments by (tight bound, index) while they
+        # can beat the incumbent (value, index): the smaller pair wins, so
+        # among optimal relabelings the lexicographically smallest does
+        visit_order = np.lexsort((ids, tight)).tolist()
         tight, ids = tight.tolist(), ids.tolist()
-        for t in visit:
+        for t in visit_order:
             if (tight[t], ids[t]) >= best:
                 break
             ri, ci = linear_sum_assignment(costs[t])
@@ -314,7 +292,52 @@ def _swap_search(
             if (value, ids[t]) < best:
                 best = (value, ids[t])
                 best_rho = ci
-    return best[0], tuple(perms[best[1]].tolist()), tuple(best_rho.tolist())
+        return best, best_rho
+
+    def outcome(best, rho):
+        return best[0], tuple(perms[best[1]].tolist()), tuple(rho.tolist())
+
+    unset = (pairs * n + 1, total)
+    if total <= chunk:
+        # one chunk per election, in index order, whose cells serve its
+        # bounds too; a stack of elections shares the chunk budget
+        cells = _upper_cells(perms, m)
+        ids = np.arange(total)
+        stack = chunk // total
+        out = []
+        for s in range(0, len(bs), stack):
+            group = bs[s : s + stack]
+            bounds = majority_bounds(np.stack([b[0] for b in group]), cells)
+            costs, relaxed = voter_costs(np.stack([b[1] for b in group]), cells)
+            tight = np.maximum(bounds, relaxed)
+            for g in range(len(group)):
+                out.append(outcome(*visit(costs[g], tight[g], ids, unset, None)))
+        return out
+    # the bound pass gathers _SWAP_CHUNK_ENTRIES margins at a time
+    step = max(1, _SWAP_CHUNK_ENTRIES // pairs)
+    out = []
+    for margins_b, signs_b in bs:
+        bounds = np.concatenate([
+            majority_bounds(margins_b, _upper_cells(perms[s : s + step], m))
+            for s in range(0, total, step)
+        ])
+        order = np.argsort(bounds, kind="stable")
+        best, rho = unset, None
+        for start in range(0, total, chunk):
+            ids = order[start : start + chunk]
+            lb = bounds[ids]
+            if rho is not None:
+                # (bound, index) ascends along order: the relabelings that can
+                # still beat the incumbent form a prefix, empty for all later chunks
+                open_ = (lb < best[0]) | ((lb == best[0]) & (ids < best[1]))
+                stop = len(ids) if open_.all() else int(open_.argmin())
+                if stop == 0:
+                    break
+                ids, lb = ids[:stop], lb[:stop]
+            costs, relaxed = voter_costs(signs_b, _upper_cells(perms[ids], m))
+            best, rho = visit(costs, np.maximum(lb, relaxed), ids, best, rho)
+        out.append(outcome(best, rho))
+    return out
 
 
 def check_kind(kind: str) -> None:
@@ -476,45 +499,146 @@ def pairwise_cost_at(a, b, sigma: Sequence[int]) -> int:
 def pairwise_distance(a, b) -> DistanceOutcome:
     """Exact pairwise distance: minimum of pairwise_cost_at over all matchings.
 
-    Enumerates every matching with numpy, in lexicographic order, in blocks
-    that fix all but the last (at most 7) candidates' images; the witness is
-    the lexicographically smallest optimal matching.  m is guarded by
-    ``GUARDS["pairwise"]``.
+    Up to 7 candidates every matching is scanned at once with numpy, in
+    lexicographic order.  From 8 on, a best-first branch and bound fixes
+    the images of candidates 0, 1, ... in turn and bounds each prefix by
+    the exact cost among its fixed candidates plus one assignment over the
+    free ones.  Either way the witness is the lexicographically smallest
+    optimal matching.  m is guarded by ``GUARDS["pairwise"]``.
     """
     ma, mb = _aggregate_pair(a, b, _majority_aggregate)
     check_guard("pairwise", ma.shape[0])
-    return DistanceOutcome(*_pairwise_search(ma, mb))
+    return DistanceOutcome(*_pairwise_search(ma, [mb])[0])
 
 
-def _pairwise_search(ma: np.ndarray, mb: np.ndarray) -> tuple[int, tuple[int, ...]]:
-    # the search of pairwise_distance on two same-size majority matrices
+# the pairwise search scans every matching up to this many candidates and
+# runs the branch and bound above it
+_PAIRWISE_SCAN_MAX = 7
+
+
+def _pairwise_search(
+    ma: np.ndarray, mbs: Sequence[np.ndarray]
+) -> list[tuple[int, tuple[int, ...]]]:
+    # the search of pairwise_distance of one majority matrix against each of
+    # several same-size ones: (value, lexmin optimal matching) per matrix
     m = ma.shape[0]
-    free = min(m, _PAIRWISE_BLOCK)
-    fixed = m - free
-    pair_cells, row_cells = _suffix_tables(free)
-    inner_free = ma[fixed:, fixed:].ravel()
-    inner_costs: dict[tuple[int, ...], np.ndarray] = {}
-    best = None
-    best_sigma: tuple[int, ...] = ()
-    for prefix in itertools.permutations(range(m), fixed):
-        rest = tuple(sorted(set(range(m)).difference(prefix)))
-        p, r = np.array(prefix, dtype=np.int64), np.array(rest, dtype=np.int64)
-        # disagreements among the free candidates depend only on which
-        # targets are left, not on the order of the prefix
-        inner = inner_costs.get(rest)
-        if inner is None:
-            inner = np.abs(inner_free - mb[np.ix_(r, r)].ravel()[pair_cells]).sum(axis=1)
-            inner_costs[rest] = inner
-        # cross[i, t]: free candidate fixed + i sent to rest[t], against the prefix
-        cross = np.abs(ma[fixed:, None, :fixed] - mb[np.ix_(r, p)][None]).sum(axis=2)
-        cross += np.abs(ma[:fixed, fixed:].T[:, None] - mb[np.ix_(p, r)].T[None]).sum(axis=2)
-        costs = inner + cross.ravel()[row_cells].sum(axis=1)
-        idx = int(np.argmin(costs))
-        value = int(np.abs(ma[:fixed, :fixed] - mb[np.ix_(p, p)]).sum() + costs[idx])
-        if best is None or value < best:
-            best = value
-            best_sigma = prefix + tuple(rest[t] for t in _order_table(free)[idx])
-    return best, best_sigma
+    if m > _PAIRWISE_SCAN_MAX:
+        return [_pairwise_branch_and_bound(ma, mb) for mb in mbs]
+    perms = _order_table(m)
+    # the flat cells (tau r, tau s) of an m x m matrix, r-major, for every
+    # matching tau in lexicographic order; rebuilt per call, since a cached
+    # copy would stay resident beside the swap search's tables
+    cells = (perms[:, :, None] * m + perms[:, None, :]).reshape(len(perms), m * m)
+    # the matrices are scanned in stacks of at most _SWAP_CHUNK_ENTRIES cells
+    stack = max(1, _SWAP_CHUNK_ENTRIES // max(1, cells.size))
+    out = []
+    for s in range(0, len(mbs), stack):
+        gathered = np.stack(mbs[s : s + stack]).reshape(-1, m * m).take(cells, axis=1)
+        gathered -= ma.ravel()
+        costs = np.abs(gathered, out=gathered).sum(axis=2)
+        # argmin takes the first optimum, the lexicographically smallest
+        best = costs.argmin(axis=1)
+        values = costs[np.arange(len(best)), best].tolist()
+        out.extend(zip(values, map(tuple, perms[best].tolist())))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _minor_cells(f: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # for an f x f matrix: others[j], the indices 0..f-1 without j, (f, f-1);
+    # rows[r], the flat cells of row r without its diagonal cell, (f, f-1);
+    # and minors[j, r], the same cells of row r of the matrix without row
+    # and column j, (f, f-1, f-2)
+    others = [[t for t in range(f) if t != j] for j in range(f)]
+    rows = [[r * f + c for c in others[r]] for r in range(f)]
+    minors = [[[r * f + c for c in others[j] if c != r] for r in others[j]] for j in range(f)]
+    tables = (
+        np.array(others, dtype=np.int64).reshape(f, max(f - 1, 0)),
+        np.array(rows, dtype=np.int64).reshape(f, max(f - 1, 0)),
+        np.array(minors, dtype=np.int64).reshape(f, max(f - 1, 0), max(f - 2, 0)),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _pairwise_branch_and_bound(ma: np.ndarray, mb: np.ndarray) -> tuple[int, tuple[int, ...]]:
+    # exact pairwise distance between two square matrices, majority matrices
+    # in practice, with the lexicographically smallest optimal matching
+    # sigma, by best-first branch and bound.  A node fixes the images of
+    # candidates 0..k-1 (its prefix) and sends the free candidates k..m-1 to
+    # its free targets.  Its bound is the exact cost among the fixed
+    # candidates plus one assignment over the free ones, where cost[i, t] is
+    # the exact cost of free candidate i at target t against the prefix (the
+    # cells (i, d) and (d, i), d fixed, and (i, i)) plus the l1 distance
+    # between the sorted cells of row i among the free candidates and of row
+    # t among the free targets, the least l1 distance of any pairing of
+    # those cells.  Each ordered pair (c, d) lies in row c only, so no
+    # completion of the prefix costs less, and the assignment's own
+    # completion is a candidate incumbent.  Nodes are popped by (bound,
+    # prefix) and their children made in ascending target order.  A node
+    # whose bound exceeds the incumbent's value is pruned; on a tie only
+    # when its prefix lies above the incumbent's prefix of the same length,
+    # since an equal prefix may still hold a smaller completion.
+    m = ma.shape[0]
+    # the free candidates, and so their sorted rows, depend on the depth alone
+    rows_a = [np.sort(ma[k:, k:].take(_minor_cells(m - k)[1]), axis=1) for k in range(m)]
+    best: tuple = (math.inf, ())
+    heap: list = []
+
+    def open_(bound, prefix) -> bool:
+        return bound < best[0] or (bound == best[0] and prefix <= best[1][: len(prefix)])
+
+    def add(prefixes, fixed, cross, targets, rows_b):
+        # bound and complete the nodes given by their prefixes, fixed costs,
+        # cross costs (g, f, f), free targets (g, f) and the sorted rows of
+        # those targets (g, f, f - 1); push those that stay open and have
+        # two free candidates or more
+        nonlocal best
+        k = len(prefixes[0])
+        costs = cross + np.abs(rows_a[k][None, :, None, :] - rows_b[:, None, :, :]).sum(axis=3)
+        # no assignment beats its row minima or its column minima
+        quick = fixed + np.maximum(costs.min(axis=2).sum(axis=1), costs.min(axis=1).sum(axis=1))
+        for g, prefix in enumerate(prefixes):
+            if not open_(quick[g], prefix):
+                continue
+            ri, ci = linear_sum_assignment(costs[g])
+            bound = int(fixed[g] + costs[g][ri, ci].sum())
+            if not open_(bound, prefix):
+                continue
+            sigma = prefix + tuple(targets[g].take(ci).tolist())
+            s = np.array(sigma)
+            value = int(np.abs(ma - mb[s[:, None], s]).sum())
+            if (value, sigma) < best:
+                best = (value, sigma)
+            if len(ci) > 1:
+                heapq.heappush(heap, (bound, prefix, int(fixed[g]), cross[g], targets[g]))
+
+    diagonal = np.abs(np.diag(ma)[:, None] - np.diag(mb)[None, :])
+    add([()], np.zeros(1, dtype=np.int64), diagonal[None], np.arange(m)[None],
+        np.sort(mb.take(_minor_cells(m)[1]), axis=1)[None])
+    while heap:
+        bound, prefix, fixed, cross, targets = heapq.heappop(heap)
+        if bound > best[0]:
+            break
+        if not open_(bound, prefix):
+            continue
+        # child j sends candidate k to targets[j]; sub[j, t] = mb[targets[j], targets[t]]
+        k = len(prefix)
+        others, rows, minors = _minor_cells(len(targets))
+        sub = mb[targets[:, None], targets]
+        # step[j, i, t]: the cells (c, k) and (k, c) of free candidate c =
+        # k + 1 + i at the t-th target left by child j
+        step = np.abs(ma[k + 1 :, k, None] - sub.T.take(rows)[:, None, :])
+        step += np.abs(ma[k, k + 1 :, None] - sub.take(rows)[:, None, :])
+        add(
+            [prefix + (t,) for t in targets.tolist()],
+            fixed + cross[0],
+            cross[1:].take(others, axis=1).transpose(1, 0, 2) + step,
+            targets[others],
+            np.sort(sub.take(minors), axis=2),
+        )
+    return best
 
 
 def _sorted_borda_prefix(election: Election) -> np.ndarray:
@@ -534,7 +658,7 @@ def distance(a: Election, b: Election, kind: str) -> DistanceOutcome:
     """
     _check_elections((a, b), kind)
     if kind == "swap":
-        return DistanceOutcome(*_swap_search(_swap_aggregates(a), _swap_aggregates(b)))
+        return DistanceOutcome(*_swap_search(_swap_aggregates(a), [_swap_aggregates(b)])[0])
     if kind == "discrete":
         return _iso_discrete(a, b)
     if kind == "emdpos":
@@ -542,7 +666,7 @@ def distance(a: Election, b: Election, kind: str) -> DistanceOutcome:
     if kind == "l1pos":
         return positionwise_distance(a, b, "L1")
     if kind == "pairwise":
-        return DistanceOutcome(*_pairwise_search(majority_matrix(a), majority_matrix(b)))
+        return DistanceOutcome(*_pairwise_search(majority_matrix(a), [majority_matrix(b)])[0])
     # bordawise
     gap = np.abs(_sorted_borda_prefix(a) - _sorted_borda_prefix(b))
     return DistanceOutcome(int(gap.sum()))
@@ -562,7 +686,11 @@ def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
     ``distance`` makes.  All six metrics take each election's aggregates once.
     Positionwise and Bordawise compare one election with all later ones by
     broadcasting, positionwise then solving one value-only assignment per
-    pair; swap, discrete and pairwise run one search per pair.
+    pair.  Swap and pairwise hand one election and all later ones to their
+    search: where one swap chunk holds all m! relabelings, and for pairwise
+    up to 7 candidates, the later elections are taken in stacks that gather
+    at most 2**17 entries at once; otherwise, and for discrete, each pair
+    runs its own search.
     """
     _check_elections(dataset, kind)
     k = len(dataset)
@@ -578,12 +706,14 @@ def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
             [_assignment_value(c) for c in _column_costs(agg[i], agg[i + 1 :])]
             for i in range(k - 1)
         ]
+    elif kind == "discrete":
+        aggs = [_discrete_aggregate(e) for e in dataset]
+        rows = [[_discrete_search(aggs[i], b)[0] for b in aggs[i + 1 :]] for i in range(k - 1)]
     else:
         aggregate, search = {
             "swap": (_swap_aggregates, _swap_search),
-            "discrete": (_discrete_aggregate, _discrete_search),
             "pairwise": (majority_matrix, _pairwise_search),
         }[kind]
         aggs = [aggregate(e) for e in dataset]
-        rows = [[search(aggs[i], aggs[j])[0] for j in range(i + 1, k)] for i in range(k - 1)]
+        rows = [[found[0] for found in search(aggs[i], aggs[i + 1 :])] for i in range(k - 1)]
     return np.concatenate([np.asarray(row, dtype=np.int64) for row in rows])

@@ -294,6 +294,45 @@ def branch_and_bound_pairwise(ma, mb) -> tuple[int, tuple[int, ...]]:
     return best, best_sigma
 
 
+def block_enumeration_pairwise(ma, mb) -> tuple[int, tuple[int, ...]]:
+    """Pairwise distance and its lexicographically smallest optimal matching
+    between two majority matrices, by enumerating every matching with numpy.
+
+    Matchings are visited in lexicographic order, in blocks that fix the
+    images of all but the last (at most 7) candidates; a block's costs sum
+    the cells among its fixed candidates, the cells between fixed and free
+    ones and the cells among the free ones, and only a strictly smaller
+    block minimum replaces the incumbent.
+    """
+    ma = np.asarray(ma, dtype=np.int64)
+    mb = np.asarray(mb, dtype=np.int64)
+    m = ma.shape[0]
+    free = min(m, 7)
+    fixed = m - free
+    perms = np.array(list(itertools.permutations(range(free))), dtype=np.int64).reshape(-1, free)
+    # per matching tau of the free rows: the flat cells (tau r, tau s) of a
+    # free x free matrix, r-major, and the cells (r, tau r)
+    pair_cells = (perms[:, :, None] * free + perms[:, None, :]).reshape(len(perms), free * free)
+    row_cells = np.arange(free) * free + perms
+    inner_free = ma[fixed:, fixed:].ravel()
+    best = None
+    best_sigma: tuple[int, ...] = ()
+    for prefix in itertools.permutations(range(m), fixed):
+        rest = tuple(sorted(set(range(m)).difference(prefix)))
+        p, r = np.array(prefix, dtype=np.int64), np.array(rest, dtype=np.int64)
+        inner = np.abs(inner_free - mb[np.ix_(r, r)].ravel()[pair_cells]).sum(axis=1)
+        # cross[i, t]: free candidate fixed + i sent to rest[t], against the prefix
+        cross = np.abs(ma[fixed:, None, :fixed] - mb[np.ix_(r, p)][None]).sum(axis=2)
+        cross += np.abs(ma[:fixed, fixed:].T[:, None] - mb[np.ix_(p, r)].T[None]).sum(axis=2)
+        costs = inner + cross.ravel()[row_cells].sum(axis=1)
+        idx = int(np.argmin(costs))
+        value = int(np.abs(ma[:fixed, :fixed] - mb[np.ix_(p, p)]).sum() + costs[idx])
+        if best is None or value < best:
+            best = value
+            best_sigma = prefix + tuple(rest[t] for t in perms[idx].tolist())
+    return best, best_sigma
+
+
 def pair_loop_distance_matrix(dataset, kind: str) -> np.ndarray:
     """Distance matrix cells computed pair by pair with ``distance``."""
     k = len(dataset)

@@ -441,11 +441,11 @@ def test_correlate_rejects_one_election_before_sampling(tmp_path, capsys):
 
 
 def test_correlate_fails_fast_on_guarded_metric(tmp_path, capsys):
-    cfg = write_config(tmp_path, m=11, metrics=["emdpos", "pairwise"])
+    cfg = write_config(tmp_path, m=13, metrics=["emdpos", "pairwise"])
     code, out, err = run(capsys, ["correlate", "--config", str(cfg)])
     assert code == 2
     assert out == ""
-    assert err == "error: pairwise distance guarded at m <= 10 (got m=11)\n"
+    assert err == "error: pairwise distance guarded at m <= 12 (got m=13)\n"
 
 
 def test_correlate_rejects_one_metric_before_sampling(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -14,12 +15,14 @@ import hypothesis.strategies as st
 
 from electodist import (
     METRIC_KINDS,
+    DistanceOutcome,
     Election,
     all_orders,
     apply_matchings,
     borda_vector,
     canonical_anec_key,
     check_diameter,
+    compass_election,
     correlation,
     count_equivalence_classes,
     distance,
@@ -39,6 +42,7 @@ from electodist.metrics import distance_values, vote_swap_distance
 
 from conftest import election_pairs, elections
 from _oracles import (
+    block_enumeration_pairwise,
     branch_and_bound_pairwise,
     bruteforce_majority_realizable,
     dict_discrete_search,
@@ -80,7 +84,8 @@ def test_pairwise_equals_branch_and_bound(pair):
 
 
 def test_pairwise_equals_branch_and_bound_across_blocks():
-    # at m = 8 the enumeration runs in eight blocks of 7! matchings
+    # at m = 8 pairwise_distance runs its best-first branch and bound; the
+    # oracle searches depth first
     rng = np.random.default_rng(8)
     for _ in range(2):
         a, b = (Election(8, [rng.permutation(8) for _ in range(5)]) for _ in range(2))
@@ -91,7 +96,8 @@ def test_pairwise_equals_branch_and_bound_across_blocks():
 
 def test_pairwise_ties_resolve_to_smallest_matching_across_blocks():
     # equal off-diagonal cells make all 8! matchings optimal, so the
-    # witness must be the identity, found in the first block
+    # witness must be the identity, whatever the branch and bound's first
+    # incumbent
     flat = np.full((8, 8), 2)
     np.fill_diagonal(flat, 0)
     out = pairwise_distance(flat, flat)
@@ -101,7 +107,7 @@ def test_pairwise_ties_resolve_to_smallest_matching_across_blocks():
 
 def test_pairwise_at_the_guard_allocates_no_full_table():
     rng = np.random.default_rng(10)
-    a, b = (Election(10, [rng.permutation(10) for _ in range(4)]) for _ in range(2))
+    a, b = (Election(12, [rng.permutation(12) for _ in range(4)]) for _ in range(2))
     ma, mb = majority_matrix(a), majority_matrix(b)
     tracemalloc.start()
     try:
@@ -109,11 +115,75 @@ def test_pairwise_at_the_guard_allocates_no_full_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a table of all 10! matchings alone would take 290 MB
+    # a table of all 12! matchings alone would take 46 GB
     assert peak < 40e6
     s = np.array(out.candidate_matching)
     assert out.value == int(np.abs(ma - mb[s[:, None], s[None, :]]).sum())
-    assert sorted(out.candidate_matching) == list(range(10))
+    assert sorted(out.candidate_matching) == list(range(12))
+
+
+@st.composite
+def majority_pairs(draw, max_m=8, max_n=3):
+    # two matrices with M + M^T = n off the diagonal and cells in 0..n for
+    # small n, so few distinct values and many tied matchings; or two
+    # square matrices of small integers, diagonal and negative cells
+    # included, which pairwise_distance accepts as well
+    m = draw(st.integers(1, max_m))
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return tuple(rng.integers(-n, n + 1, size=(m, m)) for _ in range(2))
+    uppers = (np.triu(rng.integers(0, n + 1, size=(m, m)), 1) for _ in range(2))
+    return tuple(upper + np.tril(n - upper.T, -1) for upper in uppers)
+
+
+@settings(max_examples=100, deadline=None)
+@given(majority_pairs())
+def test_branch_and_bound_equals_block_enumeration(pair):
+    ma, mb = pair
+    assert metrics._pairwise_branch_and_bound(ma, mb) == block_enumeration_pairwise(ma, mb)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_branch_and_bound_equals_block_enumeration_on_compass_pairs(m):
+    # n = m! admits all four compass elections
+    kinds = ("ID", "AN", "UN", "ST")
+    compass = {kind: majority_matrix(compass_election(kind, m, math.factorial(m))) for kind in kinds}
+    for x, y in itertools.product(kinds, repeat=2):
+        ma, mb = compass[x], compass[y]
+        assert metrics._pairwise_branch_and_bound(ma, mb) == block_enumeration_pairwise(ma, mb)
+
+
+def test_branch_and_bound_equals_block_enumeration_on_census_anecs():
+    matrices = [majority_matrix(e) for e in enumerate_anecs(4, 3)]
+    for ma, mb in itertools.combinations_with_replacement(matrices, 2):
+        assert metrics._pairwise_branch_and_bound(ma, mb) == block_enumeration_pairwise(ma, mb)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (sample_ic(10, 20, 91), sample_ic(10, 20, 92)),
+        (sample_ic(10, 20, 93), sample_euclidean(10, 20, 94, "disc_2d")),
+        (sample_mallows(10, 20, 95, 0.3), sample_mallows(10, 20, 96, 0.3)),
+    ],
+    ids=["ic-ic", "ic-disc", "mallows-mallows"],
+)
+def test_branch_and_bound_equals_block_enumeration_at_m10(a, b):
+    ma, mb = majority_matrix(a), majority_matrix(b)
+    assert metrics._pairwise_branch_and_bound(ma, mb) == block_enumeration_pairwise(ma, mb)
+
+
+def test_pairwise_at_m10_peaks_under_one_megabyte():
+    ma, mb = majority_matrix(sample_ic(10, 20, 91)), majority_matrix(sample_ic(10, 20, 92))
+    pairwise_distance(ma, mb)  # builds the cached index tables first
+    tracemalloc.start()
+    try:
+        pairwise_distance(ma, mb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 @st.composite
@@ -357,6 +427,57 @@ def test_distance_values_follow_combinations_order():
     assert distance_values(dataset[:1], "emdpos").shape == (0,)
     with pytest.raises(ValueError):
         distance_values(dataset, "kendall")
+
+
+def stacked_dataset(m=4, n=24, sampled=6):
+    # the compass elections, sampled ones, a duplicate of one and a
+    # relabeled copy of another, and ID again; n = 24 admits UN and ST at m = 4
+    rng = np.random.default_rng(m)
+    compass = [compass_election(kind, m, n) for kind in ("ID", "AN", "UN", "ST")] if m == 4 else []
+    drawn = [Election(m, [rng.permutation(m) for _ in range(n)]) for _ in range(sampled)]
+    moved = apply_matchings(drawn[0], rng.permutation(m), rng.permutation(n))
+    return compass + drawn + [drawn[1], moved] + compass[:1]
+
+
+# at m = 4, n = 24: one swap chunk per election holds from 1 (1, 768, 1152:
+# several chunks per election) to 2, 3 and 7 elections per stack, and one
+# pairwise stack from 1 to 3 and 341 elections
+STACK_ENTRIES = (1, 768, 1152, 34560, 51840, metrics._SWAP_CHUNK_ENTRIES)
+
+
+@pytest.mark.parametrize("entries", STACK_ENTRIES)
+@pytest.mark.parametrize("kind", ["swap", "pairwise"])
+def test_stacked_distance_values_equal_pair_distances(kind, entries):
+    dataset = stacked_dataset()
+    want = [distance(a, b, kind).value for a, b in itertools.combinations(dataset, 2)]
+    with mock.patch.object(metrics, "_SWAP_CHUNK_ENTRIES", entries):
+        assert distance_values(dataset, kind).tolist() == want
+
+
+@pytest.mark.parametrize("entries", STACK_ENTRIES)
+def test_stacked_searches_equal_their_oracles(entries):
+    # the witnesses of a stack, voter matchings included, are those of the
+    # pair searches of the oracles
+    dataset = stacked_dataset()
+    swap_aggs = [metrics._swap_aggregates(e) for e in dataset]
+    majorities = [majority_matrix(e) for e in dataset]
+    with mock.patch.object(metrics, "_SWAP_CHUNK_ENTRIES", entries):
+        for i, a in enumerate(dataset):
+            swaps = metrics._swap_search(swap_aggs[i], swap_aggs[i + 1 :])
+            for b, got in zip(dataset[i + 1 :], swaps):
+                assert_same_outcome(DistanceOutcome(*got), lexicographic_swap_search(a, b))
+            found = metrics._pairwise_search(majorities[i], majorities[i + 1 :])
+            assert found == [block_enumeration_pairwise(majorities[i], mb) for mb in majorities[i + 1 :]]
+
+
+@pytest.mark.parametrize("m, n, sampled", [(6, 4, 6), (7, 3, 3), (8, 4, 2)])
+def test_stacked_distance_values_equal_pair_distances_at_larger_m(m, n, sampled):
+    # at m = 6 five pairwise matrices fill a stack, at m = 7 one, and at
+    # m = 8 pairwise runs the branch and bound and swap several chunks
+    dataset = stacked_dataset(m, n, sampled)
+    for kind in ("swap", "pairwise"):
+        want = [distance(a, b, kind).value for a, b in itertools.combinations(dataset, 2)]
+        assert distance_values(dataset, kind).tolist() == want
 
 
 def test_distance_values_make_no_distance_call():

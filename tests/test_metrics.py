@@ -378,7 +378,7 @@ def test_pairwise_matches_brute_force(pair):
 
 
 def test_pairwise_guard():
-    big = Election(11, [tuple(range(11))])
+    big = Election(13, [tuple(range(13))])
     with pytest.raises(ValueError):
         pairwise_distance(big, big)
 
