@@ -65,6 +65,7 @@ from .mapping import (
     Embedding,
     distance_matrix,
     embed,
+    embed_all,
     embedding_stress,
     export_map,
 )

@@ -41,7 +41,7 @@ from .elections import (
     parse_election,
     serialize_election,
 )
-from .mapping import EmbedConfig, distance_matrix, embed, export_map
+from .mapping import EmbedConfig, distance_matrix, embed_all, export_map
 from .metrics import METRIC_KINDS, check_guard, check_kind, distance, positionwise_distance
 
 CENSUS_HEADER = "m,n,anecs,positionwise,pairwise,bordawise"
@@ -279,16 +279,20 @@ def cmd_map(args: argparse.Namespace) -> int:
     labels, elections, classes = build_dataset(config)
     outdir = Path(config.output)
     outdir.mkdir(parents=True, exist_ok=True)
+    matrices = []
     for kind in config.metrics:
         progress(f"{kind}: distance matrix on {len(elections)} elections")
         dm = distance_matrix(elections, kind, labels=labels)
-        matrix_path = outdir / f"distances-{kind}.csv"
-        with matrix_path.open("w", encoding="utf-8") as fh:
+        with (outdir / f"distances-{kind}.csv").open("w", encoding="utf-8") as fh:
             fh.write("id," + ",".join(labels) + "\n")
             for label, row in zip(labels, dm.cells):
                 fh.write(label + "," + ",".join(repr(v) for v in row) + "\n")
-        progress(f"{kind}: embedding")
-        emb = embed(dm, EmbedConfig(seed=config.seed))
+        matrices.append(dm)
+    # every metric's layout in one pass, whose spring phases move together
+    progress(f"embedding {len(matrices)} layouts")
+    embeddings = embed_all(matrices, EmbedConfig(seed=config.seed))
+    for kind, emb in zip(config.metrics, embeddings):
+        matrix_path = outdir / f"distances-{kind}.csv"
         csv_path = outdir / f"map-{kind}.csv"
         svg_path = outdir / f"map-{kind}.svg"
         export_map(emb, classes, "csv", path=csv_path)

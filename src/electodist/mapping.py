@@ -18,6 +18,7 @@ __all__ = [
     "Embedding",
     "distance_matrix",
     "embed",
+    "embed_all",
     "embedding_stress",
     "export_map",
 ]
@@ -129,15 +130,19 @@ def _measure(
 def _spring_phase(
     points: np.ndarray, ideal: np.ndarray, iterations: int, temperature: float
 ) -> None:
+    # points (B, k, 2) and ideal (B, k, k): B layouts of k points, moved as
+    # one stack.  Every operation is elementwise or sums within one layout in
+    # the order a stack of one sums, so no layout's bits depend on the others
+    d = np.arange(points.shape[1])
     for it in range(iterations):
-        diffs = points[:, None, :] - points[None, :, :]
-        dists = np.sqrt((diffs**2).sum(axis=2))
-        np.fill_diagonal(dists, 1.0)
+        diffs = points[:, :, None, :] - points[:, None, :, :]
+        dists = np.sqrt((diffs**2).sum(axis=3))
+        dists[:, d, d] = 1.0
         # spring force toward the ideal length for every pair; a point's
         # own term, -1 times a +0.0 difference, is -0.0 and changes no sum
         coeff = (ideal - dists) / dists
-        force = (coeff[:, :, None] * diffs).sum(axis=1)
-        norms = np.sqrt((force**2).sum(axis=1, keepdims=True))
+        force = (coeff[..., None] * diffs).sum(axis=2)
+        norms = np.sqrt((force**2).sum(axis=2, keepdims=True))
         norms[norms == 0] = 1.0
         temp = temperature * (1.0 - it / iterations) + 1e-4
         step = force / norms * np.minimum(norms, temp)
@@ -209,31 +214,62 @@ def _normalize_unit_square(points: np.ndarray) -> np.ndarray:
 def embed(dm: DistanceMatrix, config: EmbedConfig = EmbedConfig()) -> Embedding:
     """Deterministic 2-D layout whose Euclidean distances approximate the
     matrix, by spring forces (or classical scaling) plus a strictly
-    non-increasing stress descent tail."""
+    non-increasing stress descent tail; ``embed_all`` of the one matrix."""
+    return embed_all([dm], config)[0]
+
+
+def embed_all(
+    dms: Sequence[DistanceMatrix], config: EmbedConfig = EmbedConfig()
+) -> list[Embedding]:
+    """One ``embed`` per matrix, in order, each equal to it byte for byte.
+
+    The spring phases of all layouts with the same number of points move as
+    one stack, so numpy's per-call cost is paid once per iteration for the
+    stack, not once per matrix.  Each layout then runs its own descent
+    tail, whose line search accepts or rejects its steps alone.
+    """
     if config.method not in ("spring", "mds"):
         raise ValueError(f"unknown embed method {config.method!r}")
     if config.iterations < 1:
         raise ValueError("iterations must be positive")
-    k = len(dm.labels)
-    targets = dm.cells
-    rng = np.random.default_rng(config.seed)
-    points = rng.random((k, 2))
     tail_iterations = max(1, config.iterations // 10)
-    # a single election's matrix is all zero too
-    if targets.max() == 0:
-        final = _normalize_unit_square(points)
-        return Embedding(dm.labels, final, config, 0.0, (0.0,) * tail_iterations)
-    ideal = targets / targets.max()
+    points = [
+        np.random.default_rng(config.seed).random((len(dm.labels), 2)) for dm in dms
+    ]
+    # None for an all-zero matrix, which a single election's matrix is too
+    ideals = [
+        dm.cells / dm.cells.max() if dm.cells.max() != 0 else None for dm in dms
+    ]
     if config.method == "mds":
-        points = _classical_mds(ideal)
+        for i, ideal in enumerate(ideals):
+            if ideal is not None:
+                points[i] = _classical_mds(ideal)
     else:
-        _spring_phase(
-            points, ideal, config.iterations - tail_iterations, config.temperature
-        )
-    trace = _descent_tail(points, ideal, tail_iterations)
-    final = _normalize_unit_square(points)
-    stress = embedding_stress(final, ideal)
-    return Embedding(dm.labels, final, config, stress, tuple(trace))
+        by_size: dict[int, list[int]] = {}
+        for i, ideal in enumerate(ideals):
+            if ideal is not None:
+                by_size.setdefault(len(ideal), []).append(i)
+        for group in by_size.values():
+            stack = np.stack([points[i] for i in group])
+            _spring_phase(
+                stack,
+                np.stack([ideals[i] for i in group]),
+                config.iterations - tail_iterations,
+                config.temperature,
+            )
+            for i, moved in zip(group, stack):
+                points[i] = moved
+    out = []
+    for dm, pts, ideal in zip(dms, points, ideals):
+        if ideal is None:
+            final = _normalize_unit_square(pts)
+            stress, trace = 0.0, [0.0] * tail_iterations
+        else:
+            trace = _descent_tail(pts, ideal, tail_iterations)
+            final = _normalize_unit_square(pts)
+            stress = embedding_stress(final, ideal)
+        out.append(Embedding(dm.labels, final, config, stress, tuple(trace)))
+    return out
 
 
 def _class_order(labels: Sequence[str], classes: Mapping[str, str]) -> list[str]:

@@ -13,8 +13,8 @@ lexicographically smallest optimal matching.
 The two exponential searches keep the lexicographically smallest optimal
 candidate matching as witness.  Swap visits relabelings best-first by a
 majority-matrix bound, building voter cost matrices a chunk at a time.
-Pairwise scans all m! matchings with numpy up to 7 candidates and runs a
-best-first branch and bound over candidate prefixes from 8 on.  When
+Pairwise scans all m! matchings with numpy up to 6 candidates and runs a
+best-first branch and bound over candidate prefixes from 7 on.  When
 ``distance_values`` compares one election with all later ones at small m,
 both searches take a stack of later elections at once.
 """
@@ -499,8 +499,8 @@ def pairwise_cost_at(a, b, sigma: Sequence[int]) -> int:
 def pairwise_distance(a, b) -> DistanceOutcome:
     """Exact pairwise distance: minimum of pairwise_cost_at over all matchings.
 
-    Up to 7 candidates every matching is scanned at once with numpy, in
-    lexicographic order.  From 8 on, a best-first branch and bound fixes
+    Up to 6 candidates every matching is scanned at once with numpy, in
+    lexicographic order.  From 7 on, a best-first branch and bound fixes
     the images of candidates 0, 1, ... in turn and bounds each prefix by
     the exact cost among its fixed candidates plus one assignment over the
     free ones.  Either way the witness is the lexicographically smallest
@@ -513,7 +513,7 @@ def pairwise_distance(a, b) -> DistanceOutcome:
 
 # the pairwise search scans every matching up to this many candidates and
 # runs the branch and bound above it
-_PAIRWISE_SCAN_MAX = 7
+_PAIRWISE_SCAN_MAX = 6
 
 
 def _pairwise_search(
@@ -688,7 +688,7 @@ def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
     broadcasting, positionwise then solving one value-only assignment per
     pair.  Swap and pairwise hand one election and all later ones to their
     search: where one swap chunk holds all m! relabelings, and for pairwise
-    up to 7 candidates, the later elections are taken in stacks that gather
+    up to 6 candidates, the later elections are taken in stacks that gather
     at most 2**17 entries at once; otherwise, and for discrete, each pair
     runs its own search.
     """

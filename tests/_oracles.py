@@ -598,6 +598,37 @@ def diagonal_zeroing_spring_phase(
         points += step
 
 
+def single_layout_spring_phase(
+    points: np.ndarray, ideal: np.ndarray, iterations: int, temperature: float
+) -> None:
+    """``mapping._spring_phase`` as it was before it moved a stack of
+    layouts: points (k, 2) and ideal (k, k) of one layout."""
+    for it in range(iterations):
+        diffs = points[:, None, :] - points[None, :, :]
+        dists = np.sqrt((diffs**2).sum(axis=2))
+        np.fill_diagonal(dists, 1.0)
+        # spring force toward the ideal length for every pair; a point's
+        # own term, -1 times a +0.0 difference, is -0.0 and changes no sum
+        coeff = (ideal - dists) / dists
+        force = (coeff[:, :, None] * diffs).sum(axis=1)
+        norms = np.sqrt((force**2).sum(axis=1, keepdims=True))
+        norms[norms == 0] = 1.0
+        temp = temperature * (1.0 - it / iterations) + 1e-4
+        step = force / norms * np.minimum(norms, temp)
+        points += step
+
+
+def per_layout(spring_phase):
+    """A spring phase of one (k, 2) layout, made to take a (B, k, 2) stack
+    as ``mapping._spring_phase`` does: it runs once per layout, in place."""
+
+    def stacked(points, ideal, iterations, temperature):
+        for layout, layout_ideal in zip(points, ideal):
+            spring_phase(layout, layout_ideal, iterations, temperature)
+
+    return stacked
+
+
 def loop_sample_sp_conitzer(m: int, n: int, seed) -> Election:
     """``cultures.sample_sp_conitzer`` as it was: its own growth loop on a
     line, before it shared one with SPOC."""

@@ -533,6 +533,28 @@ def test_map_computes_a_repeated_metric_once(tmp_path, capsys):
     assert values.call_count == 1
 
 
+def test_map_of_three_metrics_equals_three_single_metric_maps(tmp_path, capsys):
+    # the three layouts, of seven points each, move as one stack
+    metrics = ["emdpos", "discrete", "pairwise"]
+
+    def snapshot(kinds):
+        outdir = tmp_path / "-".join(kinds)
+        cfg = write_config(tmp_path, metrics=kinds, output=str(outdir))
+        code, out, _ = run(capsys, ["map", "--config", str(cfg)])
+        assert code == 0
+        names = [Path(line).relative_to(outdir).as_posix() for line in out.splitlines()]
+        return names, {name: (outdir / name).read_bytes() for name in names}
+
+    names, files = snapshot(metrics)
+    assert sorted(names) == sorted(p.name for p in (tmp_path / "-".join(metrics)).iterdir())
+    alone_names = []
+    for kind in metrics:
+        kind_names, kind_files = snapshot([kind])
+        alone_names += kind_names
+        assert kind_files == {name: files[name] for name in kind_names}
+    assert names == alone_names
+
+
 def test_map_writes_a_repeated_compass_kind_once(tmp_path, capsys):
     cfg = write_config(tmp_path, compass=["ID", "ID", "AN"], metrics=["emdpos"])
     code, _, _ = run(capsys, ["map", "--config", str(cfg)])

@@ -472,8 +472,8 @@ def test_stacked_searches_equal_their_oracles(entries):
 
 @pytest.mark.parametrize("m, n, sampled", [(6, 4, 6), (7, 3, 3), (8, 4, 2)])
 def test_stacked_distance_values_equal_pair_distances_at_larger_m(m, n, sampled):
-    # at m = 6 five pairwise matrices fill a stack, at m = 7 one, and at
-    # m = 8 pairwise runs the branch and bound and swap several chunks
+    # at m = 6 five pairwise matrices fill a stack; from m = 7 pairwise
+    # runs the branch and bound, and at m = 8 swap runs several chunks
     dataset = stacked_dataset(m, n, sampled)
     for kind in ("swap", "pairwise"):
         want = [distance(a, b, kind).value for a, b in itertools.combinations(dataset, 2)]

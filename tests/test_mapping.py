@@ -22,6 +22,7 @@ from electodist.mapping import (
     EmbedConfig,
     distance_matrix,
     embed,
+    embed_all,
     embedding_stress,
     export_map,
 )
@@ -30,6 +31,8 @@ from _oracles import (
     diagonal_zeroing_spring_phase,
     indexing_descent_tail,
     indexing_embedding_stress,
+    per_layout,
+    single_layout_spring_phase,
 )
 from conftest import SMALL_A, SMALL_B
 
@@ -225,7 +228,9 @@ def test_embed_equals_spring_and_tail_oracles(method):
         config = EmbedConfig(iterations=60, seed=trial, method=method)
         fast = embed(dm, config)
         with (
-            mock.patch.object(mapping, "_spring_phase", diagonal_zeroing_spring_phase),
+            mock.patch.object(
+                mapping, "_spring_phase", per_layout(diagonal_zeroing_spring_phase)
+            ),
             mock.patch.object(mapping, "_descent_tail", indexing_descent_tail),
         ):
             slow = embed(dm, config)
@@ -236,6 +241,31 @@ def test_embed_equals_spring_and_tail_oracles(method):
             assert fast.points.tolist() == [[0.5, 0.5]]
             assert fast.stress == 0.0
             assert fast.tail_stress == (0.0,) * 6
+
+
+@pytest.mark.parametrize("method", ["spring", "mds"])
+def test_embed_all_equals_single_layout_embeds(method):
+    # two sizes of several layouts each, an all-zero matrix, k = 1, and
+    # duplicated elections whose points the targets pull together
+    rng = np.random.default_rng(9)
+    dms = [random_distance_matrix(rng, k) for k in (8, 15, 8, 3, 8, 15, 2)]
+    dms[4:4] = [
+        DistanceMatrix(("a", "b", "c", "d"), np.zeros((4, 4)), "swap"),
+        DistanceMatrix(("a",), np.zeros((1, 1)), "swap"),
+    ]
+    config = EmbedConfig(iterations=120, seed=3, method=method)
+    together = embed_all(dms, config)
+    assert len(together) == len(dms)
+    with mock.patch.object(
+        mapping, "_spring_phase", per_layout(single_layout_spring_phase)
+    ):
+        alone = [embed(dm, config) for dm in dms]
+    for dm, got, want in zip(dms, together, alone):
+        assert got.labels == dm.labels
+        assert got.points.tobytes() == want.points.tobytes()
+        assert repr(got.stress) == repr(want.stress)
+        assert got.tail_stress == want.tail_stress
+    assert embed_all([], config) == []
 
 
 def test_embedding_stress_equals_indexing_stress():
@@ -253,6 +283,10 @@ def test_embed_config_errors():
         embed(dm, EmbedConfig(method="umap"))
     with pytest.raises(ValueError):
         embed(dm, EmbedConfig(iterations=0))
+    # the config is checked before any matrix, and with no matrix at all
+    for bad in (EmbedConfig(method="umap"), EmbedConfig(iterations=0)):
+        with pytest.raises(ValueError):
+            embed_all([], bad)
 
 
 def test_stress_extremes():
