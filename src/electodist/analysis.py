@@ -7,7 +7,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -17,6 +17,7 @@ from .elections import (
     Election,
     _check_compass,
     _check_positive,
+    _integers,
     _order_table,
     _square_matrix,
     all_orders,
@@ -303,6 +304,9 @@ def compass_distance_formula(
     elections in the test suite.
     """
     check_kind(kind)
+    pair = tuple(pair)
+    if len(pair) != 2:
+        raise ValueError(f"compass pair must be two compass kinds, got {pair!r}")
     a, b = pair
     for k in (a, b):
         _check_compass(k)
@@ -340,23 +344,6 @@ def check_diameter(dataset: Sequence[Election], kind: str):
     bound = int(distance_values(compass, kind)[0])
     pairs = itertools.combinations(range(len(dataset)), 2)
     return [(i, j, int(value)) for (i, j), value in zip(pairs, values) if value > bound]
-
-
-def _integers(values: Iterable, what: str, nonnegative: bool = False) -> list[int]:
-    # the values as ints, an array's in row-major order; ValueError names
-    # the first one that is not an integer, or with nonnegative not >= 0,
-    # as a Python scalar
-    if isinstance(values, np.ndarray):
-        values = values.ravel().tolist()
-    out = []
-    for v in values:
-        iv = int(v)
-        if iv != v:
-            raise ValueError(f"{what} must be integers, got {v!r}")
-        if nonnegative and iv < 0:
-            raise ValueError(f"{what} must be nonnegative, got {v!r}")
-        out.append(iv)
-    return out
 
 
 def recover_election(pos) -> Election:

@@ -38,8 +38,25 @@ __all__ = [
 COMPASS_KINDS = ("ID", "AN", "UN", "ST")
 
 
+def _integers(values: Iterable, what: str, nonnegative: bool = False) -> list[int]:
+    # the values as ints, an array's in row-major order; ValueError names
+    # the first one that is not an integer, or with nonnegative not >= 0,
+    # as a Python scalar
+    if isinstance(values, np.ndarray):
+        values = values.ravel().tolist()
+    out = []
+    for v in values:
+        iv = int(v)
+        if iv != v:
+            raise ValueError(f"{what} must be integers, got {v!r}")
+        if nonnegative and iv < 0:
+            raise ValueError(f"{what} must be nonnegative, got {v!r}")
+        out.append(iv)
+    return out
+
+
 def _as_vote(raw: Sequence[int], m: int) -> tuple[int, ...]:
-    vote = tuple(int(c) for c in raw)
+    vote = tuple(_integers(raw, "vote entries"))
     if len(vote) != m:
         raise ValueError(f"vote {vote} has length {len(vote)}, expected {m}")
     if sorted(vote) != list(range(m)):
@@ -51,6 +68,8 @@ class Election:
     """An (m, n) election: n total-order votes over candidates 0..m-1.
 
     Votes are stored most-preferred first, as tuples, and are immutable.
+    Each must be a permutation of 0..m-1 with integer entries; a
+    non-integer entry such as 0.5 is rejected, not truncated.
     ``election.array`` exposes the same data as an (n, m) read-only numpy
     array for vectorized consumers.
     """
@@ -121,9 +140,10 @@ def _order_table(m: int) -> np.ndarray:
 
 def position_of(vote: Sequence[int], c: int) -> int:
     """1-based position of candidate c in a vote (1 = most preferred)."""
+    vote = _check_permutation(vote, len(vote), "vote")
     if not 0 <= c < len(vote):
         raise ValueError(f"candidate {c} out of range for m={len(vote)}")
-    return tuple(vote).index(c) + 1
+    return vote.index(c) + 1
 
 
 def _positions(election: Election) -> np.ndarray:

@@ -10,13 +10,16 @@ inputs (elections, position or frequency matrices) share one cost kernel
 and reach one exact ``solve_assignment``, whose witness is the
 lexicographically smallest optimal matching.
 
-The two exponential searches keep the lexicographically smallest optimal
-candidate matching as witness.  Swap visits relabelings best-first by a
+Each metric has one table row: its aggregate of one election and its
+search of one aggregate against a list of later ones, (value, *witness)
+for each.  ``distance`` and ``distance_values`` both dispatch through it.
+The searches keep the lexicographically smallest optimal candidate
+matching as witness.  Swap visits relabelings best-first by a
 majority-matrix bound, building voter cost matrices a chunk at a time.
 Pairwise scans all m! matchings with numpy up to 6 candidates and runs a
-best-first branch and bound over candidate prefixes from 7 on.  When
-``distance_values`` compares one election with all later ones at small m,
-both searches take a stack of later elections at once.
+best-first branch and bound over candidate prefixes from 7 on; at small m
+both take a stack of later elections at once.  Discrete counts the votes
+shared under each relabeling that maps some vote onto some other vote.
 """
 
 from __future__ import annotations
@@ -89,6 +92,7 @@ def vote_swap_distance(u: Sequence[int], v: Sequence[int]) -> int:
     m = len(u)
     if len(v) != m:
         raise ValueError(f"votes have different lengths {m} and {len(v)}")
+    u, v = _check_permutation(u, m, "vote"), _check_permutation(v, m, "vote")
     pos_v = [0] * m
     for i, c in enumerate(v):
         pos_v[c] = i
@@ -104,7 +108,8 @@ def vote_discrete_distance(u: Sequence[int], v: Sequence[int]) -> int:
     """0 if the votes are identical, 1 otherwise."""
     if len(u) != len(v):
         raise ValueError(f"votes have different lengths {len(u)} and {len(v)}")
-    return 0 if tuple(u) == tuple(v) else 1
+    u, v = _check_permutation(u, len(u), "vote"), _check_permutation(v, len(v), "vote")
+    return 0 if u == v else 1
 
 
 def l1(x: Sequence[Number], y: Sequence[Number]) -> Number:
@@ -375,60 +380,45 @@ def _check_elections(elections: Sequence[Election], kind: str) -> None:
         check_guard(kind, elections[0].m)
 
 
-def _discrete_aggregate(election: Election) -> tuple[list[int], list[int], Counter, dict]:
-    # the place values of base-m digits, each voter's vote code, the count
-    # of each code and the vote behind each code: a sequence's base-m digits
-    # are its entries, so codes order like the sequences
-    m = election.m
+def _discrete_search(a: Counter, bs: Sequence[Counter]) -> list[tuple[int, tuple[int, ...]]]:
+    # exact discrete distance between the election of vote counts a and each
+    # election of vote counts bs, with the lexicographically smallest optimal
+    # relabeling.  The relabeling that maps vote u of a onto vote w of b
+    # sends u[k] to w[k]; its base-m code, whose digits are its entries and
+    # so order like them, is the sum of w[k] * place[u[k]].  A relabeling
+    # maps u onto at most one w, so its overlap sums min(count u, count w)
+    # over the pairs (u, w) that give it
+    m = len(next(iter(a)))
     place = [m ** (m - 1 - k) for k in range(m)]
-    codes = [sum(map(operator.mul, v, place)) for v in election.votes]
-    return place, codes, Counter(codes), dict(zip(codes, election.votes))
+    n = sum(a.values())
+    weights = [([place[c] for c in u], count) for u, count in a.items()]
+    out = []
+    for b in bs:
+        overlap: dict[int, int] = {}
+        for weights_u, count_u in weights:
+            for w, count_w in b.items():
+                code = sum(map(operator.mul, w, weights_u))
+                overlap[code] = overlap.get(code, 0) + min(count_u, count_w)
+        most = max(overlap.values())
+        best = min(code for code, o in overlap.items() if o == most)
+        out.append((n - most, tuple(best // p % m for p in place)))
+    return out
 
 
-def _discrete_search(a: tuple, b: tuple) -> tuple[int, int]:
-    # exact discrete distance between elections given by _discrete_aggregate,
-    # with the code of the lexicographically smallest optimal relabeling.
-    # The relabeling that maps vote u of a onto vote w of b sends u[k] to
-    # w[k], so its code is the sum of w[k] * place[u[k]].  A relabeling maps
-    # u onto at most one w, so its overlap sums min(count u, count w) over
-    # the pairs (u, w) that give it
-    place, codes_a, counts_a, votes_a = a
-    _, _, counts_b, votes_b = b
-    overlap: dict[int, int] = {}
-    for cu, u in votes_a.items():
-        weights = [place[c] for c in u]
-        for cw, w in votes_b.items():
-            code = sum(map(operator.mul, w, weights))
-            overlap[code] = overlap.get(code, 0) + min(counts_a[cu], counts_b[cw])
-    most = max(overlap.values())
-    return len(codes_a) - most, min(code for code, o in overlap.items() if o == most)
-
-
-def _iso_discrete(a: Election, b: Election) -> DistanceOutcome:
-    m, n = a.m, a.n
-    agg_a, agg_b = _discrete_aggregate(a), _discrete_aggregate(b)
-    value, best = _discrete_search(agg_a, agg_b)
-    place, codes_a, _, votes_a = agg_a
-    codes_b = agg_b[1]
-    sigma = tuple(best // p % m for p in place)
-
-    # match voters greedily by ascending index: voter i of a takes the
-    # smallest free voter of b with its relabeled vote, the rest pair up
-    # in order
-    image = {cu: sum(sigma[c] * p for c, p in zip(u, place)) for cu, u in votes_a.items()}
-    free_b: dict[int, list[int]] = {}
-    for j in range(n - 1, -1, -1):
-        free_b.setdefault(codes_b[j], []).append(j)
-    rho = [-1] * n
-    for i, cu in enumerate(codes_a):
-        stack = free_b.get(image[cu])
+def _discrete_voter_matching(a: Election, b: Election, sigma: tuple[int, ...]) -> tuple[int, ...]:
+    # the voter matching of discrete under relabeling sigma: by ascending
+    # index, voter i of a takes the smallest free voter of b with its
+    # relabeled vote; the rest pair up in order
+    free_b: dict[tuple[int, ...], list[int]] = {}
+    for j in range(b.n - 1, -1, -1):
+        free_b.setdefault(b.votes[j], []).append(j)
+    rho = [-1] * a.n
+    for i, u in enumerate(a.votes):
+        stack = free_b.get(tuple(sigma[c] for c in u))
         if stack:
             rho[i] = stack.pop()
     leftover_b = iter(sorted(j for stack in free_b.values() for j in stack))
-    for i in range(n):
-        if rho[i] < 0:
-            rho[i] = next(leftover_b)
-    return DistanceOutcome(value, sigma, tuple(rho))
+    return tuple(j if j >= 0 else next(leftover_b) for j in rho)
 
 
 def _aggregate_pair(a, b, aggregate) -> tuple[np.ndarray, np.ndarray]:
@@ -641,10 +631,40 @@ def _pairwise_branch_and_bound(ma: np.ndarray, mb: np.ndarray) -> tuple[int, tup
     return best
 
 
+def _positionwise_search(x: np.ndarray, ys: Sequence[np.ndarray]) -> list[tuple[int]]:
+    # the positionwise value of the aggregate x against each of ys, by one
+    # assignment solve each: no witness, so none of solve_assignment's
+    # lexmin solves
+    out = []
+    for costs in _column_costs(x, np.stack(ys)):
+        ri, ci = linear_sum_assignment(costs)
+        out.append((int(costs[ri, ci].sum()),))
+    return out
+
+
 def _sorted_borda_prefix(election: Election) -> np.ndarray:
     # prefix sums of the nonincreasingly sorted Borda vector: the l1
     # distance of two of them is the EMD of the sorted vectors
     return np.cumsum(np.sort(borda_vector(election))[::-1])
+
+
+def _bordawise_search(x: np.ndarray, ys: Sequence[np.ndarray]) -> list[tuple[int]]:
+    # the l1 distance of the sorted Borda prefix x to each of ys
+    return [(v,) for v in np.abs(np.stack(ys) - x).sum(axis=1).tolist()]
+
+
+def _row(kind: str):
+    # the metric's aggregate of one election and its search of one aggregate
+    # against a list of later ones, giving (value, *witness) for each.  Built
+    # per call, so a module global rebound after import is the one called
+    return {
+        "swap": (_swap_aggregates, _swap_search),
+        "discrete": (lambda e: Counter(e.votes), _discrete_search),
+        "emdpos": (lambda e: _positionwise_aggregate(e, "EMD"), _positionwise_search),
+        "l1pos": (lambda e: _positionwise_aggregate(e, "L1"), _positionwise_search),
+        "pairwise": (majority_matrix, _pairwise_search),
+        "bordawise": (_sorted_borda_prefix, _bordawise_search),
+    }[kind]
 
 
 def distance(a: Election, b: Election, kind: str) -> DistanceOutcome:
@@ -654,27 +674,19 @@ def distance(a: Election, b: Election, kind: str) -> DistanceOutcome:
     The kind, the inputs and the candidate guard are checked first, with
     the errors of ``distance_values``.  Swap and discrete minimize over
     candidate and voter matchings jointly; the positionwise metrics and
-    pairwise over candidate matchings; Bordawise needs no matching.
+    pairwise over candidate matchings; Bordawise needs no matching.  The
+    metric's row search gives the value and witness, except that the
+    positionwise metrics take ``positionwise_distance`` for its lexmin
+    matching; discrete then matches voters greedily.
     """
     _check_elections((a, b), kind)
-    if kind == "swap":
-        return DistanceOutcome(*_swap_search(_swap_aggregates(a), [_swap_aggregates(b)])[0])
+    if kind in ("emdpos", "l1pos"):
+        return positionwise_distance(a, b, "EMD" if kind == "emdpos" else "L1")
+    aggregate, search = _row(kind)
+    value, *witness = search(aggregate(a), [aggregate(b)])[0]
     if kind == "discrete":
-        return _iso_discrete(a, b)
-    if kind == "emdpos":
-        return positionwise_distance(a, b, "EMD")
-    if kind == "l1pos":
-        return positionwise_distance(a, b, "L1")
-    if kind == "pairwise":
-        return DistanceOutcome(*_pairwise_search(majority_matrix(a), [majority_matrix(b)])[0])
-    # bordawise
-    gap = np.abs(_sorted_borda_prefix(a) - _sorted_borda_prefix(b))
-    return DistanceOutcome(int(gap.sum()))
-
-
-def _assignment_value(costs: np.ndarray) -> int:
-    ri, ci = linear_sum_assignment(costs)
-    return int(costs[ri, ci].sum())
+        witness.append(_discrete_voter_matching(a, b, witness[0]))
+    return DistanceOutcome(value, *witness)
 
 
 def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
@@ -683,37 +695,19 @@ def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
 
     Equal to ``distance(dataset[i], dataset[j], kind).value``.  The kind,
     the inputs and the candidate guard are checked up front, by the check
-    ``distance`` makes.  All six metrics take each election's aggregates once.
-    Positionwise and Bordawise compare one election with all later ones by
-    broadcasting, positionwise then solving one value-only assignment per
-    pair.  Swap and pairwise hand one election and all later ones to their
-    search: where one swap chunk holds all m! relabelings, and for pairwise
-    up to 6 candidates, the later elections are taken in stacks that gather
-    at most 2**17 entries at once; otherwise, and for discrete, each pair
-    runs its own search.
+    ``distance`` makes.  Every metric then takes each election's aggregate
+    once and hands election i's with those of all later elections to its
+    row search, the one ``distance`` runs: a broadcast for Bordawise, one
+    value-only assignment per pair for the positionwise metrics, and for
+    discrete one overlap count per pair of distinct votes.  Swap, where
+    one chunk holds all m! relabelings, and pairwise up to 6 candidates
+    take the later elections in stacks that gather at most 2**17 entries
+    at once; at larger m they search each pair on its own.
     """
     _check_elections(dataset, kind)
-    k = len(dataset)
-    if k < 2:
+    if len(dataset) < 2:
         return np.zeros(0, dtype=np.int64)
-    if kind == "bordawise":
-        prefix = np.stack([_sorted_borda_prefix(e) for e in dataset])
-        rows = [np.abs(prefix[i + 1 :] - prefix[i]).sum(axis=1) for i in range(k - 1)]
-    elif kind in ("emdpos", "l1pos"):
-        variant = "EMD" if kind == "emdpos" else "L1"
-        agg = np.stack([_positionwise_aggregate(e, variant) for e in dataset])
-        rows = [
-            [_assignment_value(c) for c in _column_costs(agg[i], agg[i + 1 :])]
-            for i in range(k - 1)
-        ]
-    elif kind == "discrete":
-        aggs = [_discrete_aggregate(e) for e in dataset]
-        rows = [[_discrete_search(aggs[i], b)[0] for b in aggs[i + 1 :]] for i in range(k - 1)]
-    else:
-        aggregate, search = {
-            "swap": (_swap_aggregates, _swap_search),
-            "pairwise": (majority_matrix, _pairwise_search),
-        }[kind]
-        aggs = [aggregate(e) for e in dataset]
-        rows = [[found[0] for found in search(aggs[i], aggs[i + 1 :])] for i in range(k - 1)]
-    return np.concatenate([np.asarray(row, dtype=np.int64) for row in rows])
+    aggregate, search = _row(kind)
+    aggs = [aggregate(e) for e in dataset]
+    values = [found[0] for i in range(len(aggs) - 1) for found in search(aggs[i], aggs[i + 1 :])]
+    return np.array(values, dtype=np.int64)

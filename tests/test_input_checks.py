@@ -16,6 +16,7 @@ import pytest
 from electodist import (
     METRIC_KINDS,
     DistanceMatrix,
+    Election,
     apply_matchings,
     borda_realizable,
     check_diameter,
@@ -32,9 +33,12 @@ from electodist import (
     pairwise_cost_at,
     pairwise_distance,
     position_matrix,
+    position_of,
     positionwise_distance,
     recover_election,
     solve_assignment,
+    vote_discrete_distance,
+    vote_swap_distance,
 )
 from electodist.cli import ExperimentConfig, parse_int_list
 from electodist.cultures import (
@@ -78,6 +82,22 @@ CASES = {
     ),
     "spoc-vote-repeat": (
         lambda: is_spoc_vote((0, 0, 1), (0, 1, 2)),
+        "vote must be a permutation of 0..2",
+    ),
+    "vote-swap-off-range": (
+        lambda: vote_swap_distance((0, 5), (0, 1)),
+        "vote must be a permutation of 0..1",
+    ),
+    "vote-swap-repeat": (
+        lambda: vote_swap_distance((0, 0), (0, 1)),
+        "vote must be a permutation of 0..1",
+    ),
+    "vote-discrete-repeat": (
+        lambda: vote_discrete_distance((0, 1), (1, 1)),
+        "vote must be a permutation of 0..1",
+    ),
+    "position-of-repeat": (
+        lambda: position_of((0, 0, 1), 1),
         "vote must be a permutation of 0..2",
     ),
     "pairwise-cost-matching": (
@@ -178,6 +198,14 @@ CASES = {
         lambda: borda_realizable(np.array([1.0, 1.5, 0.5]), 1),
         "Borda scores must be integers, got 1.5",
     ),
+    "election-vote-integers": (
+        lambda: Election(2, [(0, 1), (0.5, 1)]),
+        "vote entries must be integers, got 0.5",
+    ),
+    "election-vote-integers-ndarray": (
+        lambda: Election(3, [np.array([0.0, 2.5, 1.0])]),
+        "vote entries must be integers, got 2.5",
+    ),
     "int-list-token": (
         lambda: parse_int_list("1,x"),
         "non-integer token in list '1,x'",
@@ -252,6 +280,14 @@ CASES = {
     "compass-formula-compass-kind": (
         lambda: compass_distance_formula("emdpos", ("ID", "XX"), 4, 4),
         "unknown compass kind 'XX', expected one of ('ID', 'AN', 'UN', 'ST')",
+    ),
+    "compass-formula-one-kind": (
+        lambda: compass_distance_formula("swap", ("ID",), 4, 4),
+        "compass pair must be two compass kinds, got ('ID',)",
+    ),
+    "compass-formula-three-kinds": (
+        lambda: compass_distance_formula("swap", ["ID", "AN", "UN"], 4, 24),
+        "compass pair must be two compass kinds, got ('ID', 'AN', 'UN')",
     ),
     "compass-formula-divisor": (
         lambda: compass_distance_formula("emdpos", ("ID", "UN"), 4, 6),

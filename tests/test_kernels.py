@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import tracemalloc
@@ -390,6 +391,44 @@ def test_check_diameter_checks_the_compass_divisor_before_any_distance(monkeypat
     ):
         check_diameter(dataset, "swap")
     assert calls.call_count == 0
+
+
+# the names in metrics that each kind's entry points call, looked up when
+# they run: the aggregate of each election, the row search and the solver
+AGGREGATES = {"emdpos": "position_matrix", "l1pos": "position_matrix",
+              "pairwise": "majority_matrix", "bordawise": "borda_vector"}
+SEARCHES = {"swap": "_swap_search", "discrete": "_discrete_search",
+            "pairwise": "_pairwise_search"}
+SOLVES = ("swap", "emdpos", "l1pos")
+
+
+@pytest.mark.parametrize("kind", METRIC_KINDS)
+def test_entry_points_call_what_metrics_binds_when_they_run(kind):
+    # counting wrappers put on metrics after import see every call, as the
+    # tracer's do: no entry point keeps a reference taken at import
+    rng = np.random.default_rng(11)
+    dataset = [Election(4, [rng.permutation(4) for _ in range(5)]) for _ in range(4)]
+    names = [*set(AGGREGATES.values()), *SEARCHES.values(), "linear_sum_assignment"]
+    for run, elections_in, rows in (
+        (lambda: distance_values(dataset, kind), len(dataset), len(dataset) - 1),
+        (lambda: distance(dataset[0], dataset[1], kind), 2, 1),
+    ):
+        with contextlib.ExitStack() as stack:
+            counters = {
+                name: stack.enter_context(
+                    mock.patch.object(metrics, name, wraps=getattr(metrics, name))
+                )
+                for name in names
+            }
+            run()
+        counts = {name: c.call_count for name, c in counters.items() if c.call_count}
+        want = {}
+        if kind in AGGREGATES:
+            want[AGGREGATES[kind]] = elections_in
+        if kind in SEARCHES:
+            want[SEARCHES[kind]] = rows
+        assert {name: counts.get(name) for name in want} == want
+        assert set(counts) == set(want) | ({"linear_sum_assignment"} if kind in SOLVES else set())
 
 
 @st.composite
