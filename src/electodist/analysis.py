@@ -15,11 +15,14 @@ from scipy.optimize import linear_sum_assignment
 from .elections import (
     COMPASS_KINDS,
     Election,
+    _anchored_codes,
     _check_compass,
     _check_positive,
     _integers,
     _order_table,
+    _positions,
     _square_matrix,
+    _upper_pairs,
     all_orders,
     compass_election,
     position_matrix,
@@ -109,7 +112,7 @@ def _anec_rows(m: int, n: int) -> np.ndarray:
     # order, index 0, so every representative starts with it.  A relabeling
     # keeps index 0 first only if it sends some vote u to the identity, so
     # the inverses of the row's own votes are the only relabelings that can
-    # produce a smaller multiset: n - 1 checks per row instead of m! - 1.
+    # produce a smaller multiset: n checks per row instead of m!.
     check_census_guard(m, n)
     table = _order_table(m)
     k = len(table)
@@ -122,16 +125,13 @@ def _anec_rows(m: int, n: int) -> np.ndarray:
         rows = np.column_stack(
             (np.repeat(rows, counts, axis=0), np.arange(counts.sum()) + offsets)
         )
-    # a vote's base-m code orders like the vote.  Relabeling c to
-    # inverse[u, c] turns vote v into a vote with code inverse[u] . weights[v]
-    # (int32 holds the codes of m <= 9 candidates)
-    place = m ** np.arange(m - 1, -1, -1, dtype=np.int32)
-    inverse = table.argsort(axis=1).astype(np.int32)
-    weights = place[inverse]
-    own = (table @ place)[rows]
-    relabeled = np.sort(inverse[rows[:, 1:]] @ weights[rows].transpose(0, 2, 1), axis=2)
-    # keep the rows that no anchored relabeling makes lexicographically smaller
-    diff = relabeled - own[:, None, :]
+    # codes[r, i] is row r's multiset relabeled by the inverse of its vote
+    # i; vote 0, the identity, gives the row's own multiset.  Keep the rows
+    # that no anchored relabeling makes lexicographically smaller (int32
+    # holds the codes in half the memory of int64)
+    pos = _positions(table).astype(np.int32)[rows]
+    codes = _anchored_codes(pos, pos)
+    diff = codes - codes[:, :1]
     first = (diff != 0).argmax(axis=2)
     lead = np.take_along_axis(diff, first[..., None], axis=2)
     return rows[(lead >= 0).all(axis=(1, 2))]
@@ -153,7 +153,7 @@ def count_equivalence_classes(m: int, n: int) -> CensusReport:
     Bordawise equivalence classes."""
     rows = _anec_rows(m, n)
     table = _order_table(m)
-    positions = table.argsort(axis=1)
+    positions = _positions(table)
     # per-order tables summed over each row's votes: each vote adds
     # (n+1)**position to a candidate's column code (its position counts as
     # base-(n+1) digits), the indicator of c above d to the majority matrix
@@ -335,9 +335,9 @@ def check_diameter(dataset: Sequence[Election], kind: str):
     every pair.  The kind, the inputs, the guard and the compass divisors
     of n are checked before the first distance.
     """
+    _check_elections(dataset, kind)
     if not dataset:
         return []
-    _check_elections(dataset, kind)
     m, n = dataset[0].m, dataset[0].n
     compass = [compass_election("ID", m, n), compass_election("UN", m, n)]
     values = distance_values(dataset, kind)
@@ -399,13 +399,12 @@ def borda_realizable(x: Sequence[int], n: int) -> Optional[Election]:
         return None
     if sum(scores) != n * m * (m - 1) // 2:
         return None
-    orders = all_orders(m)
-    contrib = [tuple(m - 1 - v.index(c) for c in range(m)) for v in orders]
-    return _realize_by_counts(orders, contrib, scores, n)
+    contrib = (m - 1 - _positions(_order_table(m))).tolist()
+    return _realize_by_counts(all_orders(m), contrib, scores, n)
 
 
 def _realize_by_counts(
-    orders: Sequence[tuple[int, ...]], contrib: Sequence[tuple[int, ...]], target: list[int], n: int
+    orders: Sequence[tuple[int, ...]], contrib: Sequence[Sequence[int]], target: list[int], n: int
 ) -> Optional[Election]:
     # n votes from orders whose nonnegative contributions (one tuple per
     # order) sum to target, or None; counts are tried largest first, so the
@@ -470,10 +469,10 @@ def majority_realizable_bruteforce(M, n: int) -> Optional[Election]:
     if np.any((target + target.T)[off] != n) or np.any(target < 0):
         return None
     # with M + M^T = n off the diagonal, the cells c < d fix the matrix
-    pairs = list(itertools.combinations(range(m), 2))
-    orders = all_orders(m)
-    contrib = [tuple(int(v.index(c) < v.index(d)) for c, d in pairs) for v in orders]
-    return _realize_by_counts(orders, contrib, [int(target[c, d]) for c, d in pairs], n)
+    first, second = _upper_pairs(m)
+    pos = _positions(_order_table(m))
+    contrib = (pos[:, first] < pos[:, second]).astype(np.int64).tolist()
+    return _realize_by_counts(all_orders(m), contrib, target[first, second].tolist(), n)
 
 
 def _matched_position_matrices(a: Election, b: Election, variant: str):

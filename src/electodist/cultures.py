@@ -14,13 +14,13 @@ restricted-domain samplers advertise.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .elections import Election, _check_permutation, _check_positive
-from .metrics import vote_swap_distance
+from .elections import Election, _check_permutation, _check_positive, _positions, _upper_pairs
 
 __all__ = [
     "CultureSpec",
@@ -115,9 +115,11 @@ def sample_ic(m: int, n: int, seed: SeedLike) -> Election:
 
 
 def _check_alpha(alpha):
-    # "gamma", or a fixed urn alpha as a float >= 0
+    # "gamma", or a fixed urn alpha as a finite float >= 0
     if alpha != "gamma":
         alpha = float(alpha)
+        if not math.isfinite(alpha):
+            raise ValueError(f"urn alpha must be finite, got {alpha}")
         if alpha < 0:
             raise ValueError(f"urn alpha must be nonnegative, got {alpha}")
     return alpha
@@ -194,13 +196,14 @@ def sample_mallows(m: int, n: int, seed: SeedLike, phi) -> Election:
     rng = _rng(seed)
     if phi == "norm-uniform":
         phi = mallows_phi_from_norm(float(rng.uniform(0.0, 1.0)), m)
+    # the distribution of candidate i's insertion over positions 0..i
+    weights = [np.array([phi ** (i - j) for j in range(i + 1)]) for i in range(m)]
+    steps = [w / w.sum() for w in weights]
     votes = []
     for _ in range(n):
         vote: list[int] = []
-        for i in range(1, m + 1):
-            weights = np.array([phi ** (i - j) for j in range(1, i + 1)])
-            j = int(rng.choice(i, p=weights / weights.sum()))
-            vote.insert(j, i - 1)
+        for i, p in enumerate(steps):
+            vote.insert(int(rng.choice(i + 1, p=p)), i)
         votes.append(tuple(vote))
     return Election(m, votes)
 
@@ -451,20 +454,12 @@ def is_single_crossing(election: Election) -> bool:
     maximal domain (path position equals swap distance); it is a sufficient
     check, not a complete single-crossing recognizer.
     """
-    canonical = tuple(range(election.m))
-    ordered = sorted(
-        election.votes, key=lambda v: (vote_swap_distance(v, canonical), v)
-    )
-    m = election.m
-    for a in range(m):
-        for b in range(a + 1, m):
-            crossings = 0
-            previous = None
-            for vote in ordered:
-                prefers = vote.index(a) < vote.index(b)
-                if previous is not None and prefers != previous:
-                    crossings += 1
-                previous = prefers
-            if crossings > 1:
-                return False
-    return True
+    first, second = _upper_pairs(election.m)
+    pos = _positions(election.array)
+    prefers = pos[:, first] < pos[:, second]
+    # a vote's swap distance to the canonical order counts the pairs c < d
+    # it ranks d above c
+    distances = (~prefers).sum(axis=1).tolist()
+    ordered = prefers[sorted(range(election.n), key=lambda v: (distances[v], election.votes[v]))]
+    changes = (ordered[1:] != ordered[:-1]).sum(axis=0)
+    return bool((changes <= 1).all())

@@ -1,4 +1,4 @@
-"""Ordinal elections and their aggregate representations.
+"""Ordinal elections, their aggregate representations and vote encodings.
 
 An election is a multiset of votes over m candidates; every vote ranks all
 candidates.  Candidates are 0-based integers throughout; human-readable names
@@ -6,6 +6,11 @@ belong in file comments, not in the data model.  The aggregate views
 (position matrix, weighted majority matrix, Borda score vector) are plain
 numpy integer arrays; the normalized frequency matrix uses exact Fractions
 because the downstream diameter identities must hold exactly.
+
+The other modules encode votes through this one: one permutation check; a
+vote's positions, its inverse; the candidate pairs c < d; a vote's base-m
+code, which orders like the vote; and the anchored codes whose least row is
+the canonical form of the census and of ``canonical_anec_key``.
 """
 
 from __future__ import annotations
@@ -55,13 +60,15 @@ def _integers(values: Iterable, what: str, nonnegative: bool = False) -> list[in
     return out
 
 
-def _as_vote(raw: Sequence[int], m: int) -> tuple[int, ...]:
-    vote = tuple(_integers(raw, "vote entries"))
-    if len(vote) != m:
-        raise ValueError(f"vote {vote} has length {len(vote)}, expected {m}")
-    if sorted(vote) != list(range(m)):
-        raise ValueError(f"vote {vote} is not a permutation of 0..{m - 1}")
-    return vote
+def _check_permutation(perm: Iterable, size: int, what: str) -> tuple[int, ...]:
+    # perm as a tuple of ints if it is a permutation of 0..size-1; ValueError
+    # names the first non-integer entry, or the sequence and the rule it breaks
+    perm = tuple(_integers(perm, f"{what} entries"))
+    if len(perm) != size:
+        raise ValueError(f"{what} {perm} has length {len(perm)}, expected {size}")
+    if sorted(perm) != list(range(size)):
+        raise ValueError(f"{what} {perm} is not a permutation of 0..{size - 1}")
+    return perm
 
 
 class Election:
@@ -81,7 +88,7 @@ class Election:
         if m < 1:
             raise ValueError("need at least one candidate")
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "votes", tuple(_as_vote(v, m) for v in votes))
+        object.__setattr__(self, "votes", tuple(_check_permutation(v, m, "vote") for v in votes))
         if not self.votes:
             raise ValueError("need at least one voter")
         object.__setattr__(self, "_array", None)
@@ -138,21 +145,43 @@ def _order_table(m: int) -> np.ndarray:
     return table
 
 
+def _positions(orders: np.ndarray) -> np.ndarray:
+    # pos[..., c] = 0-based position of candidate c in each order of an
+    # (..., m) integer array of permutations of 0..m-1: the inverse of each
+    # order, the relabeling that sends it to the identity
+    return orders.argsort(axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    # the candidate pairs c < d of m candidates, as two index arrays
+    pairs = np.triu_indices(m, 1)
+    for arr in pairs:
+        arr.setflags(write=False)
+    return pairs
+
+
+def _place_values(m: int) -> tuple[int, ...]:
+    # the base-m place value of each position, most significant first: a
+    # vote's code, the sum of place[k] * vote[k], orders like the vote
+    return tuple(m ** (m - 1 - k) for k in range(m))
+
+
+def _anchored_codes(anchors: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    # for the positions (..., a, m) of anchor votes and (..., n, m) of votes:
+    # row i holds the sorted codes of the votes relabeled by the inverse of
+    # anchor i, c to anchors[i, c], which sends that anchor to the identity.
+    # Vote v's code becomes the sum over c of anchors[i, c] * place[pos[v, c]]
+    place = np.array(_place_values(pos.shape[-1]), dtype=pos.dtype)
+    return np.sort(anchors @ place[pos].swapaxes(-1, -2), axis=-1)
+
+
 def position_of(vote: Sequence[int], c: int) -> int:
     """1-based position of candidate c in a vote (1 = most preferred)."""
     vote = _check_permutation(vote, len(vote), "vote")
     if not 0 <= c < len(vote):
         raise ValueError(f"candidate {c} out of range for m={len(vote)}")
-    return vote.index(c) + 1
-
-
-def _positions(election: Election) -> np.ndarray:
-    # pos[v, c] = 0-based position of candidate c in vote v
-    arr = election.array
-    n, m = arr.shape
-    pos = np.empty((n, m), dtype=np.int64)
-    pos[np.arange(n)[:, None], arr] = np.arange(m)
-    return pos
+    return int(_positions(np.array(vote))[c]) + 1
 
 
 def position_matrix(election: Election) -> np.ndarray:
@@ -171,14 +200,14 @@ def majority_matrix(election: Election) -> np.ndarray:
     The diagonal is zero by convention; off-diagonal cells satisfy
     cells[c, d] + cells[d, c] = n.
     """
-    pos = _positions(election)
+    pos = _positions(election.array)
     return (pos[:, :, None] < pos[:, None, :]).sum(axis=0, dtype=np.int64)
 
 
 def borda_vector(election: Election) -> np.ndarray:
     """Borda scores: each vote gives m - 1 - i points to the candidate at
     0-based position i."""
-    return (election.m - 1 - _positions(election)).sum(axis=0)
+    return (election.m - 1 - _positions(election.array)).sum(axis=0)
 
 
 def frequency_matrix(election: Election) -> np.ndarray:
@@ -190,13 +219,6 @@ def frequency_matrix(election: Election) -> np.ndarray:
         for c in range(election.m):
             out[i, c] = Fraction(int(counts[i, c]), n)
     return out
-
-
-def _check_permutation(perm: Sequence[int], size: int, what: str) -> tuple[int, ...]:
-    perm = tuple(int(p) for p in perm)
-    if len(perm) != size or sorted(perm) != list(range(size)):
-        raise ValueError(f"{what} must be a permutation of 0..{size - 1}")
-    return perm
 
 
 def _square_matrix(x, what: str, dtype=None) -> np.ndarray:
@@ -323,17 +345,12 @@ def canonical_anec_key(election: Election) -> bytes:
     m = election.m
     if m > 8:
         raise ValueError(f"canonical key guarded at m <= 8 (got m={m})")
-    votes = election.array
-    # inverse[j, c] = position of candidate c in distinct vote j, the
-    # relabeling that sends vote j to the identity
-    inverse = np.unique(votes, axis=0).argsort(axis=1)
-    relabeled = inverse[:, votes]
-    # base-m codes order like the votes
-    codes = relabeled @ (m ** np.arange(m - 1, -1, -1))
-    order = codes.argsort(axis=1)
-    multisets = np.take_along_axis(codes, order, axis=1).tolist()
-    best = multisets.index(min(multisets))
-    body = relabeled[best, order[best]].astype(np.uint8).tobytes()
+    pos = _positions(election.array)
+    place = _place_values(m)
+    # the distinct votes are the anchors; rows of codes are multisets, and
+    # each code's base-m digits are its relabeled vote
+    codes = _anchored_codes(np.unique(pos, axis=0), pos).tolist()
+    body = bytes(code // p % m for code in min(codes) for p in place)
     return bytes([m]) + election.n.to_bytes(4, "big") + body
 
 

@@ -41,7 +41,10 @@ from .elections import (
     Election,
     _check_permutation,
     _order_table,
+    _place_values,
+    _positions,
     _square_matrix,
+    _upper_pairs,
     borda_vector,
     majority_matrix,
     position_matrix,
@@ -93,15 +96,10 @@ def vote_swap_distance(u: Sequence[int], v: Sequence[int]) -> int:
     if len(v) != m:
         raise ValueError(f"votes have different lengths {m} and {len(v)}")
     u, v = _check_permutation(u, m, "vote"), _check_permutation(v, m, "vote")
-    pos_v = [0] * m
-    for i, c in enumerate(v):
-        pos_v[c] = i
-    count = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            if pos_v[u[i]] > pos_v[u[j]]:
-                count += 1
-    return count
+    first, second = _upper_pairs(m)
+    pos = _positions(np.array([u, v], dtype=np.int64))
+    prefers = pos[:, first] < pos[:, second]
+    return int((prefers[0] != prefers[1]).sum())
 
 
 def vote_discrete_distance(u: Sequence[int], v: Sequence[int]) -> int:
@@ -209,18 +207,9 @@ def _swap_aggregates(election: Election) -> tuple[np.ndarray, np.ndarray]:
     # and its column sums, the majority margins 2 M - n
     arr = election.array
     n, m = arr.shape
-    pos = arr.argsort(axis=1)
+    pos = _positions(arr)
     signs = np.sign(pos[:, None, :] - pos[:, :, None]).reshape(n, m * m)
     return signs.sum(axis=0), signs.astype(np.float32)
-
-
-@lru_cache(maxsize=None)
-def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    # the candidate pairs c < d of m candidates, as two index arrays
-    pairs = np.triu_indices(m, 1)
-    for arr in pairs:
-        arr.setflags(write=False)
-    return pairs
 
 
 def _upper_cells(perms: np.ndarray, m: int) -> np.ndarray:
@@ -389,7 +378,7 @@ def _discrete_search(a: Counter, bs: Sequence[Counter]) -> list[tuple[int, tuple
     # maps u onto at most one w, so its overlap sums min(count u, count w)
     # over the pairs (u, w) that give it
     m = len(next(iter(a)))
-    place = [m ** (m - 1 - k) for k in range(m)]
+    place = _place_values(m)
     n = sum(a.values())
     weights = [([place[c] for c in u], count) for u, count in a.items()]
     out = []

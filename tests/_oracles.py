@@ -32,7 +32,7 @@ from electodist import (
     position_matrix,
 )
 from electodist.analysis import check_census_guard
-from electodist.cultures import _rng
+from electodist.cultures import _rng, mallows_phi_from_norm
 from electodist.metrics import l1, emd, vote_discrete_distance, vote_swap_distance
 
 
@@ -470,6 +470,42 @@ def bruteforce_majority_realizable(M, n: int) -> Optional[Election]:
     return None
 
 
+def index_borda_table(m: int) -> list[tuple[int, ...]]:
+    """``analysis.borda_realizable``'s table as it was: each order's Borda
+    points to candidates 0..m-1, by ``tuple.index``."""
+    return [tuple(m - 1 - v.index(c) for c in range(m)) for v in all_orders(m)]
+
+
+def index_majority_table(m: int) -> list[tuple[int, ...]]:
+    """``analysis.majority_realizable_bruteforce``'s table as it was: for
+    each order, 1 per pair c < d it ranks c above d, by ``tuple.index``."""
+    pairs = list(itertools.combinations(range(m), 2))
+    return [tuple(int(v.index(c) < v.index(d)) for c, d in pairs) for v in all_orders(m)]
+
+
+def loop_is_single_crossing(election: Election) -> bool:
+    """``cultures.is_single_crossing`` as it was: votes sorted by their
+    swap distance to the canonical order, then every pair's crossings
+    counted by ``tuple.index``."""
+    canonical = tuple(range(election.m))
+    ordered = sorted(
+        election.votes, key=lambda v: (vote_swap_distance(v, canonical), v)
+    )
+    m = election.m
+    for a in range(m):
+        for b in range(a + 1, m):
+            crossings = 0
+            previous = None
+            for vote in ordered:
+                prefers = vote.index(a) < vote.index(b)
+                if previous is not None and prefers != previous:
+                    crossings += 1
+                previous = prefers
+            if crossings > 1:
+                return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def relabel_tables(m: int) -> tuple[tuple[int, ...], ...]:
     """tables[s][v] = index of relabeling s applied to order v, both indices
@@ -667,5 +703,22 @@ def loop_sample_spoc(m: int, n: int, seed) -> Election:
             else:
                 vote.append(right)
                 right = (right + 1) % m
+        votes.append(tuple(vote))
+    return Election(m, votes)
+
+
+def loop_sample_mallows(m: int, n: int, seed, phi) -> Election:
+    """``cultures.sample_mallows`` as it was: it built each insertion
+    step's distribution once per vote."""
+    rng = _rng(seed)
+    if phi == "norm-uniform":
+        phi = mallows_phi_from_norm(float(rng.uniform(0.0, 1.0)), m)
+    votes = []
+    for _ in range(n):
+        vote: list[int] = []
+        for i in range(1, m + 1):
+            weights = np.array([phi ** (i - j) for j in range(1, i + 1)])
+            j = int(rng.choice(i, p=weights / weights.sum()))
+            vote.insert(j, i - 1)
         votes.append(tuple(vote))
     return Election(m, votes)

@@ -209,6 +209,18 @@ def test_generate_invalid_model(tmp_path, capsys):
     assert "Zipf" in err
 
 
+@pytest.mark.parametrize("alpha, token", [(float("inf"), "Infinity"), (float("nan"), "NaN")])
+def test_generate_rejects_a_non_finite_urn_alpha(tmp_path, capsys, alpha, token):
+    # JSON's Infinity and NaN load as floats
+    cfg = write_config(tmp_path, dataset=[{"model": "Urn", "params": {"alpha": alpha}, "count": 1}])
+    assert f'"alpha": {token}' in cfg.read_text(encoding="utf-8")
+    code, out, err = run(capsys, ["generate", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: urn alpha must be finite, got {alpha}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_validation_errors(tmp_path, capsys):
     for overrides in (
         {"dataset": [], "compass": []},

@@ -30,7 +30,12 @@ from electodist.cultures import (
 from electodist.cultures import _mallows_expected_swaps
 from electodist.metrics import vote_swap_distance
 
-from _oracles import loop_sample_sp_conitzer, loop_sample_spoc
+from _oracles import (
+    loop_is_single_crossing,
+    loop_sample_mallows,
+    loop_sample_sp_conitzer,
+    loop_sample_spoc,
+)
 
 
 @pytest.mark.parametrize("spec", DEFAULT_CULTURES, ids=lambda s: s.label())
@@ -172,6 +177,15 @@ def test_grown_votes_equal_the_old_loops(sampler, oracle):
         assert sampler(m, n, seed) == oracle(m, n, seed), (m, n, seed)
 
 
+def test_mallows_equals_the_old_loop():
+    # 3,000 seeds through every (m, n) with m in 1..9 and n in 1..13, and
+    # phi drawn per election, fixed inside (0, 1), or at either end
+    phis = ("norm-uniform", 0.0, 0.35, 0.8, 1.0)
+    for seed in range(3000):
+        m, n, phi = 1 + seed % 9, 1 + seed % 13, phis[seed % 5]
+        assert sample_mallows(m, n, seed, phi) == loop_sample_mallows(m, n, seed, phi), (m, n, seed)
+
+
 def test_spoc_uniform_at_m3():
     # with three candidates every order is single-peaked on the circle
     e = sample_spoc(3, 60000, 350)
@@ -186,6 +200,23 @@ def test_single_crossing_profiles_pass_checker():
     for seed in range(6):
         e = sample_single_crossing(5, 40, seed)
         assert is_single_crossing(e)
+
+
+def test_single_crossing_check_equals_the_old_loop():
+    # every vote multiset of m = 3, n <= 4 and m = 4, n <= 2, then sampled
+    # single-crossing and IC elections, mostly failing, of m = 1..7
+    elections = [
+        Election(m, votes)
+        for m, most in ((3, 4), (4, 2))
+        for n in range(1, most + 1)
+        for votes in itertools.combinations_with_replacement(all_orders(m), n)
+    ]
+    for seed in range(200):
+        m, n = 1 + seed % 7, 1 + seed % 11
+        elections += [sample_single_crossing(m, n, seed), sample_ic(m, n, seed)]
+    verdicts = [is_single_crossing(e) for e in elections]
+    assert verdicts == [loop_is_single_crossing(e) for e in elections]
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_single_crossing_domain_spans_canonical_to_reverse():

@@ -54,6 +54,7 @@ from conftest import SMALL_A, SMALL_B
 KINDS = "('swap', 'discrete', 'emdpos', 'l1pos', 'pairwise', 'bordawise')"
 
 TWO_BY_THREE = np.zeros((2, 3), dtype=np.int64)
+TWO_VOTERS = Election(3, [(0, 1, 2), (2, 1, 0)])
 LABELED = DistanceMatrix(("a", "b"), np.array([[0, 1], [1, 0]]), "emdpos")
 RELABELED = DistanceMatrix(("a", "c"), np.array([[0, 1], [1, 0]]), "emdpos")
 SINGLE = DistanceMatrix(("a",), np.zeros((1, 1)), "emdpos")
@@ -62,47 +63,67 @@ CASES = {
     # candidate and voter permutations
     "apply-candidates": (
         lambda: apply_matchings(SMALL_A, (0, 0, 1), (0, 1, 2)),
-        "candidate matching must be a permutation of 0..2",
+        "candidate matching (0, 0, 1) is not a permutation of 0..2",
     ),
     "apply-voters": (
         lambda: apply_matchings(SMALL_A, (0, 1, 2), (0, 1)),
-        "voter matching must be a permutation of 0..2",
+        "voter matching (0, 1) has length 2, expected 3",
     ),
     "single-peaked-axis": (
         lambda: is_single_peaked(SMALL_A, (0, 1, 1)),
-        "axis must be a permutation of 0..2",
+        "axis (0, 1, 1) is not a permutation of 0..2",
     ),
     "spoc-circle": (
         lambda: is_spoc_vote((0, 1, 2), (0, 1)),
-        "axis must be a permutation of 0..2",
+        "axis (0, 1) has length 2, expected 3",
     ),
     "spoc-vote-off-circle": (
         lambda: is_spoc_vote((0, 5, 1), (0, 1, 2)),
-        "vote must be a permutation of 0..2",
+        "vote (0, 5, 1) is not a permutation of 0..2",
     ),
     "spoc-vote-repeat": (
         lambda: is_spoc_vote((0, 0, 1), (0, 1, 2)),
-        "vote must be a permutation of 0..2",
+        "vote (0, 0, 1) is not a permutation of 0..2",
     ),
     "vote-swap-off-range": (
         lambda: vote_swap_distance((0, 5), (0, 1)),
-        "vote must be a permutation of 0..1",
+        "vote (0, 5) is not a permutation of 0..1",
     ),
     "vote-swap-repeat": (
         lambda: vote_swap_distance((0, 0), (0, 1)),
-        "vote must be a permutation of 0..1",
+        "vote (0, 0) is not a permutation of 0..1",
+    ),
+    "vote-swap-integers": (
+        lambda: vote_swap_distance((0.5, 1), (0, 1)),
+        "vote entries must be integers, got 0.5",
     ),
     "vote-discrete-repeat": (
         lambda: vote_discrete_distance((0, 1), (1, 1)),
-        "vote must be a permutation of 0..1",
+        "vote (1, 1) is not a permutation of 0..1",
     ),
     "position-of-repeat": (
         lambda: position_of((0, 0, 1), 1),
-        "vote must be a permutation of 0..2",
+        "vote (0, 0, 1) is not a permutation of 0..2",
     ),
     "pairwise-cost-matching": (
         lambda: pairwise_cost_at(SMALL_A, SMALL_B, (0, 1)),
-        "matching must be a permutation of 0..2",
+        "matching (0, 1) has length 2, expected 3",
+    ),
+    "pairwise-cost-integers": (
+        lambda: pairwise_cost_at(SMALL_A, SMALL_A, (0.9, 1, 2)),
+        "matching entries must be integers, got 0.9",
+    ),
+    "apply-candidates-integers": (
+        lambda: apply_matchings(TWO_VOTERS, (0.5, 1, 2), (0, 1)),
+        "candidate matching entries must be integers, got 0.5",
+    ),
+    "election-vote-length": (
+        lambda: Election(3, [(0, 1, 2), (0, 1)]),
+        "vote (0, 1) has length 2, expected 3",
+    ),
+    "election-vote-permutation": (
+        lambda: Election(2, [(0, 1), (1, 1)]),
+        "vote (1, 1) is not a permutation of 0..1",
     ),
     # square matrices, and the size checks beside them
     "assignment-square": (
@@ -223,6 +244,10 @@ CASES = {
         lambda: correlation([SMALL_A, SMALL_B], "emdpos", "foo"),
         f"unknown metric kind 'foo', expected one of {KINDS}",
     ),
+    "diameter-kind-empty": (
+        lambda: check_diameter([], "foo"),
+        f"unknown metric kind 'foo', expected one of {KINDS}",
+    ),
     "diameter-guard-before-divisor": (
         # n = 10 fails UN's divisor too, but the guard is reported first
         lambda: check_diameter([compass_election("ID", 9, 10)] * 2, "swap"),
@@ -310,6 +335,14 @@ CASES = {
     "urn-alpha": (
         lambda: sample_urn(3, 3, 0, -1),
         "urn alpha must be nonnegative, got -1.0",
+    ),
+    "urn-alpha-infinite": (
+        lambda: sample_urn(3, 3, 0, float("inf")),
+        "urn alpha must be finite, got inf",
+    ),
+    "urn-alpha-nan": (
+        lambda: sample_urn(3, 3, 0, float("nan")),
+        "urn alpha must be finite, got nan",
     ),
     "urn-alpha-text": (
         lambda: sample_urn(3, 3, 0, "many"),

@@ -20,6 +20,7 @@ from electodist import (
     Election,
     all_orders,
     apply_matchings,
+    borda_realizable,
     borda_vector,
     canonical_anec_key,
     check_diameter,
@@ -47,6 +48,8 @@ from _oracles import (
     branch_and_bound_pairwise,
     bruteforce_majority_realizable,
     dict_discrete_search,
+    index_borda_table,
+    index_majority_table,
     lexicographic_swap_search,
     loop_borda_vector,
     loop_count_equivalence_classes,
@@ -604,3 +607,15 @@ def test_majority_search_equals_bruteforce(m):
                 assert got is None
             else:
                 assert got.votes == want.votes
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_realizability_tables_equal_the_index_loops(m):
+    # the per-order contributions each search hands to _realize_by_counts
+    realize = analysis._realize_by_counts
+    with mock.patch.object(analysis, "_realize_by_counts", wraps=realize) as spy:
+        borda_realizable(borda_vector(compass_election("ID", m, 1)), 1)
+        assert [tuple(row) for row in spy.call_args.args[1]] == index_borda_table(m)
+        if m <= 4:
+            majority_realizable_bruteforce(majority_matrix(compass_election("ID", m, 1)), 1)
+            assert [tuple(row) for row in spy.call_args.args[1]] == index_majority_table(m)
