@@ -17,6 +17,7 @@ from .elections import (
     Election,
     _anchored_codes,
     _check_compass,
+    _check_guard,
     _check_positive,
     _integers,
     _order_table,
@@ -35,10 +36,6 @@ from .metrics import (
     distance_values,
     positionwise_distance,
 )
-
-CENSUS_GUARD_M = 4
-CENSUS_GUARD_N = 6
-
 
 @dataclass(frozen=True)
 class CensusReport:
@@ -95,13 +92,9 @@ class IntrinsicPath:
 
 
 def check_census_guard(m: int, n: int) -> None:
-    """Raise ValueError unless 1 <= m <= CENSUS_GUARD_M and 1 <= n <= CENSUS_GUARD_N."""
+    """Raise ValueError unless m and n are positive and within the census guard."""
     _check_positive(m, n)
-    if m > CENSUS_GUARD_M or n > CENSUS_GUARD_N:
-        raise ValueError(
-            f"census guard: need m <= {CENSUS_GUARD_M} and n <= {CENSUS_GUARD_N}, "
-            f"got m={m}, n={n}"
-        )
+    _check_guard("census", m=m, n=n)
 
 
 def _anec_rows(m: int, n: int) -> np.ndarray:
@@ -138,14 +131,13 @@ def _anec_rows(m: int, n: int) -> np.ndarray:
 
 
 def enumerate_anecs(m: int, n: int) -> Iterator[Election]:
-    """Yield one representative per anonymous-neutral equivalence class.
-
-    The representative is the lexicographically smallest vote multiset of
-    its class; they are yielded in lexicographic order.
-    """
+    """A generator of one representative per anonymous-neutral equivalence
+    class, each the lexicographically smallest vote multiset of its class,
+    in lexicographic order; the guard is checked, and the classes found, on
+    the call."""
+    rows = _anec_rows(m, n).tolist()
     table = _order_table(m)
-    for row in _anec_rows(m, n).tolist():
-        yield Election(m, table[row].tolist())
+    return (Election(m, table[row].tolist()) for row in rows)
 
 
 def count_equivalence_classes(m: int, n: int) -> CensusReport:
@@ -381,9 +373,6 @@ def recover_election(pos) -> Election:
     return Election(m, votes)
 
 
-BORDA_GUARD_M = 5
-
-
 def borda_realizable(x: Sequence[int], n: int) -> Optional[Election]:
     """An n-voter election whose Borda vector equals x, or None.
 
@@ -393,8 +382,7 @@ def borda_realizable(x: Sequence[int], n: int) -> Optional[Election]:
     scores = _integers(x, "Borda scores")
     m = len(scores)
     _check_positive(m, n)
-    if m > BORDA_GUARD_M:
-        raise ValueError(f"realizability guard: need m <= {BORDA_GUARD_M}, got m={m}")
+    _check_guard("Borda realizability", m=m)
     if any(v < 0 for v in scores):
         return None
     if sum(scores) != n * m * (m - 1) // 2:
@@ -442,10 +430,6 @@ def _realize_by_counts(
     return Election(len(orders[0]), votes)
 
 
-MAJORITY_GUARD_M = 4
-MAJORITY_GUARD_N = 4
-
-
 def majority_realizable_bruteforce(M, n: int) -> Optional[Election]:
     """An n-voter election whose majority matrix equals M, or None.
 
@@ -456,11 +440,7 @@ def majority_realizable_bruteforce(M, n: int) -> Optional[Election]:
     arr = _square_matrix(M, "majority matrix")
     m = arr.shape[0]
     _check_positive(m, n)
-    if m > MAJORITY_GUARD_M or n > MAJORITY_GUARD_N:
-        raise ValueError(
-            f"realizability guard: need m <= {MAJORITY_GUARD_M} and "
-            f"n <= {MAJORITY_GUARD_N}, got m={m}, n={n}"
-        )
+    _check_guard("majority realizability", m=m, n=n)
     entries = _integers(arr, "majority matrix entries")
     target = np.array(entries, dtype=np.int64).reshape(m, m)
     if np.any(np.diag(target) != 0):

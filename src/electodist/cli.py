@@ -93,6 +93,9 @@ class ExperimentConfig:
             check_kind(kind)
         if not metrics:
             raise ValueError("config needs at least one metric")
+        seed = _typed(obj.get("seed", 0), int, "seed", "an integer")
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
         return cls(
             m=m,
             n=n,
@@ -101,7 +104,7 @@ class ExperimentConfig:
             # first mention
             compass=tuple(dict.fromkeys(compass)),
             metrics=tuple(dict.fromkeys(metrics)),
-            seed=_typed(obj.get("seed", 0), int, "seed", "an integer"),
+            seed=seed,
             output=_typed(obj.get("output", "electodist-out"), str, "output", "a string"),
         )
 

@@ -11,6 +11,8 @@ The other modules encode votes through this one: one permutation check; a
 vote's positions, its inverse; the candidate pairs c < d; a vote's base-m
 code, which orders like the vote; and the anchored codes whose least row is
 the canonical form of the census and of ``canonical_anec_key``.
+
+``GUARDS`` is the one table of size guards, read by one check before any work.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 __all__ = [
     "Election",
     "COMPASS_KINDS",
+    "GUARDS",
     "all_orders",
     "position_of",
     "position_matrix",
@@ -41,6 +44,25 @@ __all__ = [
 ]
 
 COMPASS_KINDS = ("ID", "AN", "UN", "ST")
+
+# the largest shape each computation exponential in m accepts, by message name
+GUARDS = {
+    "swap distance": {"m": 8},
+    "pairwise distance": {"m": 12},
+    "canonical key": {"m": 8},
+    "census": {"m": 4, "n": 6},
+    "Borda realizability": {"m": 5},
+    "majority realizability": {"m": 4, "n": 4},
+}
+
+
+def _check_guard(name: str, **shape: int) -> None:
+    # ValueError when a dimension GUARDS[name] bounds exceeds its bound
+    bounds = GUARDS[name]
+    if any(shape[k] > bound for k, bound in bounds.items()):
+        limit = " and ".join(f"{k} <= {bound}" for k, bound in bounds.items())
+        got = ", ".join(f"{k}={shape[k]}" for k in bounds)
+        raise ValueError(f"{name} guarded at {limit} (got {got})")
 
 
 def _integers(values: Iterable, what: str, nonnegative: bool = False) -> list[int]:
@@ -340,17 +362,17 @@ def canonical_anec_key(election: Election) -> bytes:
     That minimum contains the identity order, the smallest of all, so only
     the relabelings sending some vote to the identity can reach it: the
     inverses of the d <= n distinct votes.  Cost is d * n * (m + log n);
-    m is guarded at 8.
+    m is guarded by ``GUARDS["canonical key"]``.
     """
     m = election.m
-    if m > 8:
-        raise ValueError(f"canonical key guarded at m <= 8 (got m={m})")
+    _check_guard("canonical key", m=m)
     pos = _positions(election.array)
     place = _place_values(m)
     # the distinct votes are the anchors; rows of codes are multisets, and
-    # each code's base-m digits are its relabeled vote
-    codes = _anchored_codes(np.unique(pos, axis=0), pos).tolist()
-    body = bytes(code // p % m for code in min(codes) for p in place)
+    # each code's base-m digits are its relabeled vote; only the least is read
+    codes = _anchored_codes(np.unique(pos, axis=0), pos)
+    least = codes[np.lexsort(codes.T[::-1])[0]].tolist()
+    body = bytes(code // p % m for code in least for p in place)
     return bytes([m]) + election.n.to_bytes(4, "big") + body
 
 

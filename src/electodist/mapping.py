@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 from xml.sax.saxutils import escape
@@ -45,6 +47,8 @@ class DistanceMatrix:
             raise ValueError(
                 f"{len(self.labels)} labels for {arr.shape[0]} rows"
             )
+        if not np.isfinite(arr).all():
+            raise ValueError("cells must be finite")
         if not np.array_equal(arr, arr.T):
             raise ValueError("cells must be symmetric")
         if np.any(np.diag(arr) != 0):
@@ -230,8 +234,16 @@ def embed_all(
     """
     if config.method not in ("spring", "mds"):
         raise ValueError(f"unknown embed method {config.method!r}")
+    for name in ("iterations", "seed"):
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if config.iterations < 1:
         raise ValueError("iterations must be positive")
+    if config.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {config.seed}")
+    if not (math.isfinite(config.temperature) and config.temperature >= 0):
+        raise ValueError(f"temperature must be finite and nonnegative, got {config.temperature!r}")
     tail_iterations = max(1, config.iterations // 10)
     points = [
         np.random.default_rng(config.seed).random((len(dm.labels), 2)) for dm in dms

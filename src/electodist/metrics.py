@@ -38,7 +38,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .elections import (
+    GUARDS,
     Election,
+    _check_guard,
     _check_permutation,
     _order_table,
     _place_values,
@@ -69,9 +71,6 @@ __all__ = [
 ]
 
 METRIC_KINDS = ("swap", "discrete", "emdpos", "l1pos", "pairwise", "bordawise")
-
-# largest candidate count each exponential search accepts
-GUARDS = {"swap": 8, "pairwise": 12}
 
 Number = Union[int, float, Fraction]
 
@@ -341,11 +340,10 @@ def check_kind(kind: str) -> None:
 
 
 def check_guard(kind: str, m: int) -> None:
-    """Raise ValueError when m exceeds ``GUARDS[kind]``, the candidate guard
-    of a search metric; metrics without a guard accept any m."""
-    guard = GUARDS.get(kind)
-    if guard is not None and m > guard:
-        raise ValueError(f"{kind} distance guarded at m <= {guard} (got m={m})")
+    """Raise ValueError when m exceeds ``GUARDS[f"{kind} distance"]``, the
+    candidate guard of a search metric; metrics without a guard accept any m."""
+    if f"{kind} distance" in GUARDS:
+        _check_guard(f"{kind} distance", m=m)
 
 
 def _check_same_shape(a: Election, b: Election) -> None:
@@ -483,7 +481,7 @@ def pairwise_distance(a, b) -> DistanceOutcome:
     the images of candidates 0, 1, ... in turn and bounds each prefix by
     the exact cost among its fixed candidates plus one assignment over the
     free ones.  Either way the witness is the lexicographically smallest
-    optimal matching.  m is guarded by ``GUARDS["pairwise"]``.
+    optimal matching.  m is guarded by ``GUARDS["pairwise distance"]``.
     """
     ma, mb = _aggregate_pair(a, b, _majority_aggregate)
     check_guard("pairwise", ma.shape[0])

@@ -155,7 +155,7 @@ def test_census_checks_every_shape_before_output(capsys):
     code, out, err = run(capsys, ["census", "--m", "3,5", "--n", "3"])
     assert code == 2
     assert out == ""
-    assert err == "error: census guard: need m <= 4 and n <= 6, got m=5, n=3\n"
+    assert err == "error: census guarded at m <= 4 and n <= 6 (got m=5, n=3)\n"
 
 
 # generate
@@ -489,6 +489,20 @@ def test_map_fails_fast_on_guarded_metric(tmp_path, capsys):
     assert out == ""
     assert err == "error: swap distance guarded at m <= 8 (got m=9)\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_map_rejects_a_negative_seed_before_any_output(tmp_path, capsys):
+    # from the config and from the flag alike, before sampling or writing
+    for overrides, flags in (({"seed": -1}, []), ({}, ["--seed", "-1"])):
+        for dataset in ([], [{"model": "IC", "count": 2}]):
+            cfg = write_config(
+                tmp_path, dataset=dataset, compass=["ID", "AN"], metrics=["emdpos"], **overrides
+            )
+            code, out, err = run(capsys, ["map", "--config", str(cfg), *flags])
+            assert code == 2
+            assert out == ""
+            assert err == "error: seed must be nonnegative, got -1\n"
+            assert not (tmp_path / "out").exists()
 
 
 def test_map_rejects_nonpositive_threads(tmp_path, capsys):

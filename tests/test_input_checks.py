@@ -1,8 +1,8 @@
 """The exact message of every input rule, at every entry point that applies it.
 
 Each rule (candidate and voter permutations, square matrices, integer
-entries, metric kinds, positive shapes, compass kinds and divisors, culture
-parameter domains) is written once; these cases pin what each caller
+entries, metric kinds, positive shapes, size guards, compass kinds and
+divisors, culture parameter domains) is written once; these cases pin what each caller
 reports through it, and the neighbouring raises of the same callers.
 """
 
@@ -19,12 +19,15 @@ from electodist import (
     Election,
     apply_matchings,
     borda_realizable,
+    canonical_anec_key,
     check_diameter,
     compass_distance_formula,
     compass_election,
     compass_matrix,
     correlation,
+    count_equivalence_classes,
     distance,
+    enumerate_anecs,
     is_single_peaked,
     is_spoc_vote,
     majority_realizable_bruteforce,
@@ -174,6 +177,14 @@ CASES = {
         lambda: DistanceMatrix(("a", "b"), TWO_BY_THREE, "emdpos"),
         "cells must be square, got shape (2, 3)",
     ),
+    "distance-matrix-infinite": (
+        lambda: DistanceMatrix(("a", "b"), [[0, np.inf], [np.inf, 0]], "emdpos"),
+        "cells must be finite",
+    ),
+    "distance-matrix-nan-before-symmetry": (
+        lambda: DistanceMatrix(("a", "b"), [[0, np.nan], [1, 0]], "emdpos"),
+        "cells must be finite",
+    ),
     "recover-ragged": (
         lambda: recover_election([[1, 0], [0]]),
         "position matrix must be square, got rows of lengths [2, 1]",
@@ -253,6 +264,36 @@ CASES = {
         lambda: check_diameter([compass_election("ID", 9, 10)] * 2, "swap"),
         "swap distance guarded at m <= 8 (got m=9)",
     ),
+    # size guards, one table read by one check before any work
+    "census-guard-m": (
+        lambda: count_equivalence_classes(5, 3),
+        "census guarded at m <= 4 and n <= 6 (got m=5, n=3)",
+    ),
+    "census-guard-n": (
+        lambda: count_equivalence_classes(3, 7),
+        "census guarded at m <= 4 and n <= 6 (got m=3, n=7)",
+    ),
+    "enumerate-anecs-guard-on-call": (
+        # raised by the call itself, not at the first next()
+        lambda: enumerate_anecs(5, 3),
+        "census guarded at m <= 4 and n <= 6 (got m=5, n=3)",
+    ),
+    "borda-guard": (
+        lambda: borda_realizable((0,) * 6, 2),
+        "Borda realizability guarded at m <= 5 (got m=6)",
+    ),
+    "majority-guard-m": (
+        lambda: majority_realizable_bruteforce(np.zeros((5, 5)), 2),
+        "majority realizability guarded at m <= 4 and n <= 4 (got m=5, n=2)",
+    ),
+    "majority-guard-n": (
+        lambda: majority_realizable_bruteforce(np.zeros((2, 2)), 5),
+        "majority realizability guarded at m <= 4 and n <= 4 (got m=2, n=5)",
+    ),
+    "canonical-key-guard": (
+        lambda: canonical_anec_key(Election(9, [tuple(range(9))])),
+        "canonical key guarded at m <= 8 (got m=9)",
+    ),
     "compass-formula-kind": (
         lambda: compass_distance_formula("foo", ("ID", "AN"), 4, 4),
         f"unknown metric kind 'foo', expected one of {KINDS}",
@@ -264,6 +305,10 @@ CASES = {
     "config-kind": (
         lambda: ExperimentConfig.from_json({"m": 3, "n": 6, "compass": ["ID"], "metrics": ["foo"]}),
         f"unknown metric kind 'foo', expected one of {KINDS}",
+    ),
+    "config-seed": (
+        lambda: ExperimentConfig.from_json({"m": 3, "n": 6, "compass": ["ID"], "seed": -1}),
+        "seed must be nonnegative, got -1",
     ),
     "correlation-labels": (
         lambda: matrix_correlation(LABELED, RELABELED),

@@ -584,6 +584,19 @@ def test_canonical_key_at_the_guard_allocates_no_full_table():
     assert canonical_anec_key(sample_mallows(8, 100, 88, 0.5)) != key
 
 
+def test_canonical_key_decodes_only_the_least_row():
+    # at m = 8 and n = 2000 the d x n anchored codes take about 32 MB as
+    # int64, and their sort a copy; all of them as Python ints take 187 MB
+    election = sample_ic(8, 2000, 5)
+    tracemalloc.start()
+    try:
+        canonical_anec_key(election)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+
+
 @pytest.mark.parametrize("m", range(1, 5))
 def test_majority_search_equals_bruteforce(m):
     # for each n <= 4: about 15 realizable matrices, spread over all of

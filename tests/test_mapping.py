@@ -279,14 +279,21 @@ def test_embedding_stress_equals_indexing_stress():
 
 def test_embed_config_errors():
     dm = DistanceMatrix(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), "swap")
-    with pytest.raises(ValueError):
-        embed(dm, EmbedConfig(method="umap"))
-    with pytest.raises(ValueError):
-        embed(dm, EmbedConfig(iterations=0))
-    # the config is checked before any matrix, and with no matrix at all
-    for bad in (EmbedConfig(method="umap"), EmbedConfig(iterations=0)):
-        with pytest.raises(ValueError):
-            embed_all([], bad)
+    for bad, message in (
+        (EmbedConfig(method="umap"), "unknown embed method 'umap'"),
+        (EmbedConfig(iterations=0), "iterations must be positive"),
+        (EmbedConfig(iterations=1.5), "iterations must be an integer, got 1.5"),
+        (EmbedConfig(temperature=float("nan")), "temperature must be finite and nonnegative, got nan"),
+        (EmbedConfig(temperature=float("inf")), "temperature must be finite and nonnegative, got inf"),
+        (EmbedConfig(temperature=-0.5), "temperature must be finite and nonnegative, got -0.5"),
+        (EmbedConfig(seed=1.5), "seed must be an integer, got 1.5"),
+        (EmbedConfig(seed=-1), "seed must be nonnegative, got -1"),
+    ):
+        # the config is checked before any matrix, and with no matrix at all
+        for call in (lambda: embed(dm, bad), lambda: embed_all([], bad)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
 
 
 def test_stress_extremes():

@@ -12,15 +12,22 @@ import hypothesis.strategies as st
 
 from electodist import metrics
 from electodist.cli import main
+from electodist.elections import GUARDS
 from electodist import (
     METRIC_KINDS,
     Election,
     apply_matchings,
+    borda_realizable,
+    canonical_anec_key,
     compass_election,
+    count_equivalence_classes,
     distance,
     emd,
+    enumerate_anecs,
     frequency_matrix,
     l1,
+    majority_matrix,
+    majority_realizable_bruteforce,
     pairwise_cost_at,
     pairwise_distance,
     position_matrix,
@@ -255,6 +262,9 @@ def test_iso_distance_validates():
 
 
 def test_guards_dict_is_the_only_guard(tmp_path, capsys):
+    # metrics.GUARDS is the one table of elections.py; patching an entry
+    # moves the guard it names on every path, and restoring it moves it back
+    assert metrics.GUARDS is GUARDS
     e = Election(5, [tuple(range(5)), (4, 3, 2, 1, 0)])
     small = Election(4, [tuple(range(4))] * 2)
     cfg = tmp_path / "config.json"
@@ -262,7 +272,7 @@ def test_guards_dict_is_the_only_guard(tmp_path, capsys):
         "m": 5, "n": 2, "compass": ["ID", "AN"], "metrics": ["emdpos", "pairwise"],
         "output": str(tmp_path / "out"),
     }), encoding="utf-8")
-    with mock.patch.dict(metrics.GUARDS, {"swap": 4, "pairwise": 4}):
+    with mock.patch.dict(metrics.GUARDS, {"swap distance": {"m": 4}, "pairwise distance": {"m": 4}}):
         for kind, call in (
             ("swap", lambda: distance(e, e, "swap")),
             ("pairwise", lambda: pairwise_distance(e, e)),
@@ -280,6 +290,55 @@ def test_guards_dict_is_the_only_guard(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
     assert distance(e, e, "swap").value == 0
     assert pairwise_distance(e, e).value == 0
+
+    # the other four entries, each patched below a shape it accepts; the
+    # CLI commands print the same message on one line and nothing on stdout
+    two = Election(3, [(0, 1, 2), (2, 1, 0)])
+    matrix = tmp_path / "majority.txt"
+    matrix.write_text("\n".join(" ".join(map(str, row)) for row in majority_matrix(two)) + "\n")
+    realizable_majority = ["realizable", "majority", "--file", str(matrix), "--n", "2"]
+    cases = (
+        ("census", {"m": 2, "n": 6}, "m <= 2 and n <= 6 (got m=3, n=2)", (
+            lambda: count_equivalence_classes(3, 2),
+            lambda: enumerate_anecs(3, 2),
+            ["census", "--m", "3", "--n", "2"],
+        )),
+        ("census", {"m": 4, "n": 1}, "m <= 4 and n <= 1 (got m=3, n=2)", (
+            lambda: count_equivalence_classes(3, 2),
+            lambda: enumerate_anecs(3, 2),
+            ["census", "--m", "3", "--n", "2"],
+        )),
+        ("Borda realizability", {"m": 2}, "m <= 2 (got m=3)", (
+            lambda: borda_realizable((2, 2, 2), 2),
+            ["realizable", "borda", "--scores", "2,2,2", "--n", "2"],
+        )),
+        ("majority realizability", {"m": 2, "n": 4}, "m <= 2 and n <= 4 (got m=3, n=2)", (
+            lambda: majority_realizable_bruteforce(majority_matrix(two), 2),
+            realizable_majority,
+        )),
+        ("majority realizability", {"m": 4, "n": 1}, "m <= 4 and n <= 1 (got m=3, n=2)", (
+            lambda: majority_realizable_bruteforce(majority_matrix(two), 2),
+            realizable_majority,
+        )),
+        ("canonical key", {"m": 2}, "m <= 2 (got m=3)", (lambda: canonical_anec_key(two),)),
+    )
+    for name, bound, tail, calls in cases:
+        message = f"{name} guarded at {tail}"
+        with mock.patch.dict(metrics.GUARDS, {name: bound}):
+            for call in calls:
+                if isinstance(call, list):
+                    assert main(call) == 2
+                    assert capsys.readouterr() == ("", f"error: {message}\n")
+                else:
+                    with pytest.raises(ValueError) as exc:
+                        call()
+                    assert str(exc.value) == message
+        for call in calls:
+            if isinstance(call, list):
+                assert main(call) == 0
+                assert capsys.readouterr().out != ""
+            else:
+                call()
 
 
 def test_positionwise_known_pair():
