@@ -10,7 +10,6 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .elections import (
     COMPASS_KINDS,
@@ -34,6 +33,7 @@ from .metrics import (
     _upper_cells,
     check_kind,
     distance_values,
+    linear_sum_assignment,
     positionwise_distance,
 )
 

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import html
 import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -242,8 +242,11 @@ def embed_all(
         raise ValueError("iterations must be positive")
     if config.seed < 0:
         raise ValueError(f"seed must be nonnegative, got {config.seed}")
-    if not (math.isfinite(config.temperature) and config.temperature >= 0):
-        raise ValueError(f"temperature must be finite and nonnegative, got {config.temperature!r}")
+    temperature = config.temperature
+    if isinstance(temperature, bool) or not isinstance(temperature, numbers.Real):
+        raise ValueError(f"temperature must be a real number, got {temperature!r}")
+    if not (math.isfinite(temperature) and temperature >= 0):
+        raise ValueError(f"temperature must be finite and nonnegative, got {temperature!r}")
     tail_iterations = max(1, config.iterations // 10)
     points = [
         np.random.default_rng(config.seed).random((len(dm.labels), 2)) for dm in dms
@@ -333,7 +336,10 @@ def _render_svg(embedding: Embedding, classes: Mapping[str, str]) -> str:
         cx = margin + span * x
         cy = margin + span * (1.0 - y)
         fill = color[name]
-        title = f"<title>{escape(label)} ({escape(name)})</title>"
+        title = (
+            f"<title>{html.escape(label, quote=False)} "
+            f"({html.escape(name, quote=False)})</title>"
+        )
         if name in COMPASS_KINDS:
             half = 14.0
             corners = (
@@ -346,7 +352,7 @@ def _render_svg(embedding: Embedding, classes: Mapping[str, str]) -> str:
             )
             parts.append(
                 f'<text x="{cx + half + 4:.2f}" y="{cy + 5:.2f}" '
-                f'font-family="sans-serif" font-size="20">{escape(name)}</text>'
+                f'font-family="sans-serif" font-size="20">{html.escape(name, quote=False)}</text>'
             )
         else:
             parts.append(
@@ -361,7 +367,7 @@ def _render_svg(embedding: Embedding, classes: Mapping[str, str]) -> str:
         )
         parts.append(
             f'<text x="42" y="{legend_y + 2:.2f}" font-family="sans-serif" '
-            f'font-size="16">{escape(name)}</text>'
+            f'font-size="16">{html.escape(name, quote=False)}</text>'
         )
         legend_y += 24.0
     parts.append("</svg>")

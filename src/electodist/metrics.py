@@ -25,9 +25,13 @@ shared under each relabeling that maps some vote onto some other vote.
 from __future__ import annotations
 
 import heapq
+import importlib.machinery
+import importlib.util
 import itertools
 import math
 import operator
+import os
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +39,6 @@ from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .elections import (
     GUARDS,
@@ -51,6 +54,48 @@ from .elections import (
     majority_matrix,
     position_matrix,
 )
+
+
+def _load_assignment_solver():
+    """Return scipy's ``linear_sum_assignment`` without importing ``scipy.optimize``.
+
+    The solver is one compiled extension, ``scipy/optimize/_lsap``, but the
+    ``scipy.optimize`` package also imports linalg, sparse, special and fft,
+    about 0.5 s of every start.  The extension is loaded from its file and
+    taken out of ``sys.modules`` again, so a later ``import scipy.optimize``
+    runs as usual and binds the very same function.  A layout with no such
+    file, or one that does not load or lacks the solver, takes the package
+    import instead, as does a process that has already imported it.
+    """
+    if "scipy.optimize" in sys.modules:
+        return sys.modules["scipy.optimize"].linear_sum_assignment
+    name = "scipy.optimize._lsap"
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_lsap" + suffix)
+            if not os.path.isfile(path):
+                continue
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module_spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+            try:
+                module = importlib.util.module_from_spec(module_spec)
+                loader.exec_module(module)
+            except ImportError:
+                continue
+            finally:
+                sys.modules.pop(name, None)
+            solver = getattr(module, "linear_sum_assignment", None)
+            if solver is not None:
+                return solver
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment
+
+
+# the call sites look this name up when they run, so it can be rebound
+linear_sum_assignment = _load_assignment_solver()
 
 __all__ = [
     "METRIC_KINDS",

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import importlib.machinery
 import itertools
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -61,19 +63,72 @@ def run(capsys, argv):
 
 # start-up
 
-def test_import_loads_scipy_optimize_and_not_scipy_stats():
-    # scipy.stats alone took about 0.7 s to import; the CLI needs none of it
-    probe = (
-        "import sys, electodist, electodist.cli; "
-        "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])"
-    )
+def run_python(code, *args):
     src = str(Path(electodist.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "['scipy.optimize']\n"
+    return proc.stdout
+
+
+def test_a_distance_run_loads_no_scipy_package_and_no_xml(pair_files):
+    # scipy.optimize took about 0.5 s and scipy.stats about 0.7 s to import;
+    # the solver is one compiled extension, and SVG escaping needs only html
+    probe = (
+        "import sys, electodist, electodist.cli; "
+        "code = electodist.cli.main(sys.argv[1:]); "
+        "print(code, [m for m in ('scipy.optimize', 'scipy.stats', 'xml.sax') "
+        "if m in sys.modules])"
+    )
+    a, b = pair_files
+    out = run_python(probe, "distance", a, b, "--metric", "emdpos", "--witness")
+    assert out == "2\ncandidates 1 0 2\n0 []\n"
+
+
+def test_the_solver_is_scipy_optimize_own_function():
+    probe = (
+        "import electodist, scipy.optimize; "
+        "print(electodist.metrics.linear_sum_assignment "
+        "is scipy.optimize.linear_sum_assignment); "
+        "import scipy.optimize._lsap; "
+        "print(scipy.optimize._lsap.linear_sum_assignment "
+        "is scipy.optimize.linear_sum_assignment)"
+    )
+    # left in sys.modules, the extension would never become an attribute of
+    # the package, and the last line would raise AttributeError
+    assert run_python(probe) == "True\nTrue\n"
+    # imported first, scipy.optimize is used as it is and keeps its entries
+    probe = (
+        "import sys, scipy.optimize, electodist; "
+        "print(electodist.metrics.linear_sum_assignment "
+        "is scipy.optimize.linear_sum_assignment, "
+        "sys.modules['scipy.optimize._lsap'] is scipy.optimize._lsap)"
+    )
+    assert run_python(probe) == "True True\n"
+
+
+def test_the_solver_falls_back_to_scipy_optimize(tmp_path):
+    probe = textwrap.dedent(
+        """
+        import sys
+        from unittest import mock
+        from electodist import metrics
+        assert "scipy.optimize" not in sys.modules
+        spec = mock.Mock(submodule_search_locations=[sys.argv[1]])
+        with mock.patch("importlib.util.find_spec", return_value=spec):
+            solver = metrics._load_assignment_solver()
+        print("scipy.optimize" in sys.modules, solver is metrics.linear_sum_assignment)
+        """
+    )
+    # a scipy directory with no _lsap file, then one whose _lsap does not load
+    (tmp_path / "optimize").mkdir()
+    assert run_python(probe, str(tmp_path)) == "True True\n"
+    bogus = tmp_path / "optimize" / f"_lsap{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+    bogus.write_bytes(b"not an extension")
+    assert run_python(probe, str(tmp_path)) == "True True\n"
 
 
 def test_main_builds_the_parser_once(pair_files, capsys):

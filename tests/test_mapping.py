@@ -286,6 +286,8 @@ def test_embed_config_errors():
         (EmbedConfig(temperature=float("nan")), "temperature must be finite and nonnegative, got nan"),
         (EmbedConfig(temperature=float("inf")), "temperature must be finite and nonnegative, got inf"),
         (EmbedConfig(temperature=-0.5), "temperature must be finite and nonnegative, got -0.5"),
+        (EmbedConfig(temperature="hot"), "temperature must be a real number, got 'hot'"),
+        (EmbedConfig(temperature=True), "temperature must be a real number, got True"),
         (EmbedConfig(seed=1.5), "seed must be an integer, got 1.5"),
         (EmbedConfig(seed=-1), "seed must be nonnegative, got -1"),
     ):
@@ -333,6 +335,15 @@ def test_svg_export_is_well_formed_xml():
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
     assert root.get("viewBox") == "0 0 1000 1000"
+
+
+def test_svg_escapes_markup_and_leaves_quotes():
+    dm = DistanceMatrix(("a<&>\"'b", "c"), np.array([[0.0, 1.0], [1.0, 0.0]]), "swap")
+    svg = export_map(embed(dm), {"a<&>\"'b": "x&y"}, "svg")
+    assert "<title>a&lt;&amp;&gt;\"'b (x&amp;y)</title>" in svg
+    assert '>x&amp;y</text>' in svg
+    titles = [t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}title")]
+    assert titles == ["a<&>\"'b (x&y)", "c (unknown)"]
 
 
 def test_svg_compass_points_marked_distinctly():
