@@ -34,6 +34,7 @@ from .elections import (
     COMPASS_KINDS,
     Election,
     _check_compass,
+    _check_natural,
     _check_positive,
     _content_lines,
     _integer_tokens,
@@ -93,9 +94,7 @@ class ExperimentConfig:
             check_kind(kind)
         if not metrics:
             raise ValueError("config needs at least one metric")
-        seed = _typed(obj.get("seed", 0), int, "seed", "an integer")
-        if seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {seed}")
+        seed = _check_natural(obj.get("seed", 0), "seed")
         return cls(
             m=m,
             n=n,

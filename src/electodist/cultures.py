@@ -6,6 +6,13 @@ count.  Batch generation derives one child stream per election with a
 counter-based split, so elections keep their identity when generated in
 parallel or in any order.
 
+IC shuffles all its votes in one call.  Mallows, SPWalsh, Euclidean and
+GroupSeparable, whose votes each take a fixed number k of uniforms, draw
+them as one (n, k) array: the same doubles in the same order as one draw
+per step.  Urn, SPConitzer, SPOC and SingleCrossing draw step by step,
+since the draws a vote takes depend on earlier ones or are bounded
+integers, whose use of the stream varies.
+
 The structure checkers at the bottom (single-peaked, single-peaked on a
 circle, single-crossing) validate the combinatorial guarantees the
 restricted-domain samplers advertise.
@@ -16,11 +23,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .elections import Election, _check_permutation, _check_positive, _positions, _upper_pairs
+from .elections import (
+    Election, _check_natural, _check_permutation, _check_positive, _positions, _upper_pairs
+)
 
 __all__ = [
     "CultureSpec",
@@ -101,21 +110,18 @@ DEFAULT_CULTURES = (
 def _rng(seed: SeedLike) -> np.random.Generator:
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))
-
-
-def _fresh_votes(rng: np.random.Generator, m: int, n: int) -> list[tuple[int, ...]]:
-    base = np.tile(np.arange(m), (n, 1))
-    return [tuple(int(c) for c in row) for row in rng.permuted(base, axis=1)]
+    return np.random.default_rng(np.random.SeedSequence(_check_natural(seed, "seed")))
 
 
 def sample_ic(m: int, n: int, seed: SeedLike) -> Election:
     """Impartial culture: every vote drawn uniformly at random."""
-    return Election(m, _fresh_votes(_rng(seed), m, n))
+    return Election(m, _rng(seed).permuted(np.tile(np.arange(m), (n, 1)), axis=1))
 
 
 def _check_alpha(alpha):
     # "gamma", or a fixed urn alpha as a finite float >= 0
+    if isinstance(alpha, bool):
+        raise ValueError(f"urn alpha must be a number, got {alpha!r}")
     if alpha != "gamma":
         alpha = float(alpha)
         if not math.isfinite(alpha):
@@ -177,6 +183,8 @@ def mallows_phi_from_norm(norm_phi: float, m: int) -> float:
 
 def _check_phi(phi):
     # "norm-uniform", or a fixed Mallows phi as a float in [0, 1]
+    if isinstance(phi, bool):
+        raise ValueError(f"mallows phi must be a number, got {phi!r}")
     if phi != "norm-uniform":
         phi = float(phi)
         if not 0.0 <= phi <= 1.0:
@@ -196,15 +204,16 @@ def sample_mallows(m: int, n: int, seed: SeedLike, phi) -> Election:
     rng = _rng(seed)
     if phi == "norm-uniform":
         phi = mallows_phi_from_norm(float(rng.uniform(0.0, 1.0)), m)
-    # the distribution of candidate i's insertion over positions 0..i
-    weights = [np.array([phi ** (i - j) for j in range(i + 1)]) for i in range(m)]
-    steps = [w / w.sum() for w in weights]
-    votes = []
-    for _ in range(n):
-        vote: list[int] = []
-        for i, p in enumerate(steps):
-            vote.insert(int(rng.choice(i + 1, p=p)), i)
-        votes.append(tuple(vote))
+    # column i of the draws places candidate i among positions 0..i in every
+    # vote, through the cumulative distribution built exactly as
+    # Generator.choice(i + 1, p=p) builds it, so each place is choice's
+    votes: list[list[int]] = [[] for _ in range(n)]
+    for i, column in enumerate(rng.random((n, m)).T):
+        w = np.array([phi ** (i - j) for j in range(i + 1)])
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        for vote, j in zip(votes, cdf.searchsorted(column, side="right").tolist()):
+            vote.insert(j, i)
     return Election(m, votes)
 
 
@@ -212,21 +221,14 @@ def sample_sp_walsh(m: int, n: int, seed: SeedLike) -> Election:
     """Uniform single-peaked votes on the canonical axis: the vote is built
     from least preferred upward, taking the leftmost or rightmost remaining
     axis candidate with probability 1/2 each."""
-    rng = _rng(seed)
-    votes = []
-    for _ in range(n):
-        lo, hi = 0, m - 1
-        bottom_up: list[int] = []
-        while lo < hi:
-            if rng.random() < 0.5:
-                bottom_up.append(lo)
-                lo += 1
-            else:
-                bottom_up.append(hi)
-                hi -= 1
-        bottom_up.append(lo)
-        votes.append(tuple(reversed(bottom_up)))
-    return Election(m, votes)
+    # step t of a row fills place m - 1 - t: a draw below 0.5 takes the
+    # leftmost remaining candidate, the count of left steps before it, else
+    # the rightmost, m - 1 less the count of right steps before it; the
+    # candidate left over, the count of all left steps, is the peak
+    left = _rng(seed).random((n, m - 1)) < 0.5
+    lefts, rights = left.cumsum(axis=1), (~left).cumsum(axis=1)
+    bottom_up = np.where(left, lefts - 1, m - rights)
+    return Election(m, np.column_stack([left.sum(axis=1), bottom_up[:, ::-1]]))
 
 
 def _grown_votes(m: int, n: int, seed: SeedLike, circle: bool) -> Election:
@@ -317,12 +319,8 @@ def sample_euclidean(m: int, n: int, seed: SeedLike, shape: str) -> Election:
     rng = _rng(seed)
     candidates = _euclidean_points(rng, m, shape)
     voters = _euclidean_points(rng, n, shape)
-    votes = []
-    for voter in voters:
-        sq = ((candidates - voter) ** 2).sum(axis=1)
-        order = np.argsort(sq, kind="stable")
-        votes.append(tuple(int(c) for c in order))
-    return Election(m, votes)
+    sq = ((candidates - voters[:, None, :]) ** 2).sum(axis=2)
+    return Election(m, np.argsort(sq, axis=1, kind="stable"))
 
 
 def _balanced_tree(candidates: Sequence[int]):
@@ -338,15 +336,13 @@ def _caterpillar_tree(candidates: Sequence[int]):
     return (candidates[0], _caterpillar_tree(candidates[1:]))
 
 
-def _read_leaves(node, rng: np.random.Generator, out: list[int]) -> None:
+def _read_leaves(node, draws: Iterator[float]) -> list[int]:
     if isinstance(node, int):
-        out.append(node)
-        return
+        return [node]
     left, right = node
-    if rng.random() < 0.5:
+    if next(draws) < 0.5:
         left, right = right, left
-    _read_leaves(left, rng, out)
-    _read_leaves(right, rng, out)
+    return _read_leaves(left, draws) + _read_leaves(right, draws)
 
 
 def sample_group_separable(m: int, n: int, seed: SeedLike, tree: str) -> Election:
@@ -356,13 +352,9 @@ def sample_group_separable(m: int, n: int, seed: SeedLike, tree: str) -> Electio
     _check_tree(tree)
     build = _balanced_tree if tree == "balanced" else _caterpillar_tree
     root = build(tuple(range(m)))
-    rng = _rng(seed)
-    votes = []
-    for _ in range(n):
-        leaves: list[int] = []
-        _read_leaves(root, rng, leaves)
-        votes.append(tuple(leaves))
-    return Election(m, votes)
+    # each vote visits the tree's m - 1 internal nodes, one draw each
+    draws = _rng(seed).random((n, m - 1)).tolist()
+    return Election(m, [_read_leaves(root, iter(row)) for row in draws])
 
 
 # each model's sampler and the parameters it takes, in order, each with the
@@ -409,8 +401,11 @@ def sample_many(
 ) -> list[Election]:
     """Draw count elections; election i uses the child stream (seed, start+i),
     so batches can be re-generated in any split without changing results."""
+    seed = _check_natural(seed, "seed")
+    count = _check_natural(count, "count")
+    start = _check_natural(start, "start")
     return [
-        sample(spec, m, n, np.random.SeedSequence(int(seed), spawn_key=(start + i,)))
+        sample(spec, m, n, np.random.SeedSequence(seed, spawn_key=(start + i,)))
         for i in range(count)
     ]
 

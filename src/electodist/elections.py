@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -277,6 +278,16 @@ def apply_matchings(
 def _check_positive(m: int, n: int) -> None:
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+
+
+def _check_natural(value, name: str) -> int:
+    # value as an int if it is an integer >= 0; a bool, float or string is
+    # rejected, not truncated
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+    return int(value)
 
 
 def _compass_divisor(kind: str, m: int) -> int:

@@ -10,7 +10,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .elections import COMPASS_KINDS, Election, _square_matrix
+from .elections import COMPASS_KINDS, Election, _check_natural, _square_matrix
 from .metrics import distance_values
 
 __all__ = [
@@ -234,14 +234,12 @@ def embed_all(
     """
     if config.method not in ("spring", "mds"):
         raise ValueError(f"unknown embed method {config.method!r}")
-    for name in ("iterations", "seed"):
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if config.iterations < 1:
+    iterations = config.iterations
+    if isinstance(iterations, bool) or not isinstance(iterations, numbers.Integral):
+        raise ValueError(f"iterations must be an integer, got {iterations!r}")
+    if iterations < 1:
         raise ValueError("iterations must be positive")
-    if config.seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {config.seed}")
+    _check_natural(config.seed, "seed")
     temperature = config.temperature
     if isinstance(temperature, bool) or not isinstance(temperature, numbers.Real):
         raise ValueError(f"temperature must be a real number, got {temperature!r}")

@@ -364,14 +364,14 @@ def _swap_search(
         for start in range(0, total, chunk):
             ids = order[start : start + chunk]
             lb = bounds[ids]
-            if rho is not None:
-                # (bound, index) ascends along order: the relabelings that can
-                # still beat the incumbent form a prefix, empty for all later chunks
-                open_ = (lb < best[0]) | ((lb == best[0]) & (ids < best[1]))
-                stop = len(ids) if open_.all() else int(open_.argmin())
-                if stop == 0:
-                    break
-                ids, lb = ids[:stop], lb[:stop]
+            # (bound, index) ascends along order: the relabelings that can
+            # still beat the incumbent form a prefix, empty for all later
+            # chunks, and whole in the first, where every pair is below unset
+            open_ = (lb < best[0]) | ((lb == best[0]) & (ids < best[1]))
+            stop = len(ids) if open_.all() else int(open_.argmin())
+            if stop == 0:
+                break
+            ids, lb = ids[:stop], lb[:stop]
             costs, relaxed = voter_costs(signs_b, _upper_cells(perms[ids], m))
             best, rho = visit(costs, np.maximum(lb, relaxed), ids, best, rho)
         out.append(outcome(best, rho))
@@ -619,11 +619,7 @@ def _pairwise_branch_and_bound(ma: np.ndarray, mb: np.ndarray) -> tuple[int, tup
         nonlocal best
         k = len(prefixes[0])
         costs = cross + np.abs(rows_a[k][None, :, None, :] - rows_b[:, None, :, :]).sum(axis=3)
-        # no assignment beats its row minima or its column minima
-        quick = fixed + np.maximum(costs.min(axis=2).sum(axis=1), costs.min(axis=1).sum(axis=1))
         for g, prefix in enumerate(prefixes):
-            if not open_(quick[g], prefix):
-                continue
             ri, ci = linear_sum_assignment(costs[g])
             bound = int(fixed[g] + costs[g][ri, ci].sum())
             if not open_(bound, prefix):

@@ -32,7 +32,13 @@ from electodist import (
     position_matrix,
 )
 from electodist.analysis import check_census_guard
-from electodist.cultures import _rng, mallows_phi_from_norm
+from electodist.cultures import (
+    _balanced_tree,
+    _caterpillar_tree,
+    _euclidean_points,
+    _rng,
+    mallows_phi_from_norm,
+)
 from electodist.metrics import l1, emd, vote_discrete_distance, vote_swap_distance
 
 
@@ -721,4 +727,69 @@ def loop_sample_mallows(m: int, n: int, seed, phi) -> Election:
             j = int(rng.choice(i, p=weights / weights.sum()))
             vote.insert(j, i - 1)
         votes.append(tuple(vote))
+    return Election(m, votes)
+
+
+def loop_sample_ic(m: int, n: int, seed) -> Election:
+    """``cultures.sample_ic`` by one ``rng.permutation`` per vote, in place
+    of one shuffle of every row of an (n, m) array."""
+    rng = _rng(seed)
+    return Election(m, [tuple(int(c) for c in rng.permutation(m)) for _ in range(n)])
+
+
+def loop_sample_sp_walsh(m: int, n: int, seed) -> Election:
+    """``cultures.sample_sp_walsh`` as it was: one ``rng.random()`` per
+    step, building each vote from the bottom up."""
+    rng = _rng(seed)
+    votes = []
+    for _ in range(n):
+        lo, hi = 0, m - 1
+        bottom_up: list[int] = []
+        while lo < hi:
+            if rng.random() < 0.5:
+                bottom_up.append(lo)
+                lo += 1
+            else:
+                bottom_up.append(hi)
+                hi -= 1
+        bottom_up.append(lo)
+        votes.append(tuple(reversed(bottom_up)))
+    return Election(m, votes)
+
+
+def loop_sample_euclidean(m: int, n: int, seed, shape: str) -> Election:
+    """``cultures.sample_euclidean`` as it was: one distance sort per voter."""
+    rng = _rng(seed)
+    candidates = _euclidean_points(rng, m, shape)
+    voters = _euclidean_points(rng, n, shape)
+    votes = []
+    for voter in voters:
+        sq = ((candidates - voter) ** 2).sum(axis=1)
+        order = np.argsort(sq, kind="stable")
+        votes.append(tuple(int(c) for c in order))
+    return Election(m, votes)
+
+
+def loop_sample_group_separable(m: int, n: int, seed, tree: str) -> Election:
+    """``cultures.sample_group_separable`` as it was: one ``rng.random()``
+    per internal node as the tree walk reaches it."""
+    build = _balanced_tree if tree == "balanced" else _caterpillar_tree
+    root = build(tuple(range(m)))
+    rng = _rng(seed)
+
+    def read_leaves(node, out):
+        if isinstance(node, int):
+            out.append(node)
+            return
+        left, right = node
+        if rng.random() < 0.5:
+            left, right = right, left
+        read_leaves(left, out)
+        read_leaves(right, out)
+
+    votes = []
+    for _ in range(n):
+        leaves: list[int] = []
+        read_leaves(root, leaves)
+        votes.append(tuple(leaves))
     return Election(m, votes)

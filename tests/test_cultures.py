@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import hashlib
 import itertools
 from unittest import mock
 
@@ -10,6 +12,8 @@ from scipy.stats import chisquare
 from electodist import Election, all_orders, cultures
 from electodist.cultures import (
     DEFAULT_CULTURES,
+    EUCLIDEAN_SHAPES,
+    GROUP_SEPARABLE_TREES,
     CultureSpec,
     is_single_crossing,
     is_single_peaked,
@@ -32,8 +36,12 @@ from electodist.metrics import vote_swap_distance
 
 from _oracles import (
     loop_is_single_crossing,
+    loop_sample_euclidean,
+    loop_sample_group_separable,
+    loop_sample_ic,
     loop_sample_mallows,
     loop_sample_sp_conitzer,
+    loop_sample_sp_walsh,
     loop_sample_spoc,
 )
 
@@ -164,11 +172,25 @@ def test_spoc_votes_lie_on_the_circle():
     assert all(is_spoc_vote(v, circle) for v in e.votes)
 
 
-@pytest.mark.parametrize(
-    "sampler, oracle",
-    [(sample_sp_conitzer, loop_sample_sp_conitzer), (sample_spoc, loop_sample_spoc)],
-    ids=["sp-conitzer", "spoc"],
-)
+SAMPLER_ORACLES = {
+    "sp-conitzer": (sample_sp_conitzer, loop_sample_sp_conitzer),
+    "spoc": (sample_spoc, loop_sample_spoc),
+    "ic": (sample_ic, loop_sample_ic),
+    "sp-walsh": (sample_sp_walsh, loop_sample_sp_walsh),
+}
+for shape in EUCLIDEAN_SHAPES:
+    SAMPLER_ORACLES[f"euclidean-{shape}"] = (
+        functools.partial(sample_euclidean, shape=shape),
+        functools.partial(loop_sample_euclidean, shape=shape),
+    )
+for tree in GROUP_SEPARABLE_TREES:
+    SAMPLER_ORACLES[f"group-separable-{tree}"] = (
+        functools.partial(sample_group_separable, tree=tree),
+        functools.partial(loop_sample_group_separable, tree=tree),
+    )
+
+
+@pytest.mark.parametrize("sampler, oracle", SAMPLER_ORACLES.values(), ids=SAMPLER_ORACLES.keys())
 def test_grown_votes_equal_the_old_loops(sampler, oracle):
     # 3,000 seeds run through every (m, n) with m in 1..9 and n in 1..13,
     # since 9 and 13 are coprime
@@ -320,6 +342,25 @@ def test_sample_many_uses_per_index_streams():
     tail = sample_many(spec, 4, 6, 31, 2, start=2)
     assert batch[2:] == tail
     assert len({e.votes for e in batch}) > 1
+
+
+# sha256 of the votes' reprs of the 13 default cultures, culture j drawn from
+# the child stream (2026, j) as build_dataset draws a dataset of one election
+# per culture: a change to any sampler's draws, in number, kind or order,
+# changes a digest, even for the samplers no loop oracle covers
+DEFAULT_STREAM_DIGESTS = {
+    (10, 100): "f8e634069b85d3e23a308c8e24630ab72682bb92cce0c3a10c529acb11f753a1",
+    (6, 12): "f8871fc0e3fd76c152b0389cb144c55ade85278eac3fa436459742089cee48a1",
+}
+
+
+@pytest.mark.parametrize("m, n", DEFAULT_STREAM_DIGESTS)
+def test_default_cultures_draw_the_pinned_streams(m, n):
+    digest = hashlib.sha256()
+    for j, spec in enumerate(DEFAULT_CULTURES):
+        (election,) = sample_many(spec, m, n, 2026, 1, start=j)
+        digest.update(repr(election.votes).encode())
+    assert digest.hexdigest() == DEFAULT_STREAM_DIGESTS[(m, n)]
 
 
 def test_culture_spec_json_round_trip():

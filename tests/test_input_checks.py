@@ -2,8 +2,9 @@
 
 Each rule (candidate and voter permutations, square matrices, integer
 entries, metric kinds, positive shapes, size guards, compass kinds and
-divisors, culture parameter domains) is written once; these cases pin what each caller
-reports through it, and the neighbouring raises of the same callers.
+divisors, culture parameter domains, sampler seeds) is written once; these
+cases pin what each caller reports through it, and the neighbouring raises
+of the same callers.
 """
 
 from __future__ import annotations
@@ -45,9 +46,17 @@ from electodist import (
 )
 from electodist.cli import ExperimentConfig, parse_int_list
 from electodist.cultures import (
+    CultureSpec,
+    sample,
     sample_euclidean,
     sample_group_separable,
+    sample_ic,
     sample_mallows,
+    sample_many,
+    sample_single_crossing,
+    sample_sp_conitzer,
+    sample_sp_walsh,
+    sample_spoc,
     sample_urn,
 )
 from electodist.metrics import distance_values
@@ -397,6 +406,14 @@ CASES = {
         lambda: sample_mallows(3, 3, 0, 1.5),
         "mallows phi must lie in [0, 1], got 1.5",
     ),
+    "mallows-phi-bool": (
+        lambda: sample_mallows(3, 3, 0, True),
+        "mallows phi must be a number, got True",
+    ),
+    "urn-alpha-bool": (
+        lambda: sample_urn(3, 3, 0, True),
+        "urn alpha must be a number, got True",
+    ),
     "mallows-norm-phi": (
         lambda: mallows_phi_from_norm(1.5, 4),
         "norm-phi must lie in [0, 1], got 1.5",
@@ -411,6 +428,43 @@ CASES = {
         "unknown tree 'tall', expected one of ('balanced', 'caterpillar')",
     ),
 }
+
+# seeds, counts and starts of the samplers: rejected before any draw, never
+# truncated, at every entry point
+IC = CultureSpec("IC")
+for value, message in (
+    (1.5, "seed must be an integer, got 1.5"),
+    (2.9, "seed must be an integer, got 2.9"),
+    (True, "seed must be an integer, got True"),
+    ("x", "seed must be an integer, got 'x'"),
+    (-1, "seed must be nonnegative, got -1"),
+):
+    for name, call in (
+        ("sample", lambda seed: sample(IC, 3, 3, seed)),
+        ("sample-many", lambda seed: sample_many(IC, 3, 3, seed, 2)),
+        ("sample-ic", lambda seed: sample_ic(3, 3, seed)),
+        ("sample-urn", lambda seed: sample_urn(3, 3, seed, 0.5)),
+        ("sample-mallows", lambda seed: sample_mallows(3, 3, seed, "norm-uniform")),
+        ("sample-sp-walsh", lambda seed: sample_sp_walsh(3, 3, seed)),
+        ("sample-sp-conitzer", lambda seed: sample_sp_conitzer(3, 3, seed)),
+        ("sample-spoc", lambda seed: sample_spoc(3, 3, seed)),
+        ("sample-single-crossing", lambda seed: sample_single_crossing(3, 3, seed)),
+        ("sample-euclidean", lambda seed: sample_euclidean(3, 3, seed, "disc_2d")),
+        ("sample-group-separable", lambda seed: sample_group_separable(3, 3, seed, "balanced")),
+    ):
+        CASES[f"{name}-seed-{value!r}"] = (lambda call=call, value=value: call(value), message)
+CASES["sample-many-count"] = (
+    lambda: sample_many(IC, 3, 3, 0, -3),
+    "count must be nonnegative, got -3",
+)
+CASES["sample-many-count-float"] = (
+    lambda: sample_many(IC, 3, 3, 0, 2.5),
+    "count must be an integer, got 2.5",
+)
+CASES["sample-many-start"] = (
+    lambda: sample_many(IC, 3, 3, 0, 2, start=-1),
+    "start must be nonnegative, got -1",
+)
 
 # non-elections: a position matrix beside an election, either way round, for
 # every kind at both entry points
