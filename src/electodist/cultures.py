@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -118,16 +119,23 @@ def sample_ic(m: int, n: int, seed: SeedLike) -> Election:
     return Election(m, _rng(seed).permuted(np.tile(np.arange(m), (n, 1)), axis=1))
 
 
+def _is_real(value) -> bool:
+    # a real number: an int, float or Fraction, or a numpy integer or
+    # float, but no bool (numpy's bool is no Real) and no string
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_alpha(alpha):
-    # "gamma", or a fixed urn alpha as a finite float >= 0
-    if isinstance(alpha, bool):
+    # "gamma", or a fixed urn alpha as a finite real number >= 0
+    if isinstance(alpha, str) and alpha == "gamma":
+        return alpha
+    if not _is_real(alpha):
         raise ValueError(f"urn alpha must be a number, got {alpha!r}")
-    if alpha != "gamma":
-        alpha = float(alpha)
-        if not math.isfinite(alpha):
-            raise ValueError(f"urn alpha must be finite, got {alpha}")
-        if alpha < 0:
-            raise ValueError(f"urn alpha must be nonnegative, got {alpha}")
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"urn alpha must be finite, got {alpha}")
+    if alpha < 0:
+        raise ValueError(f"urn alpha must be nonnegative, got {alpha}")
     return alpha
 
 
@@ -182,13 +190,14 @@ def mallows_phi_from_norm(norm_phi: float, m: int) -> float:
 
 
 def _check_phi(phi):
-    # "norm-uniform", or a fixed Mallows phi as a float in [0, 1]
-    if isinstance(phi, bool):
+    # "norm-uniform", or a fixed Mallows phi as a real number in [0, 1]
+    if isinstance(phi, str) and phi == "norm-uniform":
+        return phi
+    if not _is_real(phi):
         raise ValueError(f"mallows phi must be a number, got {phi!r}")
-    if phi != "norm-uniform":
-        phi = float(phi)
-        if not 0.0 <= phi <= 1.0:
-            raise ValueError(f"mallows phi must lie in [0, 1], got {phi}")
+    phi = float(phi)
+    if not 0.0 <= phi <= 1.0:
+        raise ValueError(f"mallows phi must lie in [0, 1], got {phi}")
     return phi
 
 

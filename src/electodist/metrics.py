@@ -15,7 +15,10 @@ search of one aggregate against a list of later ones, (value, *witness)
 for each.  ``distance`` and ``distance_values`` both dispatch through it.
 The searches keep the lexicographically smallest optimal candidate
 matching as witness.  Swap visits relabelings best-first by a
-majority-matrix bound, building voter cost matrices a chunk at a time.
+majority-matrix bound, building voter cost matrices a chunk at a time:
+each vote's preference bits on the candidate pairs, relabeled, pack into
+one word, and the inversions between two votes are the popcount of the
+XOR of their words, in integers throughout, with no BLAS call.
 Pairwise scans all m! matchings with numpy up to 6 candidates and runs a
 best-first branch and bound over candidate prefixes from 7 on; at small m
 both take a stack of later elections at once.  Discrete counts the votes
@@ -246,26 +249,78 @@ def solve_assignment(costs) -> tuple[tuple[int, ...], Number]:
 
 
 def _swap_aggregates(election: Election) -> tuple[np.ndarray, np.ndarray]:
-    # S[v, c * m + d] = +1 if voter v prefers c to d, -1 if d to c, 0 if
-    # c = d, in float32 for BLAS (dot products of m * m signs are exact),
-    # and its column sums, the majority margins 2 M - n
+    # the int32 majority margins, cell c * m + d holding the voters who
+    # prefer c to d less those who prefer d to c (2 M - n off the diagonal,
+    # 0 on it), and the uint8 preferences P[v, c * m + d] = 1 when voter v
+    # prefers c to d (0 on the diagonal)
     arr = election.array
     n, m = arr.shape
     pos = _positions(arr)
-    signs = np.sign(pos[:, None, :] - pos[:, :, None]).reshape(n, m * m)
-    return signs.sum(axis=0), signs.astype(np.float32)
+    prefers = (pos[:, :, None] < pos[:, None, :]).reshape(n, m * m).view(np.uint8)
+    counts = prefers.sum(axis=0, dtype=np.int32).reshape(m, m)
+    return (counts - counts.T).ravel(), prefers
 
 
-def _upper_cells(perms: np.ndarray, m: int) -> np.ndarray:
-    # for each relabeling tau in perms: the flat indices of the cells
-    # (tau c, tau d), c < d, of an m x m matrix
+@lru_cache(maxsize=None)
+def _swap_cells(m: int) -> np.ndarray:
+    # for each relabeling tau of _order_table(m), in its order: the flat
+    # cells tau c * m + tau d of an m x m matrix for the pairs c < d, padded
+    # to 8 * 2**k columns with the diagonal cell of tau 0, whose preference
+    # bit and margin are 0, so that a vote's bits pack into one word; a
+    # read-only uint8 table, 1.3 MB at m = 8
+    perms = _order_table(m).astype(np.uint8)
     first, second = _upper_pairs(m)
-    return perms.take(first, axis=1) * m + perms.take(second, axis=1)
+    width = 8
+    while width < len(first):
+        width *= 2
+    cells = np.empty((len(perms), width), dtype=np.uint8)
+    cells[:] = perms[:, :1] * (m + 1)
+    # a column at a time, so that no second table of cells is held at once
+    for p, (c, d) in enumerate(zip(first.tolist(), second.tolist())):
+        cells[:, p] = perms[:, c] * m + perms[:, d]
+    cells.setflags(write=False)
+    return cells
 
 
-# a swap search chunk holds at most this many float32 gathered signs and
-# voter costs, 512 KB; the majority bound pass and the small-m pairwise scan
-# take this many cells at a time
+# a uint64 whose eight bytes are each 0 or 1, times this, holds byte k's
+# value at bit 56 + k, the bits landing on distinct places without carries
+_PACK_BYTES = np.uint64(0x0102040810204080)
+
+
+def _packed_votes(prefs: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    # words[..., v, l]: the preference bits of vote v of prefs (of one or a
+    # stack of elections) at the l-th relabeling's cells, packed into one
+    # unsigned word as np.packbits(..., bitorder="little") packs them on a
+    # little-endian machine (the popcounts hold on any), but eight bytes per
+    # multiply: packbits takes one call per short row
+    lanes = prefs.take(cells, axis=-1).view(np.uint64)
+    lanes *= _PACK_BYTES
+    lanes >>= np.uint64(56)
+    return lanes.astype(np.uint8).view(f"u{lanes.shape[-1]}")[..., 0]
+
+
+def _voter_costs(bits_a: np.ndarray, prefs_b: np.ndarray, cells: np.ndarray):
+    # costs[..., i, j, l]: the inversions between voter i of a relabeled by
+    # the l-th relabeling of cells and voter j of b, the popcount of the XOR
+    # of their words, as contiguous uint8, for the words bits_a of a at the
+    # identity's cells and the preferences prefs_b of one or a stack of
+    # elections; and the int64 bounds of their row minima and column
+    # minima, which no voter matching beats.  The relabelings run along the
+    # last axis, so every reduction takes whole rows of them at a time
+    words_b = _packed_votes(prefs_b, cells)
+    costs = np.bitwise_count(words_b[..., None, :, :] ^ bits_a[:, None, None])
+    relaxed = np.maximum(
+        costs.min(axis=-2).sum(axis=-2, dtype=np.int64),
+        costs.min(axis=-3).sum(axis=-2, dtype=np.int64),
+    )
+    return costs, relaxed
+
+
+# a swap search chunk gathers, per relabeling, n * pairs preference bytes
+# and builds n * n uint8 voter costs, at most this many bytes in all (128
+# KB), not counting the padding cells or the n * n words the costs are
+# counted from; the majority bound pass and the small-m pairwise scan take
+# this many cells at a time
 _SWAP_CHUNK_ENTRIES = 1 << 17
 
 
@@ -280,41 +335,26 @@ def _swap_search(
     # cost matrices are built at once and whose bounds are tightened before
     # any assignment is solved.  Only the cells c < d are compared: the
     # cells d > c mirror them.
-    margins_a, signs_a = a
-    n = signs_a.shape[0]
-    m = math.isqrt(signs_a.shape[1])
+    margins_a, prefs_a = a
+    n = prefs_a.shape[0]
+    m = math.isqrt(prefs_a.shape[1])
     perms = _order_table(m)
-    total = len(perms)
-    first, second = _upper_pairs(m)
-    upper = first * m + second
-    pairs = len(upper)
-    signs_upper_a = signs_a.take(upper, axis=1)
-    margins_upper_a = margins_a.take(upper)
+    cells = _swap_cells(m)
+    total, width = cells.shape
+    pairs = m * (m - 1) // 2
+    # the identity comes first among the relabelings
+    margins_upper_a = margins_a.take(cells[0])
+    bits_a = _packed_votes(prefs_a, cells[:1])[:, 0]
     chunk = max(1, _SWAP_CHUNK_ENTRIES // (n * (pairs + n)))
 
     def majority_bounds(margins_b, cells):
         # half the l1 distance of the majority matrices, since every
         # disagreeing voter pair forces an inversion: half the l1 distance
-        # of the margins over the cells c < d is the same number
-        return np.abs(margins_b.take(cells, axis=-1) - margins_upper_a).sum(axis=-1) // 2
-
-    def voter_costs(signs_b, cells):
-        # costs[..., l, i, j]: inversions between voter i of a relabeled by
-        # the l-th relabeling of cells and voter j of b, (pairs - sign
-        # agreement) / 2, for signs_b of one or a stack of elections; and
-        # the bounds of their row minima and column minima, which no voter
-        # matching beats
-        gathered = signs_b.take(cells, axis=-1)
-        lead = gathered.shape[:-1]
-        costs = gathered.reshape(math.prod(lead), pairs) @ signs_upper_a.T
-        np.subtract(pairs, costs, out=costs)
-        costs *= 0.5
-        costs = np.moveaxis(costs.reshape(lead + (n,)), -3, -1)
-        relaxed = np.maximum(
-            np.add.reduce(np.minimum.reduce(costs, axis=-1), axis=-1),
-            np.add.reduce(np.minimum.reduce(costs, axis=-2), axis=-1),
-        )
-        return costs, relaxed.astype(np.int64)
+        # of the margins over the cells c < d is the same number (the
+        # padding cells add 0)
+        gathered = margins_b.take(cells, axis=-1)
+        gathered -= margins_upper_a
+        return np.abs(gathered, out=gathered).sum(axis=-1) // 2
 
     def visit(costs, tight, ids, best, best_rho):
         # solve the chunk's assignments by (tight bound, index) while they
@@ -325,8 +365,8 @@ def _swap_search(
         for t in visit_order:
             if (tight[t], ids[t]) >= best:
                 break
-            ri, ci = linear_sum_assignment(costs[t])
-            value = int(costs[t][ri, ci].sum())
+            ri, ci = linear_sum_assignment(costs[..., t])
+            value = int(costs[ri, ci, t].sum())
             if (value, ids[t]) < best:
                 best = (value, ids[t])
                 best_rho = ci
@@ -339,26 +379,26 @@ def _swap_search(
     if total <= chunk:
         # one chunk per election, in index order, whose cells serve its
         # bounds too; a stack of elections shares the chunk budget
-        cells = _upper_cells(perms, m)
         ids = np.arange(total)
         stack = chunk // total
         out = []
         for s in range(0, len(bs), stack):
             group = bs[s : s + stack]
             bounds = majority_bounds(np.stack([b[0] for b in group]), cells)
-            costs, relaxed = voter_costs(np.stack([b[1] for b in group]), cells)
+            costs, relaxed = _voter_costs(bits_a, np.stack([b[1] for b in group]), cells)
             tight = np.maximum(bounds, relaxed)
             for g in range(len(group)):
                 out.append(outcome(*visit(costs[g], tight[g], ids, unset, None)))
         return out
-    # the bound pass gathers _SWAP_CHUNK_ENTRIES margins at a time
-    step = max(1, _SWAP_CHUNK_ENTRIES // pairs)
+    # the bound pass gathers _SWAP_CHUNK_ENTRIES margins at a time; the
+    # bounds stay below unset, in the smallest unsigned type, uint16 at
+    # moderate n, which a stable argsort sorts by radix
+    step = max(1, _SWAP_CHUNK_ENTRIES // width)
     out = []
-    for margins_b, signs_b in bs:
-        bounds = np.concatenate([
-            majority_bounds(margins_b, _upper_cells(perms[s : s + step], m))
-            for s in range(0, total, step)
-        ])
+    for margins_b, prefs_b in bs:
+        bounds = np.empty(total, dtype=np.min_scalar_type(unset[0]))
+        for s in range(0, total, step):
+            bounds[s : s + step] = majority_bounds(margins_b, cells[s : s + step])
         order = np.argsort(bounds, kind="stable")
         best, rho = unset, None
         for start in range(0, total, chunk):
@@ -372,7 +412,7 @@ def _swap_search(
             if stop == 0:
                 break
             ids, lb = ids[:stop], lb[:stop]
-            costs, relaxed = voter_costs(signs_b, _upper_cells(perms[ids], m))
+            costs, relaxed = _voter_costs(bits_a, prefs_b, cells[ids])
             best, rho = visit(costs, np.maximum(lb, relaxed), ids, best, rho)
         out.append(outcome(best, rho))
     return out
@@ -729,8 +769,9 @@ def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
     value-only assignment per pair for the positionwise metrics, and for
     discrete one overlap count per pair of distinct votes.  Swap, where
     one chunk holds all m! relabelings, and pairwise up to 6 candidates
-    take the later elections in stacks that gather at most 2**17 entries
-    at once; at larger m they search each pair on its own.
+    take the later elections in stacks: swap's gathers at most 2**17 bytes
+    of preference bits and uint8 voter costs at once, pairwise's 2**17
+    int64 cells.  At larger m they search each pair on its own.
     """
     _check_elections(dataset, kind)
     if len(dataset) < 2:

@@ -5,7 +5,9 @@ transport by greedy flow instead of prefix sums, assignments and matchings
 by exhaustive permutation search instead of the Hungarian-style solver,
 Borda scores as majority-matrix row sums instead of positional points.
 The loop oracles are the package's earlier per-vote and per-pair routines,
-kept to check the vectorized kernels that replaced them.
+kept to check the vectorized kernels that replaced them, and
+``sign_dot_voter_costs`` is the swap search's earlier float32 kernel, kept
+to check the packed-bit one.
 """
 
 from __future__ import annotations
@@ -403,6 +405,47 @@ def lexicographic_swap_search(a: Election, b: Election) -> DistanceOutcome:
                 rho[r] = int(c)
             best_rho = tuple(rho)
     return DistanceOutcome(best, best_sigma, best_rho)
+
+
+def sign_aggregates(election: Election) -> tuple[np.ndarray, np.ndarray]:
+    """The swap search's aggregates before it packed preference bits: the
+    float32 signs S[v, c * m + d], +1 if voter v prefers c to d, -1 if d
+    to c, 0 if c = d, and their column sums, the majority margins 2 M - n."""
+    arr = election.array
+    n, m = arr.shape
+    pos = arr.argsort(axis=1)
+    signs = np.sign(pos[:, None, :] - pos[:, :, None]).reshape(n, m * m)
+    return signs.sum(axis=0), signs.astype(np.float32)
+
+
+def sign_dot_voter_costs(
+    signs_a: np.ndarray, signs_b: np.ndarray, perms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The swap search's voter costs before it packed preference bits, by
+    float32 sign dot products.
+
+    costs[..., l, i, j] is (pairs - sign agreement) / 2, the inversions
+    between voter i of a relabeled by perms[l] and voter j of b, for the
+    signs signs_b of one or a stack of elections; relaxed[..., l] is the
+    larger of the sums of the row minima and of the column minima.
+    """
+    n = signs_a.shape[0]
+    m = math.isqrt(signs_a.shape[1])
+    first, second = np.triu_indices(m, 1)
+    pairs = len(first)
+    signs_upper_a = signs_a.take(first * m + second, axis=1)
+    cells = perms.take(first, axis=1) * m + perms.take(second, axis=1)
+    gathered = signs_b.take(cells, axis=-1)
+    lead = gathered.shape[:-1]
+    costs = gathered.reshape(math.prod(lead), pairs) @ signs_upper_a.T
+    np.subtract(pairs, costs, out=costs)
+    costs *= 0.5
+    costs = np.moveaxis(costs.reshape(lead + (n,)), -3, -1)
+    relaxed = np.maximum(
+        np.add.reduce(np.minimum.reduce(costs, axis=-1), axis=-1),
+        np.add.reduce(np.minimum.reduce(costs, axis=-2), axis=-1),
+    )
+    return costs, relaxed.astype(np.int64)
 
 
 def dict_discrete_search(a: Election, b: Election) -> DistanceOutcome:

@@ -36,6 +36,7 @@ from electodist import (
 )
 
 from electodist.analysis import _average_ranks
+from electodist.metrics import distance_values
 
 from conftest import SMALL_A, SMALL_B, elections, election_pairs
 from _paths import discrete_unit_path, swap_unit_path
@@ -68,6 +69,47 @@ def test_census_known_cells(shape, expected):
         report.pairwise_classes,
         report.bordawise_classes,
     ) == expected
+
+
+def zero_distance_components(count: int, zero_pairs) -> int:
+    # the components of the graph on count nodes whose edges are the pairs
+    # i < j at distance 0, by union-find
+    parent = list(range(count))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in zero_pairs:
+        parent[root(i)] = root(j)
+    return len({root(i) for i in range(count)})
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (3, 4), (3, 5), (4, 3)])
+def test_zero_distances_separate_exactly_the_census_classes(m, n):
+    # swap and discrete are metrics on ANECs: 0 only between equal
+    # canonical keys, so never between two representatives.  The other four
+    # are pseudometrics: their zero-distance classes are the census's
+    anecs = list(enumerate_anecs(m, n))
+    keys = [canonical_anec_key(e) for e in anecs]
+    assert len(set(keys)) == len(anecs)
+    report = count_equivalence_classes(m, n)
+    classes = {
+        "swap": report.anec_count,
+        "discrete": report.anec_count,
+        "emdpos": report.positionwise_classes,
+        "l1pos": report.positionwise_classes,
+        "pairwise": report.pairwise_classes,
+        "bordawise": report.bordawise_classes,
+    }
+    pairs = list(itertools.combinations(range(len(anecs)), 2))
+    for kind in METRIC_KINDS:
+        zero = [pair for pair, value in zip(pairs, distance_values(anecs, kind)) if value == 0]
+        if kind in ("swap", "discrete"):
+            assert all(keys[i] == keys[j] for i, j in zero)
+        assert zero_distance_components(len(anecs), zero) == classes[kind], kind
 
 
 def test_census_smallest_shape():

@@ -381,7 +381,7 @@ def test_sample_rejects_bad_specs():
         ),
         (CultureSpec("IC"), 0, "need m >= 1 and n >= 1, got m=0, n=3"),
         (CultureSpec("Urn", {"alpha": -1}), 3, "urn alpha must be nonnegative, got -1.0"),
-        (CultureSpec("Urn", {"alpha": "many"}), 3, "could not convert string to float: 'many'"),
+        (CultureSpec("Urn", {"alpha": "many"}), 3, "urn alpha must be a number, got 'many'"),
         (CultureSpec("Mallows", {"phi": 1.5}), 3, "mallows phi must lie in [0, 1], got 1.5"),
         (
             CultureSpec("Euclidean", {"shape": "cube_4d"}),

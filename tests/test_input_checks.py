@@ -400,7 +400,15 @@ CASES = {
     ),
     "urn-alpha-text": (
         lambda: sample_urn(3, 3, 0, "many"),
-        "could not convert string to float: 'many'",
+        "urn alpha must be a number, got 'many'",
+    ),
+    "urn-alpha-numeric-text": (
+        lambda: sample_urn(3, 2, 0, "2.5"),
+        "urn alpha must be a number, got '2.5'",
+    ),
+    "mallows-phi-numpy-bool": (
+        lambda: sample_mallows(3, 2, 0, np.True_),
+        "mallows phi must be a number, got np.True_",
     ),
     "mallows-phi": (
         lambda: sample_mallows(3, 3, 0, 1.5),

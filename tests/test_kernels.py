@@ -5,6 +5,9 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -60,6 +63,8 @@ from _oracles import (
     pair_loop_distance_matrix,
     refinement_solve_assignment,
     relabel_canonical_anec_key,
+    sign_aggregates,
+    sign_dot_voter_costs,
 )
 
 
@@ -208,7 +213,7 @@ def assert_same_outcome(got, want):
     )
 
 
-# chunk sizes, in gathered signs, from one relabeling per chunk to the default
+# chunk budgets, in bytes, from one relabeling per chunk to the default
 CHUNK_ENTRIES = (1, 200, metrics._SWAP_CHUNK_ENTRIES)
 
 
@@ -222,6 +227,37 @@ def test_isomorphic_searches_equal_their_loop_versions(pair, entries):
     with mock.patch.object(metrics, "_SWAP_CHUNK_ENTRIES", entries):
         assert_same_outcome(distance(a, b, "swap"), lexicographic_swap_search(a, b))
     assert_same_outcome(distance(a, b, "discrete"), dict_discrete_search(a, b))
+
+
+@pytest.mark.parametrize("entries", CHUNK_ENTRIES)
+@pytest.mark.parametrize("m", range(1, 9))
+def test_packed_voter_costs_equal_sign_dot_products(m, entries):
+    # a random chunk of the size the search takes at this budget, for one
+    # election and for a stack; at m = 1 there is no pair and at m = 2 one,
+    # so the words hold little but padding
+    rng = np.random.default_rng([m, entries])
+    n = int(rng.integers(1, 9))
+    a, *bs = (Election(m, [rng.permutation(m) for _ in range(n)]) for _ in range(4))
+    perms, cells = metrics._order_table(m), metrics._swap_cells(m)
+    chunk = max(1, entries // (n * (m * (m - 1) // 2 + n)))
+    ids = np.sort(rng.choice(len(perms), size=min(chunk, len(perms)), replace=False))
+    margins_a, prefs_a = metrics._swap_aggregates(a)
+    want_margins, signs_a = sign_aggregates(a)
+    assert margins_a.tolist() == want_margins.tolist()
+    bits_a = metrics._packed_votes(prefs_a, cells[:1])[:, 0]
+    for group in (bs[:1], bs):
+        prefs_b = np.stack([metrics._swap_aggregates(b)[1] for b in group])
+        signs_b = np.stack([sign_aggregates(b)[1] for b in group])
+        gathered = prefs_b.take(cells[ids], axis=-1)
+        packed = np.packbits(gathered, axis=-1, bitorder="little")
+        words = metrics._packed_votes(prefs_b, cells[ids])
+        assert np.array_equal(words, packed.view(words.dtype)[..., 0])
+        costs, relaxed = metrics._voter_costs(bits_a, prefs_b, cells[ids])
+        want_costs, want_relaxed = sign_dot_voter_costs(signs_a, signs_b, perms[ids])
+        assert costs.dtype == np.uint8 and costs.flags.c_contiguous
+        assert np.array_equal(np.moveaxis(costs, -1, -3), want_costs)
+        assert relaxed.dtype == np.int64
+        assert np.array_equal(relaxed, want_relaxed)
 
 
 TIED_PAIRS = [
@@ -276,6 +312,38 @@ def test_swap_search_allocates_no_full_table():
     assert out.value == sum(
         vote_swap_distance(relabeled[i], b.votes[rho[i]]) for i in range(a.n)
     )
+
+
+# one far m = 8 pair, whose search builds several chunks, with its
+# witnesses, and the values of a small set, which share stacked chunks
+BLAS_PROBE = """
+from electodist import distance
+from electodist.cultures import sample_euclidean, sample_ic, sample_mallows
+from electodist.metrics import distance_values
+
+out = distance(sample_ic(8, 8, 81), sample_euclidean(8, 8, 82, "disc_2d"), "swap")
+dataset = [sample_mallows(5, 6, seed, 0.5) for seed in range(5)] + [sample_ic(5, 6, 5)]
+print(out.value, out.candidate_matching, out.voter_matching)
+print(distance_values(dataset, "swap").tobytes().hex())
+"""
+
+
+def test_swap_outputs_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(metrics.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", BLAS_PROBE], capture_output=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 2
 
 
 @st.composite
