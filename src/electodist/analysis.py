@@ -135,9 +135,9 @@ def enumerate_anecs(m: int, n: int) -> Iterator[Election]:
     class, each the lexicographically smallest vote multiset of its class,
     in lexicographic order; the guard is checked, and the classes found, on
     the call."""
-    rows = _anec_rows(m, n).tolist()
+    rows = _anec_rows(m, n)
     table = _order_table(m)
-    return (Election(m, table[row].tolist()) for row in rows)
+    return (Election(m, table[row]) for row in rows)
 
 
 def count_equivalence_classes(m: int, n: int) -> CensusReport:
@@ -359,7 +359,7 @@ def recover_election(pos) -> Election:
         )
     if n == 0:
         raise ValueError("need at least one voter")
-    votes: list[tuple[int, ...]] = []
+    votes: list[np.ndarray] = []
     idx = np.arange(m)
     while work.any():
         rows_idx, cols_idx = linear_sum_assignment(work == 0)
@@ -368,7 +368,7 @@ def recover_election(pos) -> Election:
         if picked.min() == 0:
             raise ValueError("matrix has no positive-cell perfect matching")
         t = int(picked.min())
-        votes.extend([tuple(int(c) for c in cols)] * t)
+        votes.extend([cols] * t)
         work[idx, cols] -= t
     return Election(m, votes)
 
@@ -424,10 +424,7 @@ def _realize_by_counts(
     found = dfs(0, n, [0] * d)
     if found is None:
         return None
-    votes: list[tuple[int, ...]] = []
-    for i, cnt in found:
-        votes.extend([orders[i]] * cnt)
-    return Election(len(orders[0]), votes)
+    return Election(len(orders[0]), [orders[i] for i, cnt in found for _ in range(cnt)])
 
 
 def majority_realizable_bruteforce(M, n: int) -> Optional[Election]:

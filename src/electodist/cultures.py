@@ -149,13 +149,13 @@ def sample_urn(m: int, n: int, seed: SeedLike, alpha) -> Election:
     rng = _rng(seed)
     if alpha == "gamma":
         alpha = float(rng.gamma(0.8, 10.0))
-    votes: list[tuple[int, ...]] = []
+    votes: list[np.ndarray] = []
     for k in range(1, n + 1):
         weight = (k - 1) * alpha
         if k > 1 and rng.random() < weight / (1.0 + weight):
             votes.append(votes[int(rng.integers(0, k - 1))])
         else:
-            votes.append(tuple(int(c) for c in rng.permutation(m)))
+            votes.append(rng.permutation(m))
     return Election(m, votes)
 
 
@@ -258,7 +258,7 @@ def _grown_votes(m: int, n: int, seed: SeedLike, circle: bool) -> Election:
             else:
                 vote.append(right % m)
                 right += 1
-        votes.append(tuple(vote))
+        votes.append(vote)
     return Election(m, votes)
 
 
@@ -295,7 +295,7 @@ def sample_single_crossing(m: int, n: int, seed: SeedLike) -> Election:
         current[i], current[i + 1] = current[i + 1], current[i]
         path.append(tuple(current))
     picks = rng.integers(0, len(path), size=n)
-    return Election(m, [path[int(p)] for p in picks])
+    return Election(m, np.array(path)[picks])
 
 
 def _check_choice(value, what: str, options: tuple[str, ...]) -> None:
@@ -440,7 +440,7 @@ def _prefixes_contiguous(votes, axis: Sequence[int], m: int, span: int) -> bool:
 def is_single_peaked(election: Election, axis: Sequence[int]) -> bool:
     """True when every vote's top-k candidates form an interval of the axis
     for all k, which is the single-peakedness condition."""
-    return _prefixes_contiguous(election.votes, axis, election.m, election.m + 1)
+    return _prefixes_contiguous(election.array.tolist(), axis, election.m, election.m + 1)
 
 
 def is_spoc_vote(vote: Sequence[int], circle: Sequence[int]) -> bool:
@@ -462,8 +462,8 @@ def is_single_crossing(election: Election) -> bool:
     pos = _positions(election.array)
     prefers = pos[:, first] < pos[:, second]
     # a vote's swap distance to the canonical order counts the pairs c < d
-    # it ranks d above c
-    distances = (~prefers).sum(axis=1).tolist()
-    ordered = prefers[sorted(range(election.n), key=lambda v: (distances[v], election.votes[v]))]
+    # it ranks d above c; equal distances go in lexicographic vote order
+    distances = (~prefers).sum(axis=1)
+    ordered = prefers[np.lexsort((*election.array.T[::-1], distances))]
     changes = (ordered[1:] != ordered[:-1]).sum(axis=0)
     return bool((changes <= 1).all())

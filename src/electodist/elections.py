@@ -1,10 +1,13 @@
 """Ordinal elections, their aggregate representations and vote encodings.
 
 An election is a multiset of votes over m candidates; every vote ranks all
-candidates.  Candidates are 0-based integers throughout; human-readable names
-belong in file comments, not in the data model.  The aggregate views
-(position matrix, weighted majority matrix, Borda score vector) are plain
-numpy integer arrays; the normalized frequency matrix uses exact Fractions
+candidates.  It is stored as one read-only (n, m) int64 array, copied from
+the input and checked in one pass; the per-vote check runs only to name the
+first bad vote, and the tuple ``votes`` are a view built on first use.
+Candidates are 0-based integers throughout; human-readable names belong in
+file comments, not in the data model.  The aggregate views (position
+matrix, weighted majority matrix, Borda score vector) are plain numpy
+integer arrays; the normalized frequency matrix uses exact Fractions
 because the downstream diameter identities must hold exactly.
 
 The other modules encode votes through this one: one permutation check; a
@@ -97,37 +100,47 @@ def _check_permutation(perm: Iterable, size: int, what: str) -> tuple[int, ...]:
 class Election:
     """An (m, n) election: n total-order votes over candidates 0..m-1.
 
-    Votes are stored most-preferred first, as tuples, and are immutable.
-    Each must be a permutation of 0..m-1 with integer entries; a
-    non-integer entry such as 0.5 is rejected, not truncated.
-    ``election.array`` exposes the same data as an (n, m) read-only numpy
-    array for vectorized consumers.
+    ``election.array`` holds the votes, most-preferred first, as a read-only
+    (n, m) int64 array copied from the input; ``election.votes`` is a tuple
+    view of it, built on first use.  Each vote must be a permutation of
+    0..m-1 with integer entries; a non-integer m or entry such as 0.5 is
+    rejected, not truncated.
     """
 
-    __slots__ = ("m", "votes", "_array")
+    __slots__ = ("m", "array", "_votes")
 
     def __init__(self, m: int, votes: Iterable[Sequence[int]]):
-        m = int(m)
+        _check_integer(m, "m")
         if m < 1:
             raise ValueError("need at least one candidate")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "votes", tuple(_check_permutation(v, m, "vote") for v in votes))
-        if not self.votes:
+        if not isinstance(votes, np.ndarray):
+            votes = list(votes)
+        try:
+            arr = np.asarray(votes)
+        except (ValueError, TypeError, OverflowError):  # ragged, or refused by numpy
+            arr = np.empty(0)
+        # an integer (n, m) array whose rows each sort to 0..m-1 is checked in
+        # one pass; any other input goes vote by vote, to name the first bad one
+        if not (arr.dtype.kind in "iu" and arr.ndim == 2 and arr.shape[1] == m
+                and (np.sort(arr, axis=1) == np.arange(m)).all()):
+            arr = np.array([_check_permutation(v, m, "vote") for v in votes]).reshape(-1, m)
+        if not len(arr):
             raise ValueError("need at least one voter")
-        object.__setattr__(self, "_array", None)
+        arr = arr.astype(np.int64, order="C")  # always a copy
+        arr.setflags(write=False)
+        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "_votes", None)
 
     @property
     def n(self) -> int:
-        return len(self.votes)
+        return len(self.array)
 
     @property
-    def array(self) -> np.ndarray:
-        arr = self._array
-        if arr is None:
-            arr = np.array(self.votes, dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, "_array", arr)
-        return arr
+    def votes(self) -> tuple[tuple[int, ...], ...]:
+        if self._votes is None:
+            object.__setattr__(self, "_votes", tuple(map(tuple, self.array.tolist())))
+        return self._votes
 
     def __setattr__(self, name, value):
         raise AttributeError("Election is immutable")
@@ -136,11 +149,11 @@ class Election:
         return (
             isinstance(other, Election)
             and self.m == other.m
-            and self.votes == other.votes
+            and np.array_equal(self.array, other.array)
         )
 
     def __hash__(self) -> int:
-        return hash((self.m, self.votes))
+        return hash((self.m, self.array.tobytes()))
 
     def __repr__(self) -> str:
         return f"Election(m={self.m}, n={self.n})"
@@ -235,13 +248,8 @@ def borda_vector(election: Election) -> np.ndarray:
 
 def frequency_matrix(election: Election) -> np.ndarray:
     """Position matrix normalized by n: a bistochastic matrix of Fractions."""
-    counts = position_matrix(election)
-    n = election.n
-    out = np.empty(counts.shape, dtype=object)
-    for i in range(election.m):
-        for c in range(election.m):
-            out[i, c] = Fraction(int(counts[i, c]), n)
-    return out
+    rows = position_matrix(election).tolist()
+    return np.array([[Fraction(count, election.n) for count in row] for row in rows], dtype=object)
 
 
 def _square_matrix(x, what: str, dtype=None) -> np.ndarray:
@@ -267,12 +275,9 @@ def apply_matchings(
     Vote i of the result is sigma applied to vote rho(i) of the input.  All
     six metrics are invariant under this operation.
     """
-    sigma = _check_permutation(sigma, election.m, "candidate matching")
-    rho = _check_permutation(rho, election.n, "voter matching")
-    votes = [
-        tuple(sigma[c] for c in election.votes[rho[i]]) for i in range(election.n)
-    ]
-    return Election(election.m, votes)
+    sigma = np.array(_check_permutation(sigma, election.m, "candidate matching"))
+    rho = np.array(_check_permutation(rho, election.n, "voter matching"))
+    return Election(election.m, sigma[election.array[rho]])
 
 
 def _check_positive(m: int, n: int) -> None:
@@ -280,11 +285,15 @@ def _check_positive(m: int, n: int) -> None:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
 
 
-def _check_natural(value, name: str) -> int:
-    # value as an int if it is an integer >= 0; a bool, float or string is
-    # rejected, not truncated
+def _check_integer(value, name: str) -> None:
+    # a bool, float or string is rejected, not truncated
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_natural(value, name: str) -> int:
+    # value as an int if it is an integer >= 0
+    _check_integer(value, name)
     if value < 0:
         raise ValueError(f"{name} must be nonnegative, got {value!r}")
     return int(value)
@@ -327,22 +336,19 @@ def compass_election(kind: str, m: int, n: int) -> Election:
     """
     # the divisor is checked before any of the m! or ((m/2)!)^2 orders is built
     _check_compass(kind, m, n)
-    canonical = tuple(range(m))
+    canonical = np.arange(m)
     if kind == "ID":
-        orders = [canonical]
+        orders = canonical[None]
     elif kind == "AN":
-        orders = [canonical, canonical[::-1]]
+        orders = np.stack([canonical, canonical[::-1]])
     elif kind == "UN":
-        orders = all_orders(m)
-    else:  # ST
-        half_m = m // 2
-        orders = [
-            tuple(pa) + tuple(pb)
-            for pa in itertools.permutations(range(half_m))
-            for pb in itertools.permutations(range(half_m, m))
-        ]
+        orders = _order_table(m)
+    else:  # ST: each order of the first m/2 candidates, then each of the rest
+        half = _order_table(m // 2)
+        k = len(half)
+        orders = np.column_stack((np.repeat(half, k, axis=0), np.tile(half + m // 2, (k, 1))))
     # the kind's divisor of n is its number of orders; each comes n / divisor times
-    return Election(m, [v for v in orders for _ in range(n // len(orders))])
+    return Election(m, np.repeat(orders, n // len(orders), axis=0))
 
 
 def compass_matrix(kind: str, m: int) -> np.ndarray:
@@ -429,5 +435,5 @@ def _integer_tokens(tokens: Sequence[str], where: str) -> list[int]:
 def serialize_election(election: Election) -> str:
     """Inverse of parse_election; output re-parses to an equal election."""
     lines = [f"{election.m} {election.n}"]
-    lines.extend(" ".join(str(c) for c in vote) for vote in election.votes)
+    lines.extend(" ".join(str(c) for c in vote) for vote in election.array.tolist())
     return "\n".join(lines) + "\n"

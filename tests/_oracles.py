@@ -34,6 +34,7 @@ from electodist import (
     position_matrix,
 )
 from electodist.analysis import check_census_guard
+from electodist.elections import _check_permutation
 from electodist.cultures import (
     _balanced_tree,
     _caterpillar_tree,
@@ -214,6 +215,15 @@ def brute_force_iso_distance(a: Election, b: Election, kind: str) -> int:
             if best is None or total < best:
                 best = total
     return best
+
+
+def loop_election_votes(m: int, votes) -> tuple[tuple[int, ...], ...]:
+    """The votes as ``Election`` once stored them: each vote checked in
+    turn by ``_check_permutation``, then at least one required."""
+    checked = tuple(_check_permutation(v, m, "vote") for v in votes)
+    if not checked:
+        raise ValueError("need at least one voter")
+    return checked
 
 
 def loop_position_matrix(election: Election) -> np.ndarray:

@@ -200,6 +200,23 @@ def test_census_multiple_sizes(capsys):
     assert lines[2] == "3,4,24,23,17,13"
 
 
+@pytest.mark.parametrize(
+    "vote, message",
+    [
+        ("0 0 1", "vote (0, 0, 1) is not a permutation of 0..2"),
+        ("0 1", "vote (0, 1) has length 2, expected 3"),
+    ],
+    ids=["repeated-candidate", "short-vote"],
+)
+def test_distance_rejects_a_malformed_vote_file(tmp_path, capsys, pair_files, vote, message):
+    bad = tmp_path / "bad.soc"
+    bad.write_text(f"3 2\n0 1 2\n{vote}\n", encoding="utf-8")
+    code, out, err = run(capsys, ["distance", str(bad), pair_files[0], "--metric", "swap"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_census_guard(capsys):
     code, _, err = run(capsys, ["census", "--m", "9", "--n", "3"])
     assert code == 2

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from electodist import (
     serialize_election,
 )
 
+from electodist import elections as elections_module
 from electodist.elections import _order_table
 
+from _oracles import loop_election_votes
 from conftest import ALL_ORDERS_3, CYCLIC_DOUBLED, SMALL_A, SPLIT_REVERSED, elections
 
 
@@ -61,10 +64,80 @@ def test_election_is_immutable():
 
 
 def test_election_equality_and_hash():
-    again = Election(3, [(0, 1, 2), (1, 2, 0), (1, 0, 2)])
-    assert again == SMALL_A
-    assert hash(again) == hash(SMALL_A)
-    assert SMALL_A != Election(3, [(0, 1, 2)] * 3)
+    # the same votes as tuples, an int8 array and int32 rows are one election
+    votes = [(0, 1, 2), (1, 2, 0), (1, 0, 2)]
+    forms = [
+        Election(3, votes),
+        Election(3, np.array(votes, dtype=np.int8)),
+        Election(3, [np.array(v, dtype=np.int32) for v in votes]),
+    ]
+    assert all(e == SMALL_A and hash(e) == hash(SMALL_A) for e in forms)
+    others = [
+        Election(3, [(0, 1, 2)] * 3),
+        Election(4, [v + (3,) for v in votes]),
+        Election(3, votes + [(0, 1, 2)]),
+        Election(3, votes[::-1]),
+    ]
+    assert all(e != SMALL_A for e in others)
+
+
+def test_election_owns_a_read_only_copy_of_its_votes():
+    arr = np.array([[0, 1, 2], [2, 1, 0]])
+    e = Election(3, arr)
+    arr[0] = (2, 1, 0)
+    assert e.votes == ((0, 1, 2), (2, 1, 0))
+    assert e.array.tolist() == [[0, 1, 2], [2, 1, 0]]
+    assert arr.flags.writeable
+    assert not e.array.flags.writeable
+
+
+# (m, a function making the votes): inputs the one-pass check takes, inputs
+# it hands to the per-vote check, and inputs both reject
+VOTE_INPUTS = {
+    "int8": (3, lambda: np.array([[0, 2, 1], [2, 1, 0]], dtype=np.int8)),
+    "uint8": (3, lambda: np.array([[0, 2, 1], [2, 1, 0]], dtype=np.uint8)),
+    "int32": (3, lambda: np.array([[1, 2, 0]], dtype=np.int32)),
+    "int64": (3, lambda: np.array([[1, 2, 0], [0, 1, 2]], dtype=np.int64)),
+    "tuples": (3, lambda: [(0, 2, 1), (1, 0, 2)]),
+    "numpy-rows": (3, lambda: [np.array([0, 2, 1]), np.array([1, 0, 2], dtype=np.int32)]),
+    "generator": (3, lambda: (v for v in [(0, 1, 2), (2, 0, 1)])),
+    "integral-floats": (3, lambda: np.array([[0.0, 2.0, 1.0]])),
+    "non-integral-floats": (3, lambda: np.array([[0.0, 2.5, 1.0]])),
+    "bool-tuples": (2, lambda: [(True, False)]),
+    "bool-array": (2, lambda: np.array([[True, False], [False, True]])),
+    "ragged": (3, lambda: [(0, 1, 2), (0, 1)]),
+    "empty": (3, lambda: []),
+    "no-rows": (3, lambda: np.zeros((0, 3), dtype=np.int64)),
+    "out-of-range": (3, lambda: np.array([[0, 1, 3]])),
+    "repeated": (3, lambda: [(0, 1, 2), (0, 1, 1)]),
+    "huge-entry": (2, lambda: [(0, 2**70)]),
+    "wrong-length": (3, lambda: np.array([[0, 1], [1, 0]])),
+    "three-dimensional": (3, lambda: np.zeros((2, 3, 3), dtype=np.int64)),
+}
+
+
+def _outcome(call):
+    # the call's value, or the message of the ValueError it raised
+    try:
+        return call()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("m, make", VOTE_INPUTS.values(), ids=VOTE_INPUTS.keys())
+def test_election_checks_votes_as_the_per_vote_loop_did(m, make):
+    got = _outcome(lambda: Election(m, make()).votes)
+    assert got == _outcome(lambda: loop_election_votes(m, make()))
+
+
+@pytest.mark.parametrize("votes", [
+    np.array([[0, 2, 1], [2, 1, 0]], dtype=np.int8),
+    [(0, 2, 1), (1, 0, 2)],
+    [np.array([0, 2, 1]), np.array([1, 0, 2])],
+], ids=["int8-array", "tuples", "numpy-rows"])
+def test_valid_votes_are_checked_in_one_pass(votes):
+    with mock.patch.object(elections_module, "_check_permutation", side_effect=AssertionError):
+        assert Election(3, votes).n == 2
 
 
 def test_position_of():

@@ -129,6 +129,18 @@ CASES = {
         lambda: apply_matchings(TWO_VOTERS, (0.5, 1, 2), (0, 1)),
         "candidate matching entries must be integers, got 0.5",
     ),
+    "election-m-float": (
+        lambda: Election(2.7, [(0, 1)]),
+        "m must be an integer, got 2.7",
+    ),
+    "election-m-text": (
+        lambda: Election("3", [(0, 1, 2)]),
+        "m must be an integer, got '3'",
+    ),
+    "election-m-bool": (
+        lambda: Election(True, [(0,)]),
+        "m must be an integer, got True",
+    ),
     "election-vote-length": (
         lambda: Election(3, [(0, 1, 2), (0, 1)]),
         "vote (0, 1) has length 2, expected 3",
