@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
 from .elections import (
-    Election, _check_natural, _check_permutation, _check_positive, _positions, _upper_pairs
+    Election, _check_natural, _check_permutation, _check_positive, _is_real,
+    _positions, _upper_pairs,
 )
 
 __all__ = [
@@ -119,12 +119,6 @@ def sample_ic(m: int, n: int, seed: SeedLike) -> Election:
     return Election(m, _rng(seed).permuted(np.tile(np.arange(m), (n, 1)), axis=1))
 
 
-def _is_real(value) -> bool:
-    # a real number: an int, float or Fraction, or a numpy integer or
-    # float, but no bool (numpy's bool is no Real) and no string
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _check_alpha(alpha):
     # "gamma", or a fixed urn alpha as a finite real number >= 0
     if isinstance(alpha, str) and alpha == "gamma":
@@ -160,12 +154,14 @@ def sample_urn(m: int, n: int, seed: SeedLike, alpha) -> Election:
 
 
 def _mallows_expected_swaps(phi: float, m: int) -> float:
-    # sum over insertion steps of the expected displacement from the bottom
-    total = 0.0
-    for i in range(1, m + 1):
-        powers = [phi**t for t in range(i)]
-        z = sum(powers)
-        total += sum(t * p for t, p in enumerate(powers)) / z
+    # sum over insertion steps of the expected displacement from the bottom,
+    # in running sums added left to right: the same bits on every Python
+    total = z = moment = 0.0
+    for i in range(m):
+        p = phi**i
+        z += p
+        moment += i * p
+        total += moment / z
     return total
 
 

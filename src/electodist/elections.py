@@ -285,6 +285,12 @@ def _check_positive(m: int, n: int) -> None:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
 
 
+def _is_real(value) -> bool:
+    # a real number: an int, float or Fraction, or a numpy integer or
+    # float, but no bool (numpy's bool is no Real) and no string
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_integer(value, name: str) -> None:
     # a bool, float or string is rejected, not truncated
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import html
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .elections import COMPASS_KINDS, Election, _check_natural, _square_matrix
+from .elections import (
+    COMPASS_KINDS, Election, _check_integer, _check_natural, _is_real, _square_matrix
+)
 from .metrics import distance_values
 
 __all__ = [
@@ -234,14 +235,12 @@ def embed_all(
     """
     if config.method not in ("spring", "mds"):
         raise ValueError(f"unknown embed method {config.method!r}")
-    iterations = config.iterations
-    if isinstance(iterations, bool) or not isinstance(iterations, numbers.Integral):
-        raise ValueError(f"iterations must be an integer, got {iterations!r}")
-    if iterations < 1:
+    _check_integer(config.iterations, "iterations")
+    if config.iterations < 1:
         raise ValueError("iterations must be positive")
     _check_natural(config.seed, "seed")
     temperature = config.temperature
-    if isinstance(temperature, bool) or not isinstance(temperature, numbers.Real):
+    if not _is_real(temperature):
         raise ValueError(f"temperature must be a real number, got {temperature!r}")
     if not (math.isfinite(temperature) and temperature >= 0):
         raise ValueError(f"temperature must be finite and nonnegative, got {temperature!r}")

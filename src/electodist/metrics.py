@@ -21,8 +21,9 @@ one word, and the inversions between two votes are the popcount of the
 XOR of their words, in integers throughout, with no BLAS call.
 Pairwise scans all m! matchings with numpy up to 6 candidates and runs a
 best-first branch and bound over candidate prefixes from 7 on; at small m
-both take a stack of later elections at once.  Discrete counts the votes
-shared under each relabeling that maps some vote onto some other vote.
+both take a stack of later elections at once.  Discrete sums, in one sort
+per row, the votes shared under each relabeling that maps a distinct vote
+onto another, coded in base m: int64 while it fits, Python ints beyond.
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ import importlib.machinery
 import importlib.util
 import itertools
 import math
-import operator
 import os
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -452,29 +451,28 @@ def _check_elections(elections: Sequence[Election], kind: str) -> None:
         check_guard(kind, elections[0].m)
 
 
-def _discrete_search(a: Counter, bs: Sequence[Counter]) -> list[tuple[int, tuple[int, ...]]]:
-    # exact discrete distance between the election of vote counts a and each
-    # election of vote counts bs, with the lexicographically smallest optimal
-    # relabeling.  The relabeling that maps vote u of a onto vote w of b
-    # sends u[k] to w[k]; its base-m code, whose digits are its entries and
-    # so order like them, is the sum of w[k] * place[u[k]].  A relabeling
-    # maps u onto at most one w, so its overlap sums min(count u, count w)
-    # over the pairs (u, w) that give it
-    m = len(next(iter(a)))
-    place = _place_values(m)
-    n = sum(a.values())
-    weights = [([place[c] for c in u], count) for u, count in a.items()]
-    out = []
-    for b in bs:
-        overlap: dict[int, int] = {}
-        for weights_u, count_u in weights:
-            for w, count_w in b.items():
-                code = sum(map(operator.mul, w, weights_u))
-                overlap[code] = overlap.get(code, 0) + min(count_u, count_w)
-        most = max(overlap.values())
-        best = min(code for code, o in overlap.items() if o == most)
-        out.append((n - most, tuple(best // p % m for p in place)))
-    return out
+def _discrete_search(a: tuple, bs: Sequence[tuple]) -> list[tuple[int, tuple[int, ...]]]:
+    # exact discrete distance from the election of distinct votes and counts a
+    # to each such one of bs, with the lexicographically smallest optimal
+    # relabeling.  Mapping vote u onto w has the base-m code w @ place[u], which
+    # orders like it, and overlaps min(count u, count w) summed over its (u, w).
+    # bs share one sort, m**m apart: int64 codes while they fit, Python ints after
+    types_a, counts_a = a
+    m = types_a.shape[1]
+    dtype = np.int64 if len(bs) * m**m < 2**63 else object
+    place = np.array(_place_values(m), dtype=dtype)
+    offsets = np.repeat(np.arange(len(bs)).astype(dtype) * m**m, [len(b[1]) for b in bs])
+    codes = np.concatenate([b[0] for b in bs]) @ place[types_a].T + offsets[:, None]
+    keys, inverse = np.unique(codes.ravel(), return_inverse=True)
+    pairs = np.minimum.outer(np.concatenate([b[1] for b in bs]), counts_a)
+    overlap = np.bincount(inverse, pairs.ravel()).astype(np.int64)
+    owner = (keys // m**m).astype(np.int64)
+    most = np.maximum.reduceat(overlap, np.searchsorted(owner, np.arange(len(bs))))
+    # the least code of most overlap: each election's first among its ties
+    ties = np.flatnonzero(overlap == most[owner])
+    best = ties[np.searchsorted(owner[ties], np.arange(len(bs)))]
+    sigmas = keys[best, None] % m**m // place % m
+    return list(zip((counts_a.sum() - most).tolist(), map(tuple, sigmas.tolist())))
 
 
 def _discrete_voter_matching(a: Election, b: Election, sigma: tuple[int, ...]) -> tuple[int, ...]:
@@ -727,7 +725,7 @@ def _row(kind: str):
     # per call, so a module global rebound after import is the one called
     return {
         "swap": (_swap_aggregates, _swap_search),
-        "discrete": (lambda e: Counter(e.votes), _discrete_search),
+        "discrete": (lambda e: np.unique(e.array, axis=0, return_counts=True), _discrete_search),
         "emdpos": (lambda e: _positionwise_aggregate(e, "EMD"), _positionwise_search),
         "l1pos": (lambda e: _positionwise_aggregate(e, "L1"), _positionwise_search),
         "pairwise": (majority_matrix, _pairwise_search),
@@ -767,7 +765,7 @@ def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
     once and hands election i's with those of all later elections to its
     row search, the one ``distance`` runs: a broadcast for Bordawise, one
     value-only assignment per pair for the positionwise metrics, and for
-    discrete one overlap count per pair of distinct votes.  Swap, where
+    discrete one sort of the row's relabeling codes.  Swap, where
     one chunk holds all m! relabelings, and pairwise up to 6 candidates
     take the later elections in stacks: swap's gathers at most 2**17 bytes
     of preference bits and uint8 voter costs at once, pairwise's 2**17

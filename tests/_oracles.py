@@ -5,15 +5,18 @@ transport by greedy flow instead of prefix sums, assignments and matchings
 by exhaustive permutation search instead of the Hungarian-style solver,
 Borda scores as majority-matrix row sums instead of positional points.
 The loop oracles are the package's earlier per-vote and per-pair routines,
-kept to check the vectorized kernels that replaced them, and
+kept to check the vectorized kernels that replaced them;
 ``sign_dot_voter_costs`` is the swap search's earlier float32 kernel, kept
-to check the packed-bit one.
+to check the packed-bit one, and ``counter_discrete_search`` the discrete
+search's earlier per-pair dict kernel, kept to check the row kernel.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -34,7 +37,7 @@ from electodist import (
     position_matrix,
 )
 from electodist.analysis import check_census_guard
-from electodist.elections import _check_permutation
+from electodist.elections import _check_permutation, _place_values
 from electodist.cultures import (
     _balanced_tree,
     _caterpillar_tree,
@@ -504,6 +507,33 @@ def dict_discrete_search(a: Election, b: Election) -> DistanceOutcome:
         if rho[i] < 0:
             rho[i] = next(it)
     return DistanceOutcome(n - best_overlap, best_sigma, tuple(rho))
+
+
+def counter_discrete_search(a: Counter, bs) -> list[tuple[int, tuple[int, ...]]]:
+    """The discrete row search on vote counts: for each Counter of bs,
+    (value, lexicographically smallest optimal relabeling) against a.
+
+    The relabeling that maps vote u of a onto vote w of b sends u[k] to
+    w[k]; its base-m code, whose digits are its entries and so order like
+    them, is the sum of w[k] * place[u[k]], a Python int.  A relabeling maps
+    u onto at most one w, so its overlap sums min(count u, count w) over
+    the pairs (u, w) that give it, filled into a dict one pair at a time.
+    """
+    m = len(next(iter(a)))
+    place = _place_values(m)
+    n = sum(a.values())
+    weights = [([place[c] for c in u], count) for u, count in a.items()]
+    out = []
+    for b in bs:
+        overlap: dict[int, int] = {}
+        for weights_u, count_u in weights:
+            for w, count_w in b.items():
+                code = sum(map(operator.mul, w, weights_u))
+                overlap[code] = overlap.get(code, 0) + min(count_u, count_w)
+        most = max(overlap.values())
+        best = min(code for code, o in overlap.items() if o == most)
+        out.append((n - most, tuple(best // p % m for p in place)))
+    return out
 
 
 def bruteforce_majority_realizable(M, n: int) -> Optional[Election]:

@@ -182,6 +182,22 @@ def test_distance_mismatched_sizes(pair_files, tmp_path, capsys):
     assert "error:" in err
 
 
+def test_discrete_witness_past_int64_codes(tmp_path, capsys):
+    # at m = 16 the relabeling codes pass int64 (16**16 > 2**63) and run on
+    # Python ints; the CI step of the installed entry point prints the same
+    ident, swapped = list(range(16)), [1, 0, *range(2, 16)]
+    turned = ident[5:] + ident[:5]
+    votes = {"a": [ident, ident[::-1], turned, ident],
+             "b": [ident[::-1], swapped, turned[::-1], ident[::-1]]}
+    for name, rows in votes.items():
+        lines = ["16 4", *(" ".join(map(str, v)) for v in rows)]
+        (tmp_path / f"{name}.soc").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    a, b = str(tmp_path / "a.soc"), str(tmp_path / "b.soc")
+    code, out, _ = run(capsys, ["distance", a, b, "--metric", "discrete", "--witness"])
+    assert code == 0
+    assert out == "2\ncandidates 4 3 2 1 0 15 14 13 12 11 10 9 8 7 6 5\nvoters 2 1 0 3\n"
+
+
 # census
 
 def test_census_known_row(capsys):

@@ -141,6 +141,40 @@ def test_phi_from_norm_endpoints_and_target():
         assert abs(_mallows_expected_swaps(phi, 5) - target) < 1e-6
 
 
+# mallows_phi_from_norm's bits on a grid, as Python 3.11 gives them; four of
+# the thirty (norm 0.5 at m = 3, 0.1 at 5, 0.99 at 8, 0.25 at 10) change
+# when the expected swaps are summed by a compensated sum(), as Python 3.12
+# sums floats, and with them the elections Mallows draws from a seed
+PHI_NORMS = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
+PINNED_PHI_HEX = {
+    3: (
+        "0x1.340fffcda81d2p-4", "0x1.86b905c82b728p-3", "0x1.9b4fe1e21d2e0p-2",
+        "0x1.50a08595980d2p-1", "0x1.b2702ac7fe354p-1", "0x1.f7b08ea9d1d38p-1",
+    ),
+    5: (
+        "0x1.e258838d14572p-4", "0x1.17cccae9d27ccp-2", "0x1.0222452f58a90p-1",
+        "0x1.77d769d803e60p-1", "0x1.c5d8c99ab646cp-1", "0x1.f9e4767fb104cp-1",
+    ),
+    8: (
+        "0x1.663dca194af28p-3", "0x1.7b1358f0f4720p-2", "0x1.363d93b120bd6p-1",
+        "0x1.9a13a0d53977ep-1", "0x1.d5b867d90de76p-1", "0x1.fba1441100be6p-1",
+    ),
+    10: (
+        "0x1.ac3cd84291fb6p-3", "0x1.afd64d22cb5e4p-2", "0x1.4e90f7104129cp-1",
+        "0x1.a8b755668e646p-1", "0x1.dc3aea3bd2378p-1", "0x1.fc539dbdcd744p-1",
+    ),
+    12: (
+        "0x1.eca878169f0f6p-3", "0x1.dca2e98d675f6p-2", "0x1.61ab58f39cc22p-1",
+        "0x1.b3ae3b7ee7854p-1", "0x1.e100c0a4d4d92p-1", "0x1.fcd4eb7bbbdb8p-1",
+    ),
+}
+
+
+@pytest.mark.parametrize("m", PINNED_PHI_HEX)
+def test_phi_from_norm_gives_the_pinned_bits(m):
+    assert [mallows_phi_from_norm(x, m).hex() for x in PHI_NORMS] == list(PINNED_PHI_HEX[m])
+
+
 def test_sp_walsh_votes_are_single_peaked():
     e = sample_sp_walsh(6, 300, 21)
     assert is_single_peaked(e, tuple(range(6)))

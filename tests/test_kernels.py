@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -50,6 +51,7 @@ from _oracles import (
     block_enumeration_pairwise,
     branch_and_bound_pairwise,
     bruteforce_majority_realizable,
+    counter_discrete_search,
     dict_discrete_search,
     index_borda_table,
     index_majority_table,
@@ -227,6 +229,38 @@ def test_isomorphic_searches_equal_their_loop_versions(pair, entries):
     with mock.patch.object(metrics, "_SWAP_CHUNK_ENTRIES", entries):
         assert_same_outcome(distance(a, b, "swap"), lexicographic_swap_search(a, b))
     assert_same_outcome(distance(a, b, "discrete"), dict_discrete_search(a, b))
+
+
+# m**m overflows int64 from m = 16 on, and at m = 15 once a row holds more
+# than 21 later elections: those rows run on Python-int codes
+@pytest.mark.parametrize("m", [*range(1, 10), 15, 16, 20])
+def test_discrete_row_search_equals_the_counter_kernel(m):
+    # each row draws most votes from a few shared orders, so votes repeat
+    # within and across elections and relabelings tie for the optimum
+    rng = np.random.default_rng(m)
+    aggregate = metrics._row("discrete")[0]
+
+    def vote(pool):
+        return pool[rng.integers(len(pool))] if rng.random() < 0.8 else rng.permutation(m)
+
+    for later in (1, 2, 5, 24):
+        for _ in range(3):
+            n = int(rng.integers(1, 9))
+            pool = [rng.permutation(m) for _ in range(int(rng.integers(1, 4)))]
+            a, *bs = [Election(m, [vote(pool) for _ in range(n)]) for _ in range(later + 1)]
+            got = metrics._discrete_search(aggregate(a), [aggregate(b) for b in bs])
+            want = counter_discrete_search(Counter(a.votes), [Counter(b.votes) for b in bs])
+            assert got == want
+
+
+def test_discrete_values_equal_pair_distances_past_int64_codes():
+    rng = np.random.default_rng(16)
+    pool = [rng.permutation(16) for _ in range(3)]
+    dataset = [
+        Election(16, [pool[i] for i in rng.integers(3, size=6)]) for _ in range(5)
+    ] + [Election(16, [rng.permutation(16) for _ in range(6)]) for _ in range(2)]
+    want = [distance(a, b, "discrete").value for a, b in itertools.combinations(dataset, 2)]
+    assert distance_values(dataset, "discrete").tolist() == want
 
 
 @pytest.mark.parametrize("entries", CHUNK_ENTRIES)
