@@ -110,87 +110,105 @@ def distance_matrix(
 def embedding_stress(points: np.ndarray, targets: np.ndarray) -> float:
     """Normalized squared error between optimally scaled embedded distances
     and target distances; 0 for an all-zero target matrix."""
-    iu = np.triu_indices(len(points), k=1)
-    t = np.asarray(targets, dtype=float)[iu]
-    denom = float((t**2).sum())
-    if denom == 0.0:
+    t = _square_matrix(targets, "targets", float)
+    pts = np.asarray(points, dtype=float)
+    if pts.shape != (len(t), 2):
+        raise ValueError(f"points must have shape ({len(t)}, 2), got {pts.shape}")
+    iu = np.triu_indices(len(t), k=1)
+    t = t[iu][None]
+    denom = (t**2).sum(axis=1)
+    if denom[0] == 0.0:
         return 0.0
-    return _measure(np.asarray(points, dtype=float), iu, t, denom)[3]
+    return float(_measure(pts.T[None], iu, t, denom)[3][0])
 
 
 def _measure(
-    points: np.ndarray, iu: tuple, t: np.ndarray, denom: float
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    # the pair differences, the pair distances, the scale that best fits
-    # them to the targets and the stress at that scale.  iu: the cells
-    # above the diagonal; t: the targets there; denom: (t**2).sum()
-    diffs = points[:, None, :] - points[None, :, :]
-    dists = np.sqrt((diffs**2).sum(axis=2))
-    e = dists[iu]
-    ee = float((e**2).sum())
-    scale = float(e @ t) / ee if ee > 0 else 0.0
-    return diffs, dists, scale, float(((scale * e - t) ** 2).sum() / denom)
+    points: np.ndarray, iu: tuple, t: np.ndarray, denom: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # for a (B, 2, k) stack: the pair differences ([b, c, j, i] = p_i - p_j),
+    # the pair distances, the scales that best fit them to the targets and the
+    # stresses at those scales.  iu: the cells above the diagonal; t: the
+    # C-ordered (B, P) targets there; denom: (t**2).sum(axis=1).  Each row sums
+    # and takes its dot by BLAS as a lone 1-D layout would, so no layout's bits
+    # depend on the others
+    diffs = points[:, :, None, :] - points[:, :, :, None]
+    sq = diffs**2
+    dists = np.sqrt(sq[:, 0] + sq[:, 1])
+    e = np.ascontiguousarray(dists[:, iu[0], iu[1]])
+    ee = (e**2).sum(axis=1)
+    dot = np.matmul(e[:, None, :], t[:, :, None])[:, 0, 0]
+    scale = np.divide(dot, ee, out=np.zeros_like(ee), where=ee > 0)
+    return diffs, dists, scale, ((scale[:, None] * e - t) ** 2).sum(axis=1) / denom
 
 
 def _spring_phase(
     points: np.ndarray, ideal: np.ndarray, iterations: int, temperature: float
 ) -> None:
     # points (B, k, 2) and ideal (B, k, k): B layouts of k points, moved as
-    # one stack.  Every operation is elementwise or sums within one layout in
-    # the order a stack of one sums, so no layout's bits depend on the others
-    d = np.arange(points.shape[1])
+    # one (B, 2, k) stack.  Every operation is elementwise or sums within one
+    # layout in the order a lone layout sums, so no layout's bits depend on
+    # the others
+    p = points.transpose(0, 2, 1).copy()
+    eye = np.eye(points.shape[1])
     for it in range(iterations):
-        diffs = points[:, :, None, :] - points[:, None, :, :]
-        dists = np.sqrt((diffs**2).sum(axis=3))
-        dists[:, d, d] = 1.0
+        diffs = p[:, :, None, :] - p[:, :, :, None]
+        sq = diffs**2
+        dists = np.sqrt(sq[:, 0] + sq[:, 1]) + eye
         # spring force toward the ideal length for every pair; a point's
         # own term, -1 times a +0.0 difference, is -0.0 and changes no sum
         coeff = (ideal - dists) / dists
-        force = (coeff[..., None] * diffs).sum(axis=2)
-        norms = np.sqrt((force**2).sum(axis=2, keepdims=True))
+        force = (coeff[:, None] * diffs).sum(axis=2)
+        f2 = force**2
+        norms = np.sqrt(f2[:, :1] + f2[:, 1:])
         norms[norms == 0] = 1.0
         temp = temperature * (1.0 - it / iterations) + 1e-4
-        step = force / norms * np.minimum(norms, temp)
-        points += step
+        p += force / norms * np.minimum(norms, temp)
+    points[:] = p.transpose(0, 2, 1)
 
 
 def _descent_tail(
     points: np.ndarray, targets: np.ndarray, iterations: int
-) -> list[float]:
-    """Gradient steps on the stress with a backtracking line search.
+) -> list[list[float]]:
+    """Gradient steps on the stress with a backtracking line search, for B
+    layouts (B, k, 2) in place; returns each layout's stress trace.
 
-    targets must have a nonzero cell above the diagonal.
+    The line searches run in lockstep, but each layout has its own step and
+    accepts or rejects its own trials.  targets (B, k, k) must each have a
+    nonzero cell above the diagonal.
     """
+    iu = np.triu_indices(points.shape[1], k=1)
+    t = np.ascontiguousarray(targets[:, iu[0], iu[1]])
+    denom = (t**2).sum(axis=1)
+    p = points.transpose(0, 2, 1).copy()
+    # the measurement of the point sets last accepted, or started from
+    diffs, dists, scale, current = _measure(p, iu, t, denom)
+    step = np.full(len(p), 0.1)
     trace = []
-    k = points.shape[0]
-    iu = np.triu_indices(k, k=1)
-    t = targets[iu]
-    denom = float((t**2).sum())
-    # the measurement of the point set last accepted, or started from
-    diffs, dists, scale, current = _measure(points, iu, t, denom)
-    step = 0.1
     for _ in range(iterations):
-        resid = np.zeros((k, k))
-        resid[iu] = scale * dists[iu] - t
-        resid = resid + resid.T
+        resid = np.zeros(dists.shape)
+        resid[:, iu[0], iu[1]] = scale[:, None] * dists[:, iu[0], iu[1]] - t
+        resid = resid + resid.transpose(0, 2, 1)
         # coincident points pull on each other in no direction, as SMACOF's
         # b_ij = 0 where d_ij = 0
-        ratio = np.divide(resid, dists, out=np.zeros((k, k)), where=dists > 0)
-        grad = 2.0 * scale * (ratio[:, :, None] * diffs).sum(axis=1)
-        trial_step = step
+        ratio = np.divide(resid, dists, out=np.zeros(dists.shape), where=dists > 0)
+        grad = (2.0 * scale)[:, None, None] * (ratio[:, None] * diffs).sum(axis=2)
+        trial_step = step.copy()
+        searching = np.ones(len(p), dtype=bool)
         for _ in range(8):
-            candidate = points - trial_step * grad
+            candidate = p - trial_step[:, None, None] * grad
             measured = _measure(candidate, iu, t, denom)
-            if measured[3] < current:
-                points[:] = candidate
-                diffs, dists, scale, current = measured
-                step = trial_step * 1.5
+            accept = searching & (measured[3] < current)
+            for held, new in zip((p, diffs, dists, scale, current), (candidate, *measured)):
+                held[accept] = new[accept]
+            step[accept] = trial_step[accept] * 1.5
+            searching &= ~accept
+            trial_step[searching] /= 2.0
+            if not searching.any():
                 break
-            trial_step /= 2.0
-        else:
-            step = trial_step
-        trace.append(current)
-    return trace
+        step[searching] = trial_step[searching]
+        trace.append(current.copy())
+    points[:] = p.transpose(0, 2, 1)
+    return np.array(trace).T.tolist()
 
 
 def _classical_mds(targets: np.ndarray) -> np.ndarray:
@@ -201,7 +219,8 @@ def _classical_mds(targets: np.ndarray) -> np.ndarray:
     gram = -0.5 * j @ d2 @ j
     vals, vecs = np.linalg.eigh(gram)
     order = np.argsort(vals)[::-1][:2]
-    return vecs[:, order] * np.sqrt(np.maximum(vals[order], 0.0))
+    # row-major, as the random spring starts are
+    return np.ascontiguousarray(vecs[:, order] * np.sqrt(np.maximum(vals[order], 0.0)))
 
 
 def _normalize_unit_square(points: np.ndarray) -> np.ndarray:
@@ -228,10 +247,11 @@ def embed_all(
 ) -> list[Embedding]:
     """One ``embed`` per matrix, in order, each equal to it byte for byte.
 
-    The spring phases of all layouts with the same number of points move as
-    one stack, so numpy's per-call cost is paid once per iteration for the
-    stack, not once per matrix.  Each layout then runs its own descent
-    tail, whose line search accepts or rejects its steps alone.
+    All layouts with the same number of points move as one coordinate-major
+    stack, through the spring phase (or from their classical scaling starts)
+    and then one descent tail, so numpy's per-call cost is paid once per step
+    for the stack, not once per matrix.  The tail's line searches run in
+    lockstep, but each layout accepts or rejects its own trials.
     """
     if config.method not in ("spring", "mds"):
         raise ValueError(f"unknown embed method {config.method!r}")
@@ -244,6 +264,9 @@ def embed_all(
         raise ValueError(f"temperature must be a real number, got {temperature!r}")
     if not (math.isfinite(temperature) and temperature >= 0):
         raise ValueError(f"temperature must be finite and nonnegative, got {temperature!r}")
+    for dm in dms:
+        if not isinstance(dm, DistanceMatrix):
+            raise ValueError(f"expected distance matrices, got {type(dm).__name__}")
     tail_iterations = max(1, config.iterations // 10)
     points = [
         np.random.default_rng(config.seed).random((len(dm.labels), 2)) for dm in dms
@@ -252,34 +275,25 @@ def embed_all(
     ideals = [
         dm.cells / dm.cells.max() if dm.cells.max() != 0 else None for dm in dms
     ]
-    if config.method == "mds":
-        for i, ideal in enumerate(ideals):
-            if ideal is not None:
-                points[i] = _classical_mds(ideal)
-    else:
-        by_size: dict[int, list[int]] = {}
-        for i, ideal in enumerate(ideals):
-            if ideal is not None:
-                by_size.setdefault(len(ideal), []).append(i)
-        for group in by_size.values():
-            stack = np.stack([points[i] for i in group])
-            _spring_phase(
-                stack,
-                np.stack([ideals[i] for i in group]),
-                config.iterations - tail_iterations,
-                config.temperature,
-            )
-            for i, moved in zip(group, stack):
-                points[i] = moved
-    out = []
-    for dm, pts, ideal in zip(dms, points, ideals):
-        if ideal is None:
-            final = _normalize_unit_square(pts)
-            stress, trace = 0.0, [0.0] * tail_iterations
+    traces = [[0.0] * tail_iterations for _ in dms]
+    by_size: dict[int, list[int]] = {}
+    for i, ideal in enumerate(ideals):
+        if ideal is not None:
+            by_size.setdefault(len(ideal), []).append(i)
+    for group in by_size.values():
+        ideal = np.stack([ideals[i] for i in group])
+        if config.method == "mds":
+            stack = np.stack([_classical_mds(ideals[i]) for i in group])
         else:
-            trace = _descent_tail(pts, ideal, tail_iterations)
-            final = _normalize_unit_square(pts)
-            stress = embedding_stress(final, ideal)
+            stack = np.stack([points[i] for i in group])
+            _spring_phase(stack, ideal, config.iterations - tail_iterations, temperature)
+        group_traces = _descent_tail(stack, ideal, tail_iterations)
+        for i, moved, trace in zip(group, stack, group_traces):
+            points[i], traces[i] = moved, trace
+    out = []
+    for dm, pts, ideal, trace in zip(dms, points, ideals, traces):
+        final = _normalize_unit_square(pts)
+        stress = 0.0 if ideal is None else embedding_stress(final, ideal)
         out.append(Embedding(dm.labels, final, config, stress, tuple(trace)))
     return out
 

@@ -451,17 +451,31 @@ def _check_elections(elections: Sequence[Election], kind: str) -> None:
         check_guard(kind, elections[0].m)
 
 
+def _code_places(m: int, largest: int) -> np.ndarray:
+    # the base-m place values for codes below largest: int64 while they fit,
+    # Python ints after
+    return np.array(_place_values(m), dtype=np.int64 if largest < 2**63 else object)
+
+
+def _vote_types(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the distinct rows of the (n, m) votes in order, with their counts:
+    # base-m codes order like the votes
+    m = votes.shape[1]
+    place = _code_places(m, m**m)
+    _, first, counts = np.unique(votes @ place, return_index=True, return_counts=True)
+    return votes[first], counts
+
+
 def _discrete_search(a: tuple, bs: Sequence[tuple]) -> list[tuple[int, tuple[int, ...]]]:
     # exact discrete distance from the election of distinct votes and counts a
     # to each such one of bs, with the lexicographically smallest optimal
     # relabeling.  Mapping vote u onto w has the base-m code w @ place[u], which
     # orders like it, and overlaps min(count u, count w) summed over its (u, w).
-    # bs share one sort, m**m apart: int64 codes while they fit, Python ints after
+    # bs share one sort, m**m apart
     types_a, counts_a = a
     m = types_a.shape[1]
-    dtype = np.int64 if len(bs) * m**m < 2**63 else object
-    place = np.array(_place_values(m), dtype=dtype)
-    offsets = np.repeat(np.arange(len(bs)).astype(dtype) * m**m, [len(b[1]) for b in bs])
+    place = _code_places(m, len(bs) * m**m)
+    offsets = np.repeat(np.arange(len(bs)).astype(place.dtype) * m**m, [len(b[1]) for b in bs])
     codes = np.concatenate([b[0] for b in bs]) @ place[types_a].T + offsets[:, None]
     keys, inverse = np.unique(codes.ravel(), return_inverse=True)
     pairs = np.minimum.outer(np.concatenate([b[1] for b in bs]), counts_a)
@@ -725,7 +739,7 @@ def _row(kind: str):
     # per call, so a module global rebound after import is the one called
     return {
         "swap": (_swap_aggregates, _swap_search),
-        "discrete": (lambda e: np.unique(e.array, axis=0, return_counts=True), _discrete_search),
+        "discrete": (lambda e: _vote_types(e.array), _discrete_search),
         "emdpos": (lambda e: _positionwise_aggregate(e, "EMD"), _positionwise_search),
         "l1pos": (lambda e: _positionwise_aggregate(e, "L1"), _positionwise_search),
         "pairwise": (majority_matrix, _pairwise_search),

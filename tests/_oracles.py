@@ -8,7 +8,10 @@ The loop oracles are the package's earlier per-vote and per-pair routines,
 kept to check the vectorized kernels that replaced them;
 ``sign_dot_voter_costs`` is the swap search's earlier float32 kernel, kept
 to check the packed-bit one, and ``counter_discrete_search`` the discrete
-search's earlier per-pair dict kernel, kept to check the row kernel.
+search's earlier per-pair dict kernel, kept to check the row kernel,
+``unique_rows_vote_types`` its earlier row-wise vote-type aggregate, and
+``single_layout_descent_tail`` the map's descent tail of one layout, kept to
+check the tail that moves a stack of layouts in lockstep.
 """
 
 from __future__ import annotations
@@ -509,6 +512,12 @@ def dict_discrete_search(a: Election, b: Election) -> DistanceOutcome:
     return DistanceOutcome(n - best_overlap, best_sigma, tuple(rho))
 
 
+def unique_rows_vote_types(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The discrete aggregate as it was: the distinct rows of the (n, m)
+    votes, in lexicographic order, with their counts, by a row-wise unique."""
+    return np.unique(votes, axis=0, return_counts=True)
+
+
 def counter_discrete_search(a: Counter, bs) -> list[tuple[int, tuple[int, ...]]]:
     """The discrete row search on vote counts: for each Counter of bs,
     (value, lexicographically smallest optimal relabeling) against a.
@@ -743,13 +752,63 @@ def single_layout_spring_phase(
         points += step
 
 
-def per_layout(spring_phase):
-    """A spring phase of one (k, 2) layout, made to take a (B, k, 2) stack
-    as ``mapping._spring_phase`` does: it runs once per layout, in place."""
+def single_layout_measure(
+    points: np.ndarray, iu: tuple, t: np.ndarray, denom: float
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """``mapping._measure`` as it was before it measured a stack of layouts:
+    the pair differences, distances, best scale and stress of one (k, 2)
+    layout."""
+    diffs = points[:, None, :] - points[None, :, :]
+    dists = np.sqrt((diffs**2).sum(axis=2))
+    e = dists[iu]
+    ee = float((e**2).sum())
+    scale = float(e @ t) / ee if ee > 0 else 0.0
+    return diffs, dists, scale, float(((scale * e - t) ** 2).sum() / denom)
 
-    def stacked(points, ideal, iterations, temperature):
-        for layout, layout_ideal in zip(points, ideal):
-            spring_phase(layout, layout_ideal, iterations, temperature)
+
+def single_layout_descent_tail(
+    points: np.ndarray, targets: np.ndarray, iterations: int
+) -> list[float]:
+    """``mapping._descent_tail`` as it was before it moved a stack of
+    layouts: points (k, 2) and targets (k, k) of one layout, whose line
+    search accepts or rejects its steps alone."""
+    trace = []
+    k = points.shape[0]
+    iu = np.triu_indices(k, k=1)
+    t = targets[iu]
+    denom = float((t**2).sum())
+    diffs, dists, scale, current = single_layout_measure(points, iu, t, denom)
+    step = 0.1
+    for _ in range(iterations):
+        resid = np.zeros((k, k))
+        resid[iu] = scale * dists[iu] - t
+        resid = resid + resid.T
+        ratio = np.divide(resid, dists, out=np.zeros((k, k)), where=dists > 0)
+        grad = 2.0 * scale * (ratio[:, :, None] * diffs).sum(axis=1)
+        trial_step = step
+        for _ in range(8):
+            candidate = points - trial_step * grad
+            measured = single_layout_measure(candidate, iu, t, denom)
+            if measured[3] < current:
+                points[:] = candidate
+                diffs, dists, scale, current = measured
+                step = trial_step * 1.5
+                break
+            trial_step /= 2.0
+        else:
+            step = trial_step
+        trace.append(current)
+    return trace
+
+
+def per_layout(phase):
+    """A spring phase or descent tail of one (k, 2) layout, made to take a
+    (B, k, 2) stack and its (B, k, k) targets as ``mapping._spring_phase`` and
+    ``mapping._descent_tail`` do: it runs once per layout, in place, and
+    returns the list of its results, a tail's traces."""
+
+    def stacked(points, targets, *args):
+        return [phase(layout, layout_targets, *args) for layout, layout_targets in zip(points, targets)]
 
     return stacked
 

@@ -25,6 +25,7 @@ from electodist import cli, cultures, mapping
 from electodist.cli import ExperimentConfig, build_dataset, main
 
 from conftest import SMALL_A, SMALL_B
+from _oracles import per_layout, single_layout_descent_tail, single_layout_spring_phase
 
 
 @pytest.fixture
@@ -667,6 +668,37 @@ def test_map_of_three_metrics_equals_three_single_metric_maps(tmp_path, capsys):
         alone_names += kind_names
         assert kind_files == {name: files[name] for name in kind_names}
     assert names == alone_names
+
+
+def test_map_equals_the_one_layout_oracles(tmp_path, capsys):
+    # six layouts of eight points move as one stack; each file equals the one
+    # written when every layout runs the one-layout spring phase and tail
+    dataset = [
+        {"model": "IC"},
+        {"model": "Urn", "params": {"alpha": "gamma"}},
+        {"model": "Mallows", "params": {"phi": "norm-uniform"}},
+        {"model": "SPConitzer"},
+        {"model": "Euclidean", "params": {"shape": "disc_2d"}},
+        {"model": "GroupSeparable", "params": {"tree": "caterpillar"}},
+    ]
+    cfg = write_config(
+        tmp_path, m=6, n=12, dataset=[dict(c, count=1) for c in dataset],
+        compass=["ID", "AN"], metrics=list(electodist.METRIC_KINDS),
+    )
+
+    def snapshot(dirname):
+        outdir = tmp_path / dirname
+        code, _, _ = run(capsys, ["map", "--config", str(cfg), "--output", str(outdir)])
+        assert code == 0
+        return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+    stacked = snapshot("stacked")
+    with (
+        mock.patch.object(mapping, "_spring_phase", per_layout(single_layout_spring_phase)),
+        mock.patch.object(mapping, "_descent_tail", per_layout(single_layout_descent_tail)),
+    ):
+        assert snapshot("alone") == stacked
+    assert len(stacked) == 18
 
 
 def test_map_writes_a_repeated_compass_kind_once(tmp_path, capsys):

@@ -28,6 +28,8 @@ from electodist import (
     correlation,
     count_equivalence_classes,
     distance,
+    embed_all,
+    embedding_stress,
     enumerate_anecs,
     is_single_peaked,
     is_spoc_vote,
@@ -502,6 +504,25 @@ for kind in METRIC_KINDS:
             lambda pair=pair, kind=kind: distance_values(list(pair), kind),
             "expected elections, got ndarray",
         )
+
+# maps: stress targets are square matrices and points one (x, y) per row;
+# embed_all takes distance matrices, checked before any layout
+for name, (points, targets, message) in {
+    "fewer-points": (np.zeros((3, 2)), np.ones((4, 4)), "points must have shape (4, 2), got (3, 2)"),
+    "three-coordinates": (np.zeros((4, 3)), np.ones((4, 4)), "points must have shape (4, 2), got (4, 3)"),
+    "more-points": (np.zeros((4, 2)), np.ones((3, 3)), "points must have shape (3, 2), got (4, 2)"),
+    "flat-points": (np.zeros(4), np.ones((2, 2)), "points must have shape (2, 2), got (4,)"),
+    "non-square-targets": (np.zeros((2, 2)), np.ones((2, 3)), "targets must be square, got shape (2, 3)"),
+    "ragged-targets": (np.zeros((2, 2)), [[0, 1], [1]], "targets must be square, got rows of lengths [2, 1]"),
+}.items():
+    CASES[f"embedding-stress-{name}"] = (
+        lambda points=points, targets=targets: embedding_stress(points, targets),
+        message,
+    )
+CASES["embed-all-ndarray"] = (
+    lambda: embed_all([LABELED, np.zeros((2, 2))]),
+    "expected distance matrices, got ndarray",
+)
 
 
 @pytest.mark.parametrize("call, message", CASES.values(), ids=CASES.keys())

@@ -67,6 +67,7 @@ from _oracles import (
     relabel_canonical_anec_key,
     sign_aggregates,
     sign_dot_voter_costs,
+    unique_rows_vote_types,
 )
 
 
@@ -251,6 +252,23 @@ def test_discrete_row_search_equals_the_counter_kernel(m):
             got = metrics._discrete_search(aggregate(a), [aggregate(b) for b in bs])
             want = counter_discrete_search(Counter(a.votes), [Counter(b.votes) for b in bs])
             assert got == want
+
+
+@pytest.mark.parametrize("m", [*range(1, 10), 15, 16, 20])
+def test_vote_types_equal_the_row_unique(m):
+    # codes stay int64 up to m = 15 and are Python ints from m = 16 on; the
+    # rows, counts and dtypes equal the row-wise unique's, with no votes too
+    rng = np.random.default_rng(m)
+    pool = [rng.permutation(m) for _ in range(3)]
+    for n in (0, 1, 2, 7, 30):
+        votes = np.array(
+            [pool[rng.integers(3)] if rng.random() < 0.7 else rng.permutation(m) for _ in range(n)],
+            dtype=np.int64,
+        ).reshape(n, m)
+        got, want = metrics._vote_types(votes), unique_rows_vote_types(votes)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert np.array_equal(x, y)
 
 
 def test_discrete_values_equal_pair_distances_past_int64_codes():

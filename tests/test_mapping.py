@@ -27,11 +27,13 @@ from electodist.mapping import (
     export_map,
 )
 
+import _oracles
 from _oracles import (
     diagonal_zeroing_spring_phase,
     indexing_descent_tail,
     indexing_embedding_stress,
     per_layout,
+    single_layout_descent_tail,
     single_layout_spring_phase,
 )
 from conftest import SMALL_A, SMALL_B
@@ -203,7 +205,7 @@ def test_embed_equals_indexing_tail(method):
         dm = random_distance_matrix(rng, k)
         config = EmbedConfig(iterations=60, seed=trial, method=method)
         fast = embed(dm, config)
-        with mock.patch.object(mapping, "_descent_tail", indexing_descent_tail):
+        with mock.patch.object(mapping, "_descent_tail", per_layout(indexing_descent_tail)):
             slow = embed(dm, config)
         assert fast.points.tobytes() == slow.points.tobytes()
         assert fast.stress == slow.stress
@@ -231,7 +233,7 @@ def test_embed_equals_spring_and_tail_oracles(method):
             mock.patch.object(
                 mapping, "_spring_phase", per_layout(diagonal_zeroing_spring_phase)
             ),
-            mock.patch.object(mapping, "_descent_tail", indexing_descent_tail),
+            mock.patch.object(mapping, "_descent_tail", per_layout(indexing_descent_tail)),
         ):
             slow = embed(dm, config)
         assert fast.points.tobytes() == slow.points.tobytes()
@@ -245,19 +247,31 @@ def test_embed_equals_spring_and_tail_oracles(method):
 
 @pytest.mark.parametrize("method", ["spring", "mds"])
 def test_embed_all_equals_single_layout_embeds(method):
-    # two sizes of several layouts each, an all-zero matrix, k = 1, and
-    # duplicated elections whose points the targets pull together
+    # three sizes of several layouts each, an all-zero matrix, k = 1, and
+    # duplicated elections whose points the targets pull together; each
+    # layout of a stack equals its lone run of the one-layout oracles
     rng = np.random.default_rng(9)
-    dms = [random_distance_matrix(rng, k) for k in (8, 15, 8, 3, 8, 15, 2)]
+    dms = [random_distance_matrix(rng, k) for k in (8, 15, 8, 3, 8, 15, 2, 2)]
     dms[4:4] = [
         DistanceMatrix(("a", "b", "c", "d"), np.zeros((4, 4)), "swap"),
         DistanceMatrix(("a",), np.zeros((1, 1)), "swap"),
     ]
-    config = EmbedConfig(iterations=120, seed=3, method=method)
+    config = EmbedConfig(iterations=400, seed=3, method=method)
     together = embed_all(dms, config)
     assert len(together) == len(dms)
-    with mock.patch.object(
-        mapping, "_spring_phase", per_layout(single_layout_spring_phase)
+    trials = {}
+
+    def counting_tail(points, targets, iterations):
+        with mock.patch.object(
+            _oracles, "single_layout_measure", wraps=_oracles.single_layout_measure
+        ) as measure:
+            trace = single_layout_descent_tail(points, targets, iterations)
+        trials.setdefault(len(points), []).append(measure.call_count)
+        return trace
+
+    with (
+        mock.patch.object(mapping, "_spring_phase", per_layout(single_layout_spring_phase)),
+        mock.patch.object(mapping, "_descent_tail", per_layout(counting_tail)),
     ):
         alone = [embed(dm, config) for dm in dms]
     for dm, got, want in zip(dms, together, alone):
@@ -265,6 +279,9 @@ def test_embed_all_equals_single_layout_embeds(method):
         assert got.points.tobytes() == want.points.tobytes()
         assert repr(got.stress) == repr(want.stress)
         assert got.tail_stress == want.tail_stress
+    # the k = 8 layouts tried different numbers of steps, so their line
+    # searches accepted on different rounds of one lockstep search
+    assert len(set(trials[8])) > 1
     assert embed_all([], config) == []
 
 
