@@ -21,6 +21,7 @@ from .elections import (
     _integers,
     _order_table,
     _positions,
+    _preferences,
     _square_matrix,
     _upper_pairs,
     all_orders,
@@ -145,15 +146,13 @@ def count_equivalence_classes(m: int, n: int) -> CensusReport:
     Bordawise equivalence classes."""
     rows = _anec_rows(m, n)
     table = _order_table(m)
-    positions = _positions(table)
     # per-order tables summed over each row's votes: each vote adds
     # (n+1)**position to a candidate's column code (its position counts as
-    # base-(n+1) digits), the indicator of c above d to the majority matrix
-    # and m - 1 - position to the Borda scores
-    columns = ((n + 1) ** positions)[rows].sum(axis=1)
-    majority = (positions[:, :, None] < positions[:, None, :]).reshape(len(table), m * m)
-    majority = majority[rows].sum(axis=1)
-    borda = (m - 1 - positions)[rows].sum(axis=1)
+    # base-(n+1) digits) and the indicator of c above d to the majority
+    # matrix, whose row sums are the Borda scores
+    columns = ((n + 1) ** _positions(table))[rows].sum(axis=1)
+    majority = _preferences(table).reshape(len(table), m * m)[rows].sum(axis=1)
+    borda = majority.reshape(len(rows), m, m).sum(axis=2)
     # the cells c < d fix a majority matrix, as cells[c, d] + cells[d, c]
     # = n; their base-(n+1) code, minimized over relabelings, names its
     # class.  digits[s] weighs the cells (s c, s d) of relabeling s
@@ -205,7 +204,7 @@ def matrix_correlation(dm_a: DistanceMatrix, dm_b: DistanceMatrix) -> Correlatio
         raise ValueError("distance matrices have different labels")
     if len(dm_a.labels) < 2:
         raise ValueError("need at least two elections")
-    upper = np.triu_indices(len(dm_a.labels), k=1)
+    upper = _upper_pairs(len(dm_a.labels))
     xs = dm_a.cells[upper]
     ys = dm_b.cells[upper]
     spearman = _pearson(_average_ranks(xs), _average_ranks(ys))
@@ -231,10 +230,7 @@ ExactOrBounds = Union[int, Fraction, tuple[Union[int, Fraction], Union[int, Frac
 
 
 def _swap_bounds(m: int, n: int, low_quadratic: int) -> tuple[Fraction, Fraction]:
-    return (
-        Fraction(n * low_quadratic, 8),
-        Fraction(n * (m * m - m), 4),
-    )
+    return Fraction(n * low_quadratic, 8), Fraction(n * (m * m - m), 4)
 
 
 def _compass_formula_value(kind: str, pair: tuple[str, str], m: int, n: int):
@@ -302,6 +298,7 @@ def compass_distance_formula(
     a, b = pair
     for k in (a, b):
         _check_compass(k)
+    _check_positive(m, n)
     if m < 2 or m % 2:
         raise ValueError(f"compass formulas need an even m >= 2, got m={m}")
     if "ST" in (a, b) and m < 4:
@@ -387,7 +384,8 @@ def borda_realizable(x: Sequence[int], n: int) -> Optional[Election]:
         return None
     if sum(scores) != n * m * (m - 1) // 2:
         return None
-    contrib = (m - 1 - _positions(_order_table(m))).tolist()
+    # an order's Borda points to c count the candidates it ranks c above
+    contrib = _preferences(_order_table(m)).sum(axis=2).tolist()
     return _realize_by_counts(all_orders(m), contrib, scores, n)
 
 
@@ -447,8 +445,7 @@ def majority_realizable_bruteforce(M, n: int) -> Optional[Election]:
         return None
     # with M + M^T = n off the diagonal, the cells c < d fix the matrix
     first, second = _upper_pairs(m)
-    pos = _positions(_order_table(m))
-    contrib = (pos[:, first] < pos[:, second]).astype(np.int64).tolist()
+    contrib = _preferences(_order_table(m))[:, first, second].astype(np.int64).tolist()
     return _realize_by_counts(all_orders(m), contrib, target[first, second].tolist(), n)
 
 

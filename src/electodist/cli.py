@@ -69,8 +69,7 @@ class ExperimentConfig:
         for key in ("m", "n"):
             if key not in obj:
                 raise ValueError(f"config is missing required field {key!r}")
-        m = _typed(obj["m"], int, "m", "an integer")
-        n = _typed(obj["n"], int, "n", "an integer")
+        m, n = obj["m"], obj["n"]
         _check_positive(m, n)
         dataset = []
         for entry in _typed(obj.get("dataset", []), list, "dataset", "a list"):

@@ -28,8 +28,8 @@ from typing import Iterator, Mapping, Sequence, Union
 import numpy as np
 
 from .elections import (
-    Election, _check_natural, _check_permutation, _check_positive, _is_real,
-    _positions, _upper_pairs,
+    Election, _check_integer, _check_natural, _check_permutation, _check_positive, _is_real,
+    _preferences, _upper_pairs,
 )
 
 __all__ = [
@@ -168,6 +168,9 @@ def _mallows_expected_swaps(phi: float, m: int) -> float:
 def mallows_phi_from_norm(norm_phi: float, m: int) -> float:
     """Dispersion phi whose expected swap distance from the central vote is
     norm_phi/2 of the maximum m(m-1)/2, found by bisection."""
+    if not _is_real(norm_phi):
+        raise ValueError(f"norm-phi must be a number, got {norm_phi!r}")
+    _check_integer(m, "m")
     if not 0.0 <= norm_phi <= 1.0:
         raise ValueError(f"norm-phi must lie in [0, 1], got {norm_phi}")
     if m < 2 or norm_phi == 0.0:
@@ -455,8 +458,7 @@ def is_single_crossing(election: Election) -> bool:
     check, not a complete single-crossing recognizer.
     """
     first, second = _upper_pairs(election.m)
-    pos = _positions(election.array)
-    prefers = pos[:, first] < pos[:, second]
+    prefers = _preferences(election.array)[:, first, second]
     # a vote's swap distance to the canonical order counts the pairs c < d
     # it ranks d above c; equal distances go in lexicographic vote order
     distances = (~prefers).sum(axis=1)

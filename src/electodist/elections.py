@@ -10,17 +10,18 @@ matrix, weighted majority matrix, Borda score vector) are plain numpy
 integer arrays; the normalized frequency matrix uses exact Fractions
 because the downstream diameter identities must hold exactly.
 
-The other modules encode votes through this one: one permutation check; a
-vote's positions, its inverse; the candidate pairs c < d; a vote's base-m
-code, which orders like the vote; and the anchored codes whose least row is
-the canonical form of the census and of ``canonical_anec_key``.
+The other modules encode votes through this one: one permutation check; the
+m! orders; a vote's positions, its inverse; its preference table, c above d;
+the pairs c < d, of candidates or of a dataset's elections (the pair
+triangle); a vote's base-m code, which orders like the vote; and the
+anchored codes whose least row is the canonical form of the census and of
+``canonical_anec_key``.
 
 ``GUARDS`` is the one table of size guards, read by one check before any work.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from fractions import Fraction
@@ -162,7 +163,7 @@ class Election:
 @lru_cache(maxsize=None)
 def all_orders(m: int) -> tuple[tuple[int, ...], ...]:
     """All m! total orders of 0..m-1 in lexicographic order."""
-    return tuple(itertools.permutations(range(m)))
+    return tuple(map(tuple, _order_table(m).tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -188,10 +189,17 @@ def _positions(orders: np.ndarray) -> np.ndarray:
     return orders.argsort(axis=-1)
 
 
+def _preferences(orders: np.ndarray) -> np.ndarray:
+    # prefers[..., c, d]: whether each order of an (..., m) stack ranks c above
+    # d, False on the diagonal; every majority, swap and crossing count reads it
+    pos = _positions(orders)
+    return pos[..., :, None] < pos[..., None, :]
+
+
 @lru_cache(maxsize=None)
-def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    # the candidate pairs c < d of m candidates, as two index arrays
-    pairs = np.triu_indices(m, 1)
+def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    # the pairs i < j of 0..k-1 in itertools.combinations order, two index arrays
+    pairs = np.triu_indices(k, 1)
     for arr in pairs:
         arr.setflags(write=False)
     return pairs
@@ -236,8 +244,7 @@ def majority_matrix(election: Election) -> np.ndarray:
     The diagonal is zero by convention; off-diagonal cells satisfy
     cells[c, d] + cells[d, c] = n.
     """
-    pos = _positions(election.array)
-    return (pos[:, :, None] < pos[:, None, :]).sum(axis=0, dtype=np.int64)
+    return _preferences(election.array).sum(axis=0, dtype=np.int64)
 
 
 def borda_vector(election: Election) -> np.ndarray:
@@ -280,7 +287,15 @@ def apply_matchings(
     return Election(election.m, sigma[election.array[rho]])
 
 
-def _check_positive(m: int, n: int) -> None:
+def _check_positive(m: int, n: Optional[int] = None) -> None:
+    # m, and n when given, are integers >= 1: a bool, float or string is
+    # rejected before it reaches any arithmetic
+    _check_integer(m, "m")
+    if n is None:
+        if m < 1:
+            raise ValueError(f"need m >= 1, got m={m}")
+        return
+    _check_integer(n, "n")
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
 
@@ -318,10 +333,10 @@ def _compass_divisor(kind: str, m: int) -> int:
 
 def _check_compass(kind: str, m: Optional[int] = None, n: Optional[int] = None) -> None:
     # the rules for a compass election to exist, in this order: the kind, and
-    # with m or n given, positive m and n, an even m for ST, the divisor of n
+    # with m (and n) given, integer m and n >= 1, an even m for ST, the divisor of n
     if kind not in COMPASS_KINDS:
         raise ValueError(f"unknown compass kind {kind!r}, expected one of {COMPASS_KINDS}")
-    if n is not None:
+    if m is not None:
         _check_positive(m, n)
     if m is not None and kind == "ST" and m % 2 != 0:
         raise ValueError("ST compass election requires even m")
@@ -360,20 +375,18 @@ def compass_election(kind: str, m: int, n: int) -> Election:
 def compass_matrix(kind: str, m: int) -> np.ndarray:
     """Exact frequency matrix of a compass election, independent of n."""
     _check_compass(kind, m)
-    zero, one, half = Fraction(0), Fraction(1), Fraction(1, 2)
-    out = np.empty((m, m), dtype=object)
-    for i in range(m):
-        for c in range(m):
-            if kind == "ID":
-                out[i, c] = one if i == c else zero
-            elif kind == "UN":
-                out[i, c] = Fraction(1, m)
-            elif kind == "AN":
-                out[i, c] = half * ((i == c) + (i == m - 1 - c))
-            else:  # ST: two diagonal blocks of size m/2
-                same_block = (i < m // 2) == (c < m // 2)
-                out[i, c] = Fraction(2, m) if same_block else zero
-    return out
+    # cell [i, c] is counts[i, c] / total
+    eye = np.eye(m, dtype=np.int64)
+    if kind == "ID":
+        counts, total = eye, 1
+    elif kind == "AN":
+        counts, total = eye + eye[::-1], 2
+    elif kind == "UN":
+        counts, total = np.ones((m, m), dtype=np.int64), m
+    else:  # ST: two diagonal blocks of size m/2
+        block = np.arange(m) < m // 2
+        counts, total = (block[:, None] == block).astype(np.int64), m // 2
+    return np.array([[Fraction(k, total) for k in row] for row in counts.tolist()], dtype=object)
 
 
 def canonical_anec_key(election: Election) -> bytes:

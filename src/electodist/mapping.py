@@ -10,7 +10,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .elections import (
-    COMPASS_KINDS, Election, _check_integer, _check_natural, _is_real, _square_matrix
+    COMPASS_KINDS, Election, _check_integer, _check_natural, _is_real, _square_matrix, _upper_pairs
 )
 from .metrics import distance_values
 
@@ -43,11 +43,11 @@ class DistanceMatrix:
     metric: str
 
     def __post_init__(self):
+        if not len(self.labels):
+            raise ValueError("need at least one election")
         arr = _square_matrix(self.cells, "cells", float)
         if arr.shape[0] != len(self.labels):
-            raise ValueError(
-                f"{len(self.labels)} labels for {arr.shape[0]} rows"
-            )
+            raise ValueError(f"{len(self.labels)} labels for {arr.shape[0]} rows")
         if not np.isfinite(arr).all():
             raise ValueError("cells must be finite")
         if not np.array_equal(arr, arr.T):
@@ -99,7 +99,7 @@ def distance_matrix(
         labels = [str(i) for i in range(k)]
     elif len(labels) != k:
         raise ValueError(f"{len(labels)} labels for {k} elections")
-    upper = np.triu_indices(k, k=1)
+    upper = _upper_pairs(k)
     values = distance_values(dataset, kind)
     cells = np.zeros((k, k), dtype=float)
     cells[upper] = values
@@ -114,7 +114,7 @@ def embedding_stress(points: np.ndarray, targets: np.ndarray) -> float:
     pts = np.asarray(points, dtype=float)
     if pts.shape != (len(t), 2):
         raise ValueError(f"points must have shape ({len(t)}, 2), got {pts.shape}")
-    iu = np.triu_indices(len(t), k=1)
+    iu = _upper_pairs(len(t))
     t = t[iu][None]
     denom = (t**2).sum(axis=1)
     if denom[0] == 0.0:
@@ -173,10 +173,10 @@ def _descent_tail(
     layouts (B, k, 2) in place; returns each layout's stress trace.
 
     The line searches run in lockstep, but each layout has its own step and
-    accepts or rejects its own trials.  targets (B, k, k) must each have a
-    nonzero cell above the diagonal.
+    accepts or rejects its own trials.  targets (B, k, k) must each be
+    symmetric, with a nonzero cell above the diagonal.
     """
-    iu = np.triu_indices(points.shape[1], k=1)
+    iu = _upper_pairs(points.shape[1])
     t = np.ascontiguousarray(targets[:, iu[0], iu[1]])
     denom = (t**2).sum(axis=1)
     p = points.transpose(0, 2, 1).copy()
@@ -185,9 +185,7 @@ def _descent_tail(
     step = np.full(len(p), 0.1)
     trace = []
     for _ in range(iterations):
-        resid = np.zeros(dists.shape)
-        resid[:, iu[0], iu[1]] = scale[:, None] * dists[:, iu[0], iu[1]] - t
-        resid = resid + resid.transpose(0, 2, 1)
+        resid = scale[:, None, None] * dists - targets
         # coincident points pull on each other in no direction, as SMACOF's
         # b_ij = 0 where d_ij = 0
         ratio = np.divide(resid, dists, out=np.zeros(dists.shape), where=dists > 0)
@@ -268,13 +266,9 @@ def embed_all(
         if not isinstance(dm, DistanceMatrix):
             raise ValueError(f"expected distance matrices, got {type(dm).__name__}")
     tail_iterations = max(1, config.iterations // 10)
-    points = [
-        np.random.default_rng(config.seed).random((len(dm.labels), 2)) for dm in dms
-    ]
+    points = [np.random.default_rng(config.seed).random((len(dm.labels), 2)) for dm in dms]
     # None for an all-zero matrix, which a single election's matrix is too
-    ideals = [
-        dm.cells / dm.cells.max() if dm.cells.max() != 0 else None for dm in dms
-    ]
+    ideals = [dm.cells / dm.cells.max() if dm.cells.max() != 0 else None for dm in dms]
     traces = [[0.0] * tail_iterations for _ in dms]
     by_size: dict[int, list[int]] = {}
     for i, ideal in enumerate(ideals):

@@ -49,7 +49,7 @@ from .elections import (
     _check_permutation,
     _order_table,
     _place_values,
-    _positions,
+    _preferences,
     _square_matrix,
     _upper_pairs,
     borda_vector,
@@ -142,10 +142,9 @@ def vote_swap_distance(u: Sequence[int], v: Sequence[int]) -> int:
     if len(v) != m:
         raise ValueError(f"votes have different lengths {m} and {len(v)}")
     u, v = _check_permutation(u, m, "vote"), _check_permutation(v, m, "vote")
-    first, second = _upper_pairs(m)
-    pos = _positions(np.array([u, v], dtype=np.int64))
-    prefers = pos[:, first] < pos[:, second]
-    return int((prefers[0] != prefers[1]).sum())
+    # each pair ranked oppositely disagrees at (c, d) and at (d, c)
+    prefers = _preferences(np.array([u, v], dtype=np.int64))
+    return int((prefers[0] != prefers[1]).sum()) // 2
 
 
 def vote_discrete_distance(u: Sequence[int], v: Sequence[int]) -> int:
@@ -252,10 +251,8 @@ def _swap_aggregates(election: Election) -> tuple[np.ndarray, np.ndarray]:
     # prefer c to d less those who prefer d to c (2 M - n off the diagonal,
     # 0 on it), and the uint8 preferences P[v, c * m + d] = 1 when voter v
     # prefers c to d (0 on the diagonal)
-    arr = election.array
-    n, m = arr.shape
-    pos = _positions(arr)
-    prefers = (pos[:, :, None] < pos[:, None, :]).reshape(n, m * m).view(np.uint8)
+    n, m = election.array.shape
+    prefers = _preferences(election.array).reshape(n, m * m).view(np.uint8)
     counts = prefers.sum(axis=0, dtype=np.int32).reshape(m, m)
     return (counts - counts.T).ravel(), prefers
 
@@ -432,9 +429,7 @@ def check_guard(kind: str, m: int) -> None:
 
 def _check_same_shape(a: Election, b: Election) -> None:
     if a.m != b.m or a.n != b.n:
-        raise ValueError(
-            f"elections differ in shape: ({a.m}, {a.n}) vs ({b.m}, {b.n})"
-        )
+        raise ValueError(f"elections differ in shape: ({a.m}, {a.n}) vs ({b.m}, {b.n})")
 
 
 def _check_elections(elections: Sequence[Election], kind: str) -> None:

@@ -12,6 +12,10 @@ search's earlier per-pair dict kernel, kept to check the row kernel,
 ``unique_rows_vote_types`` its earlier row-wise vote-type aggregate, and
 ``single_layout_descent_tail`` the map's descent tail of one layout, kept to
 check the tail that moves a stack of layouts in lockstep.
+``permutations_all_orders`` is the order list as ``itertools.permutations``
+builds it, and ``loop_preferences`` each vote's pairwise preferences read
+by ``tuple.index``, kept to check the one order table and the one
+preference table of ``elections``.
 """
 
 from __future__ import annotations
@@ -230,6 +234,20 @@ def loop_election_votes(m: int, votes) -> tuple[tuple[int, ...], ...]:
     if not checked:
         raise ValueError("need at least one voter")
     return checked
+
+
+def permutations_all_orders(m: int) -> tuple[tuple[int, ...], ...]:
+    """``all_orders`` as it was: the m! orders by ``itertools.permutations``."""
+    return tuple(itertools.permutations(range(m)))
+
+
+def loop_preferences(orders: np.ndarray) -> np.ndarray:
+    """``elections._preferences`` order by order: [..., c, d] is True when
+    the order ranks c above d, by ``tuple.index``."""
+    m = orders.shape[-1]
+    votes = map(tuple, orders.reshape(-1, m).tolist())
+    table = [[[v.index(c) < v.index(d) for d in range(m)] for c in range(m)] for v in votes]
+    return np.array(table, dtype=bool).reshape(*orders.shape, m)
 
 
 def loop_position_matrix(election: Election) -> np.ndarray:

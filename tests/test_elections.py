@@ -28,9 +28,9 @@ from electodist import (
 )
 
 from electodist import elections as elections_module
-from electodist.elections import _order_table
+from electodist.elections import _order_table, _upper_pairs
 
-from _oracles import loop_election_votes
+from _oracles import loop_election_votes, permutations_all_orders
 from conftest import ALL_ORDERS_3, CYCLIC_DOUBLED, SMALL_A, SPLIT_REVERSED, elections
 
 
@@ -216,6 +216,19 @@ def test_all_orders_lexicographic():
     assert len(orders) == 6
     assert orders[0] == (0, 1, 2)
     assert list(orders) == sorted(orders)
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_all_orders_equal_itertools_permutations(m):
+    assert all_orders(m) == permutations_all_orders(m)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_upper_pairs_are_in_combinations_order(k):
+    # the order distance_values yields values in, and distance_matrix and
+    # matrix_correlation place them in
+    first, second = _upper_pairs(k)
+    assert list(zip(first.tolist(), second.tolist())) == list(itertools.combinations(range(k), 2))
 
 
 @pytest.mark.parametrize("m", range(1, 9))

@@ -200,6 +200,10 @@ CASES = {
         lambda: DistanceMatrix(("a", "b"), TWO_BY_THREE, "emdpos"),
         "cells must be square, got shape (2, 3)",
     ),
+    "distance-matrix-empty": (
+        lambda: DistanceMatrix((), np.zeros((0, 0)), "swap"),
+        "need at least one election",
+    ),
     "distance-matrix-infinite": (
         lambda: DistanceMatrix(("a", "b"), [[0, np.inf], [np.inf, 0]], "emdpos"),
         "cells must be finite",
@@ -362,6 +366,18 @@ CASES = {
         lambda: compass_election("ID", 0, 2),
         "need m >= 1 and n >= 1, got m=0, n=2",
     ),
+    "compass-matrix-zero": (
+        lambda: compass_matrix("ID", 0),
+        "need m >= 1, got m=0",
+    ),
+    "compass-matrix-negative": (
+        lambda: compass_matrix("UN", -1),
+        "need m >= 1, got m=-1",
+    ),
+    "compass-matrix-float": (
+        lambda: compass_matrix("ID", 2.5),
+        "m must be an integer, got 2.5",
+    ),
     "compass-matrix-kind": (
         lambda: compass_matrix("XX", 4),
         "unknown compass kind 'XX', expected one of ('ID', 'AN', 'UN', 'ST')",
@@ -440,6 +456,18 @@ CASES = {
         lambda: mallows_phi_from_norm(1.5, 4),
         "norm-phi must lie in [0, 1], got 1.5",
     ),
+    "mallows-norm-phi-text": (
+        lambda: mallows_phi_from_norm("0.5", 4),
+        "norm-phi must be a number, got '0.5'",
+    ),
+    "mallows-norm-phi-bool": (
+        lambda: mallows_phi_from_norm(True, 4),
+        "norm-phi must be a number, got True",
+    ),
+    "mallows-norm-phi-m-float": (
+        lambda: mallows_phi_from_norm(0.5, 2.5),
+        "m must be an integer, got 2.5",
+    ),
     "euclidean-shape": (
         lambda: sample_euclidean(3, 3, 0, "cube_4d"),
         "unknown shape 'cube_4d', expected one of "
@@ -487,6 +515,34 @@ CASES["sample-many-start"] = (
     lambda: sample_many(IC, 3, 3, 0, 2, start=-1),
     "start must be nonnegative, got -1",
 )
+
+# shapes: m and n are integers, a bool, float or string rejected by name
+# before any arithmetic, at every entry point that takes them
+for (m, n), message in (
+    ((4, 2.5), "n must be an integer, got 2.5"),
+    ((4, True), "n must be an integer, got True"),
+    ((4, 4.0), "n must be an integer, got 4.0"),
+    ((4.0, 4), "m must be an integer, got 4.0"),
+    (("4", 4), "m must be an integer, got '4'"),
+):
+    for name, call in (
+        ("compass-election", lambda m, n: compass_election("ID", m, n)),
+        ("compass-formula", lambda m, n: compass_distance_formula("swap", ("ID", "AN"), m, n)),
+        ("enumerate-anecs", lambda m, n: enumerate_anecs(m, n)),
+        ("census", lambda m, n: count_equivalence_classes(m, n)),
+        ("sample", lambda m, n: sample(IC, m, n, 0)),
+    ):
+        CASES[f"{name}-shape-{m!r}-{n!r}"] = (lambda call=call, m=m, n=n: call(m, n), message)
+for n, message in (
+    (1.5, "n must be an integer, got 1.5"),
+    (True, "n must be an integer, got True"),
+    (2.0, "n must be an integer, got 2.0"),
+):
+    CASES[f"borda-realizable-n-{n!r}"] = (lambda n=n: borda_realizable([1, 0], n), message)
+    CASES[f"majority-realizable-n-{n!r}"] = (
+        lambda n=n: majority_realizable_bruteforce([[0, 1], [0, 0]], n),
+        message,
+    )
 
 # non-elections: a position matrix beside an election, either way round, for
 # every kind at both entry points

@@ -44,6 +44,7 @@ from electodist import (
 )
 from electodist import analysis, metrics
 from electodist.cultures import sample_euclidean, sample_ic, sample_mallows
+from electodist.elections import _order_table, _preferences
 from electodist.metrics import distance_values, vote_swap_distance
 
 from conftest import election_pairs, elections
@@ -62,6 +63,7 @@ from _oracles import (
     loop_majority_matrix,
     loop_position_matrix,
     loop_positionwise_distance,
+    loop_preferences,
     pair_loop_distance_matrix,
     refinement_solve_assignment,
     relabel_canonical_anec_key,
@@ -69,6 +71,17 @@ from _oracles import (
     sign_dot_voter_costs,
     unique_rows_vote_types,
 )
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_preferences_equal_the_vote_loop(m):
+    # an (n, m) election, the (m!, m) order table and a (2, n, m) stack
+    election = sample_ic(m, 9, m).array
+    stack = np.stack([election, sample_ic(m, 9, m + 100).array])
+    for orders in (election, _order_table(m), stack):
+        prefers = _preferences(orders)
+        assert prefers.dtype == bool and prefers.shape == (*orders.shape, m)
+        assert np.array_equal(prefers, loop_preferences(orders))
 
 
 @settings(max_examples=150, deadline=None)
