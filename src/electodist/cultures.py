@@ -28,7 +28,7 @@ from typing import Iterator, Mapping, Sequence, Union
 import numpy as np
 
 from .elections import (
-    Election, _check_integer, _check_natural, _check_permutation, _check_positive, _is_real,
+    Election, _check_natural, _check_permutation, _check_positive, _is_real,
     _preferences, _upper_pairs,
 )
 
@@ -167,10 +167,11 @@ def _mallows_expected_swaps(phi: float, m: int) -> float:
 
 def mallows_phi_from_norm(norm_phi: float, m: int) -> float:
     """Dispersion phi whose expected swap distance from the central vote is
-    norm_phi/2 of the maximum m(m-1)/2, found by bisection."""
+    norm_phi/2 of the maximum m(m-1)/2, found by bisection; m >= 1, and
+    one candidate gives 0.0."""
     if not _is_real(norm_phi):
         raise ValueError(f"norm-phi must be a number, got {norm_phi!r}")
-    _check_integer(m, "m")
+    _check_positive(m)
     if not 0.0 <= norm_phi <= 1.0:
         raise ValueError(f"norm-phi must lie in [0, 1], got {norm_phi}")
     if m < 2 or norm_phi == 0.0:

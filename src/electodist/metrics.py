@@ -18,7 +18,9 @@ matching as witness.  Swap visits relabelings best-first by a
 majority-matrix bound, building voter cost matrices a chunk at a time:
 each vote's preference bits on the candidate pairs, relabeled, pack into
 one word, and the inversions between two votes are the popcount of the
-XOR of their words, in integers throughout, with no BLAS call.
+XOR of their words, in integers throughout, with no BLAS call.  The
+preferences are held cell-major, so the words are gathered a whole voter
+row per cell and transposed once before they are packed.
 Pairwise scans all m! matchings with numpy up to 6 candidates and runs a
 best-first branch and bound over candidate prefixes from 7 on; at small m
 both take a stack of later elections at once.  Discrete sums, in one sort
@@ -47,6 +49,7 @@ from .elections import (
     Election,
     _check_guard,
     _check_permutation,
+    _order_bytes,
     _order_table,
     _place_values,
     _preferences,
@@ -247,33 +250,42 @@ def solve_assignment(costs) -> tuple[tuple[int, ...], Number]:
 
 
 def _swap_aggregates(election: Election) -> tuple[np.ndarray, np.ndarray]:
-    # the int32 majority margins, cell c * m + d holding the voters who
-    # prefer c to d less those who prefer d to c (2 M - n off the diagonal,
-    # 0 on it), and the uint8 preferences P[v, c * m + d] = 1 when voter v
-    # prefers c to d (0 on the diagonal)
+    # the majority margins, cell c * m + d holding the voters who prefer c
+    # to d less those who prefer d to c (2 M - n off the diagonal, 0 on it),
+    # in the narrowest signed type that holds +-2 n, so that two margins
+    # subtract in it; and the uint8 preferences cell-major, P[c * m + d, v] =
+    # 1 when voter v prefers c to d (0 on the diagonal), so that a cell's
+    # bytes for all voters are one contiguous row
     n, m = election.array.shape
-    prefers = _preferences(election.array).reshape(n, m * m).view(np.uint8)
-    counts = prefers.sum(axis=0, dtype=np.int32).reshape(m, m)
-    return (counts - counts.T).ravel(), prefers
+    prefers = np.ascontiguousarray(_preferences(election.array).reshape(n, m * m).T)
+    counts = prefers.sum(axis=1, dtype=np.int32).reshape(m, m)
+    margins = (counts - counts.T).ravel().astype(np.min_scalar_type(-2 * n - 1))
+    return margins, prefers.view(np.uint8)
 
 
 @lru_cache(maxsize=None)
 def _swap_cells(m: int) -> np.ndarray:
-    # for each relabeling tau of _order_table(m), in its order: the flat
-    # cells tau c * m + tau d of an m x m matrix for the pairs c < d, padded
-    # to 8 * 2**k columns with the diagonal cell of tau 0, whose preference
-    # bit and margin are 0, so that a vote's bits pack into one word; a
-    # read-only uint8 table, 1.3 MB at m = 8
-    perms = _order_table(m).astype(np.uint8)
+    # for each relabeling tau of _order_bytes(m), in its order: the flat
+    # cells tau c * m + tau d of an m x m matrix for the pairs c < d, by d
+    # and then c, so that the pairs among candidates 0..d-1 are the first
+    # d (d - 1) / 2 columns; padded to 8 * 2**k columns with the diagonal
+    # cell of tau 0, whose preference bit and margin are 0, so that a
+    # vote's bits pack into one word; a read-only uint8 table, 1.3 MB at m
+    # = 8.  The orders are read candidate-major, so that each column of
+    # cells comes from two contiguous rows
+    by_candidate = _order_bytes(m).T.copy()
     first, second = _upper_pairs(m)
+    by_second = np.lexsort((first, second))
     width = 8
     while width < len(first):
         width *= 2
-    cells = np.empty((len(perms), width), dtype=np.uint8)
-    cells[:] = perms[:, :1] * (m + 1)
+    cells = np.empty((by_candidate.shape[1], width), dtype=np.uint8)
+    cells[:] = (by_candidate[0] * (m + 1))[:, None]
     # a column at a time, so that no second table of cells is held at once
-    for p, (c, d) in enumerate(zip(first.tolist(), second.tolist())):
-        cells[:, p] = perms[:, c] * m + perms[:, d]
+    for p, (c, d) in enumerate(zip(first[by_second].tolist(), second[by_second].tolist())):
+        column = by_candidate[c] * m
+        column += by_candidate[d]
+        cells[:, p] = column
     cells.setflags(write=False)
     return cells
 
@@ -284,12 +296,15 @@ _PACK_BYTES = np.uint64(0x0102040810204080)
 
 
 def _packed_votes(prefs: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    # words[..., v, l]: the preference bits of vote v of prefs (of one or a
-    # stack of elections) at the l-th relabeling's cells, packed into one
-    # unsigned word as np.packbits(..., bitorder="little") packs them on a
-    # little-endian machine (the popcounts hold on any), but eight bytes per
-    # multiply: packbits takes one call per short row
-    lanes = prefs.take(cells, axis=-1).view(np.uint64)
+    # words[..., v, l]: the preference bits of vote v of the cell-major
+    # prefs (of one or a stack of elections) at the l-th relabeling's
+    # cells, packed into one unsigned word as np.packbits(...,
+    # bitorder="little") packs them on a little-endian machine (the
+    # popcounts hold on any).  The gather copies a whole row of n voter
+    # bytes per cell, one transpose puts each vote's cells side by side,
+    # and one multiply packs eight bytes: packbits takes one call per row
+    gathered = prefs.take(cells, axis=-2)
+    lanes = np.ascontiguousarray(gathered.swapaxes(-1, -3).swapaxes(-1, -2)).view(np.uint64)
     lanes *= _PACK_BYTES
     lanes >>= np.uint64(56)
     return lanes.astype(np.uint8).view(f"u{lanes.shape[-1]}")[..., 0]
@@ -299,10 +314,11 @@ def _voter_costs(bits_a: np.ndarray, prefs_b: np.ndarray, cells: np.ndarray):
     # costs[..., i, j, l]: the inversions between voter i of a relabeled by
     # the l-th relabeling of cells and voter j of b, the popcount of the XOR
     # of their words, as contiguous uint8, for the words bits_a of a at the
-    # identity's cells and the preferences prefs_b of one or a stack of
-    # elections; and the int64 bounds of their row minima and column
-    # minima, which no voter matching beats.  The relabelings run along the
-    # last axis, so every reduction takes whole rows of them at a time
+    # identity's cells and the cell-major preferences prefs_b of one or a
+    # stack of elections; and the int64 bounds of their row minima and
+    # column minima, which no voter matching beats.  The relabelings run
+    # along the last axis, so every reduction takes whole rows of them at a
+    # time
     words_b = _packed_votes(prefs_b, cells)
     costs = np.bitwise_count(words_b[..., None, :, :] ^ bits_a[:, None, None])
     relaxed = np.maximum(
@@ -332,69 +348,110 @@ def _swap_search(
     # any assignment is solved.  Only the cells c < d are compared: the
     # cells d > c mirror them.
     margins_a, prefs_a = a
-    n = prefs_a.shape[0]
-    m = math.isqrt(prefs_a.shape[1])
-    perms = _order_table(m)
+    n = prefs_a.shape[1]
+    m = math.isqrt(prefs_a.shape[0])
+    perms = _order_bytes(m)
     cells = _swap_cells(m)
     total, width = cells.shape
     pairs = m * (m - 1) // 2
     # the identity comes first among the relabelings
-    margins_upper_a = margins_a.take(cells[0])
+    margins_upper_a = margins_a.take(cells[0])[:, None]
     bits_a = _packed_votes(prefs_a, cells[:1])[:, 0]
     chunk = max(1, _SWAP_CHUNK_ENTRIES // (n * (pairs + n)))
+    step = max(1, _SWAP_CHUNK_ENTRIES // width)
 
-    def majority_bounds(margins_b, cells):
+    def majority_bounds(margins_b):
         # half the l1 distance of the majority matrices, since every
         # disagreeing voter pair forces an inversion: half the l1 distance
-        # of the margins over the cells c < d is the same number (the
-        # padding cells add 0)
-        gathered = margins_b.take(cells, axis=-1)
-        gathered -= margins_upper_a
-        return np.abs(gathered, out=gathered).sum(axis=-1) // 2
+        # of the margins over the cells c < d is the same number, here for
+        # every relabeling in order and one or a stack of elections.  The
+        # relabelings that share their images of candidates 0..d form a
+        # block of (m - 1 - d)! in the order and share the terms of the
+        # pairs among those candidates, so the pairs (c, d) of candidate d
+        # are gathered once per block, at its first row of cells, and the
+        # sums repeat into the blocks of the next candidate.  Up to step
+        # relabelings the table is gathered whole, and a larger one
+        # candidate by candidate from m - 3 on, the first candidates'
+        # blocks being few.  Each gather takes at most step rows of cells,
+        # a cell column at a time, and sums in int32
+        sums = np.zeros(margins_b.shape[:-1] + (1,), dtype=np.int32)
+        lo = 0
+        for hi in range(m if total <= step else max(2, m - 3), m + 1):
+            block = math.factorial(m - hi)
+            sums = np.repeat(sums, math.factorial(m - lo) // block, axis=-1)
+            rows, cols = cells[::block], slice(lo * (lo - 1) // 2, hi * (hi - 1) // 2)
+            for s in range(0, len(rows), step):
+                gathered = margins_b.take(rows[s : s + step, cols].T, axis=-1)
+                gathered -= margins_upper_a[cols]
+                np.abs(gathered, out=gathered)
+                sums[..., s : s + step] += gathered.sum(axis=-2, dtype=np.int32)
+            lo = hi
+        return sums // 2
 
     def visit(costs, tight, ids, best, best_rho):
         # solve the chunk's assignments by (tight bound, index) while they
         # can beat the incumbent (value, index): the smaller pair wins, so
-        # among optimal relabelings the lexicographically smallest does
+        # among optimal relabelings the lexicographically smallest does.
+        # Only those that can beat it at the start are sorted
+        open_ = (tight < best[0]) | ((tight == best[0]) & (ids < best[1]))
+        if not open_.any():
+            return best, best_rho
+        cols = np.flatnonzero(open_)
+        tight, ids = tight[cols], ids[cols]
         visit_order = np.lexsort((ids, tight)).tolist()
-        tight, ids = tight.tolist(), ids.tolist()
+        tight, ids, cols = tight.tolist(), ids.tolist(), cols.tolist()
         for t in visit_order:
             if (tight[t], ids[t]) >= best:
                 break
-            ri, ci = linear_sum_assignment(costs[..., t])
-            value = int(costs[ri, ci, t].sum())
+            ri, ci = linear_sum_assignment(costs[..., cols[t]])
+            value = int(costs[ri, ci, cols[t]].sum())
             if (value, ids[t]) < best:
-                best = (value, ids[t])
-                best_rho = ci
+                best, best_rho = (value, ids[t]), ci
         return best, best_rho
 
-    def outcome(best, rho):
-        return best[0], tuple(perms[best[1]].tolist()), tuple(rho.tolist())
+    def outcomes(found, rhos):
+        # the (value, sigma, rho) of each incumbent (value, index) and its
+        # voter matching, the witness rows read in one pass
+        sigmas = perms[[index for _, index in found]].tolist()
+        return [(value, tuple(sigma), tuple(rho))
+                for (value, _), sigma, rho in zip(found, sigmas, rhos)]
 
     unset = (pairs * n + 1, total)
     if total <= chunk:
         # one chunk per election, in index order, whose cells serve its
-        # bounds too; a stack of elections shares the chunk budget
-        ids = np.arange(total)
+        # bounds too; a stack of elections shares the chunk budget.  Each
+        # election's first relabeling by (tight bound, index), its first
+        # least bound, is solved in one pass over the stack.  One whose
+        # value meets its bound is settled; for the rest that bound becomes
+        # the value, so that the incumbent is not solved again, and the
+        # chunk is visited
+        ids, voters = np.arange(total), np.arange(n)
         stack = chunk // total
-        out = []
+        found, rhos = [], []
         for s in range(0, len(bs), stack):
             group = bs[s : s + stack]
-            bounds = majority_bounds(np.stack([b[0] for b in group]), cells)
-            costs, relaxed = _voter_costs(bits_a, np.stack([b[1] for b in group]), cells)
+            bounds = majority_bounds(np.array([b[0] for b in group]))
+            costs, relaxed = _voter_costs(bits_a, np.array([b[1] for b in group]), cells)
             tight = np.maximum(bounds, relaxed)
-            for g in range(len(group)):
-                out.append(outcome(*visit(costs[g], tight[g], ids, unset, None)))
-        return out
-    # the bound pass gathers _SWAP_CHUNK_ENTRIES margins at a time; the
-    # bounds stay below unset, in the smallest unsigned type, uint16 at
+            rows = np.arange(len(group))
+            firsts = tight.argmin(axis=-1)
+            first_costs = costs[rows, :, :, firsts]
+            rho = np.array([linear_sum_assignment(c)[1] for c in first_costs])
+            values = first_costs[rows[:, None], voters, rho].sum(axis=1, dtype=np.int64)
+            group_found = list(zip(values.tolist(), firsts.tolist()))
+            group_rhos = rho.tolist()
+            for g in (values > tight[rows, firsts]).nonzero()[0].tolist():
+                tight[g, firsts[g]] = values[g]
+                best, best_rho = visit(costs[g], tight[g], ids, group_found[g], rho[g])
+                group_found[g], group_rhos[g] = best, best_rho.tolist()
+            found += group_found
+            rhos += group_rhos
+        return outcomes(found, rhos)
+    # the bounds stay below unset, in the smallest unsigned type, uint16 at
     # moderate n, which a stable argsort sorts by radix
-    step = max(1, _SWAP_CHUNK_ENTRIES // width)
-    out = []
+    found, rhos = [], []
     for margins_b, prefs_b in bs:
-        bounds = np.empty(total, dtype=np.min_scalar_type(unset[0]))
-        for s in range(0, total, step):
-            bounds[s : s + step] = majority_bounds(margins_b, cells[s : s + step])
+        bounds = majority_bounds(margins_b).astype(np.min_scalar_type(unset[0]))
         order = np.argsort(bounds, kind="stable")
         best, rho = unset, None
         for start in range(0, total, chunk):
@@ -410,8 +467,9 @@ def _swap_search(
             ids, lb = ids[:stop], lb[:stop]
             costs, relaxed = _voter_costs(bits_a, prefs_b, cells[ids])
             best, rho = visit(costs, np.maximum(lb, relaxed), ids, best, rho)
-        out.append(outcome(best, rho))
-    return out
+        found.append(best)
+        rhos.append(rho.tolist())
+    return outcomes(found, rhos)
 
 
 def check_kind(kind: str) -> None:

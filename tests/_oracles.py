@@ -7,7 +7,12 @@ Borda scores as majority-matrix row sums instead of positional points.
 The loop oracles are the package's earlier per-vote and per-pair routines,
 kept to check the vectorized kernels that replaced them;
 ``sign_dot_voter_costs`` is the swap search's earlier float32 kernel, kept
-to check the packed-bit one, and ``counter_discrete_search`` the discrete
+to check the packed-bit one; ``row_major_packed_votes`` and
+``row_major_voter_costs`` its earlier byte-at-a-time gather of the words,
+kept to check the cell-major one, and ``one_solve_swap_search`` the whole
+search on that layout, solving one relabeling at a time, kept to check the
+stacked first solves; ``burnside_anec_count`` counts ANECs by Burnside's
+lemma, to check the census; ``counter_discrete_search`` is the discrete
 search's earlier per-pair dict kernel, kept to check the row kernel,
 ``unique_rows_vote_types`` its earlier row-wise vote-type aggregate, and
 ``single_layout_descent_tail`` the map's descent tail of one layout, kept to
@@ -44,7 +49,8 @@ from electodist import (
     position_matrix,
 )
 from electodist.analysis import check_census_guard
-from electodist.elections import _check_permutation, _place_values
+from electodist import metrics
+from electodist.elections import _check_permutation, _place_values, _preferences
 from electodist.cultures import (
     _balanced_tree,
     _caterpillar_tree,
@@ -480,6 +486,144 @@ def sign_dot_voter_costs(
         np.add.reduce(np.minimum.reduce(costs, axis=-2), axis=-1),
     )
     return costs, relaxed.astype(np.int64)
+
+
+def row_major_swap_aggregates(election: Election) -> tuple[np.ndarray, np.ndarray]:
+    """The swap search's aggregates before its preferences went cell-major:
+    the int32 majority margins 2 M - n, flat, and the uint8 preferences
+    P[v, c * m + d], voter v's cells in one row."""
+    n, m = election.array.shape
+    prefers = _preferences(election.array).reshape(n, m * m).view(np.uint8)
+    counts = prefers.sum(axis=0, dtype=np.int32).reshape(m, m)
+    return (counts - counts.T).ravel(), prefers
+
+
+def row_major_packed_votes(prefs: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The swap search's word packing before it gathered whole voter rows:
+    words[..., v, l] packs the bits of row-major prefs (one or a stack of
+    elections) at the l-th relabeling's cells, gathered a byte at a time."""
+    lanes = prefs.take(cells, axis=-1).view(np.uint64)
+    lanes *= metrics._PACK_BYTES
+    lanes >>= np.uint64(56)
+    return lanes.astype(np.uint8).view(f"u{lanes.shape[-1]}")[..., 0]
+
+
+def row_major_voter_costs(bits_a: np.ndarray, prefs_b: np.ndarray, cells: np.ndarray):
+    """The swap search's voter costs on row-major preferences: uint8
+    costs[..., i, j, l] and the int64 larger of the row-minima and
+    column-minima sums."""
+    words_b = row_major_packed_votes(prefs_b, cells)
+    costs = np.bitwise_count(words_b[..., None, :, :] ^ bits_a[:, None, None])
+    relaxed = np.maximum(
+        costs.min(axis=-2).sum(axis=-2, dtype=np.int64),
+        costs.min(axis=-3).sum(axis=-2, dtype=np.int64),
+    )
+    return costs, relaxed
+
+
+def one_solve_swap_search(a, bs) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """The swap search on row-major aggregates, solving one relabeling at a
+    time: each election of a stack visits its whole chunk by (tight bound,
+    index) from no incumbent, with its own sort.
+
+    a and bs are ``row_major_swap_aggregates``; (value, sigma, rho) per b.
+    The solver and the chunk budget are read from ``metrics`` when called,
+    so a test that patches either sees this search take them too.
+    """
+    margins_a, prefs_a = a
+    n = prefs_a.shape[0]
+    m = math.isqrt(prefs_a.shape[1])
+    perms = metrics._order_table(m)
+    cells = metrics._swap_cells(m)
+    total, width = cells.shape
+    pairs = m * (m - 1) // 2
+    margins_upper_a = margins_a.take(cells[0])
+    bits_a = row_major_packed_votes(prefs_a, cells[:1])[:, 0]
+    chunk = max(1, metrics._SWAP_CHUNK_ENTRIES // (n * (pairs + n)))
+
+    def majority_bounds(margins_b, cells):
+        gathered = margins_b.take(cells, axis=-1)
+        gathered -= margins_upper_a
+        return np.abs(gathered, out=gathered).sum(axis=-1) // 2
+
+    def visit(costs, tight, ids, best, best_rho):
+        visit_order = np.lexsort((ids, tight)).tolist()
+        tight, ids = tight.tolist(), ids.tolist()
+        for t in visit_order:
+            if (tight[t], ids[t]) >= best:
+                break
+            ri, ci = metrics.linear_sum_assignment(costs[..., t])
+            value = int(costs[ri, ci, t].sum())
+            if (value, ids[t]) < best:
+                best = (value, ids[t])
+                best_rho = ci
+        return best, best_rho
+
+    def outcome(best, rho):
+        return best[0], tuple(perms[best[1]].tolist()), tuple(rho.tolist())
+
+    unset = (pairs * n + 1, total)
+    if total <= chunk:
+        ids = np.arange(total)
+        stack = chunk // total
+        out = []
+        for s in range(0, len(bs), stack):
+            group = bs[s : s + stack]
+            bounds = majority_bounds(np.stack([b[0] for b in group]), cells)
+            costs, relaxed = row_major_voter_costs(bits_a, np.stack([b[1] for b in group]), cells)
+            tight = np.maximum(bounds, relaxed)
+            for g in range(len(group)):
+                out.append(outcome(*visit(costs[g], tight[g], ids, unset, None)))
+        return out
+    step = max(1, metrics._SWAP_CHUNK_ENTRIES // width)
+    out = []
+    for margins_b, prefs_b in bs:
+        bounds = np.empty(total, dtype=np.min_scalar_type(unset[0]))
+        for s in range(0, total, step):
+            bounds[s : s + step] = majority_bounds(margins_b, cells[s : s + step])
+        order = np.argsort(bounds, kind="stable")
+        best, rho = unset, None
+        for start in range(0, total, chunk):
+            ids = order[start : start + chunk]
+            lb = bounds[ids]
+            open_ = (lb < best[0]) | ((lb == best[0]) & (ids < best[1]))
+            stop = len(ids) if open_.all() else int(open_.argmin())
+            if stop == 0:
+                break
+            ids, lb = ids[:stop], lb[:stop]
+            costs, relaxed = row_major_voter_costs(bits_a, prefs_b, cells[ids])
+            best, rho = visit(costs, np.maximum(lb, relaxed), ids, best, rho)
+        out.append(outcome(best, rho))
+    return out
+
+
+def burnside_anec_count(m: int, n: int) -> int:
+    """The number of ANECs at (m, n) by Burnside's lemma.
+
+    A relabeling g acts on the m! orders freely, so in cycles of its order
+    o(g); a multiset of n orders that g fixes is made of whole cycles,
+    which needs o(g) | n, and is a multiset of n / o(g) of the m! / o(g)
+    cycles.  The classes are the orbits, the mean number of fixed
+    multisets:
+
+        (1/m!) * sum over g in S_m with o(g) | n of
+            C(m!/o(g) + n/o(g) - 1, n/o(g)).
+    """
+    total = 0
+    for g in itertools.permutations(range(m)):
+        seen, order = set(), 1
+        for start in range(m):
+            length, c = 0, start
+            while c not in seen:
+                seen.add(c)
+                c = g[c]
+                length += 1
+            if length:
+                order = math.lcm(order, length)
+        if n % order == 0:
+            cycles, picks = math.factorial(m) // order, n // order
+            total += math.comb(cycles + picks - 1, picks)
+    return total // math.factorial(m)
 
 
 def dict_discrete_search(a: Election, b: Election) -> DistanceOutcome:

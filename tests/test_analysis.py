@@ -36,9 +36,11 @@ from electodist import (
 )
 
 from electodist.analysis import _average_ranks
+from electodist.elections import GUARDS
 from electodist.metrics import distance_values
 
 from conftest import SMALL_A, SMALL_B, elections, election_pairs
+from _oracles import burnside_anec_count
 from _paths import discrete_unit_path, swap_unit_path
 
 
@@ -57,6 +59,15 @@ KNOWN_CENSUS = {
     (4, 5): (4095, 1746, 513, 131),
     (4, 6): (19941, 5741, 1338, 213),
 }
+
+
+def test_census_anec_counts_equal_burnside_everywhere_inside_the_guard():
+    guard = GUARDS["census"]
+    for m in range(1, guard["m"] + 1):
+        for n in range(1, guard["n"] + 1):
+            assert count_equivalence_classes(m, n).anec_count == burnside_anec_count(m, n)
+    # the cells the benchmark pins, by hand from the formula
+    assert (burnside_anec_count(3, 3), burnside_anec_count(4, 4)) == (10, 762)
 
 
 @pytest.mark.parametrize("shape,expected", sorted(KNOWN_CENSUS.items()))

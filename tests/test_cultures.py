@@ -135,6 +135,8 @@ def test_mallows_rejects_bad_phi():
 def test_phi_from_norm_endpoints_and_target():
     assert mallows_phi_from_norm(0.0, 6) == 0.0
     assert mallows_phi_from_norm(1.0, 6) == 1.0
+    # one candidate, the least m accepted, has no swap to disperse
+    assert mallows_phi_from_norm(0.5, 1) == 0.0
     for norm in (0.3, 0.5, 0.9):
         phi = mallows_phi_from_norm(norm, 5)
         target = (norm / 2.0) * 10.0

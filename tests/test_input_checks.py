@@ -18,6 +18,7 @@ from electodist import (
     METRIC_KINDS,
     DistanceMatrix,
     Election,
+    all_orders,
     apply_matchings,
     borda_realizable,
     canonical_anec_key,
@@ -466,6 +467,22 @@ CASES = {
     ),
     "mallows-norm-phi-m-float": (
         lambda: mallows_phi_from_norm(0.5, 2.5),
+        "m must be an integer, got 2.5",
+    ),
+    "mallows-norm-phi-m-zero": (
+        lambda: mallows_phi_from_norm(0.5, 0),
+        "need m >= 1, got m=0",
+    ),
+    "mallows-norm-phi-m-negative": (
+        lambda: mallows_phi_from_norm(0.5, -3),
+        "need m >= 1, got m=-3",
+    ),
+    "all-orders-negative": (
+        lambda: all_orders(-1),
+        "m must be nonnegative, got -1",
+    ),
+    "all-orders-float": (
+        lambda: all_orders(2.5),
         "m must be an integer, got 2.5",
     ),
     "euclidean-shape": (

@@ -64,9 +64,13 @@ from _oracles import (
     loop_position_matrix,
     loop_positionwise_distance,
     loop_preferences,
+    one_solve_swap_search,
     pair_loop_distance_matrix,
     refinement_solve_assignment,
     relabel_canonical_anec_key,
+    row_major_packed_votes,
+    row_major_swap_aggregates,
+    row_major_voter_costs,
     sign_aggregates,
     sign_dot_voter_costs,
     unique_rows_vote_types,
@@ -313,7 +317,8 @@ def test_packed_voter_costs_equal_sign_dot_products(m, entries):
     for group in (bs[:1], bs):
         prefs_b = np.stack([metrics._swap_aggregates(b)[1] for b in group])
         signs_b = np.stack([sign_aggregates(b)[1] for b in group])
-        gathered = prefs_b.take(cells[ids], axis=-1)
+        # the aggregate is cell-major: voter v's bytes are column v
+        gathered = prefs_b.swapaxes(-1, -2).take(cells[ids], axis=-1)
         packed = np.packbits(gathered, axis=-1, bitorder="little")
         words = metrics._packed_votes(prefs_b, cells[ids])
         assert np.array_equal(words, packed.view(words.dtype)[..., 0])
@@ -323,6 +328,92 @@ def test_packed_voter_costs_equal_sign_dot_products(m, entries):
         assert np.array_equal(np.moveaxis(costs, -1, -3), want_costs)
         assert relaxed.dtype == np.int64
         assert np.array_equal(relaxed, want_relaxed)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_cell_major_words_equal_the_row_major_oracle(m):
+    # the aggregates hold the same margins and the same preference bytes,
+    # transposed; words and voter costs equal the row-major kernel's for one
+    # election and for a stack, on every relabeling up to m = 5 and on a
+    # sample above, n = 1 among the sizes
+    rng = np.random.default_rng([m, 26])
+    cells = metrics._swap_cells(m)
+    ids = np.sort(rng.choice(len(cells), size=min(len(cells), 150), replace=False))
+    for n in (1, 2, 9):
+        a, *bs = (Election(m, [rng.permutation(m) for _ in range(n)]) for _ in range(4))
+        margins_a, prefs_a = metrics._swap_aggregates(a)
+        want_margins, want_prefs_a = row_major_swap_aggregates(a)
+        assert margins_a.tolist() == want_margins.tolist()
+        assert prefs_a.dtype == np.uint8 and prefs_a.flags.c_contiguous
+        assert np.array_equal(prefs_a.T, want_prefs_a)
+        bits_a = metrics._packed_votes(prefs_a, cells[:1])[:, 0]
+        assert np.array_equal(bits_a, row_major_packed_votes(want_prefs_a, cells[:1])[:, 0])
+        for prefs_b, want_prefs_b in (
+            (metrics._swap_aggregates(bs[0])[1], row_major_swap_aggregates(bs[0])[1]),
+            (np.stack([metrics._swap_aggregates(b)[1] for b in bs]),
+             np.stack([row_major_swap_aggregates(b)[1] for b in bs])),
+        ):
+            words = metrics._packed_votes(prefs_b, cells[ids])
+            assert np.array_equal(words, row_major_packed_votes(want_prefs_b, cells[ids]))
+            got = metrics._voter_costs(bits_a, prefs_b, cells[ids])
+            want = row_major_voter_costs(bits_a, want_prefs_b, cells[ids])
+            for x, y in zip(got, want):
+                assert x.dtype == y.dtype and x.flags.c_contiguous
+                assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize(
+    "n, dtype",
+    [(1, np.int8), (63, np.int8), (64, np.int16), (16383, np.int16), (16384, np.int32)],
+)
+def test_swap_margins_take_the_narrowest_type_that_holds_twice_n(n, dtype):
+    # two margins of n voters differ by up to 2 n, which the type must hold
+    margins, _ = metrics._swap_aggregates(Election(2, [(0, 1)] * n))
+    assert margins.dtype == dtype
+    assert margins.tolist() == [0, n, -n, 0]
+
+
+def _counted_swap_search(search, a, bs):
+    # the search's outcomes and the number of assignments it solved
+    solves = []
+    solver = metrics.linear_sum_assignment
+
+    def counted(costs):
+        solves.append(1)
+        return solver(costs)
+
+    with mock.patch.object(metrics, "linear_sum_assignment", counted):
+        return search(a, bs), len(solves)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_swap_search_equals_the_one_solve_oracle(m):
+    # the same outcomes from the same solves, row by row as distance_values
+    # searches (the first row only above m = 6, for time), for one later
+    # election and a stack of them, n = 1 among the sizes, at every chunk
+    # budget up to m = 5.  Near elections (relabeled, a vote changed),
+    # far ones (IC) and ones drawn from a pool of three orders give stacks
+    # where most first solves meet their bound and some are beaten later
+    rng = np.random.default_rng([m, 260])
+    budgets = CHUNK_ENTRIES if m <= 5 else CHUNK_ENTRIES[-1:]
+    for n in (1, 3, 8) if m < 8 else (1, 8):
+        a = Election(m, [rng.permutation(m) for _ in range(n)])
+        near = [rng.permutation(m)[a.array] for _ in range(2)]
+        near[1][rng.integers(n)] = rng.permutation(m)
+        pool = [rng.permutation(m) for _ in range(3)]
+        dataset = [a, *(Election(m, v) for v in near)]
+        dataset += [Election(m, [rng.permutation(m) for _ in range(n)]) for _ in range(2)]
+        dataset += [Election(m, [pool[i] for i in rng.integers(3, size=n)]) for _ in range(4)]
+        new = [metrics._swap_aggregates(e) for e in dataset]
+        old = [row_major_swap_aggregates(e) for e in dataset]
+        rows = range(len(dataset) - 1) if m <= 6 else range(1)
+        for entries in budgets:
+            with mock.patch.object(metrics, "_SWAP_CHUNK_ENTRIES", entries):
+                for i in rows:
+                    for later in (slice(i + 1, i + 2), slice(i + 1, None)):
+                        got = _counted_swap_search(metrics._swap_search, new[i], new[later])
+                        want = _counted_swap_search(one_solve_swap_search, old[i], old[later])
+                        assert got == want
 
 
 TIED_PAIRS = [

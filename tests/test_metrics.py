@@ -13,6 +13,7 @@ import hypothesis.strategies as st
 from electodist import metrics
 from electodist.cli import main
 from electodist.elections import GUARDS
+from electodist.metrics import distance_values
 from electodist import (
     METRIC_KINDS,
     Election,
@@ -504,3 +505,31 @@ def test_ties_resolve_to_smallest_matching():
     assert distance(un, un, "discrete").candidate_matching == (0, 1, 2)
     assert pairwise_distance(un, un).candidate_matching == (0, 1, 2)
     assert positionwise_distance(un, un, "EMD").candidate_matching == (0, 1, 2)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_cross_metric_inequalities(m):
+    # on seeded pairs at n = 1..7, near (relabeled, a vote changed), far (IC)
+    # and drawn from a pool of two orders, through distance and through
+    # distance_values, whose swap takes the stacked small-m search:
+    # pairwise <= 2 swap, emdpos <= 2 swap, discrete <= swap <= C(m, 2)
+    # discrete and l1pos <= 2 emdpos <= (m - 1) l1pos.  Bordawise <= emdpos
+    # is no such bound: random m = 6, n = 3 pairs break it (14 > 10)
+    rng = np.random.default_rng([m, 2026])
+    kinds = ("swap", "discrete", "emdpos", "l1pos", "pairwise")
+    for n in range(1, 8):
+        a = Election(m, [rng.permutation(m) for _ in range(n)])
+        near = rng.permutation(m)[a.array]
+        near[rng.integers(n)] = rng.permutation(m)
+        pool = [rng.permutation(m) for _ in range(2)]
+        dataset = [a, Election(m, near)]
+        dataset += [Election(m, [rng.permutation(m) for _ in range(n)]) for _ in range(2)]
+        dataset += [Election(m, [pool[i] for i in rng.integers(2, size=n)]) for _ in range(2)]
+        values = {kind: distance_values(dataset, kind).tolist() for kind in kinds}
+        for p, (x, y) in enumerate(itertools.combinations(dataset, 2)):
+            d = {kind: distance(x, y, kind).value for kind in kinds}
+            assert d == {kind: values[kind][p] for kind in kinds}
+            assert d["pairwise"] <= 2 * d["swap"]
+            assert d["emdpos"] <= 2 * d["swap"]
+            assert d["discrete"] <= d["swap"] <= m * (m - 1) // 2 * d["discrete"]
+            assert d["l1pos"] <= 2 * d["emdpos"] <= (m - 1) * d["l1pos"]
