@@ -211,19 +211,40 @@ def matrix_correlation(dm_a: DistanceMatrix, dm_b: DistanceMatrix) -> Correlatio
     return CorrelationReport((dm_a.metric, dm_b.metric), _pearson(xs, ys), spearman, len(xs))
 
 
+# The last dataset given to `correlation`, as a tuple, and its distance
+# matrices by kind.  They never leave this module, so no caller can alias
+# or change one.
+_correlated: tuple[tuple[Election, ...], dict[str, DistanceMatrix]] = ((), {})
+
+
 def correlation(dataset: Sequence[Election], kind_a: str, kind_b: str) -> CorrelationReport:
     """Correlation between two metrics over all unordered pairs of distinct
     dataset elections.  Both kinds, the inputs and both guards are checked
-    before the first distance."""
+    before the first distance.
+
+    The distance matrices of the last dataset are kept, one per kind, and
+    reused while the next call's dataset is equal (elections compare by
+    value), so correlating swap with five metrics builds swap's matrix
+    once.  A different dataset replaces them: one dataset is held at most.
+    """
+    global _correlated
     check_kind(kind_a)
     check_kind(kind_b)
     if len(dataset) < 2:
         raise ValueError("need at least two elections")
     for kind in (kind_a, kind_b):
         _check_elections(dataset, kind)
-    return matrix_correlation(
-        distance_matrix(dataset, kind_a), distance_matrix(dataset, kind_b)
-    )
+    key = tuple(dataset)
+    # one read of the slot: a call from another thread that replaces it
+    # cannot hand this call the other dataset's matrices
+    held, matrices = _correlated
+    if held != key:
+        matrices = {}
+        _correlated = (key, matrices)
+    for kind in (kind_a, kind_b):
+        if kind not in matrices:
+            matrices[kind] = distance_matrix(dataset, kind)
+    return matrix_correlation(matrices[kind_a], matrices[kind_b])
 
 
 ExactOrBounds = Union[int, Fraction, tuple[Union[int, Fraction], Union[int, Fraction]]]

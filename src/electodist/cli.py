@@ -22,11 +22,11 @@ from .analysis import (
     borda_realizable,
     check_census_guard,
     compass_distance_formula,
+    correlation,
     count_equivalence_classes,
     emdpos_intrinsic_path,
     l1pos_intrinsic_path,
     majority_realizable_bruteforce,
-    matrix_correlation,
     recover_election,
 )
 from .cultures import CultureSpec, check_spec, sample_many
@@ -258,15 +258,16 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         raise ValueError("correlation needs at least two elections")
     for kind in config.metrics:
         check_guard(kind, config.m)
-    labels, elections, _ = build_dataset(config)
-    matrices = {}
-    for kind in config.metrics:
-        progress(f"{kind}: distance matrix on {len(elections)} elections")
-        matrices[kind] = distance_matrix(elections, kind, labels=labels)
-    print(CORRELATION_HEADER)
+    _, elections, _ = build_dataset(config)
+    # every report before the header: `correlation` builds each kind's
+    # matrix once, and nothing is printed unless all of them were built
+    reports = []
     for kind_a, kind_b in itertools.combinations(config.metrics, 2):
         progress(f"correlating {kind_a} with {kind_b} on {len(elections)} elections")
-        print(matrix_correlation(matrices[kind_a], matrices[kind_b]).to_csv_row())
+        reports.append(correlation(elections, kind_a, kind_b))
+    print(CORRELATION_HEADER)
+    for report in reports:
+        print(report.to_csv_row())
     return 0
 
 

@@ -1,14 +1,24 @@
-"""Shared fixtures: hand-checked elections and hypothesis strategies."""
+"""Shared fixtures: hand-checked elections, hypothesis strategies, and an
+empty correlation slot for every test."""
 
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 
-from electodist import Election
+from electodist import Election, analysis
 
 settings.register_profile("repeatable", derandomize=True)
 settings.load_profile("repeatable")
+
+
+@pytest.fixture(autouse=True)
+def fresh_correlation_slot():
+    # `correlation` keeps the last dataset's matrices; each test starts
+    # without them, so none was built under another test's patches
+    analysis._correlated = ((), {})
+
 
 # 3x3 pair with known distances: discrete 1, swap 1 (2 at the identity
 # matching), EMD-positionwise 2 (4 at identity), pairwise 2, Bordawise 1

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import sys
+import threading
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,17 +27,20 @@ from electodist import (
     correlation,
     count_equivalence_classes,
     distance,
+    distance_matrix,
     emd,
     emdpos_intrinsic_path,
     enumerate_anecs,
     l1pos_intrinsic_path,
     majority_matrix,
     majority_realizable_bruteforce,
+    matrix_correlation,
     position_matrix,
     positionwise_distance,
     recover_election,
 )
 
+from electodist import analysis, metrics
 from electodist.analysis import _average_ranks
 from electodist.elections import GUARDS
 from electodist.metrics import distance_values
@@ -226,6 +232,112 @@ def test_correlation_errors():
         correlation(census[:1], "swap", "emdpos")
     with pytest.raises(ValueError):
         correlation([SMALL_A, Election(3, [(0, 1, 2)])], "swap", "emdpos")
+
+
+def _dataset(seed, k=7, m=4, n=5):
+    rng = np.random.default_rng(seed)
+    return [Election(m, [rng.permutation(m) for _ in range(n)]) for _ in range(k)]
+
+
+def _counting_searches():
+    # counts swap's searches and the matrix builds `correlation` asks for
+    return (mock.patch.object(metrics, "_swap_search", wraps=metrics._swap_search),
+            mock.patch.object(analysis, "distance_matrix", wraps=analysis.distance_matrix))
+
+
+def test_correlation_with_swap_builds_the_swap_matrix_once():
+    dataset = _dataset(5)
+    others = [kind for kind in METRIC_KINDS if kind != "swap"]
+    searches, builds = _counting_searches()
+    with searches as searched, builds as built:
+        got = [correlation(dataset, "swap", kind) for kind in others]
+    fresh_swap = distance_matrix(dataset, "swap")
+    assert got == [
+        matrix_correlation(fresh_swap, distance_matrix(dataset, kind)) for kind in others
+    ]
+    # one search per election against the later ones, for one matrix
+    assert searched.call_count == len(dataset) - 1
+    assert [c.args[1] for c in built.call_args_list] == ["swap", *others]
+
+
+def test_correlation_of_swap_with_itself_searches_once():
+    dataset = _dataset(6)
+    searches, builds = _counting_searches()
+    with searches as searched, builds as built:
+        rep = correlation(dataset, "swap", "swap")
+    assert searched.call_count == len(dataset) - 1
+    assert built.call_count == 1
+    fresh = distance_matrix(dataset, "swap")
+    assert rep == matrix_correlation(fresh, fresh)
+
+
+def test_correlation_keeps_one_dataset():
+    first, second = _dataset(7), _dataset(8, k=5)
+    searches, _ = _counting_searches()
+    with searches as searched:
+        got = [correlation(ds, "swap", "emdpos") for ds in (first, second, first)]
+    want = [
+        matrix_correlation(distance_matrix(ds, "swap"), distance_matrix(ds, "emdpos"))
+        for ds in (first, second, first)
+    ]
+    assert got == want
+    # the second dataset replaced the first, whose matrix is built again
+    assert searched.call_count == 2 * (len(first) - 1) + len(second) - 1
+
+
+def test_correlation_reuses_matrices_of_an_equal_dataset():
+    dataset = _dataset(9)
+    copy = [Election(e.m, e.votes) for e in dataset]
+    assert all(a is not b for a, b in zip(dataset, copy))
+    first = correlation(dataset, "swap", "pairwise")
+    searches, builds = _counting_searches()
+    with searches as searched, builds as built:
+        again = correlation(copy, "swap", "pairwise")
+    assert (searched.call_count, built.call_count) == (0, 0)
+    assert again == first
+
+
+def test_correlation_checks_before_reusing():
+    dataset = _dataset(10)
+    correlation(dataset, "swap", "emdpos")
+    with pytest.raises(ValueError, match="swap distance guarded"):
+        correlation([Election(9, [tuple(range(9))])] * 2, "swap", "emdpos")
+    with pytest.raises(ValueError):
+        correlation(dataset, "swap", "kendall")
+    searches, _ = _counting_searches()
+    with searches as searched:
+        correlation(dataset, "emdpos", "swap")
+    assert searched.call_count == 0
+
+
+def test_correlation_threads_never_mix_datasets():
+    # threads alternating between two datasets replace the kept matrices
+    # under each other; each must still correlate its own dataset
+    datasets = [_dataset(seed, k=6, m=3, n=4) for seed in (11, 12)]
+    want = [
+        matrix_correlation(distance_matrix(ds, "emdpos"), distance_matrix(ds, "l1pos"))
+        for ds in datasets
+    ]
+    wrong = []
+
+    def work(offset):
+        for i in range(60):
+            which = (i + offset) % 2
+            if correlation(datasets[which], "emdpos", "l1pos") != want[which]:
+                wrong.append(which)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 @st.composite

@@ -21,7 +21,7 @@ from electodist import (
     parse_election,
     serialize_election,
 )
-from electodist import cli, cultures, mapping
+from electodist import analysis, cli, cultures, mapping
 from electodist.cli import ExperimentConfig, build_dataset, main
 
 from conftest import SMALL_A, SMALL_B
@@ -500,10 +500,12 @@ def test_correlate_rows(tmp_path, capsys):
 
 def test_correlate_is_deterministic(tmp_path, capsys):
     cfg = write_config(tmp_path)
+    # the second run finds the first run's matrices kept by `correlation`;
+    # its progress lines on stderr are the same all the same
     first = run(capsys, ["correlate", "--config", str(cfg)])
     second = run(capsys, ["correlate", "--config", str(cfg)])
     assert first[0] == second[0] == 0
-    assert first[1] == second[1]
+    assert first == second
 
 
 def test_correlate_rows_equal_library_correlation(tmp_path, capsys):
@@ -518,6 +520,28 @@ def test_correlate_rows_equal_library_correlation(tmp_path, capsys):
         for a, b in itertools.combinations(["emdpos", "discrete", "bordawise"], 2)
     ]
     assert out.strip().splitlines()[1:] == expected
+
+
+def test_correlate_builds_every_matrix_once_before_printing(tmp_path, capsys):
+    cfg = write_config(tmp_path, metrics=["emdpos", "discrete", "bordawise"])
+    build = analysis.distance_matrix
+    with mock.patch.object(analysis, "distance_matrix", wraps=build) as built:
+        code, out, _ = run(capsys, ["correlate", "--config", str(cfg)])
+    assert code == 0
+    assert [c.args[1] for c in built.call_args_list] == ["emdpos", "discrete", "bordawise"]
+
+    # on a new dataset, a matrix that cannot be built leaves stdout empty,
+    # header included
+    def fail_on_bordawise(dataset, kind, **kwargs):
+        if kind == "bordawise":
+            raise ValueError("no bordawise here")
+        return build(dataset, kind, **kwargs)
+
+    cfg = write_config(tmp_path, seed=12, metrics=["emdpos", "discrete", "bordawise"])
+    with mock.patch.object(analysis, "distance_matrix", fail_on_bordawise):
+        code, out, err = run(capsys, ["correlate", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: no bordawise here\n")
 
 
 def test_correlate_prints_one_row_for_a_repeated_metric(tmp_path, capsys):
