@@ -30,6 +30,7 @@ from .elections import (
 )
 from .mapping import DistanceMatrix, distance_matrix
 from .metrics import (
+    METRIC_KINDS,
     _check_elections,
     _swap_cells,
     check_kind,
@@ -199,14 +200,21 @@ def matrix_correlation(dm_a: DistanceMatrix, dm_b: DistanceMatrix) -> Correlatio
     ``itertools.combinations`` order.
 
     Equal labels imply equal shapes: a DistanceMatrix has one row per label.
+    The coefficients are symmetric in the two matrices bit for bit: they
+    are taken with the matrices in one order, by ``METRIC_KINDS`` (other
+    metric names after them, by name), then by cells.
     """
     if dm_a.labels != dm_b.labels:
         raise ValueError("distance matrices have different labels")
     if len(dm_a.labels) < 2:
         raise ValueError("need at least two elections")
     upper = _upper_pairs(len(dm_a.labels))
-    xs = dm_a.cells[upper]
-    ys = dm_b.cells[upper]
+
+    def order(dm):
+        rank = METRIC_KINDS.index(dm.metric) if dm.metric in METRIC_KINDS else len(METRIC_KINDS)
+        return rank, dm.metric, dm.cells[upper].tobytes()
+
+    xs, ys = (dm.cells[upper] for dm in sorted((dm_a, dm_b), key=order))
     spearman = _pearson(_average_ranks(xs), _average_ranks(ys))
     return CorrelationReport((dm_a.metric, dm_b.metric), _pearson(xs, ys), spearman, len(xs))
 

@@ -20,8 +20,11 @@ each vote's preference bits on the candidate pairs, relabeled, pack into
 one word, and the inversions between two votes are the popcount of the
 XOR of their words, in integers throughout, with no BLAS call.  The
 preferences are held cell-major, so the words are gathered a whole voter
-row per cell and transposed once before they are packed.
-Pairwise scans all m! matchings with numpy up to 6 candidates and runs a
+row per cell and transposed once before they are packed.  A chunk's
+bounds are tightened by the Hungarian method's row and column reduction
+of each voter cost matrix before any of its assignments is solved.
+Pairwise scans all m! matchings with numpy up to 6 candidates, in the
+narrowest integer type that holds the cell differences, and runs a
 best-first branch and bound over candidate prefixes from 7 on; at small m
 both take a stack of later elections at once.  Discrete sums, in one sort
 per row, the votes shared under each relabeling that maps a distinct vote
@@ -310,22 +313,55 @@ def _packed_votes(prefs: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return lanes.astype(np.uint8).view(f"u{lanes.shape[-1]}")[..., 0]
 
 
-def _voter_costs(bits_a: np.ndarray, prefs_b: np.ndarray, cells: np.ndarray):
+def _popcounts(words: np.ndarray) -> np.ndarray:
+    # the set bits of each unsigned word, as uint8.  numpy has no fast
+    # count of 16-bit words (55 against 18 us on a 12 x 12 x 404 chunk,
+    # numpy 2.4 on x86-64), so those are counted a byte at a time and the
+    # two counts added by one multiply: the high byte of (low + 256 high) *
+    # 0x0101 is low + high, which is below 256
+    if words.dtype != np.uint16:
+        return np.bitwise_count(words)
+    counts = np.bitwise_count(words.view(np.uint8)).view(np.uint16)
+    counts *= np.uint16(0x0101)
+    counts >>= np.uint16(8)
+    return counts.astype(np.uint8)
+
+
+def _voter_costs(bits_a: np.ndarray, prefs_b: np.ndarray, cells: np.ndarray) -> np.ndarray:
     # costs[..., i, j, l]: the inversions between voter i of a relabeled by
     # the l-th relabeling of cells and voter j of b, the popcount of the XOR
     # of their words, as contiguous uint8, for the words bits_a of a at the
     # identity's cells and the cell-major preferences prefs_b of one or a
-    # stack of elections; and the int64 bounds of their row minima and
-    # column minima, which no voter matching beats.  The relabelings run
-    # along the last axis, so every reduction takes whole rows of them at a
-    # time
+    # stack of elections.  The relabelings run along the last axis, so
+    # every reduction of the bounds below takes whole rows of them at a time
     words_b = _packed_votes(prefs_b, cells)
-    costs = np.bitwise_count(words_b[..., None, :, :] ^ bits_a[:, None, None])
-    relaxed = np.maximum(
+    return _popcounts(words_b[..., None, :, :] ^ bits_a[:, None, None])
+
+
+def _minima_bounds(costs: np.ndarray) -> np.ndarray:
+    # the int64 larger of the row-minima and column-minima sums of each of
+    # the voter cost matrices costs[..., i, j, l], which no voter matching
+    # beats
+    return np.maximum(
         costs.min(axis=-2).sum(axis=-2, dtype=np.int64),
         costs.min(axis=-3).sum(axis=-2, dtype=np.int64),
     )
-    return costs, relaxed
+
+
+def _reduced_bounds(costs: np.ndarray) -> np.ndarray:
+    # the int64 bound of each of the voter cost matrices costs[..., i, j, l]
+    # by the Hungarian method's reduction: the row minima plus the column
+    # minima of what is left, or the column minima plus the row minima of
+    # what is left, whichever is larger.  Each sum is the value of a
+    # feasible dual of the assignment, so no voter matching beats it, and it
+    # is never below the larger of the row-minima and column-minima sums.
+    # A minimum is at most its cells, so the uint8 differences do not wrap
+    bounds = []
+    for first, then in ((-2, -3), (-3, -2)):
+        minima = costs.min(axis=first, keepdims=True)
+        rest = (costs - minima).min(axis=then)
+        bounds.append(minima.sum(axis=(-3, -2), dtype=np.int64) + rest.sum(axis=-2, dtype=np.int64))
+    return np.maximum(*bounds)
 
 
 # a swap search chunk gathers, per relabeling, n * pairs preference bytes
@@ -344,9 +380,9 @@ def _swap_search(
     # lexicographically smallest optimal relabeling sigma (candidate c of a
     # to sigma[c] of b) and the solver's voter matching for it.  Relabelings
     # are visited best-first by their majority bound, in chunks whose voter
-    # cost matrices are built at once and whose bounds are tightened before
-    # any assignment is solved.  Only the cells c < d are compared: the
-    # cells d > c mirror them.
+    # cost matrices are built at once and whose bounds are tightened by
+    # _reduced_bounds before any assignment is solved.  Only the cells c < d
+    # are compared: the cells d > c mirror them.
     margins_a, prefs_a = a
     n = prefs_a.shape[1]
     m = math.isqrt(prefs_a.shape[0])
@@ -388,12 +424,17 @@ def _swap_search(
             lo = hi
         return sums // 2
 
+    def beats(bound, ids, best):
+        # the relabelings whose (bound, index) is below the incumbent's
+        # (value, index): the smaller pair wins, so among optimal
+        # relabelings the lexicographically smallest does
+        return (bound < best[0]) | ((bound == best[0]) & (ids < best[1]))
+
     def visit(costs, tight, ids, best, best_rho):
         # solve the chunk's assignments by (tight bound, index) while they
-        # can beat the incumbent (value, index): the smaller pair wins, so
-        # among optimal relabelings the lexicographically smallest does.
-        # Only those that can beat it at the start are sorted
-        open_ = (tight < best[0]) | ((tight == best[0]) & (ids < best[1]))
+        # can beat the incumbent.  Only those that can beat it at the start
+        # are sorted
+        open_ = beats(tight, ids, best)
         if not open_.any():
             return best, best_rho
         cols = np.flatnonzero(open_)
@@ -431,8 +472,8 @@ def _swap_search(
         for s in range(0, len(bs), stack):
             group = bs[s : s + stack]
             bounds = majority_bounds(np.array([b[0] for b in group]))
-            costs, relaxed = _voter_costs(bits_a, np.array([b[1] for b in group]), cells)
-            tight = np.maximum(bounds, relaxed)
+            costs = _voter_costs(bits_a, np.array([b[1] for b in group]), cells)
+            tight = np.maximum(bounds, _reduced_bounds(costs))
             rows = np.arange(len(group))
             firsts = tight.argmin(axis=-1)
             first_costs = costs[rows, :, :, firsts]
@@ -460,13 +501,18 @@ def _swap_search(
             # (bound, index) ascends along order: the relabelings that can
             # still beat the incumbent form a prefix, empty for all later
             # chunks, and whole in the first, where every pair is below unset
-            open_ = (lb < best[0]) | ((lb == best[0]) & (ids < best[1]))
+            open_ = beats(lb, ids, best)
             stop = len(ids) if open_.all() else int(open_.argmin())
             if stop == 0:
                 break
             ids, lb = ids[:stop], lb[:stop]
-            costs, relaxed = _voter_costs(bits_a, prefs_b, cells[ids])
-            best, rho = visit(costs, np.maximum(lb, relaxed), ids, best, rho)
+            costs = _voter_costs(bits_a, prefs_b, cells[ids])
+            # the reduction bound, never below the minima bound, only where
+            # the cheaper minima bound leaves a relabeling open: the others
+            # stay shut under a larger bound.  Before the first solve every
+            # relabeling is open
+            if best == unset or beats(np.maximum(lb, _minima_bounds(costs)), ids, best).any():
+                best, rho = visit(costs, np.maximum(lb, _reduced_bounds(costs)), ids, best, rho)
         found.append(best)
         rhos.append(rho.tolist())
     return outcomes(found, rhos)
@@ -651,23 +697,41 @@ def _pairwise_search(
     m = ma.shape[0]
     if m > _PAIRWISE_SCAN_MAX:
         return [_pairwise_branch_and_bound(ma, mb) for mb in mbs]
-    perms = _order_table(m)
-    # the flat cells (tau r, tau s) of an m x m matrix, r-major, for every
-    # matching tau in lexicographic order; rebuilt per call, since a cached
-    # copy would stay resident beside the swap search's tables
-    cells = (perms[:, :, None] * m + perms[:, None, :]).reshape(len(perms), m * m)
+    if not len(mbs):
+        return []
+    cells = _pairwise_cells(m)
+    flat = np.stack(mbs).reshape(len(mbs), m * m)
+    # two entries differ by at most twice the largest magnitude, which the
+    # scan's type holds, and m * m such differences sum in int32 while they
+    # fit; from a magnitude of 2**62 on the scan takes int64, the matrices'
+    # own type
+    peak = min(max(int(ma.max()), -int(ma.min()), int(flat.max()), -int(flat.min())), 2**62 - 1)
+    scan = np.min_scalar_type(-2 * peak - 1)
+    total = np.int32 if m * m * 2 * peak < 2**31 else np.int64
+    flat, cells_a = flat.astype(scan), ma.ravel().astype(scan)
     # the matrices are scanned in stacks of at most _SWAP_CHUNK_ENTRIES cells
     stack = max(1, _SWAP_CHUNK_ENTRIES // max(1, cells.size))
     out = []
     for s in range(0, len(mbs), stack):
-        gathered = np.stack(mbs[s : s + stack]).reshape(-1, m * m).take(cells, axis=1)
-        gathered -= ma.ravel()
-        costs = np.abs(gathered, out=gathered).sum(axis=2)
+        gathered = flat[s : s + stack].take(cells, axis=1)
+        gathered -= cells_a
+        costs = np.abs(gathered, out=gathered).sum(axis=2, dtype=total)
         # argmin takes the first optimum, the lexicographically smallest
         best = costs.argmin(axis=1)
         values = costs[np.arange(len(best)), best].tolist()
-        out.extend(zip(values, map(tuple, perms[best].tolist())))
+        out.extend(zip(values, map(tuple, _order_table(m)[best].tolist())))
     return out
+
+
+@lru_cache(maxsize=None)
+def _pairwise_cells(m: int) -> np.ndarray:
+    # the flat cells (tau r, tau s) of an m x m matrix, r-major, for every
+    # matching tau in lexicographic order: a read-only uint8 table, 26 KB
+    # at the scan's largest m
+    perms = _order_bytes(m)
+    cells = (perms[:, :, None] * m + perms[:, None, :]).reshape(len(perms), m * m)
+    cells.setflags(write=False)
+    return cells
 
 
 @lru_cache(maxsize=None)
@@ -767,12 +831,12 @@ def _pairwise_branch_and_bound(ma: np.ndarray, mb: np.ndarray) -> tuple[int, tup
 def _positionwise_search(x: np.ndarray, ys: Sequence[np.ndarray]) -> list[tuple[int]]:
     # the positionwise value of the aggregate x against each of ys, by one
     # assignment solve each: no witness, so none of solve_assignment's
-    # lexmin solves
-    out = []
-    for costs in _column_costs(x, np.stack(ys)):
-        ri, ci = linear_sum_assignment(costs)
-        out.append((int(costs[ri, ci].sum()),))
-    return out
+    # lexmin solves.  A square solve gives its rows in order, so each pair's
+    # columns are all it keeps, and the row's values are one gather
+    costs = _column_costs(x, np.stack(ys))
+    columns = np.array([linear_sum_assignment(c)[1] for c in costs])
+    values = np.take_along_axis(costs, columns[:, :, None], axis=2).sum(axis=(1, 2))
+    return [(v,) for v in values.tolist()]
 
 
 def _sorted_borda_prefix(election: Election) -> np.ndarray:
@@ -836,7 +900,8 @@ def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
     one chunk holds all m! relabelings, and pairwise up to 6 candidates
     take the later elections in stacks: swap's gathers at most 2**17 bytes
     of preference bits and uint8 voter costs at once, pairwise's 2**17
-    int64 cells.  At larger m they search each pair on its own.
+    cells, in the narrowest type that holds twice the largest entry.  At
+    larger m they search each pair on its own.
     """
     _check_elections(dataset, kind)
     if len(dataset) < 2:

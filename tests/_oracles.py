@@ -11,8 +11,13 @@ to check the packed-bit one; ``row_major_packed_votes`` and
 ``row_major_voter_costs`` its earlier byte-at-a-time gather of the words,
 kept to check the cell-major one, and ``one_solve_swap_search`` the whole
 search on that layout, solving one relabeling at a time, kept to check the
-stacked first solves; ``burnside_anec_count`` counts ANECs by Burnside's
-lemma, to check the census; ``counter_discrete_search`` is the discrete
+stacked first solves, with ``reduction_bounds``, the Hungarian reduction
+bound on (relabeling, voter, voter) int64 matrices, or with only the row
+and column minima as the search bounded before it; ``burnside_anec_count``
+counts ANECs by Burnside's lemma, to check the census;
+``pair_sum_positionwise_search`` is the positionwise row search summed
+pair by pair, kept to check the row's one gather;
+``counter_discrete_search`` is the discrete
 search's earlier per-pair dict kernel, kept to check the row kernel,
 ``unique_rows_vote_types`` its earlier row-wise vote-type aggregate, and
 ``single_layout_descent_tail`` the map's descent tail of one layout, kept to
@@ -521,10 +526,28 @@ def row_major_voter_costs(bits_a: np.ndarray, prefs_b: np.ndarray, cells: np.nda
     return costs, relaxed
 
 
-def one_solve_swap_search(a, bs) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+def reduction_bounds(costs: np.ndarray) -> np.ndarray:
+    """The Hungarian method's reduction bound of each voter cost matrix
+    costs[..., i, j, l], per relabeling l: the larger of (row minima plus
+    the column minima of what is left) and (column minima plus the row
+    minima of what is left), in int64 on matrices moved to (..., l, i, j)."""
+    c = np.moveaxis(costs, -1, -3).astype(np.int64)
+    rows = c.min(axis=-1)
+    by_rows = rows.sum(axis=-1) + (c - rows[..., :, None]).min(axis=-2).sum(axis=-1)
+    cols = c.min(axis=-2)
+    by_cols = cols.sum(axis=-1) + (c - cols[..., None, :]).min(axis=-1).sum(axis=-1)
+    return np.maximum(by_rows, by_cols)
+
+
+def one_solve_swap_search(
+    a, bs, reduce: bool = True
+) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """The swap search on row-major aggregates, solving one relabeling at a
     time: each election of a stack visits its whole chunk by (tight bound,
-    index) from no incumbent, with its own sort.
+    index) from no incumbent, with its own sort.  The tight bound is the
+    larger of the majority bound and ``reduction_bounds`` on every chunk,
+    or with ``reduce=False`` the larger of the row-minima and column-minima
+    sums, the bound of the search before it reduced.
 
     a and bs are ``row_major_swap_aggregates``; (value, sigma, rho) per b.
     The solver and the chunk budget are read from ``metrics`` when called,
@@ -562,6 +585,10 @@ def one_solve_swap_search(a, bs) -> list[tuple[int, tuple[int, ...], tuple[int, 
     def outcome(best, rho):
         return best[0], tuple(perms[best[1]].tolist()), tuple(rho.tolist())
 
+    def voter_bounds(bits_a, prefs_b, cells):
+        costs, relaxed = row_major_voter_costs(bits_a, prefs_b, cells)
+        return costs, reduction_bounds(costs) if reduce else relaxed
+
     unset = (pairs * n + 1, total)
     if total <= chunk:
         ids = np.arange(total)
@@ -570,8 +597,8 @@ def one_solve_swap_search(a, bs) -> list[tuple[int, tuple[int, ...], tuple[int, 
         for s in range(0, len(bs), stack):
             group = bs[s : s + stack]
             bounds = majority_bounds(np.stack([b[0] for b in group]), cells)
-            costs, relaxed = row_major_voter_costs(bits_a, np.stack([b[1] for b in group]), cells)
-            tight = np.maximum(bounds, relaxed)
+            costs, voters = voter_bounds(bits_a, np.stack([b[1] for b in group]), cells)
+            tight = np.maximum(bounds, voters)
             for g in range(len(group)):
                 out.append(outcome(*visit(costs[g], tight[g], ids, unset, None)))
         return out
@@ -591,9 +618,20 @@ def one_solve_swap_search(a, bs) -> list[tuple[int, tuple[int, ...], tuple[int, 
             if stop == 0:
                 break
             ids, lb = ids[:stop], lb[:stop]
-            costs, relaxed = row_major_voter_costs(bits_a, prefs_b, cells[ids])
-            best, rho = visit(costs, np.maximum(lb, relaxed), ids, best, rho)
+            costs, voters = voter_bounds(bits_a, prefs_b, cells[ids])
+            best, rho = visit(costs, np.maximum(lb, voters), ids, best, rho)
         out.append(outcome(best, rho))
+    return out
+
+
+def pair_sum_positionwise_search(x: np.ndarray, ys) -> list[tuple[int]]:
+    """The positionwise row search before it gathered a row at once: one
+    solve per later aggregate, its cost summed at the solver's (rows,
+    columns)."""
+    out = []
+    for costs in metrics._column_costs(x, np.stack(ys)):
+        ri, ci = linear_sum_assignment(costs)
+        out.append((int(costs[ri, ci].sum()),))
     return out
 
 

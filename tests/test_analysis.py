@@ -42,7 +42,7 @@ from electodist import (
 
 from electodist import analysis, metrics
 from electodist.analysis import _average_ranks
-from electodist.elections import GUARDS
+from electodist.elections import GUARDS, _upper_pairs
 from electodist.metrics import distance_values
 
 from conftest import SMALL_A, SMALL_B, elections, election_pairs
@@ -295,6 +295,22 @@ def test_correlation_reuses_matrices_of_an_equal_dataset():
         again = correlation(copy, "swap", "pairwise")
     assert (searched.call_count, built.call_count) == (0, 0)
     assert again == first
+
+
+def test_correlation_is_symmetric_bit_for_bit():
+    # every pair of kinds, both ways round: the same report up to the order
+    # of its pair, the coefficients equal to the last bit; swap first keeps
+    # the bits of a matrix_correlation in that order
+    dataset = _dataset(7)
+    matrices = {kind: distance_matrix(dataset, kind) for kind in METRIC_KINDS}
+    for a, b in itertools.combinations(METRIC_KINDS, 2):
+        ab, ba = correlation(dataset, a, b), correlation(dataset, b, a)
+        assert (ab.pair, ba.pair) == ((a, b), (b, a))
+        assert ab.pearson is not None and ab.spearman is not None
+        assert (ab.pearson, ab.spearman, ab.pair_count) == (ba.pearson, ba.spearman, ba.pair_count)
+        assert matrix_correlation(matrices[b], matrices[a]).pearson == ab.pearson
+    xs, ys = (matrices[kind].cells[_upper_pairs(len(dataset))] for kind in ("swap", "pairwise"))
+    assert correlation(dataset, "pairwise", "swap").pearson == float(np.corrcoef(xs, ys)[0, 1])
 
 
 def test_correlation_checks_before_reusing():

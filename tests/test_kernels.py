@@ -43,6 +43,7 @@ from electodist import (
     solve_assignment,
 )
 from electodist import analysis, metrics
+from electodist.cli import ExperimentConfig, build_dataset
 from electodist.cultures import sample_euclidean, sample_ic, sample_mallows
 from electodist.elections import _order_table, _preferences
 from electodist.metrics import distance_values, vote_swap_distance
@@ -66,6 +67,8 @@ from _oracles import (
     loop_preferences,
     one_solve_swap_search,
     pair_loop_distance_matrix,
+    pair_sum_positionwise_search,
+    reduction_bounds,
     refinement_solve_assignment,
     relabel_canonical_anec_key,
     row_major_packed_votes,
@@ -149,6 +152,38 @@ def test_pairwise_at_the_guard_allocates_no_full_table():
     s = np.array(out.candidate_matching)
     assert out.value == int(np.abs(ma - mb[s[:, None], s[None, :]]).sum())
     assert sorted(out.candidate_matching) == list(range(12))
+
+
+@pytest.mark.parametrize("n", [63, 64, 16383, 16384])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_pairwise_scan_equals_block_enumeration_at_the_type_edges(m, n):
+    # majority matrices of n voters at the edges of the scan's int8 and
+    # int16: a unanimous election and its reverse reach the cells 0 and n,
+    # two drawn from a pool of three orders fall between
+    rng = np.random.default_rng([m, n])
+    pool = np.array([rng.permutation(m) for _ in range(3)])
+    dataset = [Election(m, np.repeat(pool[:1], n, axis=0)),
+               Election(m, np.repeat(pool[:1, ::-1], n, axis=0))]
+    dataset += [Election(m, pool[rng.integers(3, size=n)]) for _ in range(2)]
+    majorities = [majority_matrix(e) for e in dataset]
+    for i in range(len(dataset) - 1):
+        found = metrics._pairwise_search(majorities[i], majorities[i + 1 :])
+        assert found == [block_enumeration_pairwise(majorities[i], mb) for mb in majorities[i + 1 :]]
+
+
+@pytest.mark.parametrize(
+    "peak", [63, 64, 16383, 16384, 2**31 // 72, 2**31 // 72 + 1, 2**40 - 3, 2**40 + 3]
+)
+def test_pairwise_scan_is_exact_on_arbitrary_matrices(peak):
+    # square matrices of either sign near the peak, and two constant ones
+    # of opposite signs, whose cells differ by 2 peak and whose cost, 2 m * m
+    # peak, passes 2**31 from the sixth case on at m = 6
+    rng = np.random.default_rng(peak)
+    for m in (1, 2, 4, 6):
+        ma, mb = rng.choice([-1, 1], size=(2, m, m)) * (peak - rng.integers(0, 3, size=(2, m, m)))
+        for x, y in ((ma, mb), (np.full((m, m), peak), np.full((m, m), -peak))):
+            out = pairwise_distance(x, y)
+            assert (out.value, out.candidate_matching) == block_enumeration_pairwise(x, y)
 
 
 @st.composite
@@ -322,7 +357,8 @@ def test_packed_voter_costs_equal_sign_dot_products(m, entries):
         packed = np.packbits(gathered, axis=-1, bitorder="little")
         words = metrics._packed_votes(prefs_b, cells[ids])
         assert np.array_equal(words, packed.view(words.dtype)[..., 0])
-        costs, relaxed = metrics._voter_costs(bits_a, prefs_b, cells[ids])
+        costs = metrics._voter_costs(bits_a, prefs_b, cells[ids])
+        relaxed = metrics._minima_bounds(costs)
         want_costs, want_relaxed = sign_dot_voter_costs(signs_a, signs_b, perms[ids])
         assert costs.dtype == np.uint8 and costs.flags.c_contiguous
         assert np.array_equal(np.moveaxis(costs, -1, -3), want_costs)
@@ -355,7 +391,8 @@ def test_cell_major_words_equal_the_row_major_oracle(m):
         ):
             words = metrics._packed_votes(prefs_b, cells[ids])
             assert np.array_equal(words, row_major_packed_votes(want_prefs_b, cells[ids]))
-            got = metrics._voter_costs(bits_a, prefs_b, cells[ids])
+            costs = metrics._voter_costs(bits_a, prefs_b, cells[ids])
+            got = costs, metrics._minima_bounds(costs)
             want = row_major_voter_costs(bits_a, want_prefs_b, cells[ids])
             for x, y in zip(got, want):
                 assert x.dtype == y.dtype and x.flags.c_contiguous
@@ -414,6 +451,77 @@ def test_swap_search_equals_the_one_solve_oracle(m):
                         got = _counted_swap_search(metrics._swap_search, new[i], new[later])
                         want = _counted_swap_search(one_solve_swap_search, old[i], old[later])
                         assert got == want
+                        # bounded by the row and column minima alone, the
+                        # same outcomes from no fewer solves
+                        found, solves = _counted_swap_search(_minima_swap_search, old[i], old[later])
+                        assert found == got[0] and solves >= got[1]
+
+
+def _minima_swap_search(a, bs):
+    return one_solve_swap_search(a, bs, reduce=False)
+
+
+# the m = 6 map of the maps benchmark: six cultures and two compass
+# elections, n = 12, seed 2026
+MAP_M6 = {
+    "m": 6, "n": 12, "seed": 2026, "compass": ["ID", "AN"],
+    "dataset": [
+        {"model": "IC", "count": 1},
+        {"model": "Urn", "params": {"alpha": "gamma"}, "count": 1},
+        {"model": "Mallows", "params": {"phi": "norm-uniform"}, "count": 1},
+        {"model": "SPConitzer", "count": 1},
+        {"model": "Euclidean", "params": {"shape": "disc_2d"}, "count": 1},
+        {"model": "GroupSeparable", "params": {"tree": "caterpillar"}, "count": 1},
+    ],
+}
+
+
+def test_reduction_bound_solves_fewer_on_the_map_swap_matrix():
+    # row by row as distance_values searches: the same outcomes as the
+    # oracle with the same bound and the same solves, and strictly fewer
+    # solves than with the row and column minima alone
+    _, dataset, _ = build_dataset(ExperimentConfig.from_json(MAP_M6))
+    new = [metrics._swap_aggregates(e) for e in dataset]
+    old = [row_major_swap_aggregates(e) for e in dataset]
+    solves = {"search": 0, "oracle": 0, "minima": 0}
+    for i in range(len(dataset) - 1):
+        got, solves_got = _counted_swap_search(metrics._swap_search, new[i], new[i + 1 :])
+        want, solves_want = _counted_swap_search(one_solve_swap_search, old[i], old[i + 1 :])
+        found, solves_found = _counted_swap_search(_minima_swap_search, old[i], old[i + 1 :])
+        assert got == want == found
+        solves["search"] += solves_got
+        solves["oracle"] += solves_want
+        solves["minima"] += solves_found
+    assert solves["search"] == solves["oracle"] < solves["minima"]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_reduction_bound_lies_between_the_minima_bound_and_the_optimum(m):
+    # on chunks of voter costs, one election against a stack, with votes
+    # drawn from a pool of three orders so that rows and columns tie, and
+    # on uniform bytes up to the pair count: the bound equals the oracle's,
+    # is at least the larger row-minima or column-minima sum, and at most
+    # each matrix's assignment optimum
+    rng = np.random.default_rng([m, 28])
+    pairs = m * (m - 1) // 2
+    cells = metrics._swap_cells(m)
+    for n in (1, 2, 5, 12):
+        pool = [rng.permutation(m) for _ in range(3)]
+        a, *bs = (Election(m, [pool[i] for i in rng.integers(3, size=n)]) for _ in range(3))
+        bs.append(Election(m, [rng.permutation(m) for _ in range(n)]))
+        ids = np.sort(rng.choice(len(cells), size=min(len(cells), 40), replace=False))
+        bits_a = metrics._packed_votes(metrics._swap_aggregates(a)[1], cells[:1])[:, 0]
+        prefs_b = np.stack([metrics._swap_aggregates(b)[1] for b in bs])
+        costs = metrics._voter_costs(bits_a, prefs_b, cells[ids])
+        uniform = rng.integers(0, pairs + 1, size=(n, n, 40), dtype=np.uint8)
+        for chunk in (costs, uniform):
+            bounds = metrics._reduced_bounds(chunk)
+            assert bounds.dtype == np.int64
+            assert np.array_equal(bounds, reduction_bounds(chunk))
+            assert (bounds >= metrics._minima_bounds(chunk)).all()
+            matrices = np.moveaxis(chunk, -1, -3).reshape(-1, n, n)
+            optima = [int(c[metrics.linear_sum_assignment(c)].sum()) for c in matrices]
+            assert (bounds.ravel() <= optima).all()
 
 
 TIED_PAIRS = [
@@ -675,6 +783,21 @@ def test_distance_matrix_equals_pair_loop(dataset, kind):
     dm = distance_matrix(dataset, kind)
     want = pair_loop_distance_matrix(dataset, kind)
     assert dm.cells.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 7, 10])
+def test_positionwise_row_values_equal_the_pair_sums(m):
+    # rows of one and of several later elections, IC and repeated votes
+    rng = np.random.default_rng([m, 28])
+    pool = [rng.permutation(m) for _ in range(2)]
+    dataset = [Election(m, [rng.permutation(m) for _ in range(6)]) for _ in range(4)]
+    dataset += [Election(m, [pool[i] for i in rng.integers(2, size=6)]) for _ in range(3)]
+    for variant in ("EMD", "L1"):
+        aggs = [metrics._positionwise_aggregate(e, variant) for e in dataset]
+        for i in range(len(aggs) - 1):
+            got = metrics._positionwise_search(aggs[i], aggs[i + 1 :])
+            assert got == pair_sum_positionwise_search(aggs[i], aggs[i + 1 :])
+            assert all(type(v) is int for (v,) in got)
 
 
 def test_distance_values_follow_combinations_order():
