@@ -32,7 +32,6 @@ from .mapping import DistanceMatrix, distance_matrix
 from .metrics import (
     METRIC_KINDS,
     _check_elections,
-    _swap_cells,
     check_kind,
     distance_values,
     linear_sum_assignment,
@@ -157,7 +156,8 @@ def count_equivalence_classes(m: int, n: int) -> CensusReport:
     # the cells c < d fix a majority matrix, as cells[c, d] + cells[d, c]
     # = n; their base-(n+1) code, minimized over relabelings, names its
     # class.  digits[s] weighs the cells (s c, s d) of relabeling s
-    relabeled = _swap_cells(m)[:, : m * (m - 1) // 2]
+    first, second = _upper_pairs(m)
+    relabeled = table[:, first] * m + table[:, second]
     digits = np.zeros((len(table), m * m), dtype=np.int64)
     np.put_along_axis(digits, relabeled, (n + 1) ** np.arange(relabeled.shape[1]), axis=1)
     pair_keys = (majority @ digits.T).min(axis=1)

@@ -14,8 +14,11 @@ Each metric has one table row: its aggregate of one election and its
 search of one aggregate against a list of later ones, (value, *witness)
 for each.  ``distance`` and ``distance_values`` both dispatch through it.
 The searches keep the lexicographically smallest optimal candidate
-matching as witness.  Swap visits relabelings best-first by a
-majority-matrix bound, building voter cost matrices a chunk at a time:
+matching as witness.  With majority margins 2 M - n, a matching's pairwise
+cost is the l1 distance of the margins over the pairs c < d, and half of
+it bounds swap: one kernel, ``_pair_costs``, sums it for every relabeling
+of one election or a stack.  Swap visits relabelings best-first by that
+bound, building voter cost matrices a chunk at a time:
 each vote's preference bits on the candidate pairs, relabeled, pack into
 one word, and the inversions between two votes are the popcount of the
 XOR of their words, in integers throughout, with no BLAS call.  The
@@ -23,10 +26,9 @@ preferences are held cell-major, so the words are gathered a whole voter
 row per cell and transposed once before they are packed.  A chunk's
 bounds are tightened by the Hungarian method's row and column reduction
 of each voter cost matrix before any of its assignments is solved.
-Pairwise scans all m! matchings with numpy up to 6 candidates, in the
-narrowest integer type that holds the cell differences, and runs a
-best-first branch and bound over candidate prefixes from 7 on; at small m
-both take a stack of later elections at once.  Discrete sums, in one sort
+Pairwise takes the least of the kernel's sums up to 6 candidates and runs
+a best-first branch and bound over candidate prefixes from 7 on; at small
+m both take a stack of later elections at once.  Discrete sums, in one sort
 per row, the votes shared under each relabeling that maps a distinct vote
 onto another, coded in base m: int64 while it fits, Python ints beyond.
 """
@@ -252,40 +254,42 @@ def solve_assignment(costs) -> tuple[tuple[int, ...], Number]:
     return tuple(matching), sum(row[c] for row, c in zip(arr.tolist(), matching))
 
 
+def _margins(majority: np.ndarray, n: int) -> np.ndarray:
+    # the flat majority margins of a majority matrix of n voters, cell c * m
+    # + d holding the voters who prefer c to d less those who prefer d to c
+    # (2 M - n off the diagonal, 0 on it), in the narrowest signed type that
+    # holds +-2 n, so that two margins subtract in it
+    return (majority - majority.T).ravel().astype(np.min_scalar_type(-2 * n - 1))
+
+
 def _swap_aggregates(election: Election) -> tuple[np.ndarray, np.ndarray]:
-    # the majority margins, cell c * m + d holding the voters who prefer c
-    # to d less those who prefer d to c (2 M - n off the diagonal, 0 on it),
-    # in the narrowest signed type that holds +-2 n, so that two margins
-    # subtract in it; and the uint8 preferences cell-major, P[c * m + d, v] =
-    # 1 when voter v prefers c to d (0 on the diagonal), so that a cell's
-    # bytes for all voters are one contiguous row
+    # the majority margins and the uint8 preferences cell-major, P[c * m +
+    # d, v] = 1 when voter v prefers c to d (0 on the diagonal), so that a
+    # cell's bytes for all voters are one contiguous row
     n, m = election.array.shape
     prefers = np.ascontiguousarray(_preferences(election.array).reshape(n, m * m).T)
     counts = prefers.sum(axis=1, dtype=np.int32).reshape(m, m)
-    margins = (counts - counts.T).ravel().astype(np.min_scalar_type(-2 * n - 1))
-    return margins, prefers.view(np.uint8)
+    return _margins(counts, n), prefers.view(np.uint8)
 
 
 @lru_cache(maxsize=None)
 def _swap_cells(m: int) -> np.ndarray:
     # for each relabeling tau of _order_bytes(m), in its order: the flat
-    # cells tau c * m + tau d of an m x m matrix for the pairs c < d, by d
-    # and then c, so that the pairs among candidates 0..d-1 are the first
-    # d (d - 1) / 2 columns; padded to 8 * 2**k columns with the diagonal
-    # cell of tau 0, whose preference bit and margin are 0, so that a
-    # vote's bits pack into one word; a read-only uint8 table, 1.3 MB at m
-    # = 8.  The orders are read candidate-major, so that each column of
-    # cells comes from two contiguous rows
+    # cells tau c * m + tau d of an m x m matrix for the pairs c < d of
+    # _upper_pairs(m), padded to 8 * 2**k columns with the diagonal cell of
+    # tau 0, whose preference bit and margin are 0, so that a vote's bits
+    # pack into one word; a read-only uint8 table, 1.3 MB at m = 8.  The
+    # orders are read candidate-major, so that each column of cells comes
+    # from two contiguous rows
     by_candidate = _order_bytes(m).T.copy()
     first, second = _upper_pairs(m)
-    by_second = np.lexsort((first, second))
     width = 8
     while width < len(first):
         width *= 2
     cells = np.empty((by_candidate.shape[1], width), dtype=np.uint8)
     cells[:] = (by_candidate[0] * (m + 1))[:, None]
     # a column at a time, so that no second table of cells is held at once
-    for p, (c, d) in enumerate(zip(first[by_second].tolist(), second[by_second].tolist())):
+    for p, (c, d) in enumerate(zip(first.tolist(), second.tolist())):
         column = by_candidate[c] * m
         column += by_candidate[d]
         cells[:, p] = column
@@ -367,9 +371,33 @@ def _reduced_bounds(costs: np.ndarray) -> np.ndarray:
 # a swap search chunk gathers, per relabeling, n * pairs preference bytes
 # and builds n * n uint8 voter costs, at most this many bytes in all (128
 # KB), not counting the padding cells or the n * n words the costs are
-# counted from; the majority bound pass and the small-m pairwise scan take
-# this many cells at a time
+# counted from; _pair_costs gathers at most this many margins at a time
 _SWAP_CHUNK_ENTRIES = 1 << 17
+
+
+def _pair_costs(margins_a: np.ndarray, margins_b: np.ndarray) -> np.ndarray:
+    # costs[..., l]: the sum over the pairs c < d of |margin_a(c, d) -
+    # margin_b(tau c, tau d)| for the l-th relabeling tau of _order_bytes(m),
+    # for the flat margins (from _margins) of one election a and of one or a
+    # stack of elections b of as many voters.  As M(d, c) = n - M(c, d), it
+    # is the pairwise cost of tau, and twice swap's majority bound: every
+    # disagreeing voter pair forces an inversion.  The margins are gathered
+    # pair-major, so that the sum over the pairs adds whole rows, in slices
+    # of at most _SWAP_CHUNK_ENTRIES margins, and summed in int32 while they
+    # fit int16, in int64 beyond
+    m = math.isqrt(margins_a.shape[-1])
+    pairs = m * (m - 1) // 2
+    cells = _swap_cells(m)[:, :pairs].T
+    upper_a = margins_a.take(cells[:, :1])
+    total = np.int32 if margins_a.itemsize <= 2 else np.int64
+    sums = np.empty(margins_b.shape[:-1] + (cells.shape[1],), dtype=total)
+    elections = margins_b.size // margins_b.shape[-1]
+    step = max(1, _SWAP_CHUNK_ENTRIES // max(1, pairs * elections))
+    for s in range(0, cells.shape[1], step):
+        gathered = margins_b.take(cells[:, s : s + step], axis=-1)
+        gathered -= upper_a
+        sums[..., s : s + step] = np.abs(gathered, out=gathered).sum(axis=-2, dtype=total)
+    return sums
 
 
 def _swap_search(
@@ -379,50 +407,21 @@ def _swap_search(
     # _swap_aggregates) and each election of aggregates bs, with the
     # lexicographically smallest optimal relabeling sigma (candidate c of a
     # to sigma[c] of b) and the solver's voter matching for it.  Relabelings
-    # are visited best-first by their majority bound, in chunks whose voter
-    # cost matrices are built at once and whose bounds are tightened by
-    # _reduced_bounds before any assignment is solved.  Only the cells c < d
-    # are compared: the cells d > c mirror them.
+    # are visited best-first by their majority bound, half their
+    # _pair_costs, in chunks whose voter cost matrices are built at once and
+    # whose bounds are tightened by _reduced_bounds before any assignment is
+    # solved.  Only the cells c < d are compared: the cells d > c mirror
+    # them.
     margins_a, prefs_a = a
     n = prefs_a.shape[1]
     m = math.isqrt(prefs_a.shape[0])
     perms = _order_bytes(m)
     cells = _swap_cells(m)
-    total, width = cells.shape
+    total = len(cells)
     pairs = m * (m - 1) // 2
     # the identity comes first among the relabelings
-    margins_upper_a = margins_a.take(cells[0])[:, None]
     bits_a = _packed_votes(prefs_a, cells[:1])[:, 0]
     chunk = max(1, _SWAP_CHUNK_ENTRIES // (n * (pairs + n)))
-    step = max(1, _SWAP_CHUNK_ENTRIES // width)
-
-    def majority_bounds(margins_b):
-        # half the l1 distance of the majority matrices, since every
-        # disagreeing voter pair forces an inversion: half the l1 distance
-        # of the margins over the cells c < d is the same number, here for
-        # every relabeling in order and one or a stack of elections.  The
-        # relabelings that share their images of candidates 0..d form a
-        # block of (m - 1 - d)! in the order and share the terms of the
-        # pairs among those candidates, so the pairs (c, d) of candidate d
-        # are gathered once per block, at its first row of cells, and the
-        # sums repeat into the blocks of the next candidate.  Up to step
-        # relabelings the table is gathered whole, and a larger one
-        # candidate by candidate from m - 3 on, the first candidates'
-        # blocks being few.  Each gather takes at most step rows of cells,
-        # a cell column at a time, and sums in int32
-        sums = np.zeros(margins_b.shape[:-1] + (1,), dtype=np.int32)
-        lo = 0
-        for hi in range(m if total <= step else max(2, m - 3), m + 1):
-            block = math.factorial(m - hi)
-            sums = np.repeat(sums, math.factorial(m - lo) // block, axis=-1)
-            rows, cols = cells[::block], slice(lo * (lo - 1) // 2, hi * (hi - 1) // 2)
-            for s in range(0, len(rows), step):
-                gathered = margins_b.take(rows[s : s + step, cols].T, axis=-1)
-                gathered -= margins_upper_a[cols]
-                np.abs(gathered, out=gathered)
-                sums[..., s : s + step] += gathered.sum(axis=-2, dtype=np.int32)
-            lo = hi
-        return sums // 2
 
     def beats(bound, ids, best):
         # the relabelings whose (bound, index) is below the incumbent's
@@ -471,7 +470,7 @@ def _swap_search(
         found, rhos = [], []
         for s in range(0, len(bs), stack):
             group = bs[s : s + stack]
-            bounds = majority_bounds(np.array([b[0] for b in group]))
+            bounds = _pair_costs(margins_a, np.array([b[0] for b in group])) // 2
             costs = _voter_costs(bits_a, np.array([b[1] for b in group]), cells)
             tight = np.maximum(bounds, _reduced_bounds(costs))
             rows = np.arange(len(group))
@@ -492,7 +491,7 @@ def _swap_search(
     # moderate n, which a stable argsort sorts by radix
     found, rhos = [], []
     for margins_b, prefs_b in bs:
-        bounds = majority_bounds(margins_b).astype(np.min_scalar_type(unset[0]))
+        bounds = (_pair_costs(margins_a, margins_b) // 2).astype(np.min_scalar_type(unset[0]))
         order = np.argsort(bounds, kind="stable")
         best, rho = unset, None
         for start in range(0, total, chunk):
@@ -665,23 +664,23 @@ def _majority_aggregate(x) -> np.ndarray:
 def pairwise_cost_at(a, b, sigma: Sequence[int]) -> int:
     """Sum over ordered candidate pairs of |M_a(c,d) - M_b(sigma c, sigma d)|."""
     ma, mb = _aggregate_pair(a, b, _majority_aggregate)
-    s = np.array(_check_permutation(sigma, ma.shape[0], "matching"))
+    s = np.array(_check_permutation(sigma, ma.shape[0], "matching"), dtype=np.int64)
     return int(np.abs(ma - mb[s[:, None], s[None, :]]).sum())
 
 
 def pairwise_distance(a, b) -> DistanceOutcome:
     """Exact pairwise distance: minimum of pairwise_cost_at over all matchings.
 
-    Up to 6 candidates every matching is scanned at once with numpy, in
-    lexicographic order.  From 7 on, a best-first branch and bound fixes
-    the images of candidates 0, 1, ... in turn and bounds each prefix by
-    the exact cost among its fixed candidates plus one assignment over the
-    free ones.  Either way the witness is the lexicographically smallest
-    optimal matching.  m is guarded by ``GUARDS["pairwise distance"]``.
+    A best-first branch and bound fixes the images of candidates 0, 1, ...
+    in turn and bounds each prefix by the exact cost among its fixed
+    candidates plus one assignment over the free ones.  It takes any square
+    integer matrices, at every m; its witness is the lexicographically
+    smallest optimal matching.  m is guarded by ``GUARDS["pairwise
+    distance"]``.
     """
     ma, mb = _aggregate_pair(a, b, _majority_aggregate)
     check_guard("pairwise", ma.shape[0])
-    return DistanceOutcome(*_pairwise_search(ma, [mb])[0])
+    return DistanceOutcome(*_pairwise_branch_and_bound(ma, mb))
 
 
 # the pairwise search scans every matching up to this many candidates and
@@ -692,46 +691,24 @@ _PAIRWISE_SCAN_MAX = 6
 def _pairwise_search(
     ma: np.ndarray, mbs: Sequence[np.ndarray]
 ) -> list[tuple[int, tuple[int, ...]]]:
-    # the search of pairwise_distance of one majority matrix against each of
-    # several same-size ones: (value, lexmin optimal matching) per matrix
-    m = ma.shape[0]
+    # the pairwise distance between the election of flat margins ma (from
+    # _margins) and each election of margins mbs: (value, lexmin optimal
+    # matching) per election.  A matching's pairwise cost is its
+    # _pair_costs, whose first least entry gives the lexmin witness.  Above
+    # _PAIRWISE_SCAN_MAX the branch and bound runs on the m x m margins,
+    # where every cost and bound is twice the one on the majority matrices,
+    # so that it solves the same assignments to the same witness
+    m = math.isqrt(ma.size)
     if m > _PAIRWISE_SCAN_MAX:
-        return [_pairwise_branch_and_bound(ma, mb) for mb in mbs]
+        squares = np.reshape([ma, *mbs], (-1, m, m)).astype(np.int64)
+        found = [_pairwise_branch_and_bound(squares[0], mb) for mb in squares[1:]]
+        return [(value // 2, sigma) for value, sigma in found]
     if not len(mbs):
         return []
-    cells = _pairwise_cells(m)
-    flat = np.stack(mbs).reshape(len(mbs), m * m)
-    # two entries differ by at most twice the largest magnitude, which the
-    # scan's type holds, and m * m such differences sum in int32 while they
-    # fit; from a magnitude of 2**62 on the scan takes int64, the matrices'
-    # own type
-    peak = min(max(int(ma.max()), -int(ma.min()), int(flat.max()), -int(flat.min())), 2**62 - 1)
-    scan = np.min_scalar_type(-2 * peak - 1)
-    total = np.int32 if m * m * 2 * peak < 2**31 else np.int64
-    flat, cells_a = flat.astype(scan), ma.ravel().astype(scan)
-    # the matrices are scanned in stacks of at most _SWAP_CHUNK_ENTRIES cells
-    stack = max(1, _SWAP_CHUNK_ENTRIES // max(1, cells.size))
-    out = []
-    for s in range(0, len(mbs), stack):
-        gathered = flat[s : s + stack].take(cells, axis=1)
-        gathered -= cells_a
-        costs = np.abs(gathered, out=gathered).sum(axis=2, dtype=total)
-        # argmin takes the first optimum, the lexicographically smallest
-        best = costs.argmin(axis=1)
-        values = costs[np.arange(len(best)), best].tolist()
-        out.extend(zip(values, map(tuple, _order_table(m)[best].tolist())))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _pairwise_cells(m: int) -> np.ndarray:
-    # the flat cells (tau r, tau s) of an m x m matrix, r-major, for every
-    # matching tau in lexicographic order: a read-only uint8 table, 26 KB
-    # at the scan's largest m
-    perms = _order_bytes(m)
-    cells = (perms[:, :, None] * m + perms[:, None, :]).reshape(len(perms), m * m)
-    cells.setflags(write=False)
-    return cells
+    costs = _pair_costs(ma, np.stack(mbs))
+    best = costs.argmin(axis=1)
+    values = costs[np.arange(len(best)), best].tolist()
+    return list(zip(values, map(tuple, _order_table(m)[best].tolist())))
 
 
 @lru_cache(maxsize=None)
@@ -755,10 +732,10 @@ def _minor_cells(f: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _pairwise_branch_and_bound(ma: np.ndarray, mb: np.ndarray) -> tuple[int, tuple[int, ...]]:
     # exact pairwise distance between two square matrices, majority matrices
-    # in practice, with the lexicographically smallest optimal matching
-    # sigma, by best-first branch and bound.  A node fixes the images of
-    # candidates 0..k-1 (its prefix) and sends the free candidates k..m-1 to
-    # its free targets.  Its bound is the exact cost among the fixed
+    # or margins in practice, with the lexicographically smallest optimal
+    # matching sigma, by best-first branch and bound.  A node fixes the
+    # images of candidates 0..k-1 (its prefix) and sends the free candidates
+    # k..m-1 to its free targets.  Its bound is the exact cost among the fixed
     # candidates plus one assignment over the free ones, where cost[i, t] is
     # the exact cost of free candidate i at target t against the prefix (the
     # cells (i, d) and (d, i), d fixed, and (i, i)) plus the l1 distance
@@ -772,6 +749,8 @@ def _pairwise_branch_and_bound(ma: np.ndarray, mb: np.ndarray) -> tuple[int, tup
     # when its prefix lies above the incumbent's prefix of the same length,
     # since an equal prefix may still hold a smaller completion.
     m = ma.shape[0]
+    if m == 0:
+        return 0, ()
     # the free candidates, and so their sorted rows, depend on the depth alone
     rows_a = [np.sort(ma[k:, k:].take(_minor_cells(m - k)[1]), axis=1) for k in range(m)]
     best: tuple = (math.inf, ())
@@ -859,7 +838,7 @@ def _row(kind: str):
         "discrete": (lambda e: _vote_types(e.array), _discrete_search),
         "emdpos": (lambda e: _positionwise_aggregate(e, "EMD"), _positionwise_search),
         "l1pos": (lambda e: _positionwise_aggregate(e, "L1"), _positionwise_search),
-        "pairwise": (majority_matrix, _pairwise_search),
+        "pairwise": (lambda e: _margins(majority_matrix(e), e.n), _pairwise_search),
         "bordawise": (_sorted_borda_prefix, _bordawise_search),
     }[kind]
 
@@ -899,9 +878,9 @@ def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
     discrete one sort of the row's relabeling codes.  Swap, where
     one chunk holds all m! relabelings, and pairwise up to 6 candidates
     take the later elections in stacks: swap's gathers at most 2**17 bytes
-    of preference bits and uint8 voter costs at once, pairwise's 2**17
-    cells, in the narrowest type that holds twice the largest entry.  At
-    larger m they search each pair on its own.
+    of preference bits and uint8 voter costs at once, and both gather at
+    most 2**17 majority margins at once.  At larger m they search each pair
+    on its own.
     """
     _check_elections(dataset, kind)
     if len(dataset) < 2:

@@ -17,6 +17,10 @@ and column minima as the search bounded before it; ``burnside_anec_count``
 counts ANECs by Burnside's lemma, to check the census;
 ``pair_sum_positionwise_search`` is the positionwise row search summed
 pair by pair, kept to check the row's one gather;
+``full_cell_pairwise_scan`` is the small-m pairwise search on the m * m
+cells of majority matrices, and ``block_prefix_majority_bounds`` swap's
+majority bound gathered once per block of relabelings that share a prefix,
+both kept to check the one margin kernel that replaced them;
 ``counter_discrete_search`` is the discrete
 search's earlier per-pair dict kernel, kept to check the row kernel,
 ``unique_rows_vote_types`` its earlier row-wise vote-type aggregate, and
@@ -384,6 +388,48 @@ def block_enumeration_pairwise(ma, mb) -> tuple[int, tuple[int, ...]]:
             best = value
             best_sigma = prefix + tuple(rest[t] for t in perms[idx].tolist())
     return best, best_sigma
+
+
+def full_cell_pairwise_scan(ma, mbs) -> list[tuple[int, tuple[int, ...]]]:
+    """Pairwise distance and its lexicographically smallest optimal matching
+    between the majority matrix ma and each of mbs, by summing all m * m
+    cells (tau r, tau s) of every matching tau in lexicographic order: the
+    small-m pairwise search before it summed margins over the pairs c < d."""
+    ma = np.asarray(ma, dtype=np.int64)
+    m = ma.shape[0]
+    perms = metrics._order_table(m)
+    cells = (perms[:, :, None] * m + perms[:, None, :]).reshape(len(perms), m * m)
+    out = []
+    for mb in mbs:
+        costs = np.abs(np.asarray(mb, dtype=np.int64).ravel()[cells] - ma.ravel()).sum(axis=1)
+        best = int(costs.argmin())
+        out.append((int(costs[best]), tuple(perms[best].tolist())))
+    return out
+
+
+def block_prefix_majority_bounds(margins_a, margins_b) -> np.ndarray:
+    """Swap's majority bound, half the l1 distance of the margins over the
+    pairs c < d, for every relabeling in order and one or a stack of
+    elections, as the swap search summed it before ``_pair_costs``: with the
+    pairs ordered by d and then c, the relabelings that share their images
+    of candidates 0..d form a block of (m - 1 - d)! and share the terms of
+    the pairs among those candidates, so the pairs (c, d) of candidate d are
+    gathered once per block, at its first relabeling, and the sums repeat
+    into the blocks of the next candidate."""
+    m = math.isqrt(margins_a.shape[-1])
+    perms = metrics._order_table(m)
+    first, second = np.triu_indices(m, 1)
+    by_second = np.lexsort((first, second))
+    cells = perms[:, first[by_second]] * m + perms[:, second[by_second]]
+    upper_a = margins_a.astype(np.int64)[cells[0]]
+    sums = np.zeros(margins_b.shape[:-1] + (1,), dtype=np.int64)
+    for d in range(1, m + 1):
+        block = math.factorial(m - d)
+        sums = np.repeat(sums, m - d + 1, axis=-1)
+        cols = slice((d - 1) * (d - 2) // 2, d * (d - 1) // 2)
+        gathered = margins_b.astype(np.int64)[..., cells[::block, cols]] - upper_a[cols]
+        sums += np.abs(gathered).sum(axis=-1)
+    return sums // 2
 
 
 def pair_loop_distance_matrix(dataset, kind: str) -> np.ndarray:

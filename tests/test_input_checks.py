@@ -604,3 +604,11 @@ def test_input_check_messages(call, message):
         call()
     assert str(exc.value) == message
 
+
+def test_empty_matrices_are_at_distance_zero():
+    # 0 x 0 matrices pass the square check: the matching searches return 0
+    # with the empty matching, as positionwise_distance does
+    empty = np.zeros((0, 0), dtype=int)
+    for out in (positionwise_distance(empty, empty, "L1"), pairwise_distance(empty, empty)):
+        assert (out.value, out.candidate_matching) == (0, ())
+    assert pairwise_cost_at(empty, empty, ()) == 0

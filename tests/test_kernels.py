@@ -37,6 +37,7 @@ from electodist import (
     frequency_matrix,
     majority_matrix,
     majority_realizable_bruteforce,
+    pairwise_cost_at,
     pairwise_distance,
     position_matrix,
     positionwise_distance,
@@ -51,10 +52,12 @@ from electodist.metrics import distance_values, vote_swap_distance
 from conftest import election_pairs, elections
 from _oracles import (
     block_enumeration_pairwise,
+    block_prefix_majority_bounds,
     branch_and_bound_pairwise,
     bruteforce_majority_realizable,
     counter_discrete_search,
     dict_discrete_search,
+    full_cell_pairwise_scan,
     index_borda_table,
     index_majority_table,
     lexicographic_swap_search,
@@ -154,20 +157,81 @@ def test_pairwise_at_the_guard_allocates_no_full_table():
     assert sorted(out.candidate_matching) == list(range(12))
 
 
-@pytest.mark.parametrize("n", [63, 64, 16383, 16384])
-@pytest.mark.parametrize("m", range(1, 7))
-def test_pairwise_scan_equals_block_enumeration_at_the_type_edges(m, n):
-    # majority matrices of n voters at the edges of the scan's int8 and
-    # int16: a unanimous election and its reverse reach the cells 0 and n,
-    # two drawn from a pool of three orders fall between
-    rng = np.random.default_rng([m, n])
+def edge_elections(m, n, rng):
+    # a unanimous election of n voters, its reverse and two drawn from a
+    # pool of three orders: margins -n, n and between
     pool = np.array([rng.permutation(m) for _ in range(3)])
     dataset = [Election(m, np.repeat(pool[:1], n, axis=0)),
                Election(m, np.repeat(pool[:1, ::-1], n, axis=0))]
-    dataset += [Election(m, pool[rng.integers(3, size=n)]) for _ in range(2)]
+    return dataset + [Election(m, pool[rng.integers(3, size=n)]) for _ in range(2)]
+
+
+@pytest.mark.parametrize("n", [63, 64, 16383, 16384])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_pairwise_scan_equals_block_enumeration_at_the_type_edges(m, n):
+    # elections of n voters at the edges of the margins' int8 and int16
+    dataset = edge_elections(m, n, np.random.default_rng([m, n]))
     majorities = [majority_matrix(e) for e in dataset]
+    margins = [metrics._row("pairwise")[0](e) for e in dataset]
     for i in range(len(dataset) - 1):
-        found = metrics._pairwise_search(majorities[i], majorities[i + 1 :])
+        found = metrics._pairwise_search(margins[i], margins[i + 1 :])
+        assert found == [block_enumeration_pairwise(majorities[i], mb) for mb in majorities[i + 1 :]]
+
+
+@pytest.mark.parametrize("n", [63, 64, 16383, 16384])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_pair_costs_equal_the_pairwise_cost_at_every_matching(m, n):
+    # for one election and for a stack, at the edges of the margins' int8,
+    # int16 and int32; the search on the margins equals the full-cell scan
+    # on the majority matrices
+    dataset = edge_elections(m, n, np.random.default_rng([m, n, 1]))
+    margins = [metrics._row("pairwise")[0](e) for e in dataset]
+    assert margins[0].dtype == np.min_scalar_type(-2 * n - 1)
+    majorities = [majority_matrix(e) for e in dataset]
+    perms = _order_table(m).tolist()
+    for i in range(len(dataset) - 1):
+        stacked = metrics._pair_costs(margins[i], np.stack(margins[i + 1 :]))
+        assert stacked.shape == (len(dataset) - 1 - i, len(perms))
+        assert stacked.dtype == (np.int32 if n < 16384 else np.int64)
+        for mb, costs in zip(majorities[i + 1 :], stacked):
+            want = [pairwise_cost_at(majorities[i], mb, sigma) for sigma in perms]
+            assert costs.tolist() == want
+        assert metrics._pair_costs(margins[i], margins[-1]).tolist() == want
+        found = metrics._pairwise_search(margins[i], margins[i + 1 :])
+        assert found == full_cell_pairwise_scan(majorities[i], majorities[i + 1 :])
+
+
+@pytest.mark.parametrize("n", [63, 64, 16383, 16384])
+@pytest.mark.parametrize("m", [7, 8])
+def test_pair_costs_are_twice_the_block_prefix_majority_bound(m, n):
+    dataset = edge_elections(m, n, np.random.default_rng([m, n, 2]))
+    margins = [metrics._swap_aggregates(e)[0] for e in dataset]
+    for e, got in zip(dataset, margins):
+        want = metrics._row("pairwise")[0](e)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    stack = np.stack(margins[1:])
+    want = block_prefix_majority_bounds(margins[0], stack) * 2
+    assert np.array_equal(metrics._pair_costs(margins[0], stack), want)
+    assert np.array_equal(metrics._pair_costs(margins[0], margins[1]), want[0])
+
+
+@pytest.mark.parametrize("m, n", [(7, 3), (7, 64), (8, 4)])
+def test_pairwise_search_on_margins_solves_as_on_majority_matrices(m, n):
+    # from m = 7 the search runs the branch and bound on the margins: the
+    # same assignments solved as on the majority matrices, the same
+    # witness, and half the value, which block enumeration confirms
+    rng = np.random.default_rng([m, n])
+    dataset = edge_elections(m, n, rng) + [sample_ic(m, n, m * n)]
+    majorities = [majority_matrix(e) for e in dataset]
+    margins = [metrics._row("pairwise")[0](e) for e in dataset]
+    solver = metrics.linear_sum_assignment
+    for i in range(len(dataset) - 1):
+        with mock.patch.object(metrics, "linear_sum_assignment", wraps=solver) as solves:
+            found = metrics._pairwise_search(margins[i], margins[i + 1 :])
+            on_margins = solves.call_count
+            want = [metrics._pairwise_branch_and_bound(majorities[i], mb) for mb in majorities[i + 1 :]]
+            assert solves.call_count == 2 * on_margins
+        assert found == want
         assert found == [block_enumeration_pairwise(majorities[i], mb) for mb in majorities[i + 1 :]]
 
 
@@ -175,8 +239,9 @@ def test_pairwise_scan_equals_block_enumeration_at_the_type_edges(m, n):
     "peak", [63, 64, 16383, 16384, 2**31 // 72, 2**31 // 72 + 1, 2**40 - 3, 2**40 + 3]
 )
 def test_pairwise_scan_is_exact_on_arbitrary_matrices(peak):
-    # square matrices of either sign near the peak, and two constant ones
-    # of opposite signs, whose cells differ by 2 peak and whose cost, 2 m * m
+    # pairwise_distance runs the branch and bound at every m, on square
+    # matrices of either sign near the peak, and two constant ones of
+    # opposite signs, whose cells differ by 2 peak and whose cost, 2 m * m
     # peak, passes 2**31 from the sixth case on at m = 6
     rng = np.random.default_rng(peak)
     for m in (1, 2, 4, 6):
@@ -850,12 +915,13 @@ def test_stacked_searches_equal_their_oracles(entries):
     dataset = stacked_dataset()
     swap_aggs = [metrics._swap_aggregates(e) for e in dataset]
     majorities = [majority_matrix(e) for e in dataset]
+    margins = [metrics._row("pairwise")[0](e) for e in dataset]
     with mock.patch.object(metrics, "_SWAP_CHUNK_ENTRIES", entries):
         for i, a in enumerate(dataset):
             swaps = metrics._swap_search(swap_aggs[i], swap_aggs[i + 1 :])
             for b, got in zip(dataset[i + 1 :], swaps):
                 assert_same_outcome(DistanceOutcome(*got), lexicographic_swap_search(a, b))
-            found = metrics._pairwise_search(majorities[i], majorities[i + 1 :])
+            found = metrics._pairwise_search(margins[i], margins[i + 1 :])
             assert found == [block_enumeration_pairwise(majorities[i], mb) for mb in majorities[i + 1 :]]
 
 
