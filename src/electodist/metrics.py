@@ -18,7 +18,10 @@ matching as witness.  With majority margins 2 M - n, a matching's pairwise
 cost is the l1 distance of the margins over the pairs c < d, and half of
 it bounds swap: one kernel, ``_pair_costs``, sums it for every relabeling
 of one election or a stack.  Swap visits relabelings best-first by that
-bound, building voter cost matrices a chunk at a time:
+bound up to 6 candidates; at 7 and 8 by a tighter one, which adds, for
+each triangle of an edge-disjoint packing, the transport between the two
+elections' histograms of their voters' orders of its three candidates.
+It builds voter cost matrices a chunk at a time:
 each vote's preference bits on the candidate pairs, relabeled, pack into
 one word, and the inversions between two votes are the popcount of the
 XOR of their words, in integers throughout, with no BLAS call.  The
@@ -400,6 +403,106 @@ def _pair_costs(margins_a: np.ndarray, margins_b: np.ndarray) -> np.ndarray:
     return sums
 
 
+# edge-disjoint packings of candidate triangles x < y < z, by m, for swap's
+# triangle bound: the Fano plane at m = 7, and at m = 8 eight triangles
+# that leave the pairs 07, 16, 23 and 45
+_TRIANGLES = {
+    7: ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)),
+    8: ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 7), (2, 4, 6), (2, 5, 7), (3, 6, 7)),
+}
+
+# a vote's preference bits on the pairs (x, y), (x, z) and (y, z), read as
+# 4 xy + 2 xz + yz, name its order of x, y, z (2 and 5 are cyclic, no
+# order).  Around this cycle each step flips one bit, an adjacent
+# transposition, so swap distance on three candidates is distance on it
+_HEXAGON = (7, 6, 4, 0, 1, 3)
+
+
+def _triple_histograms(prefs: np.ndarray, x, y, z) -> np.ndarray:
+    # hist[..., k, t]: the voters of the cell-major prefs (of one or a stack
+    # of elections) whose order of the candidates x[t], y[t], z[t] is the
+    # k-th of _HEXAGON, in int32, for index arrays x, y, z of one length
+    m = math.isqrt(prefs.shape[-2])
+    slots = prefs.take(x * m + y, axis=-2) << 2
+    slots |= prefs.take(x * m + z, axis=-2) << 1
+    slots |= prefs.take(y * m + z, axis=-2)
+    return np.stack([(slots == k).sum(axis=-1, dtype=np.int32) for k in _HEXAGON], axis=-2)
+
+
+@lru_cache(maxsize=None)
+def _packing(m: int) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
+    # _TRIANGLES[m] as its candidates x, y, z (3, triangles), the _swap_cells
+    # columns of the pairs (x, y), and the columns of the pairs it leaves
+    first, second = _upper_pairs(m)
+    column = {pair: p for p, pair in enumerate(zip(first.tolist(), second.tolist()))}
+    triangles = np.array(_TRIANGLES[m]).T
+    covered = {pair for x, y, z in _TRIANGLES[m] for pair in ((x, y), (x, z), (y, z))}
+    leftover = tuple(p for pair, p in column.items() if pair not in covered)
+    triangles.setflags(write=False)
+    return triangles, tuple(column[x, y] for x, y, _ in _TRIANGLES[m]), leftover
+
+
+def _sorted_three(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the least, middle and most of the three entries along axis -3 of x
+    least, most = x.min(axis=-3), x.max(axis=-3)
+    return least, x.sum(axis=-3) - least - most, most
+
+
+def _triangle_bounds(a: tuple[np.ndarray, np.ndarray], margins_b: np.ndarray,
+                     prefs_b: np.ndarray) -> np.ndarray:
+    # bounds[..., l]: swap's triangle bound of the l-th relabeling tau of
+    # _order_bytes(m) from the election of aggregates a (from
+    # _swap_aggregates) to one or a stack of elections of margins margins_b
+    # and cell-major preferences prefs_b, at an m of _TRIANGLES, in the
+    # narrowest unsigned type that holds pairs * n + 1.  For each triangle
+    # x, y, z of the packing it adds the earth mover's distance between a's
+    # histogram of its voters' orders of x, y, z and b's of tau x, tau y,
+    # tau z on the hexagon, which every voter matching pays at least on the
+    # triangle's three pairs; each pair the packing leaves adds its majority
+    # term, half its margin difference.  On a cycle the transport is the
+    # least over c of the sum of |F_k - c| over the cumulative differences
+    # F_k around it: the three largest less the three smallest.  With F_0..2
+    # and F_3..5 each sorted, the pairs (k-th of the first, (2 - k)-th of
+    # the second) split the six into those two halves, so it is the sum of
+    # the pairs' absolute differences.  The transports of b's ordered
+    # triples p, q, r form one table, cell p m m + q m + r, which each
+    # triangle reads at its _swap_cells column of (x, y) times m plus tau z
+    margins_a, prefs_a = a
+    n = prefs_a.shape[1]
+    m = math.isqrt(prefs_a.shape[0])
+    dtype = np.min_scalar_type(m * (m - 1) // 2 * n + 1)
+    triangles, columns, leftover = _packing(m)
+    every = np.arange(m**3)
+    cum_a = np.cumsum(_triple_histograms(prefs_a, *triangles), axis=0, dtype=np.int32)
+    hist_b = _triple_histograms(prefs_b, every // (m * m), every // m % m, every % m)
+    flows = np.cumsum(hist_b, axis=-2, dtype=np.int32)[..., None, :] - cum_a[:, :, None]
+    first, second = _sorted_three(flows[..., :3, :, :]), _sorted_three(flows[..., 3:, :, :])
+    transports = sum(np.abs(x - y) for x, y in zip(first, second[::-1])).astype(dtype)
+    cells = _swap_cells(m)
+    upper_a = margins_a.take(cells[0, list(leftover)])
+    terms = (np.abs(margins_b[..., None, :] - upper_a[:, None]) // 2).astype(dtype)
+    orders = _order_bytes(m)
+    bounds = np.zeros(margins_b.shape[:-1] + (len(cells),), dtype=dtype)
+    for t, p in enumerate(columns):
+        index = cells[:, p].astype(np.uint16)
+        index *= m
+        index += orders[:, triangles[2, t]]
+        bounds += transports[..., t, :].take(index, axis=-1)
+    for k, p in enumerate(leftover):
+        bounds += terms[..., k, :].take(cells[:, p], axis=-1)
+    return bounds
+
+
+def _swap_bounds(a: tuple[np.ndarray, np.ndarray], margins_b: np.ndarray,
+                 prefs_b: np.ndarray) -> np.ndarray:
+    # swap's bound of every relabeling from the election of aggregates a to
+    # one or a stack of elections: the triangle bound over _TRIANGLES[m] at
+    # an m of _TRIANGLES, else the majority bound, half the _pair_costs
+    if math.isqrt(len(a[0])) in _TRIANGLES:
+        return _triangle_bounds(a, margins_b, prefs_b)
+    return _pair_costs(a[0], margins_b) // 2
+
+
 def _swap_search(
     a: tuple[np.ndarray, np.ndarray], bs: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
@@ -407,11 +510,16 @@ def _swap_search(
     # _swap_aggregates) and each election of aggregates bs, with the
     # lexicographically smallest optimal relabeling sigma (candidate c of a
     # to sigma[c] of b) and the solver's voter matching for it.  Relabelings
-    # are visited best-first by their majority bound, half their
-    # _pair_costs, in chunks whose voter cost matrices are built at once and
-    # whose bounds are tightened by _reduced_bounds before any assignment is
-    # solved.  Only the cells c < d are compared: the cells d > c mirror
-    # them.
+    # are visited best-first by _swap_bounds: at an m of _TRIANGLES the
+    # triangle bound over the packing _TRIANGLES[m], below it the majority
+    # bound.  Every voter matching pays at least each triangle's transport
+    # on its three pairs, and each transport is at least its pairs'
+    # majority terms, so both lie between the majority bound and the
+    # optimum and the values and witnesses do not depend on which is
+    # taken.  The relabelings go in chunks whose voter
+    # cost matrices are built at once and whose bounds are tightened by
+    # _reduced_bounds before any assignment is solved.  Only the cells c < d
+    # are compared: the cells d > c mirror them.
     margins_a, prefs_a = a
     n = prefs_a.shape[1]
     m = math.isqrt(prefs_a.shape[0])
@@ -470,8 +578,9 @@ def _swap_search(
         found, rhos = [], []
         for s in range(0, len(bs), stack):
             group = bs[s : s + stack]
-            bounds = _pair_costs(margins_a, np.array([b[0] for b in group])) // 2
-            costs = _voter_costs(bits_a, np.array([b[1] for b in group]), cells)
+            prefs_b = np.array([b[1] for b in group])
+            bounds = _swap_bounds(a, np.array([b[0] for b in group]), prefs_b)
+            costs = _voter_costs(bits_a, prefs_b, cells)
             tight = np.maximum(bounds, _reduced_bounds(costs))
             rows = np.arange(len(group))
             firsts = tight.argmin(axis=-1)
@@ -491,7 +600,7 @@ def _swap_search(
     # moderate n, which a stable argsort sorts by radix
     found, rhos = [], []
     for margins_b, prefs_b in bs:
-        bounds = (_pair_costs(margins_a, margins_b) // 2).astype(np.min_scalar_type(unset[0]))
+        bounds = _swap_bounds(a, margins_b, prefs_b).astype(np.min_scalar_type(unset[0]), copy=False)
         order = np.argsort(bounds, kind="stable")
         best, rho = unset, None
         for start in range(0, total, chunk):
@@ -880,7 +989,12 @@ def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
     take the later elections in stacks: swap's gathers at most 2**17 bytes
     of preference bits and uint8 voter costs at once, and both gather at
     most 2**17 majority margins at once.  At larger m they search each pair
-    on its own.
+    on its own.  Swap visits relabelings by a lower bound on each one's
+    voter assignment: up to 6 candidates the majority bound, half the
+    pairwise cost; at 7 and 8 the sum, over an edge-disjoint packing of
+    candidate triangles, of the least inversions any voter matching makes
+    on each triangle's three pairs, plus the majority term of each pair
+    left.
     """
     _check_elections(dataset, kind)
     if len(dataset) < 2:

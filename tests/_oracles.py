@@ -13,7 +13,11 @@ kept to check the cell-major one, and ``one_solve_swap_search`` the whole
 search on that layout, solving one relabeling at a time, kept to check the
 stacked first solves, with ``reduction_bounds``, the Hungarian reduction
 bound on (relabeling, voter, voter) int64 matrices, or with only the row
-and column minima as the search bounded before it; ``burnside_anec_count``
+and column minima as the search bounded before it, and with the majority
+bound at every m as it ordered relabelings before it packed triangles;
+``triangle_transport_bounds`` is the swap search's triangle bound by one
+assignment solve per triangle and ordered triple, kept to check its closed
+form for the transport on the hexagon; ``burnside_anec_count``
 counts ANECs by Burnside's lemma, to check the census;
 ``pair_sum_positionwise_search`` is the positionwise row search summed
 pair by pair, kept to check the row's one gather;
@@ -585,15 +589,45 @@ def reduction_bounds(costs: np.ndarray) -> np.ndarray:
     return np.maximum(by_rows, by_cols)
 
 
+def triangle_transport_bounds(a, b) -> np.ndarray:
+    """Swap's triangle bound of every relabeling tau, in order, from the
+    election of row-major aggregates a to that of b: for each triangle x, y,
+    z of ``metrics._TRIANGLES[m]``, the least inversions on its three pairs
+    over all voter matchings, by one assignment solve on the restricted n x n
+    costs per ordered triple tau x, tau y, tau z, plus half the margin
+    difference of each pair no triangle holds."""
+    (margins_a, prefs_a), (margins_b, prefs_b) = a, b
+    m = math.isqrt(prefs_a.shape[1])
+    perms = metrics._order_table(m)
+    bounds = np.zeros(len(perms), dtype=np.int64)
+    covered = set()
+    for x, y, z in metrics._TRIANGLES[m]:
+        covered |= {(x, y), (x, z), (y, z)}
+        bits_a = prefs_a[:, [x * m + y, x * m + z, y * m + z]]
+        least = np.zeros((m, m, m), dtype=np.int64)
+        for p, q, r in itertools.permutations(range(m), 3):
+            bits_b = prefs_b[:, [p * m + q, p * m + r, q * m + r]]
+            costs = (bits_a[:, None, :] != bits_b[None, :, :]).sum(axis=2)
+            least[p, q, r] = costs[linear_sum_assignment(costs)].sum()
+        bounds += least[perms[:, x], perms[:, y], perms[:, z]]
+    for c, d in itertools.combinations(range(m), 2):
+        if (c, d) not in covered:
+            bounds += np.abs(margins_b[perms[:, c] * m + perms[:, d]] - margins_a[c * m + d]) // 2
+    return bounds
+
+
 def one_solve_swap_search(
-    a, bs, reduce: bool = True
+    a, bs, reduce: bool = True, triangles: bool = True
 ) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """The swap search on row-major aggregates, solving one relabeling at a
     time: each election of a stack visits its whole chunk by (tight bound,
     index) from no incumbent, with its own sort.  The tight bound is the
-    larger of the majority bound and ``reduction_bounds`` on every chunk,
+    larger of the relabeling bound and ``reduction_bounds`` on every chunk,
     or with ``reduce=False`` the larger of the row-minima and column-minima
-    sums, the bound of the search before it reduced.
+    sums, the bound of the search before it reduced.  The relabeling bound
+    is ``triangle_transport_bounds`` at an m of ``metrics._TRIANGLES`` and
+    the majority bound below, or with ``triangles=False`` the majority
+    bound at every m, the bound of the search before it packed triangles.
 
     a and bs are ``row_major_swap_aggregates``; (value, sigma, rho) per b.
     The solver and the chunk budget are read from ``metrics`` when called,
@@ -610,10 +644,15 @@ def one_solve_swap_search(
     bits_a = row_major_packed_votes(prefs_a, cells[:1])[:, 0]
     chunk = max(1, metrics._SWAP_CHUNK_ENTRIES // (n * (pairs + n)))
 
-    def majority_bounds(margins_b, cells):
-        gathered = margins_b.take(cells, axis=-1)
-        gathered -= margins_upper_a
-        return np.abs(gathered, out=gathered).sum(axis=-1) // 2
+    def relabeling_bounds(b):
+        if triangles and m in metrics._TRIANGLES:
+            return triangle_transport_bounds(a, b)
+        out = np.empty(total, dtype=np.int64)
+        for s in range(0, total, step):
+            gathered = b[0].take(cells[s : s + step], axis=-1)
+            gathered -= margins_upper_a
+            out[s : s + step] = np.abs(gathered, out=gathered).sum(axis=-1) // 2
+        return out
 
     def visit(costs, tight, ids, best, best_rho):
         visit_order = np.lexsort((ids, tight)).tolist()
@@ -636,24 +675,22 @@ def one_solve_swap_search(
         return costs, reduction_bounds(costs) if reduce else relaxed
 
     unset = (pairs * n + 1, total)
+    step = max(1, metrics._SWAP_CHUNK_ENTRIES // width)
     if total <= chunk:
         ids = np.arange(total)
         stack = chunk // total
         out = []
         for s in range(0, len(bs), stack):
             group = bs[s : s + stack]
-            bounds = majority_bounds(np.stack([b[0] for b in group]), cells)
+            bounds = np.stack([relabeling_bounds(b) for b in group])
             costs, voters = voter_bounds(bits_a, np.stack([b[1] for b in group]), cells)
             tight = np.maximum(bounds, voters)
             for g in range(len(group)):
                 out.append(outcome(*visit(costs[g], tight[g], ids, unset, None)))
         return out
-    step = max(1, metrics._SWAP_CHUNK_ENTRIES // width)
     out = []
     for margins_b, prefs_b in bs:
-        bounds = np.empty(total, dtype=np.min_scalar_type(unset[0]))
-        for s in range(0, total, step):
-            bounds[s : s + step] = majority_bounds(margins_b, cells[s : s + step])
+        bounds = relabeling_bounds((margins_b, prefs_b)).astype(np.min_scalar_type(unset[0]))
         order = np.argsort(bounds, kind="stable")
         best, rho = unset, None
         for start in range(0, total, chunk):

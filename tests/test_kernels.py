@@ -46,7 +46,7 @@ from electodist import (
 from electodist import analysis, metrics
 from electodist.cli import ExperimentConfig, build_dataset
 from electodist.cultures import sample_euclidean, sample_ic, sample_mallows
-from electodist.elections import _order_table, _preferences
+from electodist.elections import _order_table, _preferences, _upper_pairs
 from electodist.metrics import distance_values, vote_swap_distance
 
 from conftest import election_pairs, elections
@@ -79,6 +79,7 @@ from _oracles import (
     row_major_voter_costs,
     sign_aggregates,
     sign_dot_voter_costs,
+    triangle_transport_bounds,
     unique_rows_vote_types,
 )
 
@@ -516,14 +517,20 @@ def test_swap_search_equals_the_one_solve_oracle(m):
                         got = _counted_swap_search(metrics._swap_search, new[i], new[later])
                         want = _counted_swap_search(one_solve_swap_search, old[i], old[later])
                         assert got == want
-                        # bounded by the row and column minima alone, the
+                        # bounded by the row and column minima alone, or
+                        # relabelings by the majority bound at every m, the
                         # same outcomes from no fewer solves
-                        found, solves = _counted_swap_search(_minima_swap_search, old[i], old[later])
-                        assert found == got[0] and solves >= got[1]
+                        for weaker in (_minima_swap_search, _majority_swap_search):
+                            found, solves = _counted_swap_search(weaker, old[i], old[later])
+                            assert found == got[0] and solves >= got[1]
 
 
 def _minima_swap_search(a, bs):
     return one_solve_swap_search(a, bs, reduce=False)
+
+
+def _majority_swap_search(a, bs):
+    return one_solve_swap_search(a, bs, triangles=False)
 
 
 # the m = 6 map of the maps benchmark: six cultures and two compass
@@ -587,6 +594,85 @@ def test_reduction_bound_lies_between_the_minima_bound_and_the_optimum(m):
             matrices = np.moveaxis(chunk, -1, -3).reshape(-1, n, n)
             optima = [int(c[metrics.linear_sum_assignment(c)].sum()) for c in matrices]
             assert (bounds.ravel() <= optima).all()
+
+
+def _tied_and_uniform(m, n, rng):
+    # three elections drawn from a pool of three orders, so that many
+    # voters and histograms tie, and one of uniform votes
+    pool = [rng.permutation(m) for _ in range(3)]
+    tied = [Election(m, [pool[i] for i in rng.integers(3, size=n)]) for _ in range(3)]
+    return tied + [Election(m, [rng.permutation(m) for _ in range(n)])]
+
+
+@pytest.mark.parametrize("m", sorted(metrics._TRIANGLES))
+def test_triangle_bound_lies_between_the_majority_bound_and_the_optimum(m):
+    # one election against the others, alone and as a stack: the bound
+    # equals the oracle's transports by assignment, is at least the
+    # majority bound at every relabeling and at most the voter assignment
+    # optimum, at every relabeling at m = 7 and at a sample at m = 8
+    rng = np.random.default_rng([m, 30])
+    pairs = m * (m - 1) // 2
+    cells = metrics._swap_cells(m)
+    for n in (1, 2, 5, 12):
+        elections = _tied_and_uniform(m, n, rng)
+        a, *bs = (metrics._swap_aggregates(e) for e in elections)
+        stacked = metrics._triangle_bounds(a, np.stack([b[0] for b in bs]), np.stack([b[1] for b in bs]))
+        assert stacked.dtype == np.min_scalar_type(pairs * n + 1)
+        assert stacked.shape == (len(bs), len(cells))
+        bits_a = metrics._packed_votes(a[1], cells[:1])[:, 0]
+        ids = np.arange(len(cells)) if m == 7 else np.sort(rng.choice(len(cells), 300, replace=False))
+        for e, b, bounds in zip(elections[1:], bs, stacked):
+            assert np.array_equal(metrics._triangle_bounds(a, *b), bounds)
+            assert np.array_equal(metrics._swap_bounds(a, *b), bounds)
+            want = triangle_transport_bounds(*map(row_major_swap_aggregates, (elections[0], e)))
+            assert np.array_equal(bounds, want)
+            assert (bounds >= metrics._pair_costs(a[0], b[0]) // 2).all()
+            costs = np.moveaxis(metrics._voter_costs(bits_a, b[1], cells[ids]), -1, 0)
+            optima = [int(c[metrics.linear_sum_assignment(c)].sum()) for c in costs]
+            assert (bounds[ids] <= optima).all()
+
+
+@pytest.mark.parametrize("m", sorted(metrics._TRIANGLES))
+def test_triangle_packings_are_edge_disjoint(m):
+    triangles, columns, leftover = metrics._packing(m)
+    first, second = (p.tolist() for p in _upper_pairs(m))
+    packed = []
+    for x, y, z in metrics._TRIANGLES[m]:
+        assert 0 <= x < y < z < m
+        packed += [(x, y), (x, z), (y, z)]
+    assert len(set(packed)) == len(packed)
+    rest = set(zip(first, second)) - set(packed)
+    assert sorted((first[p], second[p]) for p in leftover) == sorted(rest)
+    assert [(first[p], second[p]) for p in columns] == [(x, y) for x, y, _ in metrics._TRIANGLES[m]]
+    assert triangles.T.tolist() == [list(t) for t in metrics._TRIANGLES[m]]
+
+
+# the orders of three candidates x, y, z around the hexagon of _HEXAGON
+HEXAGON_ORDERS = ("xyz", "xzy", "zxy", "zyx", "yzx", "yxz")
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_triple_histograms_equal_the_vote_positions(m):
+    # steps around the hexagon are adjacent transpositions, and its cycle
+    # distance is swap distance on three candidates
+    for j, k in itertools.product(range(6), repeat=2):
+        u, v = ("xyz".index(c) for c in HEXAGON_ORDERS[j]), ("xyz".index(c) for c in HEXAGON_ORDERS[k])
+        assert vote_swap_distance(tuple(u), tuple(v)) == min((j - k) % 6, (k - j) % 6)
+    rng = np.random.default_rng([m, 31])
+    triples = np.array(list(itertools.permutations(range(m), 3))).T
+    for n in (1, 2, 5, 12):
+        elections = _tied_and_uniform(m, n, rng)
+        prefs = [metrics._swap_aggregates(e)[1] for e in elections]
+        stacked = metrics._triple_histograms(np.stack(prefs), *triples)
+        for e, p, got in zip(elections, prefs, stacked):
+            assert np.array_equal(metrics._triple_histograms(p, *triples), got)
+            want = np.zeros((6, triples.shape[1]), dtype=np.int64)
+            pos = np.argsort(e.array, axis=1)
+            for t, (x, y, z) in enumerate(triples.T.tolist()):
+                for v in range(n):
+                    order = "".join(sorted("xyz", key=lambda c: pos[v, {"x": x, "y": y, "z": z}[c]]))
+                    want[HEXAGON_ORDERS.index(order), t] += 1
+            assert got.dtype == np.int32 and np.array_equal(got, want)
 
 
 TIED_PAIRS = [
