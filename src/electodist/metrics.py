@@ -26,7 +26,11 @@ each vote's preference bits on the candidate pairs, relabeled, pack into
 one word, and the inversions between two votes are the popcount of the
 XOR of their words, in integers throughout, with no BLAS call.  The
 preferences are held cell-major, so the words are gathered a whole voter
-row per cell and transposed once before they are packed.  A chunk's
+row per cell and transposed once before they are packed.  Up to 6
+candidates a chunk reads its relabeled cells from one table of all m!
+relabelings; at 7 and 8 no search builds that table: the triangle bound
+and each chunk read the candidate-major order columns, m x m! bytes, and
+a chunk builds the cells of its own relabelings only.  A chunk's
 bounds are tightened by the Hungarian method's row and column reduction
 of each voter cost matrix before any of its assignments is solved.
 Pairwise takes the least of the kernel's sums up to 6 candidates and runs
@@ -276,28 +280,55 @@ def _swap_aggregates(election: Election) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _swap_cells(m: int) -> np.ndarray:
-    # for each relabeling tau of _order_bytes(m), in its order: the flat
-    # cells tau c * m + tau d of an m x m matrix for the pairs c < d of
-    # _upper_pairs(m), padded to 8 * 2**k columns with the diagonal cell of
-    # tau 0, whose preference bit and margin are 0, so that a vote's bits
-    # pack into one word; a read-only uint8 table, 1.3 MB at m = 8.  The
-    # orders are read candidate-major, so that each column of cells comes
-    # from two contiguous rows
-    by_candidate = _order_bytes(m).T.copy()
+def _order_columns(m: int) -> np.ndarray:
+    # _order_bytes(m) candidate-major, row c holding tau c of every
+    # relabeling tau in its order: a read-only contiguous (m, m!) uint8
+    # array, 322 KB at m = 8, from which the cells and the triangle bound's
+    # indices read whole rows
+    columns = np.ascontiguousarray(_order_bytes(m).T)
+    columns.setflags(write=False)
+    return columns
+
+
+def _relabeled_cells(columns: np.ndarray) -> np.ndarray:
+    # for each relabeling tau of the candidate-major columns (m, L) of
+    # _order_columns(m), in their order: the flat cells tau c * m + tau d of
+    # an m x m matrix for the pairs c < d of _upper_pairs(m), padded to 8 *
+    # 2**k columns with the diagonal cell of tau 0, whose preference bit and
+    # margin are 0, so that a vote's bits pack into one word
+    m = len(columns)
     first, second = _upper_pairs(m)
     width = 8
     while width < len(first):
         width *= 2
-    cells = np.empty((by_candidate.shape[1], width), dtype=np.uint8)
-    cells[:] = (by_candidate[0] * (m + 1))[:, None]
-    # a column at a time, so that no second table of cells is held at once
-    for p, (c, d) in enumerate(zip(first.tolist(), second.tolist())):
-        column = by_candidate[c] * m
-        column += by_candidate[d]
-        cells[:, p] = column
+    # the table is allocated before its temporaries, so that they are freed
+    # above it and do not raise the heap's peak (0.1 MB on the m6 map)
+    cells = np.empty((columns.shape[1], width), dtype=np.uint8)
+    upper = columns[first] * m
+    upper += columns[second]
+    cells[:, : len(first)] = upper.T
+    cells[:, len(first) :] = (columns[0] * (m + 1))[:, None]
+    return cells
+
+
+@lru_cache(maxsize=None)
+def _swap_cells(m: int) -> np.ndarray:
+    # _relabeled_cells of every relabeling, a read-only (m!, width) uint8
+    # table.  Searches read it up to 6 candidates, where it holds 720 rows
+    # at most; at an m of _TRIANGLES it would hold m! rows (1.3 MB at m =
+    # 8), and no search builds it there: see _chunk_cells
+    cells = _relabeled_cells(_order_columns(m))
     cells.setflags(write=False)
     return cells
+
+
+def _chunk_cells(m: int, ids) -> np.ndarray:
+    # the _swap_cells rows of the relabelings ids, an index array or a
+    # slice: read from the table up to 6 candidates, and at an m of
+    # _TRIANGLES built from _order_columns(m) for these relabelings alone
+    if m in _TRIANGLES:
+        return _relabeled_cells(_order_columns(m)[:, ids])
+    return _swap_cells(m)[ids]
 
 
 # a uint64 whose eight bytes are each 0 or 1, times this, holds byte k's
@@ -430,16 +461,17 @@ def _triple_histograms(prefs: np.ndarray, x, y, z) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _packing(m: int) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
-    # _TRIANGLES[m] as its candidates x, y, z (3, triangles), the _swap_cells
-    # columns of the pairs (x, y), and the columns of the pairs it leaves
+def _packing(m: int) -> tuple[np.ndarray, np.ndarray]:
+    # _TRIANGLES[m] as its candidates x, y, z (3, triangles), and the pairs
+    # c < d it leaves, in _upper_pairs order, as c, d (2, pairs left)
     first, second = _upper_pairs(m)
-    column = {pair: p for p, pair in enumerate(zip(first.tolist(), second.tolist()))}
     triangles = np.array(_TRIANGLES[m]).T
     covered = {pair for x, y, z in _TRIANGLES[m] for pair in ((x, y), (x, z), (y, z))}
-    leftover = tuple(p for pair, p in column.items() if pair not in covered)
-    triangles.setflags(write=False)
-    return triangles, tuple(column[x, y] for x, y, _ in _TRIANGLES[m]), leftover
+    leftover = [pair for pair in zip(first.tolist(), second.tolist()) if pair not in covered]
+    leftover = np.array(leftover, dtype=np.intp).reshape(-1, 2).T
+    for arr in (triangles, leftover):
+        arr.setflags(write=False)
+    return triangles, leftover
 
 
 def _sorted_three(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -466,30 +498,34 @@ def _triangle_bounds(a: tuple[np.ndarray, np.ndarray], margins_b: np.ndarray,
     # the second) split the six into those two halves, so it is the sum of
     # the pairs' absolute differences.  The transports of b's ordered
     # triples p, q, r form one table, cell p m m + q m + r, which each
-    # triangle reads at its _swap_cells column of (x, y) times m plus tau z
+    # triangle reads at tau x m m + tau y m + tau z, from the rows of
+    # _order_columns(m)
     margins_a, prefs_a = a
     n = prefs_a.shape[1]
     m = math.isqrt(prefs_a.shape[0])
     dtype = np.min_scalar_type(m * (m - 1) // 2 * n + 1)
-    triangles, columns, leftover = _packing(m)
+    triangles, leftover = _packing(m)
     every = np.arange(m**3)
     cum_a = np.cumsum(_triple_histograms(prefs_a, *triangles), axis=0, dtype=np.int32)
     hist_b = _triple_histograms(prefs_b, every // (m * m), every // m % m, every % m)
     flows = np.cumsum(hist_b, axis=-2, dtype=np.int32)[..., None, :] - cum_a[:, :, None]
     first, second = _sorted_three(flows[..., :3, :, :]), _sorted_three(flows[..., 3:, :, :])
     transports = sum(np.abs(x - y) for x, y in zip(first, second[::-1])).astype(dtype)
-    cells = _swap_cells(m)
-    upper_a = margins_a.take(cells[0, list(leftover)])
+    upper_a = margins_a.take(leftover[0] * m + leftover[1])
     terms = (np.abs(margins_b[..., None, :] - upper_a[:, None]) // 2).astype(dtype)
-    orders = _order_bytes(m)
-    bounds = np.zeros(margins_b.shape[:-1] + (len(cells),), dtype=dtype)
-    for t, p in enumerate(columns):
-        index = cells[:, p].astype(np.uint16)
+    columns = _order_columns(m)
+    bounds = np.zeros(margins_b.shape[:-1] + (columns.shape[1],), dtype=dtype)
+    for t, (x, y, z) in enumerate(triangles.T.tolist()):
+        index = columns[x].astype(np.uint16)
         index *= m
-        index += orders[:, triangles[2, t]]
+        index += columns[y]
+        index *= m
+        index += columns[z]
         bounds += transports[..., t, :].take(index, axis=-1)
-    for k, p in enumerate(leftover):
-        bounds += terms[..., k, :].take(cells[:, p], axis=-1)
+    for k, (c, d) in enumerate(leftover.T.tolist()):
+        index = columns[c] * m
+        index += columns[d]
+        bounds += terms[..., k, :].take(index, axis=-1)
     return bounds
 
 
@@ -524,11 +560,10 @@ def _swap_search(
     n = prefs_a.shape[1]
     m = math.isqrt(prefs_a.shape[0])
     perms = _order_bytes(m)
-    cells = _swap_cells(m)
-    total = len(cells)
+    total = len(perms)
     pairs = m * (m - 1) // 2
     # the identity comes first among the relabelings
-    bits_a = _packed_votes(prefs_a, cells[:1])[:, 0]
+    bits_a = _packed_votes(prefs_a, _chunk_cells(m, slice(1)))[:, 0]
     chunk = max(1, _SWAP_CHUNK_ENTRIES // (n * (pairs + n)))
 
     def beats(bound, ids, best):
@@ -574,6 +609,7 @@ def _swap_search(
         # the value, so that the incumbent is not solved again, and the
         # chunk is visited
         ids, voters = np.arange(total), np.arange(n)
+        cells = _chunk_cells(m, slice(None))
         stack = chunk // total
         found, rhos = [], []
         for s in range(0, len(bs), stack):
@@ -614,7 +650,7 @@ def _swap_search(
             if stop == 0:
                 break
             ids, lb = ids[:stop], lb[:stop]
-            costs = _voter_costs(bits_a, prefs_b, cells[ids])
+            costs = _voter_costs(bits_a, prefs_b, _chunk_cells(m, ids))
             # the reduction bound, never below the minima bound, only where
             # the cheaper minima bound leaves a relabeling open: the others
             # stay shut under a larger bound.  Before the first solve every
@@ -994,7 +1030,10 @@ def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
     pairwise cost; at 7 and 8 the sum, over an edge-disjoint packing of
     candidate triangles, of the least inversions any voter matching makes
     on each triangle's three pairs, plus the majority term of each pair
-    left.
+    left.  Up to 6 candidates swap reads each chunk's cells from one
+    cached table of all m! relabelings (720 rows at most); at 7 and 8 it
+    caches only the m x m! candidate-major order columns (322 KB at m =
+    8), from which the bound reads and each chunk builds its own cells.
     """
     _check_elections(dataset, kind)
     if len(dataset) < 2:

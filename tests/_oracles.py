@@ -17,7 +17,10 @@ and column minima as the search bounded before it, and with the majority
 bound at every m as it ordered relabelings before it packed triangles;
 ``triangle_transport_bounds`` is the swap search's triangle bound by one
 assignment solve per triangle and ordered triple, kept to check its closed
-form for the transport on the hexagon; ``burnside_anec_count``
+form for the transport on the hexagon, and ``cell_table_triangle_bounds``
+the same closed form indexed through the whole ``metrics._swap_cells(m)``
+table, kept to check the bound that reads candidate-major order columns;
+``burnside_anec_count``
 counts ANECs by Burnside's lemma, to check the census;
 ``pair_sum_positionwise_search`` is the positionwise row search summed
 pair by pair, kept to check the row's one gather;
@@ -613,6 +616,42 @@ def triangle_transport_bounds(a, b) -> np.ndarray:
     for c, d in itertools.combinations(range(m), 2):
         if (c, d) not in covered:
             bounds += np.abs(margins_b[perms[:, c] * m + perms[:, d]] - margins_a[c * m + d]) // 2
+    return bounds
+
+
+def cell_table_triangle_bounds(a, margins_b, prefs_b) -> np.ndarray:
+    """``metrics._triangle_bounds`` as it was: the same transports and
+    majority terms, each triangle indexed by its ``metrics._swap_cells(m)``
+    column of (x, y) times m plus tau z, and each pair left by its column,
+    all m! rows of the table read.  a is ``metrics._swap_aggregates``, and
+    margins_b, prefs_b those of one election or a stack."""
+    margins_a, prefs_a = a
+    n = prefs_a.shape[1]
+    m = math.isqrt(prefs_a.shape[0])
+    dtype = np.min_scalar_type(m * (m - 1) // 2 * n + 1)
+    first, second = metrics._upper_pairs(m)
+    column = {pair: p for p, pair in enumerate(zip(first.tolist(), second.tolist()))}
+    triangles = np.array(metrics._TRIANGLES[m]).T
+    covered = {pair for x, y, z in metrics._TRIANGLES[m] for pair in ((x, y), (x, z), (y, z))}
+    leftover = [p for pair, p in column.items() if pair not in covered]
+    every = np.arange(m**3)
+    cum_a = np.cumsum(metrics._triple_histograms(prefs_a, *triangles), axis=0, dtype=np.int32)
+    hist_b = metrics._triple_histograms(prefs_b, every // (m * m), every // m % m, every % m)
+    flows = np.cumsum(hist_b, axis=-2, dtype=np.int32)[..., None, :] - cum_a[:, :, None]
+    lows, highs = metrics._sorted_three(flows[..., :3, :, :]), metrics._sorted_three(flows[..., 3:, :, :])
+    transports = sum(np.abs(x - y) for x, y in zip(lows, highs[::-1])).astype(dtype)
+    cells = metrics._swap_cells(m)
+    upper_a = margins_a.take(cells[0, leftover])
+    terms = (np.abs(margins_b[..., None, :] - upper_a[:, None]) // 2).astype(dtype)
+    orders = metrics._order_bytes(m)
+    bounds = np.zeros(margins_b.shape[:-1] + (len(cells),), dtype=dtype)
+    for t, (x, y, z) in enumerate(metrics._TRIANGLES[m]):
+        index = cells[:, column[x, y]].astype(np.uint16)
+        index *= m
+        index += orders[:, z]
+        bounds += transports[..., t, :].take(index, axis=-1)
+    for k, p in enumerate(leftover):
+        bounds += terms[..., k, :].take(cells[:, p], axis=-1)
     return bounds
 
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import astuple
 from fractions import Fraction
 from unittest import mock
 
@@ -55,6 +56,7 @@ from _oracles import (
     block_prefix_majority_bounds,
     branch_and_bound_pairwise,
     bruteforce_majority_realizable,
+    cell_table_triangle_bounds,
     counter_discrete_search,
     dict_discrete_search,
     full_cell_pairwise_scan,
@@ -633,17 +635,76 @@ def test_triangle_bound_lies_between_the_majority_bound_and_the_optimum(m):
 
 
 @pytest.mark.parametrize("m", sorted(metrics._TRIANGLES))
+def test_triangle_bound_equals_the_cell_table_oracle(m):
+    # bit for bit, dtype included, one election against the others alone
+    # and as a stack, on tied and uniform votes, up to the pairs
+    # benchmark's n = 8 and the correlation matrices' n = 20
+    rng = np.random.default_rng([m, 31])
+    for n in (1, 2, 5, 12, 20):
+        a, *bs = (metrics._swap_aggregates(e) for e in _tied_and_uniform(m, n, rng))
+        stack = np.stack([b[0] for b in bs]), np.stack([b[1] for b in bs])
+        for b in (*bs, stack):
+            got, want = metrics._triangle_bounds(a, *b), cell_table_triangle_bounds(a, *b)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_chunk_cells_equal_the_cell_table_rows(m):
+    # random relabelings, the first and the last, and the slices the search
+    # takes for the identity and for a one-chunk search
+    rng = np.random.default_rng([m, 31])
+    table = metrics._swap_cells(m)
+    total = math.factorial(m)
+    assert table.shape[0] == total and table.dtype == np.uint8
+    for ids in (np.sort(rng.choice(total, size=min(total, 500), replace=False)),
+                rng.integers(total, size=50), np.array([0, total - 1]), slice(1), slice(None)):
+        cells = metrics._chunk_cells(m, ids)
+        assert cells.dtype == np.uint8 and cells.flags.c_contiguous
+        assert np.array_equal(cells, table[ids])
+
+
+def _table_free(m):
+    # _swap_cells, raising for an m of _TRIANGLES, where no search builds it
+    table = metrics._swap_cells
+
+    def cells(k):
+        if k in metrics._TRIANGLES:
+            raise AssertionError(f"_swap_cells({k}) was built")
+        return table(k)
+
+    return mock.patch.object(metrics, "_swap_cells", cells)
+
+
+@pytest.mark.parametrize("m", sorted(metrics._TRIANGLES))
+def test_swap_searches_at_m_7_and_8_build_no_cell_table(m):
+    # distance and distance_values, at n = 1 (one chunk of all 5,040
+    # relabelings at m = 7) and n = 3 (the chunked walk), give the
+    # one-solve oracle's outcomes without the m!-row table
+    rng = np.random.default_rng([m, 31])
+    for n in (1, 3):
+        dataset = _tied_and_uniform(m, n, rng)
+        old = [row_major_swap_aggregates(e) for e in dataset]
+        want = [found for i in range(len(old) - 1) for found in one_solve_swap_search(old[i], old[i + 1 :])]
+        with _table_free(m):
+            got = [astuple(distance(x, y, "swap")) for x, y in itertools.combinations(dataset, 2)]
+            values = distance_values(dataset, "swap").tolist()
+        assert got == want
+        assert values == [value for value, *_ in want]
+
+
+@pytest.mark.parametrize("m", sorted(metrics._TRIANGLES))
 def test_triangle_packings_are_edge_disjoint(m):
-    triangles, columns, leftover = metrics._packing(m)
+    triangles, leftover = metrics._packing(m)
     first, second = (p.tolist() for p in _upper_pairs(m))
     packed = []
     for x, y, z in metrics._TRIANGLES[m]:
         assert 0 <= x < y < z < m
         packed += [(x, y), (x, z), (y, z)]
     assert len(set(packed)) == len(packed)
-    rest = set(zip(first, second)) - set(packed)
-    assert sorted((first[p], second[p]) for p in leftover) == sorted(rest)
-    assert [(first[p], second[p]) for p in columns] == [(x, y) for x, y, _ in metrics._TRIANGLES[m]]
+    rest = [pair for pair in zip(first, second) if pair not in packed]
+    assert leftover.shape == (2, len(rest))
+    assert [tuple(pair) for pair in leftover.T.tolist()] == rest
     assert triangles.T.tolist() == [list(t) for t in metrics._TRIANGLES[m]]
 
 

@@ -12,9 +12,11 @@ import hypothesis.strategies as st
 
 from electodist import metrics
 from electodist.cli import main
+from electodist.cultures import CultureSpec, sample, sample_many
 from electodist.elections import GUARDS
 from electodist.metrics import distance_values
 from electodist import (
+    DEFAULT_CULTURES,
     METRIC_KINDS,
     Election,
     apply_matchings,
@@ -55,6 +57,10 @@ from _oracles import (
     brute_force_positionwise,
     emd_flow,
 )
+
+
+# two cultures far apart on the map, for draws at m = 7 and 8
+CULTURE_DRAWS = (CultureSpec("Mallows", {"phi": 0.3}), CultureSpec("Euclidean", {"shape": "disc_2d"}))
 
 
 def test_vote_swap_distance_basics():
@@ -507,17 +513,20 @@ def test_ties_resolve_to_smallest_matching():
     assert positionwise_distance(un, un, "EMD").candidate_matching == (0, 1, 2)
 
 
-@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("m", range(1, 9))
 def test_cross_metric_inequalities(m):
     # on seeded pairs at n = 1..7, near (relabeled, a vote changed), far (IC)
     # and drawn from a pool of two orders, through distance and through
     # distance_values, whose swap takes the stacked small-m search:
     # pairwise <= 2 swap, emdpos <= 2 swap, discrete <= swap <= C(m, 2)
     # discrete and l1pos <= 2 emdpos <= (m - 1) l1pos.  Bordawise <= emdpos
-    # is no such bound: random m = 6, n = 3 pairs break it (14 > 10)
+    # is no such bound: random m = 6, n = 3 pairs break it (14 > 10).  At
+    # m = 7 and 8, n = 1..4 for time, with two culture draws more, swap
+    # takes its chunked walk and its triangle bound, and pairwise its
+    # branch and bound
     rng = np.random.default_rng([m, 2026])
     kinds = ("swap", "discrete", "emdpos", "l1pos", "pairwise")
-    for n in range(1, 8):
+    for n in range(1, 8 if m <= 6 else 5):
         a = Election(m, [rng.permutation(m) for _ in range(n)])
         near = rng.permutation(m)[a.array]
         near[rng.integers(n)] = rng.permutation(m)
@@ -525,6 +534,8 @@ def test_cross_metric_inequalities(m):
         dataset = [a, Election(m, near)]
         dataset += [Election(m, [rng.permutation(m) for _ in range(n)]) for _ in range(2)]
         dataset += [Election(m, [pool[i] for i in rng.integers(2, size=n)]) for _ in range(2)]
+        if m > 6:
+            dataset += [sample(spec, m, n, int(rng.integers(2**32))) for spec in CULTURE_DRAWS]
         values = {kind: distance_values(dataset, kind).tolist() for kind in kinds}
         for p, (x, y) in enumerate(itertools.combinations(dataset, 2)):
             d = {kind: distance(x, y, kind).value for kind in kinds}
@@ -533,3 +544,16 @@ def test_cross_metric_inequalities(m):
             assert d["emdpos"] <= 2 * d["swap"]
             assert d["discrete"] <= d["swap"] <= m * (m - 1) // 2 * d["discrete"]
             assert d["l1pos"] <= 2 * d["emdpos"] <= (m - 1) * d["l1pos"]
+
+
+def test_distance_matrices_satisfy_the_triangle_inequality_at_k_65():
+    # every triple of 13 cultures x 5 elections at m = 10, n = 100, all k^3
+    # at once on the full matrix: D[i, l] <= D[i, j] + D[j, l]
+    dataset = [e for i, spec in enumerate(DEFAULT_CULTURES) for e in sample_many(spec, 10, 100, i, 5)]
+    k = len(dataset)
+    upper = np.triu_indices(k, 1)
+    for kind in ("emdpos", "l1pos", "bordawise", "discrete"):
+        d = np.zeros((k, k), dtype=np.int64)
+        d[upper] = distance_values(dataset, kind)
+        d += d.T
+        assert (d[:, None, :] <= d[:, :, None] + d[None, :, :]).all()
