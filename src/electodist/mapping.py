@@ -34,9 +34,21 @@ PALETTE = (
 )
 
 
+def _check_names(names, what: str) -> None:
+    # labels and class names are fields of the map's CSV rows and text of
+    # its SVG: strings that no separator of a CSV field or row splits
+    for name in names:
+        if not isinstance(name, str) or any(c in name for c in ",\r\n"):
+            raise ValueError(f"{what} must be strings without commas or line breaks, got {name!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric nonnegative distances between labeled elections."""
+    """Symmetric nonnegative distances between labeled elections.
+
+    Labels are strings without commas or line breaks, so that they can be
+    fields of the map's CSV rows.
+    """
 
     labels: tuple[str, ...]
     cells: np.ndarray
@@ -45,6 +57,7 @@ class DistanceMatrix:
     def __post_init__(self):
         if not len(self.labels):
             raise ValueError("need at least one election")
+        _check_names(self.labels, "labels")
         arr = _square_matrix(self.cells, "cells", float)
         if arr.shape[0] != len(self.labels):
             raise ValueError(f"{len(self.labels)} labels for {arr.shape[0]} rows")
@@ -99,6 +112,7 @@ def distance_matrix(
         labels = [str(i) for i in range(k)]
     elif len(labels) != k:
         raise ValueError(f"{len(labels)} labels for {k} elections")
+    _check_names(labels, "labels")
     upper = _upper_pairs(k)
     values = distance_values(dataset, kind)
     cells = np.zeros((k, k), dtype=float)
@@ -308,9 +322,15 @@ def export_map(
     path=None,
 ) -> str:
     """Render the embedding as "id,x,y,class" CSV or a 1000x1000 SVG map;
-    returns the content and writes it to path when given."""
+    returns the content and writes it to path when given.
+
+    Labels and class names must be strings without commas or line breaks:
+    ValueError otherwise, before anything is written.
+    """
     if fmt not in ("csv", "svg"):
         raise ValueError(f"unknown format {fmt!r}, expected 'csv' or 'svg'")
+    _check_names(embedding.labels, "labels")
+    _check_names([classes.get(label, "unknown") for label in embedding.labels], "class names")
     if fmt == "csv":
         lines = ["id,x,y,class"]
         for label, (x, y) in zip(embedding.labels, embedding.points):

@@ -10,14 +10,17 @@ inputs (elections, position or frequency matrices) share one cost kernel
 and reach one exact ``solve_assignment``, whose witness is the
 lexicographically smallest optimal matching.
 
-Each metric has one table row: its aggregate of one election and its
-search of one aggregate against a list of later ones, (value, *witness)
-for each.  ``distance`` and ``distance_values`` both dispatch through it.
+Each metric has one table row: its aggregate of one election, how a list
+of them stacks, its search of two pair-aligned stacks of aggregates, left
+and right, giving (value, *witness) for each pair, and the bytes that
+search holds per pair.  ``distance`` passes its pair as stacks of one;
+``distance_values`` walks the pairs i < j in blocks of consecutive pairs,
+one search per block.
 The searches keep the lexicographically smallest optimal candidate
 matching as witness.  With majority margins 2 M - n, a matching's pairwise
 cost is the l1 distance of the margins over the pairs c < d, and half of
 it bounds swap: one kernel, ``_pair_costs``, sums it for every relabeling
-of one election or a stack.  Swap visits relabelings best-first by that
+of each pair of a block.  Swap visits relabelings best-first by that
 bound up to 6 candidates; at 7 and 8 by a tighter one, which adds, for
 each triangle of an edge-disjoint packing, the transport between the two
 elections' histograms of their voters' orders of its three candidates.
@@ -35,9 +38,9 @@ bounds are tightened by the Hungarian method's row and column reduction
 of each voter cost matrix before any of its assignments is solved.
 Pairwise takes the least of the kernel's sums up to 6 candidates and runs
 a best-first branch and bound over candidate prefixes from 7 on; at small
-m both take a stack of later elections at once.  Discrete sums, in one sort
-per row, the votes shared under each relabeling that maps a distinct vote
-onto another, coded in base m: int64 while it fits, Python ints beyond.
+m both take a whole block at once.  Discrete sums, in one sort per block,
+the votes shared under each relabeling that maps a distinct vote onto
+another, coded in base m: int64 while it fits, Python ints beyond.
 """
 
 from __future__ import annotations
@@ -368,12 +371,13 @@ def _popcounts(words: np.ndarray) -> np.ndarray:
 def _voter_costs(bits_a: np.ndarray, prefs_b: np.ndarray, cells: np.ndarray) -> np.ndarray:
     # costs[..., i, j, l]: the inversions between voter i of a relabeled by
     # the l-th relabeling of cells and voter j of b, the popcount of the XOR
-    # of their words, as contiguous uint8, for the words bits_a of a at the
-    # identity's cells and the cell-major preferences prefs_b of one or a
-    # stack of elections.  The relabelings run along the last axis, so
-    # every reduction of the bounds below takes whole rows of them at a time
+    # of their words, as contiguous uint8, for the words bits_a (..., n) of
+    # a at the identity's cells and the cell-major preferences prefs_b of b,
+    # one election each or pair-aligned stacks, or one a against a stack of
+    # b.  The relabelings run along the last axis, so every reduction of the
+    # bounds below takes whole rows of them at a time
     words_b = _packed_votes(prefs_b, cells)
-    return _popcounts(words_b[..., None, :, :] ^ bits_a[:, None, None])
+    return _popcounts(words_b[..., None, :, :] ^ bits_a[..., :, None, None])
 
 
 def _minima_bounds(costs: np.ndarray) -> np.ndarray:
@@ -412,8 +416,8 @@ _SWAP_CHUNK_ENTRIES = 1 << 17
 def _pair_costs(margins_a: np.ndarray, margins_b: np.ndarray) -> np.ndarray:
     # costs[..., l]: the sum over the pairs c < d of |margin_a(c, d) -
     # margin_b(tau c, tau d)| for the l-th relabeling tau of _order_bytes(m),
-    # for the flat margins (from _margins) of one election a and of one or a
-    # stack of elections b of as many voters.  As M(d, c) = n - M(c, d), it
+    # for the flat margins (from _margins) of elections a and b of as many
+    # voters, one each or pair-aligned stacks, or one a against a stack of b.  As M(d, c) = n - M(c, d), it
     # is the pairwise cost of tau, and twice swap's majority bound: every
     # disagreeing voter pair forces an inversion.  The margins are gathered
     # pair-major, so that the sum over the pairs adds whole rows, in slices
@@ -422,7 +426,7 @@ def _pair_costs(margins_a: np.ndarray, margins_b: np.ndarray) -> np.ndarray:
     m = math.isqrt(margins_a.shape[-1])
     pairs = m * (m - 1) // 2
     cells = _swap_cells(m)[:, :pairs].T
-    upper_a = margins_a.take(cells[:, :1])
+    upper_a = margins_a.take(cells[:, :1], axis=-1)
     total = np.int32 if margins_a.itemsize <= 2 else np.int64
     sums = np.empty(margins_b.shape[:-1] + (cells.shape[1],), dtype=total)
     elections = margins_b.size // margins_b.shape[-1]
@@ -484,8 +488,9 @@ def _triangle_bounds(a: tuple[np.ndarray, np.ndarray], margins_b: np.ndarray,
                      prefs_b: np.ndarray) -> np.ndarray:
     # bounds[..., l]: swap's triangle bound of the l-th relabeling tau of
     # _order_bytes(m) from the election of aggregates a (from
-    # _swap_aggregates) to one or a stack of elections of margins margins_b
-    # and cell-major preferences prefs_b, at an m of _TRIANGLES, in the
+    # _swap_aggregates) to the election of margins margins_b and cell-major
+    # preferences prefs_b, one each or pair-aligned stacks, or one a against
+    # a stack of b, at an m of _TRIANGLES, in the
     # narrowest unsigned type that holds pairs * n + 1.  For each triangle
     # x, y, z of the packing it adds the earth mover's distance between a's
     # histogram of its voters' orders of x, y, z and b's of tau x, tau y,
@@ -501,18 +506,18 @@ def _triangle_bounds(a: tuple[np.ndarray, np.ndarray], margins_b: np.ndarray,
     # triangle reads at tau x m m + tau y m + tau z, from the rows of
     # _order_columns(m)
     margins_a, prefs_a = a
-    n = prefs_a.shape[1]
-    m = math.isqrt(prefs_a.shape[0])
+    n = prefs_a.shape[-1]
+    m = math.isqrt(prefs_a.shape[-2])
     dtype = np.min_scalar_type(m * (m - 1) // 2 * n + 1)
     triangles, leftover = _packing(m)
     every = np.arange(m**3)
-    cum_a = np.cumsum(_triple_histograms(prefs_a, *triangles), axis=0, dtype=np.int32)
+    cum_a = np.cumsum(_triple_histograms(prefs_a, *triangles), axis=-2, dtype=np.int32)
     hist_b = _triple_histograms(prefs_b, every // (m * m), every // m % m, every % m)
-    flows = np.cumsum(hist_b, axis=-2, dtype=np.int32)[..., None, :] - cum_a[:, :, None]
+    flows = np.cumsum(hist_b, axis=-2, dtype=np.int32)[..., None, :] - cum_a[..., None]
     first, second = _sorted_three(flows[..., :3, :, :]), _sorted_three(flows[..., 3:, :, :])
     transports = sum(np.abs(x - y) for x, y in zip(first, second[::-1])).astype(dtype)
-    upper_a = margins_a.take(leftover[0] * m + leftover[1])
-    terms = (np.abs(margins_b[..., None, :] - upper_a[:, None]) // 2).astype(dtype)
+    upper_a = margins_a.take(leftover[0] * m + leftover[1], axis=-1)
+    terms = (np.abs(margins_b[..., None, :] - upper_a[..., None]) // 2).astype(dtype)
     columns = _order_columns(m)
     bounds = np.zeros(margins_b.shape[:-1] + (columns.shape[1],), dtype=dtype)
     for t, (x, y, z) in enumerate(triangles.T.tolist()):
@@ -532,38 +537,40 @@ def _triangle_bounds(a: tuple[np.ndarray, np.ndarray], margins_b: np.ndarray,
 def _swap_bounds(a: tuple[np.ndarray, np.ndarray], margins_b: np.ndarray,
                  prefs_b: np.ndarray) -> np.ndarray:
     # swap's bound of every relabeling from the election of aggregates a to
-    # one or a stack of elections: the triangle bound over _TRIANGLES[m] at
-    # an m of _TRIANGLES, else the majority bound, half the _pair_costs
-    if math.isqrt(len(a[0])) in _TRIANGLES:
+    # the election of margins_b and prefs_b, as _triangle_bounds takes them:
+    # the triangle bound over _TRIANGLES[m] at an m of _TRIANGLES, else the
+    # majority bound, half the _pair_costs
+    if math.isqrt(a[0].shape[-1]) in _TRIANGLES:
         return _triangle_bounds(a, margins_b, prefs_b)
     return _pair_costs(a[0], margins_b) // 2
 
 
 def _swap_search(
-    a: tuple[np.ndarray, np.ndarray], bs: Sequence[tuple[np.ndarray, np.ndarray]]
+    left: tuple[np.ndarray, np.ndarray], right: tuple[np.ndarray, np.ndarray]
 ) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    # exact swap distance between the election of aggregates a (from
-    # _swap_aggregates) and each election of aggregates bs, with the
-    # lexicographically smallest optimal relabeling sigma (candidate c of a
-    # to sigma[c] of b) and the solver's voter matching for it.  Relabelings
-    # are visited best-first by _swap_bounds: at an m of _TRIANGLES the
-    # triangle bound over the packing _TRIANGLES[m], below it the majority
-    # bound.  Every voter matching pays at least each triangle's transport
-    # on its three pairs, and each transport is at least its pairs'
-    # majority terms, so both lie between the majority bound and the
-    # optimum and the values and witnesses do not depend on which is
-    # taken.  The relabelings go in chunks whose voter
-    # cost matrices are built at once and whose bounds are tightened by
-    # _reduced_bounds before any assignment is solved.  Only the cells c < d
-    # are compared: the cells d > c mirror them.
-    margins_a, prefs_a = a
-    n = prefs_a.shape[1]
-    m = math.isqrt(prefs_a.shape[0])
+    # exact swap distance between the elections of aggregates (from
+    # _swap_aggregates) left and right, stacked pair by pair, with the
+    # lexicographically smallest optimal relabeling sigma (candidate c of
+    # the left election to sigma[c] of the right one) and the solver's
+    # voter matching for it.  Relabelings are visited best-first by
+    # _swap_bounds: at an m of _TRIANGLES the triangle bound over the
+    # packing _TRIANGLES[m], below it the majority bound.  Every voter
+    # matching pays at least each triangle's transport on its three pairs,
+    # and each transport is at least its pairs' majority terms, so both lie
+    # between the majority bound and the optimum and the values and
+    # witnesses do not depend on which is taken.  The relabelings go in
+    # chunks whose voter cost matrices are built at once and whose bounds
+    # are tightened by _reduced_bounds before any assignment is solved.
+    # Only the cells c < d are compared: the cells d > c mirror them.
+    margins_a, prefs_a = left
+    margins_b, prefs_b = right
+    n = prefs_a.shape[-1]
+    m = math.isqrt(prefs_a.shape[-2])
     perms = _order_bytes(m)
     total = len(perms)
     pairs = m * (m - 1) // 2
     # the identity comes first among the relabelings
-    bits_a = _packed_votes(prefs_a, _chunk_cells(m, slice(1)))[:, 0]
+    bits_a = _packed_votes(prefs_a, _chunk_cells(m, slice(1)))[..., 0]
     chunk = max(1, _SWAP_CHUNK_ENTRIES // (n * (pairs + n)))
 
     def beats(bound, ids, best):
@@ -601,42 +608,34 @@ def _swap_search(
 
     unset = (pairs * n + 1, total)
     if total <= chunk:
-        # one chunk per election, in index order, whose cells serve its
-        # bounds too; a stack of elections shares the chunk budget.  Each
-        # election's first relabeling by (tight bound, index), its first
-        # least bound, is solved in one pass over the stack.  One whose
-        # value meets its bound is settled; for the rest that bound becomes
-        # the value, so that the incumbent is not solved again, and the
-        # chunk is visited
+        # one chunk per pair, in index order, whose cells serve its bounds
+        # too, for all the pairs at once.  Each pair's first relabeling by
+        # (tight bound, index), its first least bound, is solved in one pass
+        # over the pairs.  A pair whose value meets its bound is settled;
+        # for the rest that bound becomes the value, so that the incumbent
+        # is not solved again, and the chunk is visited
         ids, voters = np.arange(total), np.arange(n)
-        cells = _chunk_cells(m, slice(None))
-        stack = chunk // total
-        found, rhos = [], []
-        for s in range(0, len(bs), stack):
-            group = bs[s : s + stack]
-            prefs_b = np.array([b[1] for b in group])
-            bounds = _swap_bounds(a, np.array([b[0] for b in group]), prefs_b)
-            costs = _voter_costs(bits_a, prefs_b, cells)
-            tight = np.maximum(bounds, _reduced_bounds(costs))
-            rows = np.arange(len(group))
-            firsts = tight.argmin(axis=-1)
-            first_costs = costs[rows, :, :, firsts]
-            rho = np.array([linear_sum_assignment(c)[1] for c in first_costs])
-            values = first_costs[rows[:, None], voters, rho].sum(axis=1, dtype=np.int64)
-            group_found = list(zip(values.tolist(), firsts.tolist()))
-            group_rhos = rho.tolist()
-            for g in (values > tight[rows, firsts]).nonzero()[0].tolist():
-                tight[g, firsts[g]] = values[g]
-                best, best_rho = visit(costs[g], tight[g], ids, group_found[g], rho[g])
-                group_found[g], group_rhos[g] = best, best_rho.tolist()
-            found += group_found
-            rhos += group_rhos
+        bounds = _swap_bounds(left, margins_b, prefs_b)
+        costs = _voter_costs(bits_a, prefs_b, _chunk_cells(m, slice(None)))
+        tight = np.maximum(bounds, _reduced_bounds(costs))
+        rows = np.arange(len(tight))
+        firsts = tight.argmin(axis=-1)
+        first_costs = costs[rows, :, :, firsts]
+        rho = np.array([linear_sum_assignment(c)[1] for c in first_costs])
+        values = first_costs[rows[:, None], voters, rho].sum(axis=1, dtype=np.int64)
+        found = list(zip(values.tolist(), firsts.tolist()))
+        rhos = rho.tolist()
+        for g in (values > tight[rows, firsts]).nonzero()[0].tolist():
+            tight[g, firsts[g]] = values[g]
+            found[g], best_rho = visit(costs[g], tight[g], ids, found[g], rho[g])
+            rhos[g] = best_rho.tolist()
         return outcomes(found, rhos)
     # the bounds stay below unset, in the smallest unsigned type, uint16 at
     # moderate n, which a stable argsort sorts by radix
     found, rhos = [], []
-    for margins_b, prefs_b in bs:
-        bounds = _swap_bounds(a, margins_b, prefs_b).astype(np.min_scalar_type(unset[0]), copy=False)
+    for p in range(len(margins_a)):
+        bounds = _swap_bounds((margins_a[p], prefs_a[p]), margins_b[p], prefs_b[p])
+        bounds = bounds.astype(np.min_scalar_type(unset[0]), copy=False)
         order = np.argsort(bounds, kind="stable")
         best, rho = unset, None
         for start in range(0, total, chunk):
@@ -650,7 +649,7 @@ def _swap_search(
             if stop == 0:
                 break
             ids, lb = ids[:stop], lb[:stop]
-            costs = _voter_costs(bits_a, prefs_b, _chunk_cells(m, ids))
+            costs = _voter_costs(bits_a[p], prefs_b[p], _chunk_cells(m, ids))
             # the reduction bound, never below the minima bound, only where
             # the cheaper minima bound leaves a relabeling open: the others
             # stay shut under a larger bound.  Before the first solve every
@@ -709,27 +708,45 @@ def _vote_types(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return votes[first], counts
 
 
-def _discrete_search(a: tuple, bs: Sequence[tuple]) -> list[tuple[int, tuple[int, ...]]]:
-    # exact discrete distance from the election of distinct votes and counts a
-    # to each such one of bs, with the lexicographically smallest optimal
-    # relabeling.  Mapping vote u onto w has the base-m code w @ place[u], which
-    # orders like it, and overlaps min(count u, count w) summed over its (u, w).
-    # bs share one sort, m**m apart
-    types_a, counts_a = a
-    m = types_a.shape[1]
-    place = _code_places(m, len(bs) * m**m)
-    offsets = np.repeat(np.arange(len(bs)).astype(place.dtype) * m**m, [len(b[1]) for b in bs])
-    codes = np.concatenate([b[0] for b in bs]) @ place[types_a].T + offsets[:, None]
-    keys, inverse = np.unique(codes.ravel(), return_inverse=True)
-    pairs = np.minimum.outer(np.concatenate([b[1] for b in bs]), counts_a)
-    overlap = np.bincount(inverse, pairs.ravel()).astype(np.int64)
+def _discrete_search(left: np.ndarray, right: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
+    # exact discrete distance between the elections of distinct votes and
+    # counts (from _vote_types) left and right, object arrays of them
+    # stacked pair by pair, with the lexicographically smallest optimal
+    # relabeling.  Mapping vote u onto w has the base-m code w @ place[u],
+    # which orders like it, and overlaps min(count u, count w) summed over
+    # its (u, w).  The pairs share one sort, pair p's codes offset by p
+    # m**m; a run of pairs with one left election takes one product, as the
+    # rows of a distance matrix do.  All the elections have n voters
+    m = left[0][0].shape[1]
+    place = _code_places(m, len(left) * m**m)
+    starts = [p for p in range(len(left)) if p == 0 or left[p] is not left[p - 1]]
+    # per run: its pairs p..q-1, its left aggregate, the right ones, and its
+    # codes' (rows, columns) cut of one flat array, rows of the right votes
+    runs, size = [], 0
+    for p, q in zip(starts, starts[1:] + [len(left)]):
+        rows = sum(len(b[1]) for b in right[p:q])
+        width = len(left[p][1])
+        runs.append((p, q, left[p], right[p:q], slice(size, size + rows * width), (rows, width)))
+        size += rows * width
+    codes = np.empty(size, dtype=place.dtype)
+    for p, q, (types_a, _), bs, cut, shape in runs:
+        out = codes[cut].reshape(shape)
+        np.matmul(np.concatenate([b[0] for b in bs]), place[types_a].T, out=out)
+        out += np.repeat(np.arange(p, q).astype(place.dtype) * m**m, [len(b[1]) for b in bs])[:, None]
+    keys, inverse = np.unique(codes, return_inverse=True)
+    del codes
+    pairs = np.empty(size, dtype=np.int64)
+    for _, _, (_, counts_a), bs, cut, shape in runs:
+        np.minimum.outer(np.concatenate([b[1] for b in bs]), counts_a, out=pairs[cut].reshape(shape))
+    overlap = np.bincount(inverse, pairs).astype(np.int64)
     owner = (keys // m**m).astype(np.int64)
-    most = np.maximum.reduceat(overlap, np.searchsorted(owner, np.arange(len(bs))))
-    # the least code of most overlap: each election's first among its ties
+    most = np.maximum.reduceat(overlap, np.searchsorted(owner, np.arange(len(left))))
+    # the least code of most overlap: each pair's first among its ties
     ties = np.flatnonzero(overlap == most[owner])
-    best = ties[np.searchsorted(owner[ties], np.arange(len(bs)))]
+    best = ties[np.searchsorted(owner[ties], np.arange(len(left)))]
     sigmas = keys[best, None] % m**m // place % m
-    return list(zip((counts_a.sum() - most).tolist(), map(tuple, sigmas.tolist())))
+    n = left[0][1].sum()
+    return list(zip((n - most).tolist(), map(tuple, sigmas.tolist())))
 
 
 def _discrete_voter_matching(a: Election, b: Election, sigma: tuple[int, ...]) -> tuple[int, ...]:
@@ -773,8 +790,10 @@ def _positionwise_aggregate(x, variant: str) -> np.ndarray:
 
 def _column_costs(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     # costs[..., c, d] = l1 distance between column c of x and column d of
-    # each matrix in ys
-    return np.abs(x[:, :, None] - ys[..., :, None, :]).sum(axis=-3)
+    # ys, one matrix each or pair-aligned stacks, or one x against a stack
+    # of ys
+    differences = x[..., None] - ys[..., None, :]
+    return np.abs(differences, out=differences).sum(axis=-3)
 
 
 def positionwise_distance(a, b, variant: str = "EMD") -> DistanceOutcome:
@@ -833,24 +852,20 @@ def pairwise_distance(a, b) -> DistanceOutcome:
 _PAIRWISE_SCAN_MAX = 6
 
 
-def _pairwise_search(
-    ma: np.ndarray, mbs: Sequence[np.ndarray]
-) -> list[tuple[int, tuple[int, ...]]]:
-    # the pairwise distance between the election of flat margins ma (from
-    # _margins) and each election of margins mbs: (value, lexmin optimal
-    # matching) per election.  A matching's pairwise cost is its
-    # _pair_costs, whose first least entry gives the lexmin witness.  Above
-    # _PAIRWISE_SCAN_MAX the branch and bound runs on the m x m margins,
-    # where every cost and bound is twice the one on the majority matrices,
-    # so that it solves the same assignments to the same witness
-    m = math.isqrt(ma.size)
+def _pairwise_search(left: np.ndarray, right: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
+    # the pairwise distance between the elections of flat margins (from
+    # _margins) left and right, stacked pair by pair: (value, lexmin optimal
+    # matching) per pair.  A matching's pairwise cost is its _pair_costs,
+    # whose first least entry gives the lexmin witness.  Above
+    # _PAIRWISE_SCAN_MAX the branch and bound runs on the m x m margins of
+    # each pair, where every cost and bound is twice the one on the majority
+    # matrices, so that it solves the same assignments to the same witness
+    m = math.isqrt(left.shape[-1])
     if m > _PAIRWISE_SCAN_MAX:
-        squares = np.reshape([ma, *mbs], (-1, m, m)).astype(np.int64)
-        found = [_pairwise_branch_and_bound(squares[0], mb) for mb in squares[1:]]
+        squares = zip(*(x.reshape(-1, m, m).astype(np.int64) for x in (left, right)))
+        found = [_pairwise_branch_and_bound(ma, mb) for ma, mb in squares]
         return [(value // 2, sigma) for value, sigma in found]
-    if not len(mbs):
-        return []
-    costs = _pair_costs(ma, np.stack(mbs))
+    costs = _pair_costs(left, right)
     best = costs.argmin(axis=1)
     values = costs[np.arange(len(best)), best].tolist()
     return list(zip(values, map(tuple, _order_table(m)[best].tolist())))
@@ -952,12 +967,13 @@ def _pairwise_branch_and_bound(ma: np.ndarray, mb: np.ndarray) -> tuple[int, tup
     return best
 
 
-def _positionwise_search(x: np.ndarray, ys: Sequence[np.ndarray]) -> list[tuple[int]]:
-    # the positionwise value of the aggregate x against each of ys, by one
-    # assignment solve each: no witness, so none of solve_assignment's
-    # lexmin solves.  A square solve gives its rows in order, so each pair's
-    # columns are all it keeps, and the row's values are one gather
-    costs = _column_costs(x, np.stack(ys))
+def _positionwise_search(left: np.ndarray, right: np.ndarray) -> list[tuple[int]]:
+    # the positionwise value of each pair of the pair-aligned stacks of
+    # aggregates left and right, by one assignment solve each: no witness,
+    # so none of solve_assignment's lexmin solves.  A square solve gives its
+    # rows in order, so each pair's columns are all it keeps, and the
+    # values are one gather
+    costs = _column_costs(left, right)
     columns = np.array([linear_sum_assignment(c)[1] for c in costs])
     values = np.take_along_axis(costs, columns[:, :, None], axis=2).sum(axis=(1, 2))
     return [(v,) for v in values.tolist()]
@@ -969,23 +985,88 @@ def _sorted_borda_prefix(election: Election) -> np.ndarray:
     return np.cumsum(np.sort(borda_vector(election))[::-1])
 
 
-def _bordawise_search(x: np.ndarray, ys: Sequence[np.ndarray]) -> list[tuple[int]]:
-    # the l1 distance of the sorted Borda prefix x to each of ys
-    return [(v,) for v in np.abs(np.stack(ys) - x).sum(axis=1).tolist()]
+def _bordawise_search(left: np.ndarray, right: np.ndarray) -> list[tuple[int]]:
+    # the l1 distance of each pair of the pair-aligned stacks of sorted Borda
+    # prefixes left and right
+    return [(v,) for v in np.abs(left - right).sum(axis=1).tolist()]
+
+
+def _stack_parts(aggregates: list) -> tuple:
+    # tuple aggregates, swap's, as one stack per part
+    return tuple(map(np.stack, zip(*aggregates)))
+
+
+def _object_stack(aggregates: list) -> np.ndarray:
+    # aggregates whose shapes differ between elections, discrete's, as an
+    # object array: a block takes them by index as the same objects
+    return np.fromiter(aggregates, dtype=object, count=len(aggregates))
+
+
+def _swap_pair_bytes(stack, first, second) -> int:
+    # the voter costs and gathered preference bits of all m! relabelings,
+    # the measure of a swap chunk
+    n = stack[1].shape[-1]
+    m = math.isqrt(stack[1].shape[-2])
+    return math.factorial(m) * n * (m * (m - 1) // 2 + n)
+
+
+def _discrete_pair_bytes(stack, first, second) -> np.ndarray:
+    # one int64 relabeling code per pair of distinct votes
+    types = np.array([len(counts) for _, counts in stack])
+    return 8 * types[first] * types[second]
+
+
+def _positionwise_pair_bytes(stack, first, second) -> int:
+    # the pair's two int64 matrices and their m**3 column differences
+    m = stack.shape[-1]
+    return 8 * (m**3 + 2 * m * m)
 
 
 def _row(kind: str):
-    # the metric's aggregate of one election and its search of one aggregate
-    # against a list of later ones, giving (value, *witness) for each.  Built
-    # per call, so a module global rebound after import is the one called
+    # the metric's aggregate of one election; how a list of them stacks;
+    # its search of two pair-aligned stacks, left and right, giving (value,
+    # *witness) for each pair; and the bytes of the arrays that search
+    # builds per pair, its stacks included, from the stack of a dataset and
+    # the pairs' indices into it (pairwise: the sums of all m! matchings;
+    # Bordawise: two prefixes and their difference).  Built per call, so a
+    # module global rebound after import is the one called
     return {
-        "swap": (_swap_aggregates, _swap_search),
-        "discrete": (lambda e: _vote_types(e.array), _discrete_search),
-        "emdpos": (lambda e: _positionwise_aggregate(e, "EMD"), _positionwise_search),
-        "l1pos": (lambda e: _positionwise_aggregate(e, "L1"), _positionwise_search),
-        "pairwise": (lambda e: _margins(majority_matrix(e), e.n), _pairwise_search),
-        "bordawise": (_sorted_borda_prefix, _bordawise_search),
+        "swap": (_swap_aggregates, _stack_parts, _swap_search, _swap_pair_bytes),
+        "discrete": (lambda e: _vote_types(e.array), _object_stack, _discrete_search,
+                     _discrete_pair_bytes),
+        "emdpos": (lambda e: _positionwise_aggregate(e, "EMD"), np.stack, _positionwise_search,
+                   _positionwise_pair_bytes),
+        "l1pos": (lambda e: _positionwise_aggregate(e, "L1"), np.stack, _positionwise_search,
+                  _positionwise_pair_bytes),
+        "pairwise": (lambda e: _margins(majority_matrix(e), e.n), np.stack, _pairwise_search,
+                     lambda stack, *_: 4 * math.factorial(math.isqrt(stack.shape[-1]))),
+        "bordawise": (_sorted_borda_prefix, np.stack, _bordawise_search,
+                      lambda stack, *_: 24 * stack.shape[-1]),
     }[kind]
+
+
+def _take(stack, ids):
+    # the entries ids of a stack, of each part of a tuple stack
+    if isinstance(stack, tuple):
+        return tuple(part[ids] for part in stack)
+    return stack[ids]
+
+
+def _pair_blocks(sizes, first: np.ndarray) -> list[slice]:
+    # the pairs i < j, whose first elections are first, cut into blocks of
+    # consecutive pairs, at least one each, whose bytes (sizes, per pair or
+    # one for all) sum to at most the larger of _SWAP_CHUNK_ENTRIES and the
+    # largest row's, the pairs of one first election
+    sizes = np.broadcast_to(np.asarray(sizes, dtype=np.int64), first.shape)
+    ends = np.cumsum(sizes)
+    limit = max(_SWAP_CHUNK_ENTRIES, int(np.bincount(first, sizes).max()))
+    blocks, start = [], 0
+    while start < len(ends):
+        reach = (ends[start - 1] if start else 0) + limit
+        stop = max(start + 1, int(np.searchsorted(ends, reach, side="right")))
+        blocks.append(slice(start, stop))
+        start = stop
+    return blocks
 
 
 def distance(a: Election, b: Election, kind: str) -> DistanceOutcome:
@@ -996,15 +1077,16 @@ def distance(a: Election, b: Election, kind: str) -> DistanceOutcome:
     the errors of ``distance_values``.  Swap and discrete minimize over
     candidate and voter matchings jointly; the positionwise metrics and
     pairwise over candidate matchings; Bordawise needs no matching.  The
-    metric's row search gives the value and witness, except that the
-    positionwise metrics take ``positionwise_distance`` for its lexmin
-    matching; discrete then matches voters greedily.
+    metric's search, handed the pair as stacks of one, gives the value and
+    witness, except that the positionwise metrics take
+    ``positionwise_distance`` for its lexmin matching; discrete then
+    matches voters greedily.
     """
     _check_elections((a, b), kind)
     if kind in ("emdpos", "l1pos"):
         return positionwise_distance(a, b, "EMD" if kind == "emdpos" else "L1")
-    aggregate, search = _row(kind)
-    value, *witness = search(aggregate(a), [aggregate(b)])[0]
+    aggregate, stack, search, _ = _row(kind)
+    value, *witness = search(stack([aggregate(a)]), stack([aggregate(b)]))[0]
     if kind == "discrete":
         witness.append(_discrete_voter_matching(a, b, witness[0]))
     return DistanceOutcome(value, *witness)
@@ -1017,28 +1099,39 @@ def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
     Equal to ``distance(dataset[i], dataset[j], kind).value``.  The kind,
     the inputs and the candidate guard are checked up front, by the check
     ``distance`` makes.  Every metric then takes each election's aggregate
-    once and hands election i's with those of all later elections to its
-    row search, the one ``distance`` runs: a broadcast for Bordawise, one
-    value-only assignment per pair for the positionwise metrics, and for
-    discrete one sort of the row's relabeling codes.  Swap, where
-    one chunk holds all m! relabelings, and pairwise up to 6 candidates
-    take the later elections in stacks: swap's gathers at most 2**17 bytes
-    of preference bits and uint8 voter costs at once, and both gather at
-    most 2**17 majority margins at once.  At larger m they search each pair
-    on its own.  Swap visits relabelings by a lower bound on each one's
-    voter assignment: up to 6 candidates the majority bound, half the
-    pairwise cost; at 7 and 8 the sum, over an edge-disjoint packing of
-    candidate triangles, of the least inversions any voter matching makes
-    on each triangle's three pairs, plus the majority term of each pair
-    left.  Up to 6 candidates swap reads each chunk's cells from one
-    cached table of all m! relabelings (720 rows at most); at 7 and 8 it
-    caches only the m x m! candidate-major order columns (322 KB at m =
-    8), from which the bound reads and each chunk builds its own cells.
+    once, stacks them, and walks the pairs in order, in blocks of
+    consecutive pairs: each block's left and right aggregates, taken from
+    the stack pair by pair, go to the metric's search, the one ``distance``
+    runs, in one call.  A block holds as many pairs as the search's
+    temporaries for them fit in 2**17 bytes, or in the largest row's, the
+    pairs of one first election, when that is more: k - 1 pairs at least
+    where all pairs weigh the same, as all but discrete's do.  In one pass
+    over a block Bordawise takes a broadcast, the positionwise metrics one
+    cost build and one value-only assignment per pair, and discrete one
+    sort of the pairs' relabeling codes.  Swap, where one chunk holds all m!
+    relabelings, and pairwise up to 6 candidates search a block at once:
+    swap gathers preference bits and builds uint8 voter costs for all its
+    pairs, and pairwise gathers at most 2**17 majority margins at a time.
+    At larger m they search each pair on its own.  Swap visits relabelings
+    by a lower bound on each one's voter assignment: up to 6 candidates
+    the majority bound, half the pairwise cost; at 7 and 8 the sum, over
+    an edge-disjoint packing of candidate triangles, of the least
+    inversions any voter matching makes on each triangle's three pairs,
+    plus the majority term of each pair left.  Up to 6 candidates swap
+    reads each chunk's cells from one cached table of all m! relabelings
+    (720 rows at most); at 7 and 8 it caches only the m x m! candidate-major
+    order columns (322 KB at m = 8), from which the bound reads and each
+    chunk builds its own cells.
     """
     _check_elections(dataset, kind)
-    if len(dataset) < 2:
-        return np.zeros(0, dtype=np.int64)
-    aggregate, search = _row(kind)
-    aggs = [aggregate(e) for e in dataset]
-    values = [found[0] for i in range(len(aggs) - 1) for found in search(aggs[i], aggs[i + 1 :])]
-    return np.array(values, dtype=np.int64)
+    k = len(dataset)
+    values = np.zeros(k * (k - 1) // 2, dtype=np.int64)
+    if k < 2:
+        return values
+    aggregate, stack, search, pair_bytes = _row(kind)
+    aggregates = stack([aggregate(e) for e in dataset])
+    first, second = _upper_pairs(k)
+    for block in _pair_blocks(pair_bytes(aggregates, first, second), first):
+        found = search(_take(aggregates, first[block]), _take(aggregates, second[block]))
+        values[block] = [outcome[0] for outcome in found]
+    return values

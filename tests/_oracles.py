@@ -36,7 +36,12 @@ check the tail that moves a stack of layouts in lockstep.
 ``permutations_all_orders`` is the order list as ``itertools.permutations``
 builds it, and ``loop_preferences`` each vote's pairwise preferences read
 by ``tuple.index``, kept to check the one order table and the one
-preference table of ``elections``.
+preference table of ``elections``.  ``row_search_distance_values`` is
+``distance_values`` searching row by row, one aggregate against a list of
+later ones, with the row searches ``row_swap_search``,
+``row_discrete_search``, ``row_pairwise_search``,
+``row_positionwise_search`` and ``row_bordawise_search``, kept to check the
+searches of blocks of pairs that replaced them.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -1257,3 +1262,211 @@ def loop_sample_group_separable(m: int, n: int, seed, tree: str) -> Election:
         read_leaves(root, leaves)
         votes.append(tuple(leaves))
     return Election(m, votes)
+
+
+def row_swap_search(
+    a: tuple[np.ndarray, np.ndarray], bs: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    # exact swap distance between the election of aggregates a (from
+    # _swap_aggregates) and each election of aggregates bs, with the
+    # lexicographically smallest optimal relabeling sigma (candidate c of a
+    # to sigma[c] of b) and the solver's voter matching for it.  Relabelings
+    # are visited best-first by _swap_bounds: at an m of _TRIANGLES the
+    # triangle bound over the packing _TRIANGLES[m], below it the majority
+    # bound.  Every voter matching pays at least each triangle's transport
+    # on its three pairs, and each transport is at least its pairs'
+    # majority terms, so both lie between the majority bound and the
+    # optimum and the values and witnesses do not depend on which is
+    # taken.  The relabelings go in chunks whose voter
+    # cost matrices are built at once and whose bounds are tightened by
+    # _reduced_bounds before any assignment is solved.  Only the cells c < d
+    # are compared: the cells d > c mirror them.
+    margins_a, prefs_a = a
+    n = prefs_a.shape[1]
+    m = math.isqrt(prefs_a.shape[0])
+    perms = metrics._order_bytes(m)
+    total = len(perms)
+    pairs = m * (m - 1) // 2
+    # the identity comes first among the relabelings
+    bits_a = metrics._packed_votes(prefs_a, metrics._chunk_cells(m, slice(1)))[:, 0]
+    chunk = max(1, metrics._SWAP_CHUNK_ENTRIES // (n * (pairs + n)))
+
+    def beats(bound, ids, best):
+        # the relabelings whose (bound, index) is below the incumbent's
+        # (value, index): the smaller pair wins, so among optimal
+        # relabelings the lexicographically smallest does
+        return (bound < best[0]) | ((bound == best[0]) & (ids < best[1]))
+
+    def visit(costs, tight, ids, best, best_rho):
+        # solve the chunk's assignments by (tight bound, index) while they
+        # can beat the incumbent.  Only those that can beat it at the start
+        # are sorted
+        open_ = beats(tight, ids, best)
+        if not open_.any():
+            return best, best_rho
+        cols = np.flatnonzero(open_)
+        tight, ids = tight[cols], ids[cols]
+        visit_order = np.lexsort((ids, tight)).tolist()
+        tight, ids, cols = tight.tolist(), ids.tolist(), cols.tolist()
+        for t in visit_order:
+            if (tight[t], ids[t]) >= best:
+                break
+            ri, ci = metrics.linear_sum_assignment(costs[..., cols[t]])
+            value = int(costs[ri, ci, cols[t]].sum())
+            if (value, ids[t]) < best:
+                best, best_rho = (value, ids[t]), ci
+        return best, best_rho
+
+    def outcomes(found, rhos):
+        # the (value, sigma, rho) of each incumbent (value, index) and its
+        # voter matching, the witness rows read in one pass
+        sigmas = perms[[index for _, index in found]].tolist()
+        return [(value, tuple(sigma), tuple(rho))
+                for (value, _), sigma, rho in zip(found, sigmas, rhos)]
+
+    unset = (pairs * n + 1, total)
+    if total <= chunk:
+        # one chunk per election, in index order, whose cells serve its
+        # bounds too; a stack of elections shares the chunk budget.  Each
+        # election's first relabeling by (tight bound, index), its first
+        # least bound, is solved in one pass over the stack.  One whose
+        # value meets its bound is settled; for the rest that bound becomes
+        # the value, so that the incumbent is not solved again, and the
+        # chunk is visited
+        ids, voters = np.arange(total), np.arange(n)
+        cells = metrics._chunk_cells(m, slice(None))
+        stack = chunk // total
+        found, rhos = [], []
+        for s in range(0, len(bs), stack):
+            group = bs[s : s + stack]
+            prefs_b = np.array([b[1] for b in group])
+            bounds = metrics._swap_bounds(a, np.array([b[0] for b in group]), prefs_b)
+            costs = metrics._voter_costs(bits_a, prefs_b, cells)
+            tight = np.maximum(bounds, metrics._reduced_bounds(costs))
+            rows = np.arange(len(group))
+            firsts = tight.argmin(axis=-1)
+            first_costs = costs[rows, :, :, firsts]
+            rho = np.array([metrics.linear_sum_assignment(c)[1] for c in first_costs])
+            values = first_costs[rows[:, None], voters, rho].sum(axis=1, dtype=np.int64)
+            group_found = list(zip(values.tolist(), firsts.tolist()))
+            group_rhos = rho.tolist()
+            for g in (values > tight[rows, firsts]).nonzero()[0].tolist():
+                tight[g, firsts[g]] = values[g]
+                best, best_rho = visit(costs[g], tight[g], ids, group_found[g], rho[g])
+                group_found[g], group_rhos[g] = best, best_rho.tolist()
+            found += group_found
+            rhos += group_rhos
+        return outcomes(found, rhos)
+    # the bounds stay below unset, in the smallest unsigned type, uint16 at
+    # moderate n, which a stable argsort sorts by radix
+    found, rhos = [], []
+    for margins_b, prefs_b in bs:
+        bounds = metrics._swap_bounds(a, margins_b, prefs_b).astype(np.min_scalar_type(unset[0]), copy=False)
+        order = np.argsort(bounds, kind="stable")
+        best, rho = unset, None
+        for start in range(0, total, chunk):
+            ids = order[start : start + chunk]
+            lb = bounds[ids]
+            # (bound, index) ascends along order: the relabelings that can
+            # still beat the incumbent form a prefix, empty for all later
+            # chunks, and whole in the first, where every pair is below unset
+            open_ = beats(lb, ids, best)
+            stop = len(ids) if open_.all() else int(open_.argmin())
+            if stop == 0:
+                break
+            ids, lb = ids[:stop], lb[:stop]
+            costs = metrics._voter_costs(bits_a, prefs_b, metrics._chunk_cells(m, ids))
+            # the reduction bound, never below the minima bound, only where
+            # the cheaper minima bound leaves a relabeling open: the others
+            # stay shut under a larger bound.  Before the first solve every
+            # relabeling is open
+            if best == unset or beats(np.maximum(lb, metrics._minima_bounds(costs)), ids, best).any():
+                best, rho = visit(costs, np.maximum(lb, metrics._reduced_bounds(costs)), ids, best, rho)
+        found.append(best)
+        rhos.append(rho.tolist())
+    return outcomes(found, rhos)
+
+
+def row_discrete_search(a: tuple, bs: Sequence[tuple]) -> list[tuple[int, tuple[int, ...]]]:
+    # exact discrete distance from the election of distinct votes and counts a
+    # to each such one of bs, with the lexicographically smallest optimal
+    # relabeling.  Mapping vote u onto w has the base-m code w @ place[u], which
+    # orders like it, and overlaps min(count u, count w) summed over its (u, w).
+    # bs share one sort, m**m apart
+    types_a, counts_a = a
+    m = types_a.shape[1]
+    place = metrics._code_places(m, len(bs) * m**m)
+    offsets = np.repeat(np.arange(len(bs)).astype(place.dtype) * m**m, [len(b[1]) for b in bs])
+    codes = np.concatenate([b[0] for b in bs]) @ place[types_a].T + offsets[:, None]
+    keys, inverse = np.unique(codes.ravel(), return_inverse=True)
+    pairs = np.minimum.outer(np.concatenate([b[1] for b in bs]), counts_a)
+    overlap = np.bincount(inverse, pairs.ravel()).astype(np.int64)
+    owner = (keys // m**m).astype(np.int64)
+    most = np.maximum.reduceat(overlap, np.searchsorted(owner, np.arange(len(bs))))
+    # the least code of most overlap: each election's first among its ties
+    ties = np.flatnonzero(overlap == most[owner])
+    best = ties[np.searchsorted(owner[ties], np.arange(len(bs)))]
+    sigmas = keys[best, None] % m**m // place % m
+    return list(zip((counts_a.sum() - most).tolist(), map(tuple, sigmas.tolist())))
+
+
+def row_pairwise_search(
+    ma: np.ndarray, mbs: Sequence[np.ndarray]
+) -> list[tuple[int, tuple[int, ...]]]:
+    # the pairwise distance between the election of flat margins ma (from
+    # _margins) and each election of margins mbs: (value, lexmin optimal
+    # matching) per election.  A matching's pairwise cost is its
+    # _pair_costs, whose first least entry gives the lexmin witness.  Above
+    # _PAIRWISE_SCAN_MAX the branch and bound runs on the m x m margins,
+    # where every cost and bound is twice the one on the majority matrices,
+    # so that it solves the same assignments to the same witness
+    m = math.isqrt(ma.size)
+    if m > metrics._PAIRWISE_SCAN_MAX:
+        squares = np.reshape([ma, *mbs], (-1, m, m)).astype(np.int64)
+        found = [metrics._pairwise_branch_and_bound(squares[0], mb) for mb in squares[1:]]
+        return [(value // 2, sigma) for value, sigma in found]
+    if not len(mbs):
+        return []
+    costs = metrics._pair_costs(ma, np.stack(mbs))
+    best = costs.argmin(axis=1)
+    values = costs[np.arange(len(best)), best].tolist()
+    return list(zip(values, map(tuple, metrics._order_table(m)[best].tolist())))
+
+
+def row_positionwise_search(x: np.ndarray, ys: Sequence[np.ndarray]) -> list[tuple[int]]:
+    # the positionwise value of the aggregate x against each of ys, by one
+    # assignment solve each: no witness, so none of solve_assignment's
+    # lexmin solves.  A square solve gives its rows in order, so each pair's
+    # columns are all it keeps, and the row's values are one gather
+    costs = metrics._column_costs(x, np.stack(ys))
+    columns = np.array([metrics.linear_sum_assignment(c)[1] for c in costs])
+    values = np.take_along_axis(costs, columns[:, :, None], axis=2).sum(axis=(1, 2))
+    return [(v,) for v in values.tolist()]
+
+
+def row_bordawise_search(x: np.ndarray, ys: Sequence[np.ndarray]) -> list[tuple[int]]:
+    # the l1 distance of the sorted Borda prefix x to each of ys
+    return [(v,) for v in np.abs(np.stack(ys) - x).sum(axis=1).tolist()]
+
+
+def row_search_distance_values(dataset, kind: str) -> np.ndarray:
+    """``metrics.distance_values`` as it searched before it walked blocks of
+    pairs: each election's aggregate once, then per election i one row
+    search of its aggregate against the list of all later ones.  The row
+    searches above are the package's earlier ones, on its kernels and its
+    solver, which they look up in ``metrics`` when they run; swap's takes
+    the later elections in stacks of as many as one chunk budget holds."""
+    metrics._check_elections(dataset, kind)
+    if len(dataset) < 2:
+        return np.zeros(0, dtype=np.int64)
+    search = {
+        "swap": row_swap_search,
+        "discrete": row_discrete_search,
+        "emdpos": row_positionwise_search,
+        "l1pos": row_positionwise_search,
+        "pairwise": row_pairwise_search,
+        "bordawise": row_bordawise_search,
+    }[kind]
+    aggs = [metrics._row(kind)[0](e) for e in dataset]
+    values = [found[0] for i in range(len(aggs) - 1) for found in search(aggs[i], aggs[i + 1 :])]
+    return np.array(values, dtype=np.int64)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -245,6 +246,16 @@ def _counting_searches():
             mock.patch.object(analysis, "distance_matrix", wraps=analysis.distance_matrix))
 
 
+def _searched_pairs(calls, dataset):
+    # the pairs (i, j) of the dataset that swap's searches were handed, in
+    # the order they searched them, read from the preferences of the left
+    # and right stacks of each call
+    index = {metrics._swap_aggregates(e)[1].tobytes(): i for i, e in enumerate(dataset)}
+    assert len(index) == len(dataset)
+    return [(index[a.tobytes()], index[b.tobytes()])
+            for c in calls for a, b in zip(c.args[0][1], c.args[1][1])]
+
+
 def test_correlation_with_swap_builds_the_swap_matrix_once():
     dataset = _dataset(5)
     others = [kind for kind in METRIC_KINDS if kind != "swap"]
@@ -255,8 +266,9 @@ def test_correlation_with_swap_builds_the_swap_matrix_once():
     assert got == [
         matrix_correlation(fresh_swap, distance_matrix(dataset, kind)) for kind in others
     ]
-    # one search per election against the later ones, for one matrix
-    assert searched.call_count == len(dataset) - 1
+    # the searches of one matrix cover each pair once
+    pairs = list(itertools.combinations(range(len(dataset)), 2))
+    assert _searched_pairs(searched.call_args_list, dataset) == pairs
     assert [c.args[1] for c in built.call_args_list] == ["swap", *others]
 
 
@@ -265,7 +277,8 @@ def test_correlation_of_swap_with_itself_searches_once():
     searches, builds = _counting_searches()
     with searches as searched, builds as built:
         rep = correlation(dataset, "swap", "swap")
-    assert searched.call_count == len(dataset) - 1
+    pairs = list(itertools.combinations(range(len(dataset)), 2))
+    assert _searched_pairs(searched.call_args_list, dataset) == pairs
     assert built.call_count == 1
     fresh = distance_matrix(dataset, "swap")
     assert rep == matrix_correlation(fresh, fresh)
@@ -282,7 +295,8 @@ def test_correlation_keeps_one_dataset():
     ]
     assert got == want
     # the second dataset replaced the first, whose matrix is built again
-    assert searched.call_count == 2 * (len(first) - 1) + len(second) - 1
+    searched_pairs = sum(len(c.args[0][0]) for c in searched.call_args_list)
+    assert searched_pairs == 2 * math.comb(len(first), 2) + math.comb(len(second), 2)
 
 
 def test_correlation_reuses_matrices_of_an_equal_dataset():

@@ -29,9 +29,12 @@ from electodist import (
     correlation,
     count_equivalence_classes,
     distance,
+    distance_matrix,
+    embed,
     embed_all,
     embedding_stress,
     enumerate_anecs,
+    export_map,
     is_single_peaked,
     is_spoc_vote,
     majority_realizable_bruteforce,
@@ -596,6 +599,27 @@ CASES["embed-all-ndarray"] = (
     lambda: embed_all([LABELED, np.zeros((2, 2))]),
     "expected distance matrices, got ndarray",
 )
+# labels and class names become CSV fields: strings without a separator
+NAMES = "must be strings without commas or line breaks, got"
+CASES["distance-matrix-int-labels"] = (
+    lambda: distance_matrix([SMALL_A, SMALL_B], "emdpos", labels=[1, 2]),
+    f"labels {NAMES} 1",
+)
+for name, label in {"comma": "a,b", "newline": "a\nb", "return": "a\rb"}.items():
+    CASES[f"distance-matrix-{name}-label"] = (
+        lambda label=label: DistanceMatrix((label, "c"), np.array([[0, 1], [1, 0]]), "emdpos"),
+        f"labels {NAMES} {label!r}",
+    )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+@pytest.mark.parametrize("name", [1, "x,y", "x\ny", "x\ry"])
+def test_export_map_rejects_class_names_before_writing(tmp_path, fmt, name):
+    path = tmp_path / f"map.{fmt}"
+    with pytest.raises(ValueError) as exc:
+        export_map(embed(LABELED), {"a": "x", "b": name}, fmt, path)
+    assert str(exc.value) == f"class names {NAMES} {name!r}"
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("call, message", CASES.values(), ids=CASES.keys())

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from electodist import (
+    DEFAULT_CULTURES,
     METRIC_KINDS,
     DistanceOutcome,
     Election,
@@ -46,7 +47,7 @@ from electodist import (
 )
 from electodist import analysis, metrics
 from electodist.cli import ExperimentConfig, build_dataset
-from electodist.cultures import sample_euclidean, sample_ic, sample_mallows
+from electodist.cultures import sample_euclidean, sample_ic, sample_mallows, sample_many
 from electodist.elections import _order_table, _preferences, _upper_pairs
 from electodist.metrics import distance_values, vote_swap_distance
 
@@ -79,11 +80,19 @@ from _oracles import (
     row_major_packed_votes,
     row_major_swap_aggregates,
     row_major_voter_costs,
+    row_search_distance_values,
     sign_aggregates,
     sign_dot_voter_costs,
     triangle_transport_bounds,
     unique_rows_vote_types,
 )
+
+
+def row_stacks(kind, a, bs):
+    # one aggregate against a list of later ones, as the pair-aligned left
+    # and right stacks that the kind's search takes
+    stack = metrics._row(kind)[1]
+    return stack([a] * len(bs)), stack(list(bs))
 
 
 @pytest.mark.parametrize("m", range(1, 8))
@@ -177,7 +186,7 @@ def test_pairwise_scan_equals_block_enumeration_at_the_type_edges(m, n):
     majorities = [majority_matrix(e) for e in dataset]
     margins = [metrics._row("pairwise")[0](e) for e in dataset]
     for i in range(len(dataset) - 1):
-        found = metrics._pairwise_search(margins[i], margins[i + 1 :])
+        found = metrics._pairwise_search(*row_stacks("pairwise", margins[i], margins[i + 1 :]))
         assert found == [block_enumeration_pairwise(majorities[i], mb) for mb in majorities[i + 1 :]]
 
 
@@ -200,7 +209,9 @@ def test_pair_costs_equal_the_pairwise_cost_at_every_matching(m, n):
             want = [pairwise_cost_at(majorities[i], mb, sigma) for sigma in perms]
             assert costs.tolist() == want
         assert metrics._pair_costs(margins[i], margins[-1]).tolist() == want
-        found = metrics._pairwise_search(margins[i], margins[i + 1 :])
+        left, right = row_stacks("pairwise", margins[i], margins[i + 1 :])
+        assert np.array_equal(metrics._pair_costs(left, right), stacked)
+        found = metrics._pairwise_search(left, right)
         assert found == full_cell_pairwise_scan(majorities[i], majorities[i + 1 :])
 
 
@@ -230,7 +241,7 @@ def test_pairwise_search_on_margins_solves_as_on_majority_matrices(m, n):
     solver = metrics.linear_sum_assignment
     for i in range(len(dataset) - 1):
         with mock.patch.object(metrics, "linear_sum_assignment", wraps=solver) as solves:
-            found = metrics._pairwise_search(margins[i], margins[i + 1 :])
+            found = metrics._pairwise_search(*row_stacks("pairwise", margins[i], margins[i + 1 :]))
             on_margins = solves.call_count
             want = [metrics._pairwise_branch_and_bound(majorities[i], mb) for mb in majorities[i + 1 :]]
             assert solves.call_count == 2 * on_margins
@@ -352,8 +363,8 @@ def test_isomorphic_searches_equal_their_loop_versions(pair, entries):
     assert_same_outcome(distance(a, b, "discrete"), dict_discrete_search(a, b))
 
 
-# m**m overflows int64 from m = 16 on, and at m = 15 once a row holds more
-# than 21 later elections: those rows run on Python-int codes
+# m**m overflows int64 from m = 16 on, and at m = 15 once a search holds
+# more than 21 pairs: those searches run on Python-int codes
 @pytest.mark.parametrize("m", [*range(1, 10), 15, 16, 20])
 def test_discrete_row_search_equals_the_counter_kernel(m):
     # each row draws most votes from a few shared orders, so votes repeat
@@ -369,7 +380,7 @@ def test_discrete_row_search_equals_the_counter_kernel(m):
             n = int(rng.integers(1, 9))
             pool = [rng.permutation(m) for _ in range(int(rng.integers(1, 4)))]
             a, *bs = [Election(m, [vote(pool) for _ in range(n)]) for _ in range(later + 1)]
-            got = metrics._discrete_search(aggregate(a), [aggregate(b) for b in bs])
+            got = metrics._discrete_search(*row_stacks("discrete", aggregate(a), [aggregate(b) for b in bs]))
             want = counter_discrete_search(Counter(a.votes), [Counter(b.votes) for b in bs])
             assert got == want
 
@@ -478,7 +489,7 @@ def test_swap_margins_take_the_narrowest_type_that_holds_twice_n(n, dtype):
     assert margins.tolist() == [0, n, -n, 0]
 
 
-def _counted_swap_search(search, a, bs):
+def _counted_swap_search(search, *stacks):
     # the search's outcomes and the number of assignments it solved
     solves = []
     solver = metrics.linear_sum_assignment
@@ -488,15 +499,15 @@ def _counted_swap_search(search, a, bs):
         return solver(costs)
 
     with mock.patch.object(metrics, "linear_sum_assignment", counted):
-        return search(a, bs), len(solves)
+        return search(*stacks), len(solves)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_swap_search_equals_the_one_solve_oracle(m):
-    # the same outcomes from the same solves, row by row as distance_values
-    # searches (the first row only above m = 6, for time), for one later
-    # election and a stack of them, n = 1 among the sizes, at every chunk
-    # budget up to m = 5.  Near elections (relabeled, a vote changed),
+    # the same outcomes from the same solves, row by row, each row as
+    # pair-aligned stacks (the first row only above m = 6, for time), for
+    # one later election and a stack of them, n = 1 among the sizes, at
+    # every chunk budget up to m = 5.  Near elections (relabeled, a vote changed),
     # far ones (IC) and ones drawn from a pool of three orders give stacks
     # where most first solves meet their bound and some are beaten later
     rng = np.random.default_rng([m, 260])
@@ -516,7 +527,7 @@ def test_swap_search_equals_the_one_solve_oracle(m):
             with mock.patch.object(metrics, "_SWAP_CHUNK_ENTRIES", entries):
                 for i in rows:
                     for later in (slice(i + 1, i + 2), slice(i + 1, None)):
-                        got = _counted_swap_search(metrics._swap_search, new[i], new[later])
+                        got = _counted_swap_search(metrics._swap_search, *row_stacks("swap", new[i], new[later]))
                         want = _counted_swap_search(one_solve_swap_search, old[i], old[later])
                         assert got == want
                         # bounded by the row and column minima alone, or
@@ -551,7 +562,7 @@ MAP_M6 = {
 
 
 def test_reduction_bound_solves_fewer_on_the_map_swap_matrix():
-    # row by row as distance_values searches: the same outcomes as the
+    # row by row, each row as pair-aligned stacks: the same outcomes as the
     # oracle with the same bound and the same solves, and strictly fewer
     # solves than with the row and column minima alone
     _, dataset, _ = build_dataset(ExperimentConfig.from_json(MAP_M6))
@@ -559,7 +570,7 @@ def test_reduction_bound_solves_fewer_on_the_map_swap_matrix():
     old = [row_major_swap_aggregates(e) for e in dataset]
     solves = {"search": 0, "oracle": 0, "minima": 0}
     for i in range(len(dataset) - 1):
-        got, solves_got = _counted_swap_search(metrics._swap_search, new[i], new[i + 1 :])
+        got, solves_got = _counted_swap_search(metrics._swap_search, *row_stacks("swap", new[i], new[i + 1 :]))
         want, solves_want = _counted_swap_search(one_solve_swap_search, old[i], old[i + 1 :])
         found, solves_found = _counted_swap_search(_minima_swap_search, old[i], old[i + 1 :])
         assert got == want == found
@@ -794,7 +805,7 @@ def test_swap_search_allocates_no_full_table():
 # witnesses, and the values of a small set, which share stacked chunks
 BLAS_PROBE = """
 from electodist import distance
-from electodist.cultures import sample_euclidean, sample_ic, sample_mallows
+from electodist.cultures import sample_euclidean, sample_ic, sample_mallows, sample_many
 from electodist.metrics import distance_values
 
 out = distance(sample_ic(8, 8, 81), sample_euclidean(8, 8, 82, "disc_2d"), "swap")
@@ -941,7 +952,7 @@ def test_check_diameter_checks_the_compass_divisor_before_any_distance(monkeypat
 
 
 # the names in metrics that each kind's entry points call, looked up when
-# they run: the aggregate of each election, the row search and the solver
+# they run: the aggregate of each election, the block search and the solver
 AGGREGATES = {"emdpos": "position_matrix", "l1pos": "position_matrix",
               "pairwise": "majority_matrix", "bordawise": "borda_vector"}
 SEARCHES = {"swap": "_swap_search", "discrete": "_discrete_search",
@@ -956,8 +967,9 @@ def test_entry_points_call_what_metrics_binds_when_they_run(kind):
     rng = np.random.default_rng(11)
     dataset = [Election(4, [rng.permutation(4) for _ in range(5)]) for _ in range(4)]
     names = [*set(AGGREGATES.values()), *SEARCHES.values(), "linear_sum_assignment"]
-    for run, elections_in, rows in (
-        (lambda: distance_values(dataset, kind), len(dataset), len(dataset) - 1),
+    # the six pairs of four elections fit one block
+    for run, elections_in, blocks in (
+        (lambda: distance_values(dataset, kind), len(dataset), 1),
         (lambda: distance(dataset[0], dataset[1], kind), 2, 1),
     ):
         with contextlib.ExitStack() as stack:
@@ -973,7 +985,7 @@ def test_entry_points_call_what_metrics_binds_when_they_run(kind):
         if kind in AGGREGATES:
             want[AGGREGATES[kind]] = elections_in
         if kind in SEARCHES:
-            want[SEARCHES[kind]] = rows
+            want[SEARCHES[kind]] = blocks
         assert {name: counts.get(name) for name in want} == want
         assert set(counts) == set(want) | ({"linear_sum_assignment"} if kind in SOLVES else set())
 
@@ -1007,7 +1019,7 @@ def test_positionwise_row_values_equal_the_pair_sums(m):
     for variant in ("EMD", "L1"):
         aggs = [metrics._positionwise_aggregate(e, variant) for e in dataset]
         for i in range(len(aggs) - 1):
-            got = metrics._positionwise_search(aggs[i], aggs[i + 1 :])
+            got = metrics._positionwise_search(*row_stacks("emdpos", aggs[i], aggs[i + 1 :]))
             assert got == pair_sum_positionwise_search(aggs[i], aggs[i + 1 :])
             assert all(type(v) is int for (v,) in got)
 
@@ -1040,9 +1052,10 @@ def stacked_dataset(m=4, n=24, sampled=6):
     return compass + drawn + [drawn[1], moved] + compass[:1]
 
 
-# at m = 4, n = 24: one swap chunk per election holds from 1 (1, 768, 1152:
-# several chunks per election) to 2, 3 and 7 elections per stack, and one
-# pairwise stack from 1 to 3 and 341 elections
+# at m = 4, n = 24 (k = 15): swap takes several chunks per pair at the
+# first three budgets and one chunk per pair from 34560 on, in blocks of a
+# row's 14 pairs; pairwise takes blocks of 14 pairs, and all 105 in one at
+# the default budget
 STACK_ENTRIES = (1, 768, 1152, 34560, 51840, metrics._SWAP_CHUNK_ENTRIES)
 
 
@@ -1064,22 +1077,109 @@ def test_stacked_searches_equal_their_oracles(entries):
     majorities = [majority_matrix(e) for e in dataset]
     margins = [metrics._row("pairwise")[0](e) for e in dataset]
     with mock.patch.object(metrics, "_SWAP_CHUNK_ENTRIES", entries):
-        for i, a in enumerate(dataset):
-            swaps = metrics._swap_search(swap_aggs[i], swap_aggs[i + 1 :])
+        for i, a in enumerate(dataset[:-1]):
+            swaps = metrics._swap_search(*row_stacks("swap", swap_aggs[i], swap_aggs[i + 1 :]))
             for b, got in zip(dataset[i + 1 :], swaps):
                 assert_same_outcome(DistanceOutcome(*got), lexicographic_swap_search(a, b))
-            found = metrics._pairwise_search(margins[i], margins[i + 1 :])
+            found = metrics._pairwise_search(*row_stacks("pairwise", margins[i], margins[i + 1 :]))
             assert found == [block_enumeration_pairwise(majorities[i], mb) for mb in majorities[i + 1 :]]
 
 
 @pytest.mark.parametrize("m, n, sampled", [(6, 4, 6), (7, 3, 3), (8, 4, 2)])
 def test_stacked_distance_values_equal_pair_distances_at_larger_m(m, n, sampled):
-    # at m = 6 five pairwise matrices fill a stack; from m = 7 pairwise
-    # runs the branch and bound, and at m = 8 swap runs several chunks
+    # at m = 6 pairwise scans blocks of pairs; from m = 7 it runs the
+    # branch and bound, and at m = 8 swap runs several chunks
     dataset = stacked_dataset(m, n, sampled)
     for kind in ("swap", "pairwise"):
         want = [distance(a, b, kind).value for a, b in itertools.combinations(dataset, 2)]
         assert distance_values(dataset, kind).tolist() == want
+
+
+def _pairs_anecs():
+    # the 20 ANECs (m = 4, n = 3) of the pairs benchmark's correlations, as
+    # its seed 2026 draws them, voters reordered
+    rng = np.random.default_rng(2026)
+    anecs = list(enumerate_anecs(4, 3))
+    chosen = sorted(rng.choice(len(anecs), 20, replace=False).tolist())
+    return [apply_matchings(anecs[i], range(4), rng.permutation(3)) for i in chosen]
+
+
+# the m = 10 map of the maps benchmark: the thirteen default cultures and
+# two compass elections, n = 100, seed 2026
+MAP_M10 = {"m": 10, "n": 100, "seed": 2026, "compass": ["ID", "AN"],
+           "dataset": [dict(spec.to_json(), count=1) for spec in DEFAULT_CULTURES]}
+
+
+def _block_datasets():
+    # the pairs ANECs; the m6 and m10 maps; at m = 7, n = 1, where one
+    # swap chunk holds all 5,040 relabelings and a block stacks the
+    # triangle bound; and at m = 8, n = 2, where swap walks chunks and
+    # pairwise runs the branch and bound, pair by pair
+    rng = np.random.default_rng(32)
+    return {
+        "pairs": _pairs_anecs(),
+        "m6": build_dataset(ExperimentConfig.from_json(MAP_M6))[1],
+        "m10": build_dataset(ExperimentConfig.from_json(MAP_M10))[1],
+        "m7n1": _tied_and_uniform(7, 1, rng) + [sample_ic(7, 1, seed) for seed in range(3)],
+        "m8n2": _tied_and_uniform(8, 2, rng) + [sample_mallows(8, 2, 5, 0.3)],
+    }
+
+
+BLOCK_DATASETS = _block_datasets()
+
+
+@pytest.mark.parametrize("entries", [metrics._SWAP_CHUNK_ENTRIES, 64])
+@pytest.mark.parametrize("name", sorted(BLOCK_DATASETS))
+def test_block_searches_equal_the_row_search_oracle(name, entries):
+    # every metric the candidate guards admit, at the default budget and at
+    # one so small that a block holds a row's bytes, k - 1 pairs where all
+    # pairs weigh the same, and blocks end inside rows: the values of the
+    # row searches, from as many assignment solves for swap and the
+    # positionwise metrics
+    dataset = BLOCK_DATASETS[name]
+    k, m = len(dataset), dataset[0].m
+    row_ends = np.cumsum(np.arange(k - 1, 0, -1)).tolist()
+    solver, cut = metrics.linear_sum_assignment, metrics._pair_blocks
+    with mock.patch.object(metrics, "_SWAP_CHUNK_ENTRIES", entries):
+        for kind in METRIC_KINDS:
+            guard = metrics.GUARDS.get(f"{kind} distance", {"m": m})
+            if m > guard["m"]:
+                continue
+            blocks, found = [], []
+            for run in (distance_values, row_search_distance_values):
+                with mock.patch.object(metrics, "linear_sum_assignment", wraps=solver) as solves, \
+                        mock.patch.object(metrics, "_pair_blocks", lambda *a: blocks.append(cut(*a)) or blocks[-1]):
+                    values = run(dataset, kind)
+                found.append((values.dtype, values.tolist(), solves.call_count))
+            (got_dtype, got_values, got_solves), (want_dtype, want_values, want_solves) = found
+            assert (got_dtype, got_values) == (want_dtype, want_values)
+            if kind in ("swap", "emdpos", "l1pos"):
+                assert got_solves == want_solves
+            [cuts] = blocks
+            assert [b.start for b in cuts] == [0] + [b.stop for b in cuts[:-1]]
+            assert cuts[-1].stop == len(want_values)
+            if entries == 64 and kind != "discrete":
+                assert [b.stop - b.start for b in cuts[:-1]] == [k - 1] * (len(cuts) - 1)
+                assert any(b.stop not in row_ends for b in cuts)
+
+
+@pytest.mark.parametrize("kind", ["emdpos", "discrete"])
+def test_block_searches_peak_within_the_row_searches_and_the_budget(kind):
+    # on 13 default cultures x 5 at m = 10, n = 100 (k = 65), where a row of
+    # 64 pairs holds more than the budget: a block holds at most a row's
+    # bytes, so the traced peak stays within the row oracle's and the
+    # budget, which covers the stacks the blocks take
+    dataset = [e for i, spec in enumerate(DEFAULT_CULTURES) for e in sample_many(spec, 10, 100, i, 5)]
+    peaks = []
+    for run in (distance_values, row_search_distance_values):
+        tracemalloc.start()
+        try:
+            values = run(dataset, kind)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del values
+    assert peaks[0] <= peaks[1] + metrics._SWAP_CHUNK_ENTRIES
 
 
 def test_distance_values_make_no_distance_call():
