@@ -19,7 +19,7 @@ from .elections import (
     _check_guard,
     _check_positive,
     _integers,
-    _order_table,
+    _order_columns,
     _positions,
     _preferences,
     _square_matrix,
@@ -100,7 +100,7 @@ def check_census_guard(m: int, n: int) -> None:
 
 def _anec_rows(m: int, n: int) -> np.ndarray:
     # one row per ANEC, in lexicographic order: the representative's votes
-    # as nondecreasing indices into _order_table(m).
+    # as nondecreasing indices into all_orders(m).
     #
     # The smallest relabeled multiset of a class contains the identity
     # order, index 0, so every representative starts with it.  A relabeling
@@ -108,7 +108,7 @@ def _anec_rows(m: int, n: int) -> np.ndarray:
     # the inverses of the row's own votes are the only relabelings that can
     # produce a smaller multiset: n checks per row instead of m!.
     check_census_guard(m, n)
-    table = _order_table(m)
+    table = _order_columns(m).T
     k = len(table)
     rows = np.zeros((1, 1), dtype=np.int64)
     for _ in range(n - 1):
@@ -137,7 +137,7 @@ def enumerate_anecs(m: int, n: int) -> Iterator[Election]:
     in lexicographic order; the guard is checked, and the classes found, on
     the call."""
     rows = _anec_rows(m, n)
-    table = _order_table(m)
+    table = _order_columns(m).T
     return (Election(m, table[row]) for row in rows)
 
 
@@ -145,7 +145,7 @@ def count_equivalence_classes(m: int, n: int) -> CensusReport:
     """Census of ANECs and of the coarser positionwise, pairwise, and
     Bordawise equivalence classes."""
     rows = _anec_rows(m, n)
-    table = _order_table(m)
+    table = _order_columns(m).T.astype(np.int64)
     # per-order tables summed over each row's votes: each vote adds
     # (n+1)**position to a candidate's column code (its position counts as
     # base-(n+1) digits) and the indicator of c above d to the majority
@@ -258,7 +258,7 @@ def correlation(dataset: Sequence[Election], kind_a: str, kind_b: str) -> Correl
 ExactOrBounds = Union[int, Fraction, tuple[Union[int, Fraction], Union[int, Fraction]]]
 
 
-def _swap_bounds(m: int, n: int, low_quadratic: int) -> tuple[Fraction, Fraction]:
+def _compass_swap_bounds(m: int, n: int, low_quadratic: int) -> tuple[Fraction, Fraction]:
     return Fraction(n * low_quadratic, 8), Fraction(n * (m * m - m), 4)
 
 
@@ -275,8 +275,8 @@ def _compass_formula_value(kind: str, pair: tuple[str, str], m: int, n: int):
         ("swap", ("ID", "AN")): Fraction(n * (m * m - m), 4),
         ("swap", ("ID", "UN")): Fraction(n * (m * m - m), 4),
         ("swap", ("ID", "ST")): Fraction(n * (m * m - 2 * m), 8),
-        ("swap", ("AN", "UN")): _swap_bounds(m, n, m * m - 3 * m + 2),
-        ("swap", ("AN", "ST")): _swap_bounds(m, n, m * m - 2 * m),
+        ("swap", ("AN", "UN")): _compass_swap_bounds(m, n, m * m - 3 * m + 2),
+        ("swap", ("AN", "ST")): _compass_swap_bounds(m, n, m * m - 2 * m),
         ("swap", ("UN", "ST")): Fraction(n * m * m, 8),
         ("pairwise", ("ID", "AN")): Fraction(n * (m * m - m), 2),
         ("pairwise", ("ID", "UN")): Fraction(n * (m * m - m), 2),
@@ -414,7 +414,7 @@ def borda_realizable(x: Sequence[int], n: int) -> Optional[Election]:
     if sum(scores) != n * m * (m - 1) // 2:
         return None
     # an order's Borda points to c count the candidates it ranks c above
-    contrib = _preferences(_order_table(m)).sum(axis=2).tolist()
+    contrib = _preferences(_order_columns(m).T).sum(axis=2).tolist()
     return _realize_by_counts(all_orders(m), contrib, scores, n)
 
 
@@ -474,7 +474,7 @@ def majority_realizable_bruteforce(M, n: int) -> Optional[Election]:
         return None
     # with M + M^T = n off the diagonal, the cells c < d fix the matrix
     first, second = _upper_pairs(m)
-    contrib = _preferences(_order_table(m))[:, first, second].astype(np.int64).tolist()
+    contrib = _preferences(_order_columns(m).T)[:, first, second].astype(np.int64).tolist()
     return _realize_by_counts(all_orders(m), contrib, target[first, second].tolist(), n)
 
 

@@ -72,14 +72,14 @@ def _check_guard(name: str, **shape: int) -> None:
 
 def _integers(values: Iterable, what: str, nonnegative: bool = False) -> list[int]:
     # the values as ints, an array's in row-major order; ValueError names
-    # the first one that is not an integer, or with nonnegative not >= 0,
-    # as a Python scalar
+    # the first one that is not an integer (a Python or numpy bool is not
+    # one), or with nonnegative not >= 0, as a Python scalar
     if isinstance(values, np.ndarray):
         values = values.ravel().tolist()
     out = []
     for v in values:
         iv = int(v)
-        if iv != v:
+        if iv != v or isinstance(v, (bool, np.bool_)):
             raise ValueError(f"{what} must be integers, got {v!r}")
         if nonnegative and iv < 0:
             raise ValueError(f"{what} must be nonnegative, got {v!r}")
@@ -164,30 +164,24 @@ def all_orders(m: int) -> tuple[tuple[int, ...], ...]:
     """All m! total orders of 0..m-1 in lexicographic order; m is an
     integer >= 0."""
     _check_natural(m, "m")
-    return tuple(map(tuple, _order_bytes(m).tolist()))
+    return tuple(map(tuple, _order_columns(m).T.tolist()))
 
 
 @lru_cache(maxsize=None)
-def _order_bytes(m: int) -> np.ndarray:
-    # all_orders(m) as a read-only (m!, m) uint8 array, built prefix by
-    # prefix: the orders of k candidates are each first candidate f
-    # followed by the orders of k - 1 candidates with every one >= f moved
-    # up by one, which keeps them lexicographic.  One byte a cell, so the
-    # build moves an eighth of the bytes an int64 build would
-    table = np.zeros((1, 0), dtype=np.uint8)
+def _order_columns(m: int) -> np.ndarray:
+    # the one table of all_orders(m): a read-only C-contiguous (m, m!) uint8
+    # array, column l the l-th order and row c the candidate each order puts
+    # at position c, 322 KB at m = 8.  The swap cells and the triangle bound
+    # read whole rows; readers that want one order per row take its
+    # transpose, a view.  Built prefix by prefix: the orders of k candidates
+    # are each first candidate f followed by the orders of k - 1 candidates
+    # with every one >= f moved up by one, which keeps them lexicographic
+    table = np.zeros((0, 1), dtype=np.uint8)
     for k in range(1, m + 1):
-        first = np.repeat(np.arange(k, dtype=np.uint8), len(table))
-        rest = np.tile(table, (k, 1))
-        rest += rest >= first[:, None]
-        table = np.column_stack((first, rest))
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=None)
-def _order_table(m: int) -> np.ndarray:
-    # _order_bytes(m) as a read-only int64 array, cast once
-    table = _order_bytes(m).astype(np.int64)
+        first = np.repeat(np.arange(k, dtype=np.uint8), table.shape[1])
+        rest = np.tile(table, k)
+        rest += rest >= first
+        table = np.vstack((first, rest))
     table.setflags(write=False)
     return table
 
@@ -373,9 +367,9 @@ def compass_election(kind: str, m: int, n: int) -> Election:
     elif kind == "AN":
         orders = np.stack([canonical, canonical[::-1]])
     elif kind == "UN":
-        orders = _order_table(m)
+        orders = _order_columns(m).T
     else:  # ST: each order of the first m/2 candidates, then each of the rest
-        half = _order_table(m // 2)
+        half = _order_columns(m // 2).T
         k = len(half)
         orders = np.column_stack((np.repeat(half, k, axis=0), np.tile(half + m // 2, (k, 1))))
     # the kind's divisor of n is its number of orders; each comes n / divisor times

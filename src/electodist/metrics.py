@@ -32,8 +32,8 @@ preferences are held cell-major, so the words are gathered a whole voter
 row per cell and transposed once before they are packed.  Up to 6
 candidates a chunk reads its relabeled cells from one table of all m!
 relabelings; at 7 and 8 no search builds that table: the triangle bound
-and each chunk read the candidate-major order columns, m x m! bytes, and
-a chunk builds the cells of its own relabelings only.  A chunk's
+and each chunk read the m x m! byte table of orders in ``elections``,
+and a chunk builds the cells of its own relabelings only.  A chunk's
 bounds are tightened by the Hungarian method's row and column reduction
 of each voter cost matrix before any of its assignments is solved.
 Pairwise takes the least of the kernel's sums up to 6 candidates and runs
@@ -64,8 +64,7 @@ from .elections import (
     Election,
     _check_guard,
     _check_permutation,
-    _order_bytes,
-    _order_table,
+    _order_columns,
     _place_values,
     _preferences,
     _square_matrix,
@@ -282,17 +281,6 @@ def _swap_aggregates(election: Election) -> tuple[np.ndarray, np.ndarray]:
     return _margins(counts, n), prefers.view(np.uint8)
 
 
-@lru_cache(maxsize=None)
-def _order_columns(m: int) -> np.ndarray:
-    # _order_bytes(m) candidate-major, row c holding tau c of every
-    # relabeling tau in its order: a read-only contiguous (m, m!) uint8
-    # array, 322 KB at m = 8, from which the cells and the triangle bound's
-    # indices read whole rows
-    columns = np.ascontiguousarray(_order_bytes(m).T)
-    columns.setflags(write=False)
-    return columns
-
-
 def _relabeled_cells(columns: np.ndarray) -> np.ndarray:
     # for each relabeling tau of the candidate-major columns (m, L) of
     # _order_columns(m), in their order: the flat cells tau c * m + tau d of
@@ -380,16 +368,6 @@ def _voter_costs(bits_a: np.ndarray, prefs_b: np.ndarray, cells: np.ndarray) -> 
     return _popcounts(words_b[..., None, :, :] ^ bits_a[..., :, None, None])
 
 
-def _minima_bounds(costs: np.ndarray) -> np.ndarray:
-    # the int64 larger of the row-minima and column-minima sums of each of
-    # the voter cost matrices costs[..., i, j, l], which no voter matching
-    # beats
-    return np.maximum(
-        costs.min(axis=-2).sum(axis=-2, dtype=np.int64),
-        costs.min(axis=-3).sum(axis=-2, dtype=np.int64),
-    )
-
-
 def _reduced_bounds(costs: np.ndarray) -> np.ndarray:
     # the int64 bound of each of the voter cost matrices costs[..., i, j, l]
     # by the Hungarian method's reduction: the row minima plus the column
@@ -415,11 +393,12 @@ _SWAP_CHUNK_ENTRIES = 1 << 17
 
 def _pair_costs(margins_a: np.ndarray, margins_b: np.ndarray) -> np.ndarray:
     # costs[..., l]: the sum over the pairs c < d of |margin_a(c, d) -
-    # margin_b(tau c, tau d)| for the l-th relabeling tau of _order_bytes(m),
-    # for the flat margins (from _margins) of elections a and b of as many
-    # voters, one each or pair-aligned stacks, or one a against a stack of b.  As M(d, c) = n - M(c, d), it
-    # is the pairwise cost of tau, and twice swap's majority bound: every
-    # disagreeing voter pair forces an inversion.  The margins are gathered
+    # margin_b(tau c, tau d)| for the l-th relabeling tau, column l of
+    # _order_columns(m), for the flat margins (from _margins) of elections a
+    # and b of as many voters, one each or pair-aligned stacks, or one a
+    # against a stack of b.  As M(d, c) = n - M(c, d), it is the pairwise
+    # cost of tau, and twice swap's majority bound: every disagreeing voter
+    # pair forces an inversion.  The margins are gathered
     # pair-major, so that the sum over the pairs adds whole rows, in slices
     # of at most _SWAP_CHUNK_ENTRIES margins, and summed in int32 while they
     # fit int16, in int64 beyond
@@ -486,8 +465,8 @@ def _sorted_three(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _triangle_bounds(a: tuple[np.ndarray, np.ndarray], margins_b: np.ndarray,
                      prefs_b: np.ndarray) -> np.ndarray:
-    # bounds[..., l]: swap's triangle bound of the l-th relabeling tau of
-    # _order_bytes(m) from the election of aggregates a (from
+    # bounds[..., l]: swap's triangle bound of the l-th relabeling tau,
+    # column l of _order_columns(m), from the election of aggregates a (from
     # _swap_aggregates) to the election of margins margins_b and cell-major
     # preferences prefs_b, one each or pair-aligned stacks, or one a against
     # a stack of b, at an m of _TRIANGLES, in the
@@ -566,8 +545,8 @@ def _swap_search(
     margins_b, prefs_b = right
     n = prefs_a.shape[-1]
     m = math.isqrt(prefs_a.shape[-2])
-    perms = _order_bytes(m)
-    total = len(perms)
+    columns = _order_columns(m)
+    total = columns.shape[1]
     pairs = m * (m - 1) // 2
     # the identity comes first among the relabelings
     bits_a = _packed_votes(prefs_a, _chunk_cells(m, slice(1)))[..., 0]
@@ -602,7 +581,7 @@ def _swap_search(
     def outcomes(found, rhos):
         # the (value, sigma, rho) of each incumbent (value, index) and its
         # voter matching, the witness rows read in one pass
-        sigmas = perms[[index for _, index in found]].tolist()
+        sigmas = columns[:, [index for _, index in found]].T.tolist()
         return [(value, tuple(sigma), tuple(rho))
                 for (value, _), sigma, rho in zip(found, sigmas, rhos)]
 
@@ -650,12 +629,7 @@ def _swap_search(
                 break
             ids, lb = ids[:stop], lb[:stop]
             costs = _voter_costs(bits_a[p], prefs_b[p], _chunk_cells(m, ids))
-            # the reduction bound, never below the minima bound, only where
-            # the cheaper minima bound leaves a relabeling open: the others
-            # stay shut under a larger bound.  Before the first solve every
-            # relabeling is open
-            if best == unset or beats(np.maximum(lb, _minima_bounds(costs)), ids, best).any():
-                best, rho = visit(costs, np.maximum(lb, _reduced_bounds(costs)), ids, best, rho)
+            best, rho = visit(costs, np.maximum(lb, _reduced_bounds(costs)), ids, best, rho)
         found.append(best)
         rhos.append(rho.tolist())
     return outcomes(found, rhos)
@@ -868,7 +842,7 @@ def _pairwise_search(left: np.ndarray, right: np.ndarray) -> list[tuple[int, tup
     costs = _pair_costs(left, right)
     best = costs.argmin(axis=1)
     values = costs[np.arange(len(best)), best].tolist()
-    return list(zip(values, map(tuple, _order_table(m)[best].tolist())))
+    return list(zip(values, map(tuple, _order_columns(m)[:, best].T.tolist())))
 
 
 @lru_cache(maxsize=None)
@@ -1119,9 +1093,9 @@ def distance_values(dataset: Sequence[Election], kind: str) -> np.ndarray:
     inversions any voter matching makes on each triangle's three pairs,
     plus the majority term of each pair left.  Up to 6 candidates swap
     reads each chunk's cells from one cached table of all m! relabelings
-    (720 rows at most); at 7 and 8 it caches only the m x m! candidate-major
-    order columns (322 KB at m = 8), from which the bound reads and each
-    chunk builds its own cells.
+    (720 rows at most); at 7 and 8 it reads only the m x m! table of the
+    orders (322 KB at m = 8), from which the bound reads and each chunk
+    builds its own cells.
     """
     _check_elections(dataset, kind)
     k = len(dataset)

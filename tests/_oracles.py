@@ -20,7 +20,10 @@ assignment solve per triangle and ordered triple, kept to check its closed
 form for the transport on the hexagon, and ``cell_table_triangle_bounds``
 the same closed form indexed through the whole ``metrics._swap_cells(m)``
 table, kept to check the bound that reads candidate-major order columns;
-``burnside_anec_count``
+``minima_bounds`` is the larger of the row-minima and column-minima sums
+of voter cost matrices, with which the chunked swap search once decided
+whether to reduce a chunk, kept to check that the reduction bound is never
+below it; ``burnside_anec_count``
 counts ANECs by Burnside's lemma, to check the census;
 ``pair_sum_positionwise_search`` is the positionwise row search summed
 pair by pair, kept to check the row's one gather;
@@ -36,7 +39,8 @@ check the tail that moves a stack of layouts in lockstep.
 ``permutations_all_orders`` is the order list as ``itertools.permutations``
 builds it, and ``loop_preferences`` each vote's pairwise preferences read
 by ``tuple.index``, kept to check the one order table and the one
-preference table of ``elections``.  ``row_search_distance_values`` is
+preference table of ``elections``; ``order_rows`` reads that order table
+one order per row, in int64.  ``row_search_distance_values`` is
 ``distance_values`` searching row by row, one aggregate against a list of
 later ones, with the row searches ``row_swap_search``,
 ``row_discrete_search``, ``row_pairwise_search``,
@@ -71,7 +75,7 @@ from electodist import (
 )
 from electodist.analysis import check_census_guard
 from electodist import metrics
-from electodist.elections import _check_permutation, _place_values, _preferences
+from electodist.elections import _check_permutation, _order_columns, _place_values, _preferences
 from electodist.cultures import (
     _balanced_tree,
     _caterpillar_tree,
@@ -268,6 +272,12 @@ def permutations_all_orders(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.permutations(range(m)))
 
 
+def order_rows(m: int) -> np.ndarray:
+    """The m! orders of ``elections._order_columns(m)`` as an (m!, m) int64
+    array, one order per row, in lexicographic order."""
+    return _order_columns(m).T.astype(np.int64)
+
+
 def loop_preferences(orders: np.ndarray) -> np.ndarray:
     """``elections._preferences`` order by order: [..., c, d] is True when
     the order ranks c above d, by ``tuple.index``."""
@@ -409,7 +419,7 @@ def full_cell_pairwise_scan(ma, mbs) -> list[tuple[int, tuple[int, ...]]]:
     small-m pairwise search before it summed margins over the pairs c < d."""
     ma = np.asarray(ma, dtype=np.int64)
     m = ma.shape[0]
-    perms = metrics._order_table(m)
+    perms = order_rows(m)
     cells = (perms[:, :, None] * m + perms[:, None, :]).reshape(len(perms), m * m)
     out = []
     for mb in mbs:
@@ -429,7 +439,7 @@ def block_prefix_majority_bounds(margins_a, margins_b) -> np.ndarray:
     gathered once per block, at its first relabeling, and the sums repeat
     into the blocks of the next candidate."""
     m = math.isqrt(margins_a.shape[-1])
-    perms = metrics._order_table(m)
+    perms = order_rows(m)
     first, second = np.triu_indices(m, 1)
     by_second = np.lexsort((first, second))
     cells = perms[:, first[by_second]] * m + perms[:, second[by_second]]
@@ -584,6 +594,16 @@ def row_major_voter_costs(bits_a: np.ndarray, prefs_b: np.ndarray, cells: np.nda
     return costs, relaxed
 
 
+def minima_bounds(costs: np.ndarray) -> np.ndarray:
+    # the int64 larger of the row-minima and column-minima sums of each of
+    # the voter cost matrices costs[..., i, j, l], which no voter matching
+    # beats
+    return np.maximum(
+        costs.min(axis=-2).sum(axis=-2, dtype=np.int64),
+        costs.min(axis=-3).sum(axis=-2, dtype=np.int64),
+    )
+
+
 def reduction_bounds(costs: np.ndarray) -> np.ndarray:
     """The Hungarian method's reduction bound of each voter cost matrix
     costs[..., i, j, l], per relabeling l: the larger of (row minima plus
@@ -606,7 +626,7 @@ def triangle_transport_bounds(a, b) -> np.ndarray:
     difference of each pair no triangle holds."""
     (margins_a, prefs_a), (margins_b, prefs_b) = a, b
     m = math.isqrt(prefs_a.shape[1])
-    perms = metrics._order_table(m)
+    perms = order_rows(m)
     bounds = np.zeros(len(perms), dtype=np.int64)
     covered = set()
     for x, y, z in metrics._TRIANGLES[m]:
@@ -648,7 +668,7 @@ def cell_table_triangle_bounds(a, margins_b, prefs_b) -> np.ndarray:
     cells = metrics._swap_cells(m)
     upper_a = margins_a.take(cells[0, leftover])
     terms = (np.abs(margins_b[..., None, :] - upper_a[:, None]) // 2).astype(dtype)
-    orders = metrics._order_bytes(m)
+    orders = _order_columns(m).T
     bounds = np.zeros(margins_b.shape[:-1] + (len(cells),), dtype=dtype)
     for t, (x, y, z) in enumerate(metrics._TRIANGLES[m]):
         index = cells[:, column[x, y]].astype(np.uint16)
@@ -680,7 +700,7 @@ def one_solve_swap_search(
     margins_a, prefs_a = a
     n = prefs_a.shape[0]
     m = math.isqrt(prefs_a.shape[1])
-    perms = metrics._order_table(m)
+    perms = order_rows(m)
     cells = metrics._swap_cells(m)
     total, width = cells.shape
     pairs = m * (m - 1) // 2
@@ -1284,7 +1304,7 @@ def row_swap_search(
     margins_a, prefs_a = a
     n = prefs_a.shape[1]
     m = math.isqrt(prefs_a.shape[0])
-    perms = metrics._order_bytes(m)
+    perms = _order_columns(m).T
     total = len(perms)
     pairs = m * (m - 1) // 2
     # the identity comes first among the relabelings
@@ -1380,7 +1400,7 @@ def row_swap_search(
             # the cheaper minima bound leaves a relabeling open: the others
             # stay shut under a larger bound.  Before the first solve every
             # relabeling is open
-            if best == unset or beats(np.maximum(lb, metrics._minima_bounds(costs)), ids, best).any():
+            if best == unset or beats(np.maximum(lb, minima_bounds(costs)), ids, best).any():
                 best, rho = visit(costs, np.maximum(lb, metrics._reduced_bounds(costs)), ids, best, rho)
         found.append(best)
         rhos.append(rho.tolist())
@@ -1430,7 +1450,7 @@ def row_pairwise_search(
     costs = metrics._pair_costs(ma, np.stack(mbs))
     best = costs.argmin(axis=1)
     values = costs[np.arange(len(best)), best].tolist()
-    return list(zip(values, map(tuple, metrics._order_table(m)[best].tolist())))
+    return list(zip(values, map(tuple, order_rows(m)[best].tolist())))
 
 
 def row_positionwise_search(x: np.ndarray, ys: Sequence[np.ndarray]) -> list[tuple[int]]:

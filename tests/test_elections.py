@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -28,7 +29,7 @@ from electodist import (
 )
 
 from electodist import elections as elections_module
-from electodist.elections import _order_table, _upper_pairs
+from electodist.elections import _order_columns, _upper_pairs
 
 from _oracles import loop_election_votes, permutations_all_orders
 from conftest import ALL_ORDERS_3, CYCLIC_DOUBLED, SMALL_A, SPLIT_REVERSED, elections
@@ -231,13 +232,18 @@ def test_upper_pairs_are_in_combinations_order(k):
     assert list(zip(first.tolist(), second.tolist())) == list(itertools.combinations(range(k), 2))
 
 
-@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("m", range(9))
 def test_order_table_lists_permutations_in_order(m):
-    table = _order_table(m)
-    assert table.dtype == np.int64
-    assert table.tolist() == [list(p) for p in itertools.permutations(range(m))]
+    # the one cached table of the m! orders, one order per column
+    table = _order_columns(m)
+    assert table.dtype == np.uint8 and table.shape == (m, math.factorial(m))
+    assert table.flags.c_contiguous
+    assert not table.flags.writeable
     with pytest.raises(ValueError):
-        table[0, 0] = 1
+        table[..., 0] = 1
+    assert _order_columns(m) is table
+    assert table.T.tolist() == [list(p) for p in itertools.permutations(range(m))]
+    assert all_orders(m) == tuple(map(tuple, table.T.tolist()))
 
 
 def test_compass_id():

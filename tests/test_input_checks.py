@@ -269,6 +269,31 @@ CASES = {
         lambda: Election(3, [np.array([0.0, 2.5, 1.0])]),
         "vote entries must be integers, got 2.5",
     ),
+    # a bool is no integer entry, Python's or numpy's, in a list or an array
+    "election-vote-bool": (
+        lambda: Election(2, [[True, False]]),
+        "vote entries must be integers, got True",
+    ),
+    "election-vote-bool-ndarray": (
+        lambda: Election(2, np.array([[True, False]])),
+        "vote entries must be integers, got True",
+    ),
+    "vote-swap-bool": (
+        lambda: vote_swap_distance((True, False), (0, 1)),
+        "vote entries must be integers, got True",
+    ),
+    "pairwise-cost-numpy-bool": (
+        lambda: pairwise_cost_at(SMALL_A, SMALL_A, (np.True_, 0, 2)),
+        "matching entries must be integers, got np.True_",
+    ),
+    "borda-bool-ndarray": (
+        lambda: borda_realizable(np.array([True, False]), 1),
+        "Borda scores must be integers, got True",
+    ),
+    "majority-realizable-bool": (
+        lambda: majority_realizable_bruteforce(np.array([[False, True], [False, False]]), 1),
+        "majority matrix entries must be integers, got False",
+    ),
     "int-list-token": (
         lambda: parse_int_list("1,x"),
         "non-integer token in list '1,x'",

@@ -48,7 +48,7 @@ from electodist import (
 from electodist import analysis, metrics
 from electodist.cli import ExperimentConfig, build_dataset
 from electodist.cultures import sample_euclidean, sample_ic, sample_mallows, sample_many
-from electodist.elections import _order_table, _preferences, _upper_pairs
+from electodist.elections import _preferences, _upper_pairs
 from electodist.metrics import distance_values, vote_swap_distance
 
 from conftest import election_pairs, elections
@@ -71,7 +71,9 @@ from _oracles import (
     loop_position_matrix,
     loop_positionwise_distance,
     loop_preferences,
+    minima_bounds,
     one_solve_swap_search,
+    order_rows,
     pair_loop_distance_matrix,
     pair_sum_positionwise_search,
     reduction_bounds,
@@ -100,7 +102,7 @@ def test_preferences_equal_the_vote_loop(m):
     # an (n, m) election, the (m!, m) order table and a (2, n, m) stack
     election = sample_ic(m, 9, m).array
     stack = np.stack([election, sample_ic(m, 9, m + 100).array])
-    for orders in (election, _order_table(m), stack):
+    for orders in (election, order_rows(m), stack):
         prefers = _preferences(orders)
         assert prefers.dtype == bool and prefers.shape == (*orders.shape, m)
         assert np.array_equal(prefers, loop_preferences(orders))
@@ -200,7 +202,7 @@ def test_pair_costs_equal_the_pairwise_cost_at_every_matching(m, n):
     margins = [metrics._row("pairwise")[0](e) for e in dataset]
     assert margins[0].dtype == np.min_scalar_type(-2 * n - 1)
     majorities = [majority_matrix(e) for e in dataset]
-    perms = _order_table(m).tolist()
+    perms = order_rows(m).tolist()
     for i in range(len(dataset) - 1):
         stacked = metrics._pair_costs(margins[i], np.stack(margins[i + 1 :]))
         assert stacked.shape == (len(dataset) - 1 - i, len(perms))
@@ -421,7 +423,7 @@ def test_packed_voter_costs_equal_sign_dot_products(m, entries):
     rng = np.random.default_rng([m, entries])
     n = int(rng.integers(1, 9))
     a, *bs = (Election(m, [rng.permutation(m) for _ in range(n)]) for _ in range(4))
-    perms, cells = metrics._order_table(m), metrics._swap_cells(m)
+    perms, cells = order_rows(m), metrics._swap_cells(m)
     chunk = max(1, entries // (n * (m * (m - 1) // 2 + n)))
     ids = np.sort(rng.choice(len(perms), size=min(chunk, len(perms)), replace=False))
     margins_a, prefs_a = metrics._swap_aggregates(a)
@@ -437,7 +439,7 @@ def test_packed_voter_costs_equal_sign_dot_products(m, entries):
         words = metrics._packed_votes(prefs_b, cells[ids])
         assert np.array_equal(words, packed.view(words.dtype)[..., 0])
         costs = metrics._voter_costs(bits_a, prefs_b, cells[ids])
-        relaxed = metrics._minima_bounds(costs)
+        relaxed = minima_bounds(costs)
         want_costs, want_relaxed = sign_dot_voter_costs(signs_a, signs_b, perms[ids])
         assert costs.dtype == np.uint8 and costs.flags.c_contiguous
         assert np.array_equal(np.moveaxis(costs, -1, -3), want_costs)
@@ -471,7 +473,7 @@ def test_cell_major_words_equal_the_row_major_oracle(m):
             words = metrics._packed_votes(prefs_b, cells[ids])
             assert np.array_equal(words, row_major_packed_votes(want_prefs_b, cells[ids]))
             costs = metrics._voter_costs(bits_a, prefs_b, cells[ids])
-            got = costs, metrics._minima_bounds(costs)
+            got = costs, minima_bounds(costs)
             want = row_major_voter_costs(bits_a, want_prefs_b, cells[ids])
             for x, y in zip(got, want):
                 assert x.dtype == y.dtype and x.flags.c_contiguous
@@ -603,7 +605,7 @@ def test_reduction_bound_lies_between_the_minima_bound_and_the_optimum(m):
             bounds = metrics._reduced_bounds(chunk)
             assert bounds.dtype == np.int64
             assert np.array_equal(bounds, reduction_bounds(chunk))
-            assert (bounds >= metrics._minima_bounds(chunk)).all()
+            assert (bounds >= minima_bounds(chunk)).all()
             matrices = np.moveaxis(chunk, -1, -3).reshape(-1, n, n)
             optima = [int(c[metrics.linear_sum_assignment(c)].sum()) for c in matrices]
             assert (bounds.ravel() <= optima).all()
