@@ -17,6 +17,7 @@ from .elections import (
     _anchored_codes,
     _check_compass,
     _check_guard,
+    _check_no_bools,
     _check_positive,
     _integers,
     _order_columns,
@@ -373,6 +374,7 @@ def recover_election(pos) -> Election:
     """
     arr = _square_matrix(pos, "position matrix")
     m = arr.shape[0]
+    _check_no_bools(pos, "position matrix entries")
     entries = _integers(arr, "position matrix entries", nonnegative=True)
     work = np.array(entries, dtype=np.int64).reshape(m, m)
     n = int(work[0].sum())
@@ -465,6 +467,7 @@ def majority_realizable_bruteforce(M, n: int) -> Optional[Election]:
     m = arr.shape[0]
     _check_positive(m, n)
     _check_guard("majority realizability", m=m, n=n)
+    _check_no_bools(M, "majority matrix entries")
     entries = _integers(arr, "majority matrix entries")
     target = np.array(entries, dtype=np.int64).reshape(m, m)
     if np.any(np.diag(target) != 0):

@@ -150,7 +150,7 @@ def sample_urn(m: int, n: int, seed: SeedLike, alpha) -> Election:
             votes.append(votes[int(rng.integers(0, k - 1))])
         else:
             votes.append(rng.permutation(m))
-    return Election(m, votes)
+    return Election(m, np.array(votes))
 
 
 def _mallows_expected_swaps(phi: float, m: int) -> float:
@@ -223,7 +223,7 @@ def sample_mallows(m: int, n: int, seed: SeedLike, phi) -> Election:
         cdf /= cdf[-1]
         for vote, j in zip(votes, cdf.searchsorted(column, side="right").tolist()):
             vote.insert(j, i)
-    return Election(m, votes)
+    return Election(m, np.array(votes))
 
 
 def sample_sp_walsh(m: int, n: int, seed: SeedLike) -> Election:
@@ -259,7 +259,7 @@ def _grown_votes(m: int, n: int, seed: SeedLike, circle: bool) -> Election:
                 vote.append(right % m)
                 right += 1
         votes.append(vote)
-    return Election(m, votes)
+    return Election(m, np.array(votes))
 
 
 def sample_sp_conitzer(m: int, n: int, seed: SeedLike) -> Election:
@@ -363,7 +363,7 @@ def sample_group_separable(m: int, n: int, seed: SeedLike, tree: str) -> Electio
     root = build(tuple(range(m)))
     # each vote visits the tree's m - 1 internal nodes, one draw each
     draws = _rng(seed).random((n, m - 1)).tolist()
-    return Election(m, [_read_leaves(root, iter(row)) for row in draws])
+    return Election(m, np.array([_read_leaves(root, iter(row)) for row in draws]))
 
 
 # each model's sampler and the parameters it takes, in order, each with the

@@ -22,6 +22,7 @@ anchored codes whose least row is the canonical form of the census and of
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from fractions import Fraction
@@ -87,6 +88,19 @@ def _integers(values: Iterable, what: str, nonnegative: bool = False) -> list[in
     return out
 
 
+def _check_no_bools(rows, what: str) -> None:
+    # ValueError in _integers' words at the first entry of a list of rows
+    # that is no integer, when a Python or numpy bool is among them: numpy
+    # reads such a list, bools beside integers, as an integer array of 1s
+    # and 0s.  Call it once numpy has made rows a 2-D array, so each row is
+    # a sequence; an array input shows its bools in its dtype
+    if isinstance(rows, np.ndarray):
+        return
+    types = set(map(type, itertools.chain.from_iterable(rows)))
+    if bool in types or np.bool_ in types:
+        _integers(itertools.chain.from_iterable(rows), what)
+
+
 def _check_permutation(perm: Iterable, size: int, what: str) -> tuple[int, ...]:
     # perm as a tuple of ints if it is a permutation of 0..size-1; ValueError
     # names the first non-integer entry, or the sequence and the rule it breaks
@@ -125,6 +139,8 @@ class Election:
         if not (arr.dtype.kind in "iu" and arr.ndim == 2 and arr.shape[1] == m
                 and (np.sort(arr, axis=1) == np.arange(m)).all()):
             arr = np.array([_check_permutation(v, m, "vote") for v in votes]).reshape(-1, m)
+        else:
+            _check_no_bools(votes, "vote entries")
         if not len(arr):
             raise ValueError("need at least one voter")
         arr = arr.astype(np.int64, order="C")  # always a copy

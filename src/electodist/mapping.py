@@ -158,14 +158,13 @@ def _measure(
 def _spring_phase(
     points: np.ndarray, ideal: np.ndarray, iterations: int, temperature: float
 ) -> None:
-    # points (B, k, 2) and ideal (B, k, k): B layouts of k points, moved as
-    # one (B, 2, k) stack.  Every operation is elementwise or sums within one
-    # layout in the order a lone layout sums, so no layout's bits depend on
-    # the others
-    p = points.transpose(0, 2, 1).copy()
-    eye = np.eye(points.shape[1])
+    # points, a C-contiguous (B, 2, k) stack of B layouts of k points with
+    # ideal (B, k, k), moved in place.  Every operation is elementwise or
+    # sums within one layout in the order a lone layout sums, so no layout's
+    # bits depend on the others
+    eye = np.eye(points.shape[2])
     for it in range(iterations):
-        diffs = p[:, :, None, :] - p[:, :, :, None]
+        diffs = points[:, :, None, :] - points[:, :, :, None]
         sq = diffs**2
         dists = np.sqrt(sq[:, 0] + sq[:, 1]) + eye
         # spring force toward the ideal length for every pair; a point's
@@ -176,27 +175,26 @@ def _spring_phase(
         norms = np.sqrt(f2[:, :1] + f2[:, 1:])
         norms[norms == 0] = 1.0
         temp = temperature * (1.0 - it / iterations) + 1e-4
-        p += force / norms * np.minimum(norms, temp)
-    points[:] = p.transpose(0, 2, 1)
+        points += force / norms * np.minimum(norms, temp)
 
 
 def _descent_tail(
     points: np.ndarray, targets: np.ndarray, iterations: int
 ) -> list[list[float]]:
     """Gradient steps on the stress with a backtracking line search, for B
-    layouts (B, k, 2) in place; returns each layout's stress trace.
+    layouts of k points, a C-contiguous (B, 2, k) stack moved in place;
+    returns each layout's stress trace.
 
     The line searches run in lockstep, but each layout has its own step and
     accepts or rejects its own trials.  targets (B, k, k) must each be
     symmetric, with a nonzero cell above the diagonal.
     """
-    iu = _upper_pairs(points.shape[1])
+    iu = _upper_pairs(points.shape[2])
     t = np.ascontiguousarray(targets[:, iu[0], iu[1]])
     denom = (t**2).sum(axis=1)
-    p = points.transpose(0, 2, 1).copy()
     # the measurement of the point sets last accepted, or started from
-    diffs, dists, scale, current = _measure(p, iu, t, denom)
-    step = np.full(len(p), 0.1)
+    diffs, dists, scale, current = _measure(points, iu, t, denom)
+    step = np.full(len(points), 0.1)
     trace = []
     for _ in range(iterations):
         resid = scale[:, None, None] * dists - targets
@@ -205,12 +203,12 @@ def _descent_tail(
         ratio = np.divide(resid, dists, out=np.zeros(dists.shape), where=dists > 0)
         grad = (2.0 * scale)[:, None, None] * (ratio[:, None] * diffs).sum(axis=2)
         trial_step = step.copy()
-        searching = np.ones(len(p), dtype=bool)
+        searching = np.ones(len(points), dtype=bool)
         for _ in range(8):
-            candidate = p - trial_step[:, None, None] * grad
+            candidate = points - trial_step[:, None, None] * grad
             measured = _measure(candidate, iu, t, denom)
             accept = searching & (measured[3] < current)
-            for held, new in zip((p, diffs, dists, scale, current), (candidate, *measured)):
+            for held, new in zip((points, diffs, dists, scale, current), (candidate, *measured)):
                 held[accept] = new[accept]
             step[accept] = trial_step[accept] * 1.5
             searching &= ~accept
@@ -219,7 +217,6 @@ def _descent_tail(
                 break
         step[searching] = trial_step[searching]
         trace.append(current.copy())
-    points[:] = p.transpose(0, 2, 1)
     return np.array(trace).T.tolist()
 
 
@@ -231,8 +228,7 @@ def _classical_mds(targets: np.ndarray) -> np.ndarray:
     gram = -0.5 * j @ d2 @ j
     vals, vecs = np.linalg.eigh(gram)
     order = np.argsort(vals)[::-1][:2]
-    # row-major, as the random spring starts are
-    return np.ascontiguousarray(vecs[:, order] * np.sqrt(np.maximum(vals[order], 0.0)))
+    return vecs[:, order] * np.sqrt(np.maximum(vals[order], 0.0))
 
 
 def _normalize_unit_square(points: np.ndarray) -> np.ndarray:
@@ -290,14 +286,15 @@ def embed_all(
             by_size.setdefault(len(ideal), []).append(i)
     for group in by_size.values():
         ideal = np.stack([ideals[i] for i in group])
-        if config.method == "mds":
-            stack = np.stack([_classical_mds(ideals[i]) for i in group])
-        else:
-            stack = np.stack([points[i] for i in group])
+        starts = [_classical_mds(ideals[i]) if config.method == "mds" else points[i] for i in group]
+        # the (k, 2) starts as one C-contiguous (B, 2, k) stack, the layout
+        # _measure reads, which a transposed view alone is not
+        stack = np.stack(starts).transpose(0, 2, 1).copy()
+        if config.method == "spring":
             _spring_phase(stack, ideal, config.iterations - tail_iterations, temperature)
         group_traces = _descent_tail(stack, ideal, tail_iterations)
         for i, moved, trace in zip(group, stack, group_traces):
-            points[i], traces[i] = moved, trace
+            points[i], traces[i] = moved.T, trace
     out = []
     for dm, pts, ideal, trace in zip(dms, points, ideals, traces):
         final = _normalize_unit_square(pts)

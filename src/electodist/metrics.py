@@ -63,7 +63,9 @@ from .elections import (
     GUARDS,
     Election,
     _check_guard,
+    _check_no_bools,
     _check_permutation,
+    _integers,
     _order_columns,
     _place_values,
     _preferences,
@@ -794,9 +796,12 @@ def positionwise_distance(a, b, variant: str = "EMD") -> DistanceOutcome:
 
 def _majority_aggregate(x) -> np.ndarray:
     # the majority matrix of an election, or a given square majority matrix
+    # of integer entries, checked as given, not truncated
     if isinstance(x, Election):
         return majority_matrix(x)
-    return _square_matrix(x, "majority matrix", np.int64)
+    arr = _square_matrix(x, "majority matrix")
+    _check_no_bools(x, "majority matrix entries")
+    return np.array(_integers(arr, "majority matrix entries"), dtype=np.int64).reshape(arr.shape)
 
 
 def pairwise_cost_at(a, b, sigma: Sequence[int]) -> int:
@@ -809,13 +814,15 @@ def pairwise_cost_at(a, b, sigma: Sequence[int]) -> int:
 def pairwise_distance(a, b) -> DistanceOutcome:
     """Exact pairwise distance: minimum of pairwise_cost_at over all matchings.
 
-    A best-first branch and bound fixes the images of candidates 0, 1, ...
-    in turn and bounds each prefix by the exact cost among its fixed
-    candidates plus one assignment over the free ones.  It takes any square
-    integer matrices, at every m; its witness is the lexicographically
-    smallest optimal matching.  m is guarded by ``GUARDS["pairwise
-    distance"]``.
+    Two elections take the search of ``distance(a, b, "pairwise")``; any
+    square integer matrices a best-first branch and bound at every m, which
+    fixes the images of candidates 0, 1, ... in turn and bounds each prefix
+    by the exact cost among its fixed candidates plus one assignment over
+    the free ones.  The witness is the lexicographically smallest optimal
+    matching; m is guarded by ``GUARDS["pairwise distance"]``.
     """
+    if isinstance(a, Election) and isinstance(b, Election):
+        return distance(a, b, "pairwise")
     ma, mb = _aggregate_pair(a, b, _majority_aggregate)
     check_guard("pairwise", ma.shape[0])
     return DistanceOutcome(*_pairwise_branch_and_bound(ma, mb))

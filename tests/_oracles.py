@@ -1150,12 +1150,18 @@ def single_layout_descent_tail(
 
 def per_layout(phase):
     """A spring phase or descent tail of one (k, 2) layout, made to take a
-    (B, k, 2) stack and its (B, k, k) targets as ``mapping._spring_phase`` and
-    ``mapping._descent_tail`` do: it runs once per layout, in place, and
-    returns the list of its results, a tail's traces."""
+    (B, 2, k) stack and its (B, k, k) targets as ``mapping._spring_phase`` and
+    ``mapping._descent_tail`` do: it runs once per layout, on a row-major
+    copy that is written back, and returns the list of its results, a
+    tail's traces."""
 
     def stacked(points, targets, *args):
-        return [phase(layout, layout_targets, *args) for layout, layout_targets in zip(points, targets)]
+        results = []
+        for layout, layout_targets in zip(points, targets):
+            rows = layout.T.copy()
+            results.append(phase(rows, layout_targets, *args))
+            layout[:] = rows.T
+        return results
 
     return stacked
 

@@ -294,6 +294,52 @@ CASES = {
         lambda: majority_realizable_bruteforce(np.array([[False, True], [False, False]]), 1),
         "majority matrix entries must be integers, got False",
     ),
+    # a bool among the integers of a list, which numpy reads as 1 or 0
+    "election-vote-bool-among-integers": (
+        lambda: Election(2, [[True, 0]]),
+        "vote entries must be integers, got True",
+    ),
+    "election-vote-numpy-bool-among-integers": (
+        lambda: Election(2, [(np.True_, 0)]),
+        "vote entries must be integers, got np.True_",
+    ),
+    "election-vote-bool-after-integer": (
+        lambda: Election(2, [(0, 1), [1, False]]),
+        "vote entries must be integers, got False",
+    ),
+    "election-vote-bool-row-among-integer-rows": (
+        lambda: Election(2, [np.array([0, 1]), np.array([True, False])]),
+        "vote entries must be integers, got np.True_",
+    ),
+    "recover-bool-among-integers": (
+        lambda: recover_election([[1, False], [False, 1]]),
+        "position matrix entries must be integers, got False",
+    ),
+    "majority-realizable-bool-among-integers": (
+        lambda: majority_realizable_bruteforce([[0, True], [False, 0]], 1),
+        "majority matrix entries must be integers, got True",
+    ),
+    "pairwise-bool-among-integers": (
+        lambda: pairwise_distance([[0, True], [False, 0]], [[0, 1], [0, 0]]),
+        "majority matrix entries must be integers, got True",
+    ),
+    "pairwise-cost-bool-among-integers": (
+        lambda: pairwise_cost_at([[0, 1], [0, 0]], [[0, np.True_], [0, 0]], (0, 1)),
+        "majority matrix entries must be integers, got np.True_",
+    ),
+    # majority matrix entries are checked, not truncated; 2.0 is an integer
+    "pairwise-cost-matrix-integers": (
+        lambda: pairwise_cost_at([[0, 1.7], [0.2, 0]], [[0, 1], [1, 0]], [0, 1]),
+        "majority matrix entries must be integers, got 1.7",
+    ),
+    "pairwise-matrix-integers": (
+        lambda: pairwise_distance([[0, 1.7], [0.2, 0]], [[0, 1], [1, 0]]),
+        "majority matrix entries must be integers, got 1.7",
+    ),
+    "pairwise-matrix-integers-ndarray": (
+        lambda: pairwise_distance(np.eye(2), np.array([[0.0, 2.0], [0.5, 0.0]])),
+        "majority matrix entries must be integers, got 0.5",
+    ),
     "int-list-token": (
         lambda: parse_int_list("1,x"),
         "non-integer token in list '1,x'",

@@ -127,9 +127,25 @@ def test_pairwise_equals_branch_and_bound(pair):
     a, b = pair
     ma, mb = majority_matrix(a), majority_matrix(b)
     value, sigma = branch_and_bound_pairwise(ma, mb)
-    for out in (pairwise_distance(a, b), pairwise_distance(ma, mb)):
+    for out in (pairwise_distance(a, b), pairwise_distance(ma, mb), distance(a, b, "pairwise")):
         assert out.value == value
         assert out.candidate_matching == sigma
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_pairwise_distance_of_elections_is_the_search_of_distance(m):
+    # two elections take distance's search, whose margin scan up to m = 6
+    # solves no assignment; two majority matrices run the branch and bound
+    # at every m, which solves one at its root at least
+    a, b = sample_ic(m, 7, m), sample_ic(m, 7, m + 50)
+    ma, mb = majority_matrix(a), majority_matrix(b)
+    with mock.patch.object(metrics, "linear_sum_assignment", wraps=metrics.linear_sum_assignment) as solves:
+        out = pairwise_distance(a, b)
+        assert solves.call_count == 0 if m <= 6 else solves.call_count > 0
+        solves.reset_mock()
+        on_matrices = pairwise_distance(ma, mb)
+        assert solves.call_count > 0
+    assert out == distance(a, b, "pairwise") == on_matrices
 
 
 def test_pairwise_equals_branch_and_bound_across_blocks():

@@ -18,6 +18,7 @@ from electodist.metrics import distance_values
 from electodist import (
     DEFAULT_CULTURES,
     METRIC_KINDS,
+    DistanceOutcome,
     Election,
     apply_matchings,
     borda_realizable,
@@ -419,6 +420,14 @@ def test_pairwise_cost_at_known_values():
     assert pairwise_cost_at(SMALL_A, SMALL_A, (0, 1, 2)) == 0
     with pytest.raises(ValueError):
         pairwise_cost_at(SMALL_A, SMALL_B, (0, 0, 2))
+
+
+def test_pairwise_takes_integral_float_matrix_entries():
+    # 2.0 is an integer entry, as recover_election reads it too; 1.7 is not
+    # (tests/test_input_checks.py)
+    ma, mb = [[0, 2.0], [1, 0]], np.array([[0, 1], [1, 0]])
+    assert pairwise_cost_at(ma, mb, (0, 1)) == 1
+    assert pairwise_distance(ma, mb) == DistanceOutcome(1, (0, 1))
 
 
 def test_pairwise_distance_known_pair():
