@@ -42,12 +42,23 @@ def _check_names(names, what: str) -> None:
             raise ValueError(f"{what} must be strings without commas or line breaks, got {name!r}")
 
 
+def _check_labels(labels) -> None:
+    # one map row per label, so that a classes mapping can tell them apart
+    _check_names(labels, "labels")
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise ValueError(f"duplicate label {label!r}")
+        seen.add(label)
+
+
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Symmetric nonnegative distances between labeled elections.
 
-    Labels are strings without commas or line breaks, so that they can be
-    fields of the map's CSV rows.
+    Labels are distinct strings, and they and the metric's name have no
+    commas or line breaks, so that they can be fields of the map's and the
+    correlations' CSV rows.
     """
 
     labels: tuple[str, ...]
@@ -57,7 +68,8 @@ class DistanceMatrix:
     def __post_init__(self):
         if not len(self.labels):
             raise ValueError("need at least one election")
-        _check_names(self.labels, "labels")
+        _check_labels(self.labels)
+        _check_names([self.metric], "metric names")
         arr = _square_matrix(self.cells, "cells", float)
         if arr.shape[0] != len(self.labels):
             raise ValueError(f"{len(self.labels)} labels for {arr.shape[0]} rows")
@@ -112,7 +124,7 @@ def distance_matrix(
         labels = [str(i) for i in range(k)]
     elif len(labels) != k:
         raise ValueError(f"{len(labels)} labels for {k} elections")
-    _check_names(labels, "labels")
+    _check_labels(labels)
     upper = _upper_pairs(k)
     values = distance_values(dataset, kind)
     cells = np.zeros((k, k), dtype=float)
@@ -125,99 +137,171 @@ def embedding_stress(points: np.ndarray, targets: np.ndarray) -> float:
     """Normalized squared error between optimally scaled embedded distances
     and target distances; 0 for an all-zero target matrix."""
     t = _square_matrix(targets, "targets", float)
+    if not np.isfinite(t).all():
+        raise ValueError("targets must be finite")
     pts = np.asarray(points, dtype=float)
     if pts.shape != (len(t), 2):
         raise ValueError(f"points must have shape ({len(t)}, 2), got {pts.shape}")
-    iu = _upper_pairs(len(t))
-    t = t[iu][None]
-    denom = (t**2).sum(axis=1)
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
+    cells = _upper_cells(len(t))
+    t = t.reshape(1, -1).take(cells, axis=1)
+    denom = np.add.reduce(t * t, axis=1)
     if denom[0] == 0.0:
         return 0.0
-    return float(_measure(pts.T[None], iu, t, denom)[3][0])
+    return float(_measure(pts.T[:, None], cells, t, denom)[3][0])
+
+
+def _upper_cells(k: int) -> np.ndarray:
+    # the cells above the diagonal of a C-ordered k x k matrix as flat
+    # indices, in _upper_pairs order
+    rows, cols = _upper_pairs(k)
+    return rows * k + cols
+
+
+# The spring phase, the descent tail and _measure move a C-contiguous
+# coordinate-major (2, B, k) stack of B layouts of k points: the x and y
+# halves are contiguous blocks, which add as plain arrays.  Each sum over
+# the other point j of a pair array runs in order over a strided axis, as a
+# lone layout sums; every other operation is elementwise, or sums or takes a
+# dot within one layout's row on a contiguous axis as a lone 1-D layout
+# would, so no layout's bits depend on the others.  Replacing a square root
+# of two squares by np.hypot, or a sum by einsum or matmul, changes bits.
 
 
 def _measure(
-    points: np.ndarray, iu: tuple, t: np.ndarray, denom: np.ndarray
+    points: np.ndarray, cells: np.ndarray, t: np.ndarray, denom: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # for a (B, 2, k) stack: the pair differences ([b, c, j, i] = p_i - p_j),
-    # the pair distances, the scales that best fit them to the targets and the
-    # stresses at those scales.  iu: the cells above the diagonal; t: the
-    # C-ordered (B, P) targets there; denom: (t**2).sum(axis=1).  Each row sums
-    # and takes its dot by BLAS as a lone 1-D layout would, so no layout's bits
-    # depend on the others
+    # the pair differences ([c, b, j, i] = p_i - p_j), the pair distances,
+    # the scales that best fit them to the targets and the stresses at those
+    # scales.  cells: _upper_cells(k); t: the C-ordered (B, P) targets there;
+    # denom: the sums of their squares.  Each scale takes the BLAS dot that a
+    # lone layout takes
     diffs = points[:, :, None, :] - points[:, :, :, None]
-    sq = diffs**2
-    dists = np.sqrt(sq[:, 0] + sq[:, 1])
-    e = np.ascontiguousarray(dists[:, iu[0], iu[1]])
-    ee = (e**2).sum(axis=1)
+    sq = diffs * diffs
+    dists = sq[0] + sq[1]
+    np.sqrt(dists, out=dists)
+    e = dists.reshape(len(dists), -1).take(cells, axis=1)
+    ee = np.add.reduce(e * e, axis=1)
     dot = np.matmul(e[:, None, :], t[:, :, None])[:, 0, 0]
-    scale = np.divide(dot, ee, out=np.zeros_like(ee), where=ee > 0)
-    return diffs, dists, scale, ((scale[:, None] * e - t) ** 2).sum(axis=1) / denom
+    scale = np.divide(dot, ee, out=np.zeros(len(ee)), where=ee > 0)
+    stress = scale[:, None] * e
+    stress -= t
+    stress *= stress
+    stress = np.add.reduce(stress, axis=1)
+    stress /= denom
+    return diffs, dists, scale, stress
 
 
 def _spring_phase(
     points: np.ndarray, ideal: np.ndarray, iterations: int, temperature: float
 ) -> None:
-    # points, a C-contiguous (B, 2, k) stack of B layouts of k points with
-    # ideal (B, k, k), moved in place.  Every operation is elementwise or
-    # sums within one layout in the order a lone layout sums, so no layout's
-    # bits depend on the others
-    eye = np.eye(points.shape[2])
+    # points, the (2, B, k) stack, moved in place toward ideal (B, k, k).
+    # Each step writes into buffers made once, and makes its elementwise
+    # calls on flat views where nothing broadcasts.  The pair arrays hold
+    # [c, j, b, i] = p_i - p_j, the other point j outside the layouts, so
+    # that the force adds one (B * k) block per j
+    _, b, k = points.shape
+    flat_points = points.reshape(2, b * k)
+    rows, columns = points[:, None], points.transpose(0, 2, 1)[:, :, :, None]
+    ideal = ideal.transpose(1, 0, 2).ravel()
+    # a point's distance to itself reads 1, not 0, so no coefficient divides by 0
+    eye = np.repeat(np.eye(k), b, axis=0).ravel()
+    diffs = np.empty((2, k, b, k))
+    flat_diffs = diffs.reshape(2, -1)
+    prod = np.empty_like(flat_diffs)
+    dists = np.empty(k * b * k)
+    coeff = np.empty_like(dists)
+    force = np.empty((2, b * k))
+    f2 = np.empty_like(force)
+    norms = np.empty(b * k)
     for it in range(iterations):
-        diffs = points[:, :, None, :] - points[:, :, :, None]
-        sq = diffs**2
-        dists = np.sqrt(sq[:, 0] + sq[:, 1]) + eye
+        np.subtract(rows, columns, out=diffs)
+        np.multiply(flat_diffs, flat_diffs, out=prod)
+        np.add(prod[0], prod[1], out=dists)
+        np.sqrt(dists, out=dists)
+        dists += eye
         # spring force toward the ideal length for every pair; a point's
         # own term, -1 times a +0.0 difference, is -0.0 and changes no sum
-        coeff = (ideal - dists) / dists
-        force = (coeff[:, None] * diffs).sum(axis=2)
-        f2 = force**2
-        norms = np.sqrt(f2[:, :1] + f2[:, 1:])
+        np.subtract(ideal, dists, out=coeff)
+        coeff /= dists
+        np.multiply(flat_diffs, coeff, out=prod)
+        np.add.reduce(prod.reshape(2, k, b * k), axis=1, out=force)
+        np.multiply(force, force, out=f2)
+        np.add(f2[0], f2[1], out=norms)
+        np.sqrt(norms, out=norms)
         norms[norms == 0] = 1.0
         temp = temperature * (1.0 - it / iterations) + 1e-4
-        points += force / norms * np.minimum(norms, temp)
+        # the step force / norms * min(norms, temp), into f2
+        np.divide(force, norms, out=f2)
+        np.minimum(norms, temp, out=norms)
+        f2 *= norms
+        flat_points += f2
 
 
 def _descent_tail(
     points: np.ndarray, targets: np.ndarray, iterations: int
 ) -> list[list[float]]:
     """Gradient steps on the stress with a backtracking line search, for B
-    layouts of k points, a C-contiguous (B, 2, k) stack moved in place;
+    layouts of k points, a C-contiguous (2, B, k) stack moved in place;
     returns each layout's stress trace.
 
     The line searches run in lockstep, but each layout has its own step and
     accepts or rejects its own trials.  targets (B, k, k) must each be
     symmetric, with a nonzero cell above the diagonal.
     """
-    iu = _upper_pairs(points.shape[2])
-    t = np.ascontiguousarray(targets[:, iu[0], iu[1]])
-    denom = (t**2).sum(axis=1)
-    # the measurement of the point sets last accepted, or started from
-    diffs, dists, scale, current = _measure(points, iu, t, denom)
-    step = np.full(len(points), 0.1)
-    trace = []
-    for _ in range(iterations):
-        resid = scale[:, None, None] * dists - targets
+    _, b, k = points.shape
+    cells = _upper_cells(k)
+    t = targets.reshape(b, -1).take(cells, axis=1)
+    denom = np.add.reduce(t * t, axis=1)
+    # the points last accepted, or started from, and their measurement
+    held = points
+    diffs, dists, scale, current = _measure(held, cells, t, denom)
+    step = np.full(b, 0.1)
+    trace = np.empty((iterations, b))
+    for it in range(iterations):
+        resid = dists * scale[:, None, None]
+        resid -= targets
         # coincident points pull on each other in no direction, as SMACOF's
         # b_ij = 0 where d_ij = 0
-        ratio = np.divide(resid, dists, out=np.zeros(dists.shape), where=dists > 0)
-        grad = (2.0 * scale)[:, None, None] * (ratio[:, None] * diffs).sum(axis=2)
+        ratio = np.divide(resid, dists, out=np.zeros(resid.shape), where=dists > 0)
+        grad = np.add.reduce(diffs * ratio, axis=2)
+        grad *= (2.0 * scale)[:, None]
         trial_step = step.copy()
-        searching = np.ones(len(points), dtype=bool)
+        searching = np.ones(b, dtype=bool)
+        left = b
         for _ in range(8):
-            candidate = points - trial_step[:, None, None] * grad
-            measured = _measure(candidate, iu, t, denom)
-            accept = searching & (measured[3] < current)
-            for held, new in zip((points, diffs, dists, scale, current), (candidate, *measured)):
-                held[accept] = new[accept]
-            step[accept] = trial_step[accept] * 1.5
-            searching &= ~accept
-            trial_step[searching] /= 2.0
-            if not searching.any():
-                break
-        step[searching] = trial_step[searching]
-        trace.append(current.copy())
-    return np.array(trace).T.tolist()
+            candidate = grad * trial_step[:, None]
+            np.subtract(held, candidate, out=candidate)
+            measured = _measure(candidate, cells, t, denom)
+            accept = measured[3] < current
+            accept &= searching
+            accepted = np.count_nonzero(accept)
+            if accepted:
+                if accepted == b:
+                    # every layout keeps its trial: rebind, copy nothing
+                    held, diffs, dists, scale, current = candidate, *measured
+                else:
+                    wide = accept[:, None, None]
+                    for kept, new, mask in zip(
+                        (held, diffs, dists, scale, current),
+                        (candidate, *measured),
+                        (accept[:, None], wide, wide, accept, accept),
+                    ):
+                        np.copyto(kept, new, where=mask)
+                np.multiply(trial_step, 1.5, out=step, where=accept)
+                # accept lies within searching: this clears its layouts
+                searching ^= accept
+                left -= accepted
+                if not left:
+                    break
+            np.divide(trial_step, 2.0, out=trial_step, where=searching)
+        else:
+            np.copyto(step, trial_step, where=searching)
+        trace[it] = current
+    if held is not points:
+        points[:] = held
+    return trace.T.tolist()
 
 
 def _classical_mds(targets: np.ndarray) -> np.ndarray:
@@ -287,14 +371,15 @@ def embed_all(
     for group in by_size.values():
         ideal = np.stack([ideals[i] for i in group])
         starts = [_classical_mds(ideals[i]) if config.method == "mds" else points[i] for i in group]
-        # the (k, 2) starts as one C-contiguous (B, 2, k) stack, the layout
-        # _measure reads, which a transposed view alone is not
-        stack = np.stack(starts).transpose(0, 2, 1).copy()
+        # the (k, 2) starts as one C-contiguous coordinate-major (2, B, k)
+        # stack, the layout both phases and _measure read, which a
+        # transposed view alone is not
+        stack = np.stack(starts).transpose(2, 0, 1).copy()
         if config.method == "spring":
             _spring_phase(stack, ideal, config.iterations - tail_iterations, temperature)
         group_traces = _descent_tail(stack, ideal, tail_iterations)
-        for i, moved, trace in zip(group, stack, group_traces):
-            points[i], traces[i] = moved.T, trace
+        for b, (i, trace) in enumerate(zip(group, group_traces)):
+            points[i], traces[i] = stack[:, b].T, trace
     out = []
     for dm, pts, ideal, trace in zip(dms, points, ideals, traces):
         final = _normalize_unit_square(pts)

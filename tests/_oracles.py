@@ -35,7 +35,11 @@ both kept to check the one margin kernel that replaced them;
 search's earlier per-pair dict kernel, kept to check the row kernel,
 ``unique_rows_vote_types`` its earlier row-wise vote-type aggregate, and
 ``single_layout_descent_tail`` the map's descent tail of one layout, kept to
-check the tail that moves a stack of layouts in lockstep.
+check the tail that moves a stack of layouts in lockstep;
+``stacked_spring_phase`` and ``stacked_descent_tail`` (with
+``stacked_measure``) are the map's loops on a layout-major (B, 2, k) stack,
+a new array for every operation, kept to check the buffered loops on the
+coordinate-major (2, B, k) stack that ``layout_major`` hands them.
 ``permutations_all_orders`` is the order list as ``itertools.permutations``
 builds it, and ``loop_preferences`` each vote's pairwise preferences read
 by ``tuple.index``, kept to check the one order table and the one
@@ -1148,22 +1152,106 @@ def single_layout_descent_tail(
     return trace
 
 
+def stacked_measure(
+    points: np.ndarray, iu: tuple, t: np.ndarray, denom: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``mapping._measure`` as it was on a layout-major (B, 2, k) stack: the
+    pair differences ([b, c, j, i] = p_i - p_j), the pair distances, the
+    best scales and the stresses, read through two index arrays."""
+    diffs = points[:, :, None, :] - points[:, :, :, None]
+    sq = diffs**2
+    dists = np.sqrt(sq[:, 0] + sq[:, 1])
+    e = np.ascontiguousarray(dists[:, iu[0], iu[1]])
+    ee = (e**2).sum(axis=1)
+    dot = np.matmul(e[:, None, :], t[:, :, None])[:, 0, 0]
+    scale = np.divide(dot, ee, out=np.zeros_like(ee), where=ee > 0)
+    return diffs, dists, scale, ((scale[:, None] * e - t) ** 2).sum(axis=1) / denom
+
+
+def stacked_spring_phase(
+    points: np.ndarray, ideal: np.ndarray, iterations: int, temperature: float
+) -> None:
+    """``mapping._spring_phase`` as it was on a layout-major (B, 2, k) stack,
+    moved in place, a new array for every operation of every step."""
+    eye = np.eye(points.shape[2])
+    for it in range(iterations):
+        diffs = points[:, :, None, :] - points[:, :, :, None]
+        sq = diffs**2
+        dists = np.sqrt(sq[:, 0] + sq[:, 1]) + eye
+        coeff = (ideal - dists) / dists
+        force = (coeff[:, None] * diffs).sum(axis=2)
+        f2 = force**2
+        norms = np.sqrt(f2[:, :1] + f2[:, 1:])
+        norms[norms == 0] = 1.0
+        temp = temperature * (1.0 - it / iterations) + 1e-4
+        points += force / norms * np.minimum(norms, temp)
+
+
+def stacked_descent_tail(
+    points: np.ndarray, targets: np.ndarray, iterations: int
+) -> list[list[float]]:
+    """``mapping._descent_tail`` as it was on a layout-major (B, 2, k) stack,
+    moved in place: the accepted trials are copied over the held
+    measurements by ten masked gets and sets."""
+    iu = metrics._upper_pairs(points.shape[2])
+    t = np.ascontiguousarray(targets[:, iu[0], iu[1]])
+    denom = (t**2).sum(axis=1)
+    diffs, dists, scale, current = stacked_measure(points, iu, t, denom)
+    step = np.full(len(points), 0.1)
+    trace = []
+    for _ in range(iterations):
+        resid = scale[:, None, None] * dists - targets
+        ratio = np.divide(resid, dists, out=np.zeros(dists.shape), where=dists > 0)
+        grad = (2.0 * scale)[:, None, None] * (ratio[:, None] * diffs).sum(axis=2)
+        trial_step = step.copy()
+        searching = np.ones(len(points), dtype=bool)
+        for _ in range(8):
+            candidate = points - trial_step[:, None, None] * grad
+            measured = stacked_measure(candidate, iu, t, denom)
+            accept = searching & (measured[3] < current)
+            for held, new in zip((points, diffs, dists, scale, current), (candidate, *measured)):
+                held[accept] = new[accept]
+            step[accept] = trial_step[accept] * 1.5
+            searching &= ~accept
+            trial_step[searching] /= 2.0
+            if not searching.any():
+                break
+        step[searching] = trial_step[searching]
+        trace.append(current.copy())
+    return np.array(trace).T.tolist()
+
+
 def per_layout(phase):
     """A spring phase or descent tail of one (k, 2) layout, made to take a
-    (B, 2, k) stack and its (B, k, k) targets as ``mapping._spring_phase`` and
+    (2, B, k) stack and its (B, k, k) targets as ``mapping._spring_phase`` and
     ``mapping._descent_tail`` do: it runs once per layout, on a row-major
     copy that is written back, and returns the list of its results, a
     tail's traces."""
 
     def stacked(points, targets, *args):
         results = []
-        for layout, layout_targets in zip(points, targets):
-            rows = layout.T.copy()
+        for b, layout_targets in enumerate(targets):
+            rows = points[:, b].T.copy()
             results.append(phase(rows, layout_targets, *args))
-            layout[:] = rows.T
+            points[:, b] = rows.T
         return results
 
     return stacked
+
+
+def layout_major(phase):
+    """A phase of a layout-major (B, 2, k) stack, ``stacked_spring_phase`` or
+    ``stacked_descent_tail``, made to take the coordinate-major (2, B, k)
+    stack of ``mapping``: it runs on a C-contiguous (B, 2, k) copy that is
+    written back, and returns the phase's result."""
+
+    def coordinate_major(points, targets, *args):
+        layouts = points.transpose(1, 0, 2).copy()
+        result = phase(layouts, targets, *args)
+        points[:] = layouts.transpose(1, 0, 2)
+        return result
+
+    return coordinate_major
 
 
 def loop_sample_sp_conitzer(m: int, n: int, seed) -> Election:

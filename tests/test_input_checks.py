@@ -661,6 +661,10 @@ for name, (points, targets, message) in {
     "flat-points": (np.zeros(4), np.ones((2, 2)), "points must have shape (2, 2), got (4,)"),
     "non-square-targets": (np.zeros((2, 2)), np.ones((2, 3)), "targets must be square, got shape (2, 3)"),
     "ragged-targets": (np.zeros((2, 2)), [[0, 1], [1]], "targets must be square, got rows of lengths [2, 1]"),
+    "nan-points": (np.full((3, 2), np.nan), np.ones((3, 3)), "points must be finite"),
+    "infinite-point": (np.array([[0.0, 0.0], [np.inf, 1.0]]), np.ones((2, 2)), "points must be finite"),
+    "nan-target": (np.zeros((3, 2)), [[0, 1, np.nan], [1, 0, 1], [np.nan, 1, 0]], "targets must be finite"),
+    "infinite-target": (np.zeros((2, 2)), [[0, np.inf], [np.inf, 0]], "targets must be finite"),
 }.items():
     CASES[f"embedding-stress-{name}"] = (
         lambda points=points, targets=targets: embedding_stress(points, targets),
@@ -681,6 +685,21 @@ for name, label in {"comma": "a,b", "newline": "a\nb", "return": "a\rb"}.items()
         lambda label=label: DistanceMatrix((label, "c"), np.array([[0, 1], [1, 0]]), "emdpos"),
         f"labels {NAMES} {label!r}",
     )
+# the metric's name is a field of the correlations' CSV row, and each label
+# names one row of the map
+for name, metric in {"comma": "my,metric", "newline": "other\nname", "int": 5}.items():
+    CASES[f"distance-matrix-{name}-metric"] = (
+        lambda metric=metric: DistanceMatrix(("a", "b"), np.array([[0, 1], [1, 0]]), metric),
+        f"metric names {NAMES} {metric!r}",
+    )
+CASES["distance-matrix-duplicate-labels"] = (
+    lambda: DistanceMatrix(("x", "x", "z"), np.zeros((3, 3)), "swap"),
+    "duplicate label 'x'",
+)
+CASES["distance-matrix-duplicate-label-argument"] = (
+    lambda: distance_matrix([SMALL_A, SMALL_B, SMALL_A], "swap", labels=["a", "b", "a"]),
+    "duplicate label 'a'",
+)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "svg"])

@@ -32,9 +32,12 @@ from _oracles import (
     diagonal_zeroing_spring_phase,
     indexing_descent_tail,
     indexing_embedding_stress,
+    layout_major,
     per_layout,
     single_layout_descent_tail,
     single_layout_spring_phase,
+    stacked_descent_tail,
+    stacked_spring_phase,
 )
 from conftest import SMALL_A, SMALL_B
 
@@ -283,6 +286,27 @@ def test_embed_all_equals_single_layout_embeds(method):
     # searches accepted on different rounds of one lockstep search
     assert len(set(trials[8])) > 1
     assert embed_all([], config) == []
+
+
+@pytest.mark.parametrize("method", ["spring", "mds"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_embed_all_equals_layout_major_stack_oracles(method, seed):
+    # the two stacks of the maps benchmark, six layouts of 8 points and three
+    # of 15, at the map command's config; each matrix has a duplicated
+    # election, whose copies classical scaling starts at one point
+    rng = np.random.default_rng(12 + seed)
+    dms = [random_distance_matrix(rng, k) for k in (8,) * 6 + (15,) * 3]
+    config = EmbedConfig(seed=seed, method=method)
+    fast = embed_all(dms, config)
+    with (
+        mock.patch.object(mapping, "_spring_phase", layout_major(stacked_spring_phase)),
+        mock.patch.object(mapping, "_descent_tail", layout_major(stacked_descent_tail)),
+    ):
+        slow = embed_all(dms, config)
+    for got, want in zip(fast, slow):
+        assert got.points.tobytes() == want.points.tobytes()
+        assert repr(got.stress) == repr(want.stress)
+        assert got.tail_stress == want.tail_stress
 
 
 def test_embedding_stress_equals_indexing_stress():
